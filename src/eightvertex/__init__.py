@@ -28,7 +28,7 @@ from .holant import (
     constraint_from_params,
     holo_transform,
 )
-from .mcmc import ChainConfig, exact_chain_diagnostics, gibbs_weight, sample, step
+from .mcmc import ChainConfig, exact_chain_diagnostics, gibbs_weight, sample
 from .states import (
     CycleBasis,
     FaceColoring,

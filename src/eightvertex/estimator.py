@@ -17,14 +17,14 @@ from typing import Sequence
 
 from .exact import ParamVec, as_params, census_8v
 from .graphs import LabeledGraph
-from .mcmc import ChainConfig, _move_sets
-from .states import CLASS_BY_MASK, cycle_basis, face_two_coloring, in_masks, reference_even_orientation
+from .mcmc import Chain, ChainConfig
+from .states import CycleKernel, cycle_basis, face_two_coloring
 from .transforms import TransformPlan, in_yz, plan_report, plan_transform
 
 UNIFORM = (Fraction(1), Fraction(1), Fraction(1), Fraction(1))
 MIN_GROUPS = 12
 MIN_SAMPLES_PER_GROUP = 16
-MAX_SUBDIVISIONS = 6  # at most 2^6 = 64x refinement of the stage count
+MAX_GROUPS = 200
 EXACT_FALLBACK_DIM = 24
 
 
@@ -43,11 +43,11 @@ class AnnealSchedule:
     """Geometric stage parameters from the uniform point to the target.
 
     ``params[t][i]`` is the class-i weight at stage t; ``inside_yz[t]``
-    flags membership of stage t in the rapidly-mixing region.  When the
-    direct geometric path exits the region the stage count is doubled a few
-    times; if that never helps, ``warning`` is set and the schedule is used
+    flags membership of stage t in the rapidly-mixing region.  When a stage
+    lies outside the region ``warning`` is set and the schedule is used
     anyway (stationarity does not depend on the region, only the mixing
-    rationale weakens).
+    rationale weakens).  More stages cannot help: they lie on the same
+    geometric curve, which keeps every earlier stage.
     """
 
     target: ParamVec
@@ -90,17 +90,7 @@ def build_schedule(graph: LabeledGraph, target: Sequence, q: int | None = None) 
         q = default_stage_count(graph, t)
     ratios, stages = _geometric_stages(t, q)
     flags = _stage_flags(stages)
-    warning = False
-    if not all(flags):
-        for _ in range(MAX_SUBDIVISIONS):
-            q *= 2
-            ratios, stages = _geometric_stages(t, q)
-            flags = _stage_flags(stages)
-            if all(flags):
-                break
-        else:
-            warning = True
-    return AnnealSchedule(t, q, stages, ratios, flags, warning)
+    return AnnealSchedule(t, q, stages, ratios, flags, not all(flags))
 
 
 @dataclass(frozen=True)
@@ -125,72 +115,6 @@ class Estimate:
         }
 
 
-_CLASS16 = tuple(CLASS_BY_MASK.get(m, -1) for m in range(16))
-_RECOUNT_PERIOD = 1 << 16
-
-
-class _LightChain:
-    """Minimal Metropolis chain for the annealer: class caches only.
-
-    Orientation bits are never materialized (the estimator needs only the
-    class counts); masks and classes stay exact integers, so there is no
-    float drift to correct, but the counts are still re-derived
-    periodically as a cheap self-check.
-    """
-
-    def __init__(self, graph: LabeledGraph, proposal: str, rng: Random):
-        self.rng = rng
-        self.touch: list[list[tuple[int, int]]] = []
-        for element in _move_sets(graph, proposal):
-            agg: dict[int, int] = {}
-            for eid in element:
-                e = graph.edges[eid]
-                agg[e.u] = agg.get(e.u, 0) ^ (1 << (e.label_u - 1))
-                agg[e.v] = agg.get(e.v, 0) ^ (1 << (e.label_v - 1))
-            self.touch.append([(v, xm) for v, xm in sorted(agg.items()) if xm])
-        self.masks = in_masks(graph, reference_even_orientation(graph))
-        self.classes = [_CLASS16[m] for m in self.masks]
-        self.counts = [0, 0, 0, 0]
-        for c in self.classes:
-            self.counts[c] += 1
-        self.ratio = [[1.0] * 4 for _ in range(4)]
-        self.steps = 0
-
-    def set_params(self, weights: Sequence[float]):
-        self.ratio = [[weights[a] / weights[b] for b in range(4)] for a in range(4)]
-
-    def advance(self, steps: int, laziness: float):
-        table = _CLASS16
-        masks, classes, counts = self.masks, self.classes, self.counts
-        touch, ratio_table = self.touch, self.ratio
-        nmoves = len(touch)
-        random, randrange = self.rng.random, self.rng.randrange
-        for _ in range(steps):
-            if random() < laziness:
-                continue
-            flips = touch[randrange(nmoves)]
-            ratio = 1.0
-            for v, xm in flips:
-                ratio *= ratio_table[table[masks[v] ^ xm]][classes[v]]
-            if ratio >= 1.0 or random() < ratio:
-                for v, xm in flips:
-                    old = classes[v]
-                    m2 = masks[v] ^ xm
-                    masks[v] = m2
-                    new = table[m2]
-                    classes[v] = new
-                    counts[old] -= 1
-                    counts[new] += 1
-        self.steps += steps
-        if self.steps >= _RECOUNT_PERIOD:
-            self.steps = 0
-            recount = [0, 0, 0, 0]
-            for c in classes:
-                recount[c] += 1
-            if recount != counts:
-                raise AssertionError("chain class cache drifted")
-
-
 def _median_failure(groups: int) -> float:
     """P[at least half of the groups miss], each missing w.p. <= 1/4."""
     tail = 0.0
@@ -202,9 +126,21 @@ def _median_failure(groups: int) -> float:
 
 def _group_count(delta: float) -> int:
     g = MIN_GROUPS
-    while _median_failure(g) > delta and g < 200:
+    while _median_failure(g) > delta:
+        if g >= MAX_GROUPS:
+            raise ValueError(
+                f"delta={delta} is below the failure bound {_median_failure(g):.3g} "
+                f"of {MAX_GROUPS} groups"
+            )
         g += 2
     return g
+
+
+def _check_accuracy(eps: float, delta: float):
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must lie strictly between 0 and 1, got {eps}")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie strictly between 0 and 1, got {delta}")
 
 
 def _samples_per_group(q: int, n: int, target: ParamVec, eps: float) -> int:
@@ -237,6 +173,7 @@ def anneal_estimate(
     meets the (eps, delta) contract under the range-based variance model.
     Deterministic for a fixed seed.
     """
+    _check_accuracy(eps, delta)
     t = as_params(target)
     if any(x <= 0 for x in t):
         raise ValueError("anneal target must be strictly positive")
@@ -244,7 +181,8 @@ def anneal_estimate(
         raise ValueError(
             "target outside the rapidly-mixing region; plan a transform first"
         )
-    anchor = anchor_z(graph)
+    kernel = CycleKernel(graph, cfg.proposal)
+    anchor = 1 << kernel.dimension
     if t == UNIFORM:
         return Estimate(
             value=float(anchor),
@@ -259,7 +197,7 @@ def anneal_estimate(
     schedule = build_schedule(graph, t)
     q = schedule.stage_count
     n = graph.vertex_count
-    k = cycle_basis(graph).dimension
+    k = kernel.dimension
     groups = _group_count(delta)
     s_g = _samples_per_group(q, n, t, eps)
     thinning = max(1, (k + 1) // 2)
@@ -275,10 +213,7 @@ def anneal_estimate(
     # chain seeds come from a master generator: xoring the chain index onto
     # the raw seed would make nearby seeds share chain-seed multisets
     master = Random(cfg.seed)
-    chains = [
-        _LightChain(graph, cfg.proposal, Random(master.getrandbits(64)))
-        for _ in range(groups)
-    ]
+    chains = [Chain(kernel, Random(master.getrandbits(64))) for _ in range(groups)]
     initial_burn = max(cfg.burn_in, 10 * k)
     for chain in chains:
         chain.advance(initial_burn, laziness)
@@ -367,6 +302,7 @@ def estimate_z8v(
     annealed; small instances fall back to the exact census (flagged in the
     diagnostics), larger ones raise.
     """
+    _check_accuracy(eps, delta)
     p = as_params(params)
     _check_graph_class(graph, graph_class)
     plan = plan_transform(p, graph_class)

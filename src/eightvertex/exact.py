@@ -1,9 +1,9 @@
 """Exact partition functions by enumeration, in rational arithmetic.
 
 This module is the ground-truth oracle for everything else, so it never
-touches floating point.  States are enumerated Gray-code style over the
-cycle space; per flip only the vertices on the flipped basis cycle are
-reclassified.  Signed and zero parameters are allowed throughout.
+touches floating point.  The censuses follow the cycle-space kernel's
+Gray walk, which reclassifies only the vertices on each flipped basis
+cycle.  Signed and zero parameters are allowed throughout.
 """
 from __future__ import annotations
 
@@ -13,12 +13,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .graphs import LabeledGraph
-from .states import (
-    CLASS_BY_MASK,
-    cycle_basis,
-    in_masks,
-    reference_even_orientation,
-)
+from .states import CycleKernel
 
 ParamVec = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -60,55 +55,20 @@ class Census:
         return acc
 
 
-def _census_from_start(
-    graph: LabeledGraph, start_masks: list[int], dim_cap: int
-) -> Census:
-    basis = cycle_basis(graph)
-    k = basis.dimension
-    if k > dim_cap:
-        raise ValueError(f"cycle-space dimension {k} exceeds enumeration cap {dim_cap}")
-
-    # per basis cycle, the aggregated label-bit toggle at each touched vertex
-    touch: list[list[tuple[int, int]]] = []
-    for element in basis.elements:
-        agg: dict[int, int] = {}
-        for eid in element:
-            e = graph.edges[eid]
-            agg[e.u] = agg.get(e.u, 0) ^ (1 << (e.label_u - 1))
-            agg[e.v] = agg.get(e.v, 0) ^ (1 << (e.label_v - 1))
-        touch.append([(v, xm) for v, xm in sorted(agg.items()) if xm])
-
-    masks = list(start_masks)
-    classes = [CLASS_BY_MASK[m] for m in masks]
-    profile = [0, 0, 0, 0]
-    for cl in classes:
-        profile[cl] += 1
-
-    counts: Counter[tuple[int, int, int, int]] = Counter()
-    counts[tuple(profile)] += 1  # type: ignore[index]
-    table = CLASS_BY_MASK
-    for i in range(1, 1 << k):
-        j = (i & -i).bit_length() - 1
-        for v, xm in touch[j]:
-            old = classes[v]
-            masks[v] ^= xm
-            new = table[masks[v]]
-            classes[v] = new
-            profile[old] -= 1
-            profile[new] += 1
-        counts[tuple(profile)] += 1  # type: ignore[index]
-    return Census(graph.vertex_count, k, dict(counts))
+def _census(kernel: CycleKernel, start_masks: list[int], dim_cap: int) -> Census:
+    counts = Counter(map(tuple, kernel.walk(start_masks, dim_cap)))
+    return Census(kernel.graph.vertex_count, kernel.dimension, dict(counts))
 
 
 def census_8v(graph: LabeledGraph, dim_cap: int = DEFAULT_DIM_CAP) -> Census:
     """Class census over all even orientations."""
-    start = in_masks(graph, reference_even_orientation(graph))
-    return _census_from_start(graph, start, dim_cap)
+    kernel = CycleKernel(graph)
+    return _census(kernel, list(kernel.reference_masks), dim_cap)
 
 
 def census_ec(graph: LabeledGraph, dim_cap: int = DEFAULT_DIM_CAP) -> Census:
     """Class census over all even colorings (start: everything red)."""
-    return _census_from_start(graph, [0b1111] * graph.vertex_count, dim_cap)
+    return _census(CycleKernel(graph), [0b1111] * graph.vertex_count, dim_cap)
 
 
 def z8v_exact(

@@ -1,14 +1,16 @@
 """Cycle-flip Metropolis chain on even orientations.
 
-States live in the coset of the cycle space: a state is the reference even
-orientation xor a subset of basis cycles, so every reachable state is even
-by construction and single-basis-cycle flips make the chain irreducible.
-Proposal weights are evaluated locally over the vertices a flip touches.
+A state is the reference even orientation xor a sum of move edge sets
+(basis cycles, or face boundaries on a rotation system), so every state
+is even by construction.  Irreducibility is enforced, not assumed: the
+cycle-space kernel refuses move sets whose GF(2) rank is below the
+cycle-space dimension.  The chain keeps only per-vertex in-masks, classes
+and class counts; a proposal's weight ratio is evaluated over the
+vertices the flip touches, and orientations are read back from the masks.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Sequence
@@ -16,18 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import LabeledGraph
-from .states import (
-    CLASS_BY_MASK,
-    Bits,
-    cycle_basis,
-    face_two_coloring,
-    in_masks,
-    orientation_classes,
-    reference_even_orientation,
-)
+from .states import CLASS16, Bits, CycleKernel, orientation_classes
 
 DIAGNOSTIC_DIM_CAP = 12
-CONSISTENCY_PERIOD = 1 << 16
+_RECOUNT_PERIOD = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -43,160 +37,85 @@ class ChainConfig:
             raise ValueError("laziness must lie strictly between 0 and 1")
         if self.proposal not in ("basis-cycle", "face"):
             raise ValueError(f"unknown proposal kind {self.proposal!r}")
+        if self.burn_in < 0:
+            raise ValueError("burn-in must be nonnegative")
         if self.thinning < 1:
             raise ValueError("thinning must be at least 1")
 
 
-def gibbs_weight(graph: LabeledGraph, orientation: Sequence[int], params) -> Fraction:
-    """Product over vertices of the class weight; requires positive parameters."""
+def _positive(params) -> tuple[Fraction, ...]:
     p = tuple(Fraction(x) for x in params)
     if any(x <= 0 for x in p):
         raise ValueError("chain weights need strictly positive parameters")
+    return p
+
+
+def gibbs_weight(graph: LabeledGraph, orientation: Sequence[int], params) -> Fraction:
+    """Product over vertices of the class weight; requires positive parameters."""
+    p = _positive(params)
     w = Fraction(1)
     for cls in orientation_classes(graph, orientation):
         w *= p[cls]
     return w
 
 
-def _move_sets(graph: LabeledGraph, proposal: str) -> list[frozenset[int]]:
-    if proposal == "basis-cycle":
-        return list(cycle_basis(graph).elements)
-    fc = face_two_coloring(graph)
-    moves = []
-    for face in fc.faces:
-        edge_multiplicity: dict[int, int] = {}
-        for dart in face:
-            eid = dart // 2
-            edge_multiplicity[eid] = edge_multiplicity.get(eid, 0) + 1
-        odd = frozenset(e for e, k in edge_multiplicity.items() if k % 2)
-        if odd:
-            moves.append(odd)
-    return moves
+class Chain:
+    """Lazy Metropolis chain on a kernel's coset, started at the reference orientation.
 
+    Each step draws, in this order, the laziness coin, a uniform move and
+    (for a ratio below 1) the acceptance coin, so a seed fixes the run.
+    Masks and classes stay exact integers; the class counts are re-derived
+    periodically as a cheap self-check.
+    """
 
-class _ChainSpace:
-    """Precomputed flip incidence and weight tables for one (graph, params)."""
+    def __init__(self, kernel: CycleKernel, rng: Random):
+        self.kernel = kernel
+        self.rng = rng
+        self.masks = list(kernel.reference_masks)
+        self.classes = [CLASS16[m] for m in self.masks]
+        self.counts = [0, 0, 0, 0]
+        for c in self.classes:
+            self.counts[c] += 1
+        self.ratio = [[1.0] * 4 for _ in range(4)]
+        self.steps = 0
 
-    def __init__(self, graph: LabeledGraph, params, proposal: str = "basis-cycle"):
-        self.graph = graph
-        self.params = tuple(Fraction(x) for x in params)
-        if any(x <= 0 for x in self.params):
-            raise ValueError("chain weights need strictly positive parameters")
-        self.is_basis = proposal == "basis-cycle"
-        self.moves = _move_sets(graph, proposal)
-        if not self.moves:
-            raise ValueError("no proposal moves available on this graph")
-        self.touch: list[list[tuple[int, int]]] = []
-        for element in self.moves:
-            agg: dict[int, int] = {}
-            for eid in element:
-                e = graph.edges[eid]
-                agg[e.u] = agg.get(e.u, 0) ^ (1 << (e.label_u - 1))
-                agg[e.v] = agg.get(e.v, 0) ^ (1 << (e.label_v - 1))
-            self.touch.append([(v, xm) for v, xm in sorted(agg.items()) if xm])
-        self.reference = reference_even_orientation(graph)
-        self.class_weight = [float(self.params[i]) for i in range(4)]
-        # ratio[new][old] = w_new / w_old
-        self.ratio = [
-            [self.class_weight[a] / self.class_weight[b] for b in range(4)]
-            for a in range(4)
-        ]
-
-    def set_params(self, params):
-        """Retarget the stationary distribution (used by annealing stages)."""
-        self.params = tuple(Fraction(x) for x in params)
-        if any(x <= 0 for x in self.params):
-            raise ValueError("chain weights need strictly positive parameters")
-        self.class_weight = [float(self.params[i]) for i in range(4)]
-        self.ratio = [
-            [self.class_weight[a] / self.class_weight[b] for b in range(4)]
-            for a in range(4)
-        ]
-
-
-@dataclass
-class ChainState:
-    """Mutable chain state: the orientation plus exact per-vertex class caches."""
-
-    space: _ChainSpace
-    coords: int  # subset of basis cycles xored onto the reference orientation
-    bits: list[int]
-    masks: list[int]
-    classes: list[int]
-    class_counts: list[int]
-    steps_taken: int = 0
-
-    @classmethod
-    def initial(cls, space: _ChainSpace) -> "ChainState":
-        bits = list(space.reference)
-        masks = in_masks(space.graph, bits)
-        classes = [CLASS_BY_MASK[m] for m in masks]
-        counts = [0, 0, 0, 0]
-        for c in classes:
-            counts[c] += 1
-        return cls(space, 0, bits, masks, classes, counts)
+    def set_params(self, weights: Sequence[float]):
+        """Target the Gibbs measure with these class weights (uniform until set)."""
+        self.ratio = [[weights[a] / weights[b] for b in range(4)] for a in range(4)]
 
     def orientation(self) -> Bits:
-        return tuple(self.bits)
+        return self.kernel.orientation(self.masks)
 
-    def log_weight(self) -> float:
-        w = self.space.class_weight
-        return sum(self.class_counts[i] * math.log(w[i]) for i in range(4))
-
-    def exact_weight(self) -> Fraction:
-        w = Fraction(1)
-        for i in range(4):
-            w *= self.space.params[i] ** self.class_counts[i]
-        return w
-
-    def _check_consistency(self):
-        masks = in_masks(self.space.graph, self.bits)
-        if masks != self.masks:
-            raise AssertionError("chain cache drifted from the orientation")
-
-    def apply_flip(self, move: int):
-        table = CLASS_BY_MASK
-        for v, xm in self.space.touch[move]:
-            old = self.classes[v]
-            self.masks[v] ^= xm
-            new = table[self.masks[v]]
-            self.classes[v] = new
-            self.class_counts[old] -= 1
-            self.class_counts[new] += 1
-        for eid in self.space.moves[move]:
-            self.bits[eid] ^= 1
-        if self.space.is_basis:  # basis moves map to coordinate bits
-            self.coords ^= 1 << move
-
-
-def proposal_ratio(state: ChainState, move: int) -> float:
-    """Gibbs weight ratio of the flipped state to the current one."""
-    table = CLASS_BY_MASK
-    ratio = state.space.ratio
-    out = 1.0
-    for v, xm in state.space.touch[move]:
-        old = state.classes[v]
-        new = table[state.masks[v] ^ xm]
-        out *= ratio[new][old]
-    return out
-
-
-def step(state: ChainState, cfg: ChainConfig, rng: Random) -> ChainState:
-    """One lazy Metropolis step; mutates and returns the state.
-
-    Draw order is fixed (laziness, move, acceptance) so runs are
-    reproducible for a given seed.
-    """
-    state.steps_taken += 1
-    if state.steps_taken % CONSISTENCY_PERIOD == 0:
-        state._check_consistency()
-    if rng.random() < cfg.laziness:
-        return state
-    move = rng.randrange(len(state.space.moves))
-    ratio = proposal_ratio(state, move)
-    if ratio >= 1.0 or rng.random() < ratio:
-        state.apply_flip(move)
-    return state
+    def advance(self, steps: int, laziness: float):
+        table = CLASS16
+        masks, classes, counts = self.masks, self.classes, self.counts
+        touch, ratio_table = self.kernel.touch, self.ratio
+        nmoves = len(touch)
+        random, randrange = self.rng.random, self.rng.randrange
+        for _ in range(steps):
+            if random() < laziness:
+                continue
+            flips = touch[randrange(nmoves)]
+            ratio = 1.0
+            for v, xm in flips:
+                ratio *= ratio_table[table[masks[v] ^ xm]][classes[v]]
+            if ratio >= 1.0 or random() < ratio:
+                for v, xm in flips:
+                    old = classes[v]
+                    m2 = masks[v] ^ xm
+                    masks[v] = m2
+                    new = table[m2]
+                    classes[v] = new
+                    counts[old] -= 1
+                    counts[new] += 1
+        self.steps += steps
+        if self.steps >= _RECOUNT_PERIOD:
+            self.steps = 0
+            recount = [0, 0, 0, 0]
+            for c in classes:
+                recount[c] += 1
+            if recount != counts:
+                raise AssertionError("chain class cache drifted")
 
 
 def sample(
@@ -210,16 +129,15 @@ def sample(
         raise ValueError("sample count must be nonnegative")
     if n_samples == 0:
         return []
-    space = _ChainSpace(graph, params, cfg.proposal)
-    state = ChainState.initial(space)
-    rng = Random(cfg.seed)
-    for _ in range(cfg.burn_in):
-        step(state, cfg, rng)
+    weights = [float(x) for x in _positive(params)]
+    chain = Chain(CycleKernel(graph, cfg.proposal), Random(cfg.seed))
+    chain.set_params(weights)
+    laziness = float(cfg.laziness)
+    chain.advance(cfg.burn_in, laziness)
     out = []
     for _ in range(n_samples):
-        for _ in range(cfg.thinning):
-            step(state, cfg, rng)
-        out.append(state.orientation())
+        chain.advance(cfg.thinning, laziness)
+        out.append(chain.orientation())
     return out
 
 
@@ -238,37 +156,17 @@ class ChainDiagnostics:
     tv_threshold: float
 
 
-def _state_weights(space: _ChainSpace) -> list[Fraction]:
-    """Exact Gibbs weight per cycle-space coordinate, via Gray enumeration."""
-    k = len(space.moves)
-    masks = in_masks(space.graph, list(space.reference))
-    classes = [CLASS_BY_MASK[m] for m in masks]
-    counts = [0, 0, 0, 0]
-    for c in classes:
-        counts[c] += 1
-    weights: list[Fraction | None] = [None] * (1 << k)
+def _state_weights(kernel: CycleKernel, params, dim_cap: int) -> list[Fraction]:
+    """Exact Gibbs weight per cycle-space coordinate (bit j = basis cycle j)."""
 
-    def weight() -> Fraction:
+    def weight(profile) -> Fraction:
         w = Fraction(1)
-        for i in range(4):
-            w *= space.params[i] ** counts[i]
+        for p_i, n_i in zip(params, profile):
+            w *= p_i**n_i
         return w
 
-    coords = 0
-    weights[0] = weight()
-    table = CLASS_BY_MASK
-    for i in range(1, 1 << k):
-        j = (i & -i).bit_length() - 1
-        for v, xm in space.touch[j]:
-            old = classes[v]
-            masks[v] ^= xm
-            new = table[masks[v]]
-            classes[v] = new
-            counts[old] -= 1
-            counts[new] += 1
-        coords ^= 1 << j
-        weights[coords] = weight()
-    return weights  # type: ignore[return-value]
+    walk = kernel.walk(list(kernel.reference_masks), dim_cap)
+    return [w for _, w in sorted((i ^ (i >> 1), weight(p)) for i, p in enumerate(walk))]
 
 
 def exact_chain_diagnostics(
@@ -288,12 +186,9 @@ def exact_chain_diagnostics(
     """
     if cfg.proposal != "basis-cycle":
         raise ValueError("exact diagnostics require the basis-cycle proposal")
-    space = _ChainSpace(graph, params, cfg.proposal)
-    k = len(space.moves)
-    if k > dim_cap:
-        raise ValueError(f"state space 2^{k} exceeds diagnostic cap 2^{dim_cap}")
-    size = 1 << k
-    weights = _state_weights(space)
+    kernel = CycleKernel(graph)
+    weights = _state_weights(kernel, _positive(params), dim_cap)
+    k, size = kernel.dimension, len(weights)
     lazy = Fraction(cfg.laziness)
     move_prob = (1 - lazy) / k
 
@@ -357,21 +252,3 @@ def exact_chain_diagnostics(
         tv_threshold=tv_threshold,
     )
 
-
-def reachability_closure(graph: LabeledGraph, dim_cap: int = DIAGNOSTIC_DIM_CAP) -> bool:
-    """Every even orientation is reachable from every other by basis flips."""
-    k = cycle_basis(graph).dimension
-    if k > dim_cap:
-        raise ValueError(f"state space 2^{k} exceeds cap 2^{dim_cap}")
-    size = 1 << k
-    seen = [False] * size
-    seen[0] = True
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for j in range(k):
-            y = x ^ (1 << j)
-            if not seen[y]:
-                seen[y] = True
-                stack.append(y)
-    return all(seen)

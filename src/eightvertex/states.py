@@ -4,8 +4,9 @@ An orientation is a tuple of bits, one per edge: bit 1 means the head is
 the edge's slot-1 endpoint (the ``(v, label_v)`` side).  A coloring is a
 tuple of bits with 1 = red, 0 = green.  Evenness means an even number of
 incoming arrows (resp. green edges) at every vertex; the even
-orientations form a coset of the binary cycle space, which is what the
-enumeration below walks.
+orientations form a coset of the binary cycle space.  ``CycleKernel``
+holds the moves through that coset and the one Gray walk over it, which
+the census, the enumeration and the Metropolis chain share.
 """
 from __future__ import annotations
 
@@ -219,22 +220,126 @@ def enumerate_even_orientations(
 ) -> Iterator[Bits]:
     """All even orientations: the reference orientation xor the cycle space.
 
-    Walks the 2^k coset Gray-code style so consecutive states differ by a
-    single basis-cycle flip.  Raises when the cycle-space dimension exceeds
-    ``dim_cap``.
+    Follows the basis-cycle kernel's Gray walk, so consecutive states differ
+    by a single basis-cycle flip.  Raises when the cycle-space dimension
+    exceeds ``dim_cap``.
     """
-    basis = cycle_basis(graph)
-    k = basis.dimension
-    if k > dim_cap:
-        raise ValueError(f"cycle-space dimension {k} exceeds enumeration cap {dim_cap}")
-    bits = list(reference_even_orientation(graph))
-    yield tuple(bits)
-    flips = [tuple(sorted(el)) for el in basis.elements]
-    for i in range(1, 1 << k):
-        j = (i & -i).bit_length() - 1
-        for eid in flips[j]:
-            bits[eid] ^= 1
-        yield tuple(bits)
+    kernel = CycleKernel(graph)
+    masks = list(kernel.reference_masks)
+    for _ in kernel.walk(masks, dim_cap):
+        yield kernel.orientation(masks)
+
+
+# ----------------------------------------------------------------------
+# the cycle-space kernel shared by the census, the enumeration and the chain
+
+# 4-bit mask -> class index, -1 for odd masks; a tuple lookup for hot loops
+CLASS16 = tuple(CLASS_BY_MASK.get(m, -1) for m in range(16))
+
+
+def _face_moves(graph: LabeledGraph) -> list[frozenset[int]]:
+    """Per face, the edges it traverses an odd number of times (empty sets dropped)."""
+    moves = []
+    for face in face_two_coloring(graph).faces:
+        edge_multiplicity: dict[int, int] = {}
+        for dart in face:
+            eid = dart // 2
+            edge_multiplicity[eid] = edge_multiplicity.get(eid, 0) + 1
+        odd = frozenset(e for e, k in edge_multiplicity.items() if k % 2)
+        if odd:
+            moves.append(odd)
+    return moves
+
+
+def _gf2_rank(edge_sets: Sequence[frozenset[int]]) -> int:
+    """Rank of edge sets read as GF(2) vectors over the edges."""
+    pivots: dict[int, int] = {}  # leading bit -> reduced vector
+    for edge_set in edge_sets:
+        x = sum(1 << eid for eid in edge_set)
+        while x:
+            top = x.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = x
+                break
+            x ^= pivots[top]
+    return len(pivots)
+
+
+class CycleKernel:
+    """The coset of even orientations, as the reference xor sums of move edge sets.
+
+    Built once per (graph, proposal kind): ``"basis-cycle"`` moves are the
+    fundamental cycles, ``"face"`` moves the face boundaries of a rotation
+    system.  ``touch[j]`` lists, per vertex that move j changes, the xor it
+    applies to the vertex's 4-bit mask; flipping an edge toggles the same
+    labels in an in-mask and in a red mask, so one table serves orientations
+    and colorings.  Construction refuses moves whose GF(2) rank is below the
+    cycle-space dimension k, because they reach only part of the coset
+    (face moves on a torus miss its homology cycles).
+    """
+
+    def __init__(self, graph: LabeledGraph, proposal: str = "basis-cycle"):
+        basis = cycle_basis(graph)
+        if proposal == "basis-cycle":
+            moves = list(basis.elements)
+        elif proposal == "face":
+            moves = _face_moves(graph)
+        else:
+            raise ValueError(f"unknown proposal kind {proposal!r}")
+        rank = _gf2_rank(moves)
+        if rank != basis.dimension:
+            raise ValueError(
+                f"{proposal} moves have GF(2) rank {rank} but the cycle space has "
+                f"dimension k={basis.dimension}: a chain on them is reducible"
+            )
+        self.graph = graph
+        self.dimension = basis.dimension
+        self.moves = tuple(moves)
+        self.touch: list[list[tuple[int, int]]] = []
+        for element in self.moves:
+            agg: dict[int, int] = {}
+            for eid in element:
+                e = graph.edges[eid]
+                agg[e.u] = agg.get(e.u, 0) ^ (1 << (e.label_u - 1))
+                agg[e.v] = agg.get(e.v, 0) ^ (1 << (e.label_v - 1))
+            self.touch.append([(v, xm) for v, xm in sorted(agg.items()) if xm])
+        self.reference = reference_even_orientation(graph)
+        self.reference_masks = tuple(in_masks(graph, self.reference))
+        self._heads = tuple((e.v, e.label_v - 1) for e in graph.edges)
+
+    def orientation(self, masks: Sequence[int]) -> Bits:
+        """The orientation with in-masks ``masks``: bit 1 iff the slot-1 label is incoming."""
+        return tuple((masks[v] >> shift) & 1 for v, shift in self._heads)
+
+    def walk(self, masks: list[int], dim_cap: int) -> Iterator[list[int]]:
+        """Gray-code walk over all 2^k move subsets, flipping ``masks`` in place.
+
+        Yields the live class profile [n_A, n_B, n_C, n_D] once per subset,
+        the start state first; the i-th state is the start xor the moves in
+        the Gray code ``i ^ (i >> 1)``.  Needs independent moves, so that the
+        subsets are the states.
+        """
+        k = len(self.moves)
+        if k != self.dimension:
+            raise ValueError("the Gray walk needs independent (basis-cycle) moves")
+        if k > dim_cap:
+            raise ValueError(f"cycle-space dimension {k} exceeds enumeration cap {dim_cap}")
+        table, touch = CLASS16, self.touch
+        classes = [table[m] for m in masks]
+        profile = [0, 0, 0, 0]
+        for cl in classes:
+            profile[cl] += 1
+        yield profile
+        for i in range(1, 1 << k):
+            for v, xm in touch[(i & -i).bit_length() - 1]:
+                old = classes[v]
+                m2 = masks[v] ^ xm
+                masks[v] = m2
+                new = table[m2]
+                classes[v] = new
+                profile[old] -= 1
+                profile[new] += 1
+            yield profile
 
 
 # ----------------------------------------------------------------------
@@ -417,6 +522,3 @@ def bitstring_to_orientation(graph: LabeledGraph, text: str) -> Bits:
             bits.append(raw if high_is_v else 1 - raw)
     return tuple(bits)
 
-
-def coloring_to_bitstring(coloring: Sequence[int]) -> str:
-    return "".join(str(b) for b in coloring)

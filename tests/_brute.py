@@ -2,13 +2,19 @@
 
 These enumerate all 2^m orientations or colorings directly, with no
 cycle-space shortcut, so they check the package's enumeration route
-independently.  Keep them dumb.
+independently; the reference chain recomputes whole weights instead of
+local ratios.  Keep them dumb.
 """
 from fractions import Fraction
 from random import Random
 
 from eightvertex.graphs import LabeledGraph
-from eightvertex.states import CLASS_BY_MASK, in_masks, red_masks
+from eightvertex.states import (
+    CLASS_BY_MASK,
+    in_masks,
+    red_masks,
+    reference_even_orientation,
+)
 
 
 def even_orientations_naive(graph: LabeledGraph):
@@ -59,3 +65,25 @@ def random_rationals(rng: Random, signed: bool = False, span: int = 64):
     if signed:
         vals = [v if rng.random() < 0.5 else -v for v in vals]
     return tuple(vals)
+
+
+def metropolis_reference(graph: LabeledGraph, params, moves, seed: int, laziness, steps: int):
+    """Plain lazy Metropolis chain from the reference orientation; yields each state.
+
+    Flips orientation bits directly and recomputes the full Gibbs weight as
+    a Fraction per proposal.  Draw order: laziness coin, move, acceptance
+    coin (drawn only for a ratio below 1).
+    """
+    p = tuple(Fraction(x) for x in params)
+    rng = Random(seed)
+    bits = reference_even_orientation(graph)
+    for _ in range(steps):
+        if rng.random() >= laziness:
+            move = moves[rng.randrange(len(moves))]
+            proposed = tuple(b ^ (eid in move) for eid, b in enumerate(bits))
+            ratio = _profile_weight(in_masks(graph, proposed), p) / _profile_weight(
+                in_masks(graph, bits), p
+            )
+            if ratio >= 1 or rng.random() < ratio:
+                bits = proposed
+        yield bits

@@ -4,7 +4,7 @@ import pytest
 
 from eightvertex.cli import main
 from eightvertex.exact import census_8v, z8v_exact
-from eightvertex.graphs import gen_octahedron, parse_graph, serialize_graph
+from eightvertex.graphs import gen_octahedron, gen_torus, parse_graph, serialize_graph
 
 
 @pytest.fixture()
@@ -114,6 +114,31 @@ def test_sample_emits_bitstrings(oct_file, capsys):
         "--seed", "7", "--samples", "5", "--burn-in", "10", "--thinning", "2",
     )
     assert out2 == out
+
+
+def test_sample_refuses_face_moves_on_torus(tmp_path, capsys):
+    path = tmp_path / "t.8vx"
+    path.write_text(serialize_graph(gen_torus(4, 4)))
+    code, out, err = run(capsys, "sample", "--graph", str(path), "--params", "1,2,2,1",
+                         "--seed", "1", "--samples", "5", "--proposal", "face")
+    assert code == 2
+    assert out == ""
+    assert "rank 15" in err and "k=17" in err
+
+
+def test_sample_rejects_negative_burn_in(oct_file, capsys):
+    code, out, err = run(capsys, "sample", "--graph", oct_file, "--params", "1,1,1,2",
+                         "--seed", "7", "--samples", "5", "--burn-in", "-5")
+    assert code == 2
+    assert out == "" and "burn-in" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--eps", "0"), ("--eps", "-0.1"), ("--delta", "0")])
+def test_estimate_rejects_bad_accuracy(oct_file, capsys, flag, value):
+    code, out, err = run(capsys, "estimate", "--graph", oct_file, "--params", "1,1,5,1",
+                         "--class", "planar", "--seed", "3", f"{flag}={value}")
+    assert code == 2
+    assert out == "" and flag[2:] in err
 
 
 def test_diagnose_chain_csv(oct_file, capsys):

@@ -8,9 +8,10 @@ from eightvertex.estimator import (
     anchor_z,
     anneal_estimate,
     build_schedule,
+    default_stage_count,
     estimate_z8v,
 )
-from eightvertex.exact import z8v_exact
+from eightvertex.exact import as_params, z8v_exact
 from eightvertex.graphs import LabeledGraph, gen_torus
 from eightvertex.mcmc import ChainConfig
 
@@ -32,6 +33,14 @@ def test_schedule_endpoints_and_flags(octahedron):
     assert sched.all_inside
     assert not sched.warning
     assert all(x > 0 for stage in sched.params for x in stage)
+
+
+def test_schedule_outside_region_warns_without_refining(octahedron):
+    # more stages lie on the same geometric curve, so q stays at its default
+    sched = build_schedule(octahedron, (1, 1, 5, 1))
+    assert sched.warning
+    assert not sched.all_inside
+    assert sched.stage_count == default_stage_count(octahedron, as_params((1, 1, 5, 1)))
 
 
 def test_schedule_rejects_nonpositive_target(octahedron):
@@ -138,3 +147,20 @@ def test_group_count_scales_with_delta(octahedron):
         octahedron, (2, 2, 2, 1), 0.1, 0.001, ChainConfig(seed=2)
     )
     assert est_tight.groups > est_loose.groups
+
+
+def test_face_moves_refused_on_torus(torus22):
+    with pytest.raises(ValueError, match="rank 3 .* k=5"):
+        anneal_estimate(torus22, (1, 3, 3, 1), 0.1, 0.25, ChainConfig(seed=1, proposal="face"))
+
+
+@pytest.mark.parametrize("eps, delta, match", [
+    (0, 0.25, "eps"), (-0.1, 0.25, "eps"), (1, 0.25, "eps"),
+    (0.1, 0, "delta"), (0.1, 1, "delta"), (0.1, 1e-300, "200 groups"),
+])
+def test_accuracy_targets_validated(octahedron, k44, eps, delta, match):
+    with pytest.raises(ValueError, match=match):
+        anneal_estimate(octahedron, (2, 2, 2, 1), eps, delta, ChainConfig(seed=1))
+    if match != "200 groups":  # the exact fallback needs no groups
+        with pytest.raises(ValueError, match=match):
+            estimate_z8v(k44, (2, 2, 0, 0), "bipartite", eps, delta, ChainConfig(seed=1))

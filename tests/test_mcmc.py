@@ -2,21 +2,20 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eightvertex.exact import census_8v
-from eightvertex.graphs import gen_torus
+from eightvertex.graphs import gen_octahedron, gen_torus
 from eightvertex.mcmc import (
+    Chain,
     ChainConfig,
-    ChainState,
-    _ChainSpace,
     exact_chain_diagnostics,
     gibbs_weight,
-    proposal_ratio,
-    reachability_closure,
     sample,
-    step,
 )
 from eightvertex.states import (
+    CycleKernel,
     VertexClass,
     canonical_bipartite_orientation,
     canonical_planar_orientation,
@@ -24,6 +23,8 @@ from eightvertex.states import (
     is_even_orientation,
     orientation_classes,
 )
+
+from ._brute import metropolis_reference
 
 YZ_POINTS = [
     (1, 1, 1, 1),
@@ -50,47 +51,37 @@ def test_config_validation():
         ChainConfig(seed=0, laziness=Fraction(0))
     with pytest.raises(ValueError, match="proposal"):
         ChainConfig(seed=0, proposal="teleport")
+    with pytest.raises(ValueError, match="burn-in"):
+        ChainConfig(seed=0, burn_in=-5)
 
 
-def test_steps_preserve_evenness(octahedron):
-    space = _ChainSpace(octahedron, (1, 2, 3, 1))
-    state = ChainState.initial(space)
-    cfg = ChainConfig(seed=9)
-    rng = Random(cfg.seed)
-    for _ in range(500):
-        step(state, cfg, rng)
-        assert is_even_orientation(octahedron, state.bits)
-    # cached classes stay consistent with the orientation
-    assert orientation_classes(octahedron, state.bits) == state.classes
+# powers of two keep every float weight ratio exact, so the chain's float
+# acceptance test and the reference chain's rational one agree bit for bit
+DYADIC = st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4)])
+REFERENCE_GRAPHS = {"octahedron": gen_octahedron(), "torus2x2": gen_torus(2, 2)}
 
 
-def test_uniform_point_accepts_every_proposal(torus22):
-    space = _ChainSpace(torus22, (1, 1, 1, 1))
-    state = ChainState.initial(space)
-    for move in range(len(space.moves)):
-        assert proposal_ratio(state, move) == 1.0
-
-
-def test_known_acceptance_ratio(torus22):
-    # a flip that turns two class-C vertices into class D at (1,1,1,2) has
-    # local weight ratio (2*2)/(1*1) = 4; find one and check the value
-    from eightvertex.states import CLASS_BY_MASK
-
-    space = _ChainSpace(torus22, (1, 1, 1, 2))
-    found = False
-    for coords in range(1 << len(space.moves)):
-        state = ChainState.initial(space)
-        for j in range(len(space.moves)):
-            if coords >> j & 1:
-                state.apply_flip(j)
-        for move in range(len(space.moves)):
-            touched = space.touch[move]
-            before = [state.classes[v] for v, _ in touched]
-            after = [CLASS_BY_MASK[state.masks[v] ^ xm] for v, xm in touched]
-            if before == [VertexClass.C] * 2 and after == [VertexClass.D] * 2:
-                assert proposal_ratio(state, move) == 4.0
-                found = True
-    assert found
+@pytest.mark.parametrize(
+    "graph_name, proposal",
+    [("octahedron", "basis-cycle"), ("torus2x2", "basis-cycle"), ("octahedron", "face")],
+)
+@settings(max_examples=12, deadline=None)
+@given(params=st.tuples(DYADIC, DYADIC, DYADIC, DYADIC), seed=st.integers(0, 2**32 - 1))
+@example(params=(Fraction(1),) * 4, seed=0)
+@example(params=(Fraction(1), Fraction(1), Fraction(1), Fraction(2)), seed=1)
+def test_chain_matches_reference_chain(graph_name, proposal, params, seed):
+    graph = REFERENCE_GRAPHS[graph_name]
+    kernel = CycleKernel(graph, proposal)
+    chain = Chain(kernel, Random(seed))
+    chain.set_params([float(x) for x in params])
+    reference = metropolis_reference(graph, params, kernel.moves, seed, Fraction(1, 2), 300)
+    for bits in reference:
+        chain.advance(1, 0.5)
+        assert chain.orientation() == bits
+        # cached classes and counts match the orientation, which is even
+        classes = orientation_classes(graph, bits)
+        assert chain.classes == classes
+        assert chain.counts == [classes.count(c) for c in range(4)]
 
 
 def test_sampling_deterministic_and_sized(octahedron):
@@ -155,8 +146,20 @@ def test_diagnostics_cap(torus44):
 
 
 def test_reachability(octahedron, k44):
-    assert reachability_closure(octahedron)
-    assert reachability_closure(k44)
+    # the kernel refuses moves of GF(2) rank below k, so building it shows
+    # that the chain reaches every even orientation
+    assert CycleKernel(octahedron).dimension == 7
+    assert CycleKernel(octahedron, "face").dimension == 7
+    assert CycleKernel(k44).dimension == 9
+
+
+@pytest.mark.parametrize("rows, cols, rank, k", [(2, 2, 3, 5), (4, 4, 15, 17), (6, 6, 35, 37)])
+def test_face_moves_refused_on_tori(rows, cols, rank, k):
+    with pytest.raises(ValueError, match=f"rank {rank} .* k={k}"):
+        CycleKernel(gen_torus(rows, cols), "face")
+    cfg = ChainConfig(seed=5, proposal="face")
+    with pytest.raises(ValueError, match="reducible"):
+        sample(gen_torus(rows, cols), (1, 2, 2, 1), cfg, 1)
 
 
 def test_face_proposal_runs_on_planar_graphs(octahedron):

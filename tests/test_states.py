@@ -3,6 +3,7 @@ import pytest
 from eightvertex.graphs import gen_torus
 from eightvertex.states import (
     CLASS_BY_MASK,
+    CycleKernel,
     DualNotBipartiteError,
     VertexClass,
     canonical_bipartite_orientation,
@@ -88,6 +89,21 @@ def test_enumeration_cap():
     g = gen_torus(4, 4)
     with pytest.raises(ValueError, match="cap"):
         list(enumerate_even_orientations(g, dim_cap=10))
+
+
+def test_kernel_reads_orientations_from_masks(octahedron, loop_graph):
+    for g in (octahedron, loop_graph):
+        kernel = CycleKernel(g)
+        assert kernel.orientation(kernel.reference_masks) == kernel.reference
+        for t in enumerate_even_orientations(g):
+            assert kernel.orientation(in_masks(g, t)) == t
+
+
+def test_walk_needs_independent_moves(octahedron):
+    kernel = CycleKernel(octahedron, "face")
+    assert len(kernel.moves) == 8  # the face boundaries sum to zero
+    with pytest.raises(ValueError, match="independent"):
+        next(kernel.walk(list(kernel.reference_masks), 30))
 
 
 def test_coset_property(torus22):
