@@ -15,6 +15,7 @@ from eightvertex.mcmc import (
     sample,
 )
 from eightvertex.states import (
+    CLASS16,
     CycleKernel,
     VertexClass,
     canonical_bipartite_orientation,
@@ -82,6 +83,78 @@ def test_chain_matches_reference_chain(graph_name, proposal, params, seed):
         classes = orientation_classes(graph, bits)
         assert chain.classes == classes
         assert chain.counts == [classes.count(c) for c in range(4)]
+
+
+class ScriptedRng:
+    """Stands in for Random: plays back set coins and moves, and fails on any extra draw."""
+
+    def __init__(self, coins=(), moves=()):
+        self.coins = list(coins)
+        self.moves = list(moves)
+
+    def random(self):
+        return self.coins.pop(0)
+
+    def randrange(self, n):
+        move = self.moves.pop(0)
+        assert 0 <= move < n
+        return move
+
+
+def _chain_at(kernel, coords):
+    """A chain moved to the reference xor the moves in ``coords`` by forced flips."""
+    flips = [j for j in range(len(kernel.moves)) if coords >> j & 1]
+    chain = Chain(kernel, ScriptedRng([0.9] * len(flips), flips))
+    chain.advance(len(flips), 0.5)
+    return chain
+
+
+def _flipped(bits, move):
+    return tuple(b ^ (eid in move) for eid, b in enumerate(bits))
+
+
+def test_uniform_point_accepts_every_proposal(torus22):
+    # at (1,1,1,1) every ratio is 1: each proposal is taken without an
+    # acceptance coin, from every state of the coset
+    kernel = CycleKernel(torus22)
+    for coords in range(1 << len(kernel.moves)):
+        for move in range(len(kernel.moves)):
+            chain = _chain_at(kernel, coords)
+            chain.set_params([1.0] * 4)
+            before = chain.orientation()
+            chain.rng = ScriptedRng([0.9], [move])
+            chain.advance(1, 0.5)
+            assert chain.orientation() == _flipped(before, kernel.moves[move])
+            assert chain.rng.coins == [] and chain.rng.moves == []
+
+
+def test_known_acceptance_ratio(torus22):
+    # a flip that turns two class-C vertices into class D at (1,1,1,2) has
+    # local weight ratio (2*2)/(1*1) = 4, so it is taken without a coin,
+    # and its reverse is accepted exactly when the coin falls below 1/4
+    kernel = CycleKernel(torus22)
+    C, D = VertexClass.C, VertexClass.D
+    found = 0
+    for coords in range(1 << len(kernel.moves)):
+        for move, touched in enumerate(kernel.touch):
+            chain = _chain_at(kernel, coords)
+            before = [chain.classes[v] for v, _ in touched]
+            after = [CLASS16[chain.masks[v] ^ xm] for v, xm in touched]
+            if before != [C, C] or after != [D, D]:
+                continue
+            found += 1
+            chain.set_params([1.0, 1.0, 1.0, 2.0])
+            start = chain.orientation()
+            flipped = _flipped(start, kernel.moves[move])
+            # forward (ratio 4), back on coin 0.2499, forward, no way back on 0.2501
+            chain.rng = ScriptedRng([0.9, 0.9, 0.2499, 0.9, 0.9, 0.2501], [move] * 4)
+            seen = []
+            for _ in range(4):
+                chain.advance(1, 0.5)
+                seen.append(chain.orientation())
+            assert seen == [flipped, start, flipped, flipped]
+            assert chain.rng.coins == [] and chain.rng.moves == []
+    assert found
 
 
 def test_sampling_deterministic_and_sized(octahedron):
