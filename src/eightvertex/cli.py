@@ -91,10 +91,7 @@ def _cmd_gen(args) -> int:
 def _cmd_exact(args) -> int:
     graph = _load_graph(args.graph)
     p = _parse_params(args.params)
-    if args.model == "8v":
-        value = z8v_exact(graph, p, dim_cap=args.max_dim)
-    else:
-        value = zec_exact(graph, p, dim_cap=args.max_dim)
+    value = (z8v_exact if args.model == "8v" else zec_exact)(graph, p)
     print(format_rational(value))
     return 0
 
@@ -438,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--model", choices=("8v", "ec"), default="8v")
-    p.add_argument("--max-dim", type=int, default=30)
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("census", help="class-profile census as CSV")

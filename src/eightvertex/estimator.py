@@ -15,7 +15,7 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from .exact import ParamVec, as_params, census_8v
+from .exact import ParamVec, as_params, z8v_exact
 from .graphs import LabeledGraph
 from .mcmc import Chain, ChainConfig
 from .states import CycleKernel, cycle_basis, face_two_coloring
@@ -25,7 +25,6 @@ UNIFORM = (Fraction(1), Fraction(1), Fraction(1), Fraction(1))
 MIN_GROUPS = 12
 MIN_SAMPLES_PER_GROUP = 16
 MAX_GROUPS = 200
-EXACT_FALLBACK_DIM = 24
 
 
 class PipelineError(RuntimeError):
@@ -299,8 +298,8 @@ def estimate_z8v(
 
     No correction factor is applied: the planned transform preserves the
     partition function exactly.  Planned images with zero entries cannot be
-    annealed; small instances fall back to the exact census (flagged in the
-    diagnostics), larger ones raise.
+    annealed; they fall back to the exact contraction (flagged in the
+    diagnostics), which raises ``PipelineError`` on a graph too wide for it.
     """
     _check_accuracy(eps, delta)
     p = as_params(params)
@@ -313,13 +312,10 @@ def estimate_z8v(
             f"region; per-element diagnostics: {report}"
         )
     if any(x == 0 for x in plan.image):
-        k = cycle_basis(graph).dimension
-        if k > EXACT_FALLBACK_DIM:
-            raise PipelineError(
-                "planned image has zero entries and the graph is too large for "
-                "the exact fallback"
-            )
-        value = census_8v(graph).evaluate(plan.image)
+        try:
+            value = z8v_exact(graph, plan.image)
+        except ValueError as exc:  # a graph too wide for the contraction
+            raise PipelineError(f"zero entries in the image; exact fallback: {exc}") from exc
         estimate = Estimate(
             value=float(value),
             relative_error_target=eps,

@@ -1,24 +1,27 @@
-"""Exact partition functions by enumeration, in rational arithmetic.
+"""Exact partition functions in rational arithmetic, by two independent routes.
 
 This module is the ground-truth oracle for everything else, so it never
-touches floating point.  The censuses follow the cycle-space kernel's
-Gray walk, which reclassifies only the vertices on each flipped basis
-cycle.  Signed and zero parameters are allowed throughout.
+touches floating point; signed and zero parameters are allowed throughout.
+``z8v_exact``, ``zec_exact`` and ``holant_exact`` share one frontier
+(transfer-matrix) contraction along a greedy vertex order, costing about
+2^width * n.  The censuses walk all 2^k even states along the cycle-space
+kernel's Gray code; evaluated at a point they cross-check the contraction.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .graphs import LabeledGraph
-from .states import CycleKernel
+from .states import CLASS16, CycleKernel
 
 ParamVec = tuple[Fraction, Fraction, Fraction, Fraction]
 
 DEFAULT_DIM_CAP = 30
-HOLANT_EDGE_CAP = 24
+FRONTIER_CAP = 20
 
 
 def as_params(values: Sequence) -> ParamVec:
@@ -71,18 +74,103 @@ def census_ec(graph: LabeledGraph, dim_cap: int = DEFAULT_DIM_CAP) -> Census:
     return _census(CycleKernel(graph), [0b1111] * graph.vertex_count, dim_cap)
 
 
-def z8v_exact(
-    graph: LabeledGraph, params: Sequence, dim_cap: int = DEFAULT_DIM_CAP
-) -> Fraction:
+def _frontier_plan(graph: LabeledGraph):
+    """Greedy vertex order with a fixed bit slot per open edge; returns (steps, width).
+
+    Next comes the unvisited vertex with the most edges into the visited
+    set, ties broken by id.  A step is (vertex, closed, opened, loops): the
+    (slot, label bit) of each edge it closes and opens, and each self-loop's
+    label bits.  Opened edges take the smallest free slots, so keys stay
+    below 2^width, width being the most edges open between steps.
+    """
+    n = graph.vertex_count
+    into = [0] * n  # per unvisited vertex, its edges into the visited set
+    visited = [False] * n
+    slot_of: dict[int, int] = {}
+    steps, width = [], 0
+    for _ in range(n):
+        v = max((u for u in range(n) if not visited[u]), key=lambda u: (into[u], -u))
+        visited[v] = True
+        closed, opened, loops = [], [], {}
+        for label, (eid, slot) in enumerate(graph.half_edges[v]):
+            e = graph.edges[eid]
+            other = e.v if slot == 0 else e.u
+            if other == v:
+                loops[eid] = loops.get(eid, 0) | 1 << label
+            elif visited[other]:
+                closed.append((slot_of.pop(eid), 1 << label))
+            else:
+                into[other] += 1
+                opened.append((eid, 1 << label))
+        for i, (eid, bit) in enumerate(opened):
+            slot_of[eid] = min(set(range(len(slot_of) + 1)) - set(slot_of.values()))
+            opened[i] = (slot_of[eid], bit)
+        width = max(width, len(slot_of))
+        steps.append((v, closed, opened, list(loops.values())))
+    return steps, width
+
+
+def _contract(graph: LabeledGraph, tables: Sequence[Sequence]):
+    """Sum over all 0/1 edge assignments of the product of ``tables[v][mask_v]``.
+
+    ``mask_v`` has bit label-1 set where the edge at that label of v has
+    value 1; entries may be any ring elements.  A greedy order wider than
+    ``FRONTIER_CAP`` is refused before any work.
+    """
+    steps, width = _frontier_plan(graph)
+    if width > FRONTIER_CAP:
+        raise ValueError(f"frontier width {width} exceeds cap {FRONTIER_CAP}")
+    states = {0: 1}
+    for v, closed, opened, loops in steps:
+        # bits of the closing edges -> {bits of the opened edges: weight}, loops summed
+        step: dict[int, dict] = {}
+        for mask, w in enumerate(tables[v]):
+            if w == 0 or any(mask & pair not in (0, pair) for pair in loops):
+                continue
+            row = step.setdefault(sum(1 << s for s, bit in closed if mask & bit), {})
+            add = sum(1 << s for s, bit in opened if mask & bit)
+            row[add] = row.get(add, 0) + w
+        close_mask = sum(1 << s for s, _ in closed)
+        new: dict = {}
+        get = new.get
+        for key, val in states.items():
+            cut = key & close_mask
+            row = step.get(cut)
+            if row:
+                rest = key ^ cut
+                for add, w in row.items():
+                    k2 = rest | add
+                    new[k2] = get(k2, 0) + val * w
+        states = new
+    return states.get(0, 0)
+
+
+def _class_sum(graph: LabeledGraph, params: Sequence, twists: Sequence[int]) -> Fraction:
+    """Sum over even states of the class weights, v's class read at ``mask ^ twists[v]``.
+
+    The contraction runs on the weights times the lcm L of their
+    denominators, in Python ints; the sum is its result over L^n.
+    """
+    p = as_params(params)
+    scale = math.lcm(*(x.denominator for x in p))
+    a = [x.numerator * (scale // x.denominator) for x in p]
+    weights = [a[c] if c >= 0 else 0 for c in CLASS16]
+    tables = [[weights[m ^ t] for m in range(16)] for t in twists]
+    return Fraction(_contract(graph, tables), scale**graph.vertex_count)
+
+
+def z8v_exact(graph: LabeledGraph, params: Sequence) -> Fraction:
     """Eight-vertex partition function, exact; signs and zeros allowed."""
-    return census_8v(graph, dim_cap).evaluate(params)
+    # value 1 points an edge at its slot-1 end: in-mask = value mask ^ slot-0 labels
+    slot0 = [0] * graph.vertex_count
+    for e in graph.edges:
+        slot0[e.u] |= 1 << (e.label_u - 1)
+    return _class_sum(graph, params, slot0)
 
 
-def zec_exact(
-    graph: LabeledGraph, params: Sequence, dim_cap: int = DEFAULT_DIM_CAP
-) -> Fraction:
+def zec_exact(graph: LabeledGraph, params: Sequence) -> Fraction:
     """Even-coloring partition function, exact; signs and zeros allowed."""
-    return census_ec(graph, dim_cap).evaluate(params)
+    return _class_sum(graph, params, [0] * graph.vertex_count)
 
 
 # bit-reversal of a 4-bit label mask -> (x1 x2 x3 x4) truth-table index
@@ -92,37 +180,16 @@ _REV4 = tuple(
 )
 
 
-def holant_exact(graph: LabeledGraph, table: Sequence, edge_cap: int = HOLANT_EDGE_CAP):
+def holant_exact(graph: LabeledGraph, table: Sequence):
     """Sum over all 2^m edge 0/1-assignments of the per-vertex function values.
 
-    Independent of the cycle-space shortcut, so it cross-checks the census
-    route.  ``table`` has 16 entries indexed by (x1, x2, x3, x4) with x1 the
-    most significant bit; entries may be any ring elements (complex,
-    Fraction, int).
+    ``table`` has 16 entries indexed by (x1, x2, x3, x4) with x1 the most
+    significant bit; entries may be any ring elements (complex, Fraction,
+    int).  The frontier contraction takes about 2^width * n steps for the
+    greedy order's frontier width (refused above ``FRONTIER_CAP``), not 2^m.
     """
     if len(table) != 16:
         raise ValueError("arity-4 truth table needs 16 entries")
-    m = graph.edge_count
-    if m > edge_cap:
-        raise ValueError(f"edge count {m} exceeds enumeration cap {edge_cap}")
-    n = graph.vertex_count
-
-    ends = [
-        (e.u, 1 << (e.label_u - 1), e.v, 1 << (e.label_v - 1)) for e in graph.edges
-    ]
-    masks = [0] * n
-    rev = _REV4
-    total = table[0] * 0  # zero of the entry type
-    for state in range(1 << m):
-        if state:
-            j = (state & -state).bit_length() - 1  # Gray-code edge toggle
-            u, bu, v, bv = ends[j]
-            masks[u] ^= bu
-            masks[v] ^= bv
-        w = table[rev[masks[0]]]
-        for vtx in range(1, n):
-            w = w * table[rev[masks[vtx]]]
-            if w == 0:
-                break
-        total = total + w
-    return total
+    by_mask = [table[r] for r in _REV4]
+    # table[0] * 0 gives the sum the entry type even when every term is 0
+    return table[0] * 0 + _contract(graph, [by_mask] * graph.vertex_count)

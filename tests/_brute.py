@@ -1,9 +1,9 @@
 """Brute-force oracles used only by the tests.
 
-These enumerate all 2^m orientations or colorings directly, with no
-cycle-space shortcut, so they check the package's enumeration route
-independently; the reference chain recomputes whole weights instead of
-local ratios.  Keep them dumb.
+These enumerate all 2^m orientations, colorings or edge assignments
+directly, with no cycle-space shortcut and no frontier contraction, so
+they check the package's exact routes independently; the reference chain
+recomputes whole weights instead of local ratios.  Keep them dumb.
 """
 from fractions import Fraction
 from random import Random
@@ -57,6 +57,31 @@ def zec_naive(graph: LabeledGraph, params) -> Fraction:
     total = Fraction(0)
     for bits in even_colorings_naive(graph):
         total += _profile_weight(red_masks(graph, bits), p)
+    return total
+
+
+def holant_naive(graph: LabeledGraph, table):
+    """Sum over all 2^m edge 0/1-assignments, visited in Gray-code order.
+
+    ``table`` is indexed by (x1, x2, x3, x4) with x1 the most significant
+    bit; a value-1 edge sets its label bit at both ends.
+    """
+    rev = [int(f"{m:04b}"[::-1], 2) for m in range(16)]
+    ends = [(e.u, 1 << (e.label_u - 1), e.v, 1 << (e.label_v - 1)) for e in graph.edges]
+    masks = [0] * graph.vertex_count
+    total = table[0] * 0
+    for state in range(1 << graph.edge_count):
+        if state:
+            j = (state & -state).bit_length() - 1  # the edge this Gray step toggles
+            u, bu, v, bv = ends[j]
+            masks[u] ^= bu
+            masks[v] ^= bv
+        w = table[rev[masks[0]]]
+        for mask in masks[1:]:
+            if w == 0:
+                break
+            w = w * table[rev[mask]]
+        total = total + w
     return total
 
 

@@ -59,6 +59,30 @@ def test_exact_signed_params(oct_file, capsys):
     assert out.strip() == "128"
 
 
+def test_exact_torus66_past_the_census(tmp_path, capsys):
+    path = tmp_path / "t66.8vx"
+    path.write_text(serialize_graph(gen_torus(6, 6)))
+    code, out, _ = run(capsys, "exact", "--graph", str(path), "--params", "1,1,1,1")
+    assert code == 0
+    assert out.strip() == str(2**37) == "137438953472"
+
+
+def test_exact_refuses_wide_graph(tmp_path, capsys):
+    path = tmp_path / "t1212.8vx"
+    path.write_text(serialize_graph(gen_torus(12, 12)))
+    code, out, err = run(capsys, "exact", "--graph", str(path), "--params", "1,1,1,1")
+    assert code == 2
+    assert out == "" and "frontier width 26" in err
+
+
+def test_exact_has_no_max_dim(oct_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--graph", oct_file, "--params", "1,1,1,1", "--max-dim", "30"])
+    assert exc.value.code == 2
+    code, _, _ = run(capsys, "census", "--graph", oct_file, "--max-dim", "30")
+    assert code == 0
+
+
 def test_census_csv(oct_file, capsys):
     code, out, _ = run(capsys, "census", "--graph", oct_file)
     assert code == 0

@@ -139,6 +139,24 @@ def test_zero_image_falls_back_to_exact(k44):
     assert est.value == float(z8v_exact(k44, (2, 2, 0, 0)))
 
 
+def test_zero_image_falls_back_past_the_census():
+    # k = 37: the fallback contracts the torus instead of walking 2^37 states
+    torus = gen_torus(6, 6)
+    est, plan = estimate_z8v(
+        torus, (2, 2, 0, 0), "bipartite", 0.05, 0.25, ChainConfig(seed=1)
+    )
+    assert est.diagnostics.get("exact_fallback_zero_params")
+    exact = z8v_exact(torus, (2, 2, 0, 0))
+    assert est.diagnostics["exact_value"] == str(exact)
+    assert est.value == float(exact)
+
+
+def test_zero_image_fallback_refuses_wide_graph():
+    with pytest.raises(PipelineError, match="frontier width 26"):
+        estimate_z8v(gen_torus(12, 12), (2, 2, 0, 0), "bipartite", 0.05, 0.25,
+                     ChainConfig(seed=1))
+
+
 def test_group_count_scales_with_delta(octahedron):
     est_loose = anneal_estimate(
         octahedron, (2, 2, 2, 1), 0.1, 0.25, ChainConfig(seed=2)

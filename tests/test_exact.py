@@ -2,9 +2,13 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eightvertex.exact import (
+    FRONTIER_CAP,
     Census,
+    _frontier_plan,
     as_params,
     census_8v,
     census_ec,
@@ -14,9 +18,13 @@ from eightvertex.exact import (
     zec_exact,
 )
 from eightvertex.graphs import gen_torus
-from eightvertex.transforms import MZ, MHZ, PLANAR_SWAP
+from eightvertex.transforms import MZ, MHZ, PLANAR_SWAP, bipartite_group, planar_group
 
-from ._brute import random_rationals, z8v_naive, zec_naive
+from ._brute import holant_naive, random_rationals, z8v_naive, zec_naive
+
+# signed rationals with small denominators, zero included
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+param_vectors = st.tuples(rationals, rationals, rationals, rationals)
 
 
 def test_unweighted_counts(octahedron, k44, torus22):
@@ -139,7 +147,7 @@ def test_bipartite_identity(k44, torus22, torus24):
 
 def test_dim_cap_raises(torus44):
     with pytest.raises(ValueError, match="cap"):
-        z8v_exact(torus44, (1, 1, 1, 1), dim_cap=10)
+        census_8v(torus44, dim_cap=10)
 
 
 def test_holant_all_ones_counts_assignments(octahedron):
@@ -157,7 +165,26 @@ def test_holant_matches_coloring_oracle(octahedron, torus22, loop_graph):
         table[0b0110] = table[0b1001] = b
         table[0b0101] = table[0b1010] = c
         table[0b0000] = table[0b1111] = d
-        assert holant_exact(g, table) == zec_exact(g, p)
+        value = holant_exact(g, table)
+        assert value == census_ec(g).evaluate(p)
+        assert value == holant_naive(g, table)
+
+
+def test_holant_matches_naive_sum(octahedron, k44, torus22, loop_graph, two_components):
+    rng = Random(41)
+    for g in (octahedron, k44, torus22, loop_graph, two_components):
+        ints = [rng.randint(-3, 3) for _ in range(16)]
+        # Fractions only on even masks, so the 2^m sum stops early on odd ones
+        fracs = [
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if bin(i).count("1") % 2 == 0
+            else Fraction(0)
+            for i in range(16)
+        ]
+        cplx = [complex(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(16)]
+        for table in (ints, fracs, cplx):
+            value = holant_exact(g, table)
+            assert value == holant_naive(g, table)
+            assert type(value) is type(table[0])
 
 
 def test_holant_unweighted_matches_orientation_count(octahedron):
@@ -169,9 +196,16 @@ def test_holant_unweighted_matches_orientation_count(octahedron):
     assert holant_exact(octahedron, table) == 128
 
 
-def test_holant_edge_cap(torus44):
-    with pytest.raises(ValueError, match="cap"):
-        holant_exact(torus44, [1] * 16)
+def test_frontier_width_refused():
+    wide = gen_torus(12, 12)
+    assert _frontier_plan(wide)[1] == 26 > FRONTIER_CAP
+    for call in (
+        lambda: z8v_exact(wide, (1, 1, 1, 1)),
+        lambda: zec_exact(wide, (1, 1, 1, 1)),
+        lambda: holant_exact(wide, [1] * 16),
+    ):
+        with pytest.raises(ValueError, match=f"frontier width 26 exceeds cap {FRONTIER_CAP}"):
+            call()
 
 
 def test_params_parsing_and_formatting():
@@ -193,3 +227,48 @@ def test_two_component_graph_counts(two_components):
     # multiplicative over components: two copies of the 2x2 torus
     base = z8v_exact(gen_torus(2, 2), (2, 1, 1, 1))
     assert z8v_exact(two_components, (2, 1, 1, 1)) == base * base
+
+
+@pytest.fixture(scope="module")
+def fixture_censuses(octahedron, k44, torus22, torus24, torus34, torus44, k5, loop_graph,
+                     two_components):
+    graphs = (octahedron, k44, torus22, torus24, torus34, torus44, k5, loop_graph,
+              two_components)
+    return [(g, census_8v(g), census_ec(g)) for g in graphs]
+
+
+@settings(max_examples=12, deadline=None)
+@given(p=param_vectors)
+def test_contraction_matches_census(fixture_censuses, p):
+    for g, c8, cec in fixture_censuses:
+        assert z8v_exact(g, p) == c8.evaluate(p)
+        assert zec_exact(g, p) == cec.evaluate(p)
+
+
+@settings(max_examples=3, deadline=None)
+@given(
+    p=st.tuples(*[st.fractions(min_value=Fraction(1, 7), max_value=3, max_denominator=7)] * 4)
+    | param_vectors
+)
+def test_group_invariance_torus46(p):
+    # k = 25: a census of 2^25 states per point would take minutes
+    torus46 = gen_torus(4, 6)
+    images = {tuple(el.matrix.apply(p)) for el in planar_group() + bipartite_group()}
+    values = {z8v_exact(torus46, q) for q in images}
+    assert values == {z8v_exact(torus46, p)}
+    assert zec_exact(torus46, MZ.apply(p)) in values
+    assert zec_exact(torus46, MHZ.apply(p)) in values
+
+
+def test_torus66_values():
+    torus = gen_torus(6, 6)
+    assert z8v_exact(torus, (1, 1, 1, 1)) == 2**37
+    a, b, c, d = Fraction(3, 7), Fraction(-2), Fraction(5, 3), Fraction(1)
+    # orienting every edge east or south puts each vertex in class B, and
+    # xoring an even coloring onto it swaps A<->C and B<->D
+    assert zec_exact(torus, (a, b, c, d)) == z8v_exact(torus, (c, d, a, b))
+
+
+def test_greedy_frontier_widths():
+    for rows, cols, width in ((4, 5, 12), (6, 6, 14), (8, 8, 18)):
+        assert _frontier_plan(gen_torus(rows, cols))[1] <= width
