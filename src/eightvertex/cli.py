@@ -34,7 +34,7 @@ from .graphs import (
 )
 from .holant import appendix_lemma_check, binary_transform_check
 from .mcmc import ChainConfig, exact_chain_diagnostics, sample
-from .states import orientation_to_bitstring
+from .states import DEFAULT_DIM_CAP, orientation_to_bitstring
 from .transforms import (
     bipartite_group,
     group_fingerprint,
@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="class-profile census as CSV")
     p.add_argument("--graph", required=True)
     p.add_argument("--model", choices=("8v", "ec"), default="8v")
-    p.add_argument("--max-dim", type=int, default=30)
+    p.add_argument("--max-dim", type=int, default=DEFAULT_DIM_CAP)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("group-table", help="print a transform group in table order")

@@ -180,12 +180,15 @@ def exact_chain_diagnostics(
     """Exact transition matrix,  detailed balance, and TV decay to stationarity.
 
     Rational arithmetic for the matrix checks; the TV curve (from the
-    reference-orientation start) is tracked in floating point.  Only
+    reference-orientation start) is tracked in floating point until it
+    falls below ``tv_threshold``, which must lie in (0, 1).  Only
     basis-cycle proposals index the coset directly, so that proposal kind
     is required here.
     """
     if cfg.proposal != "basis-cycle":
         raise ValueError("exact diagnostics require the basis-cycle proposal")
+    if not 0 < tv_threshold < 1:
+        raise ValueError(f"tv_threshold must lie in (0, 1), got {tv_threshold}")
     kernel = CycleKernel(graph)
     weights = _state_weights(kernel, _positive(params), dim_cap)
     k, size = kernel.dimension, len(weights)

@@ -5,8 +5,11 @@ the edge's slot-1 endpoint (the ``(v, label_v)`` side).  A coloring is a
 tuple of bits with 1 = red, 0 = green.  Evenness means an even number of
 incoming arrows (resp. green edges) at every vertex; the even
 orientations form a coset of the binary cycle space.  ``CycleKernel``
-holds the moves through that coset and the one Gray walk over it, which
-the census, the enumeration and the Metropolis chain share.
+holds the moves through that coset and the one Gray walk over it.  The
+Metropolis chain flips single moves; the enumeration and the exact chain
+diagnostics walk all 2^k move subsets; the census (``exact``) walks the
+moves past its low block and counts each block of 2^L low subsets with a
+numpy table.  ``DEFAULT_DIM_CAP`` bounds every 2^k enumeration.
 """
 from __future__ import annotations
 
@@ -215,23 +218,11 @@ def is_even_subgraph(graph: LabeledGraph, edge_set: frozenset[int] | set[int]) -
     return all(d % 2 == 0 for d in deg)
 
 
-def enumerate_even_orientations(
-    graph: LabeledGraph, dim_cap: int = 30
-) -> Iterator[Bits]:
-    """All even orientations: the reference orientation xor the cycle space.
-
-    Follows the basis-cycle kernel's Gray walk, so consecutive states differ
-    by a single basis-cycle flip.  Raises when the cycle-space dimension
-    exceeds ``dim_cap``.
-    """
-    kernel = CycleKernel(graph)
-    masks = list(kernel.reference_masks)
-    for _ in kernel.walk(masks, dim_cap):
-        yield kernel.orientation(masks)
-
-
 # ----------------------------------------------------------------------
 # the cycle-space kernel shared by the census, the enumeration and the chain
+
+# largest cycle-space dimension k that a 2^k enumeration accepts by default
+DEFAULT_DIM_CAP = 30
 
 # 4-bit mask -> class index, -1 for odd masks; a tuple lookup for hot loops
 CLASS16 = tuple(CLASS_BY_MASK.get(m, -1) for m in range(16))
@@ -311,35 +302,59 @@ class CycleKernel:
         """The orientation with in-masks ``masks``: bit 1 iff the slot-1 label is incoming."""
         return tuple((masks[v] >> shift) & 1 for v, shift in self._heads)
 
-    def walk(self, masks: list[int], dim_cap: int) -> Iterator[list[int]]:
-        """Gray-code walk over all 2^k move subsets, flipping ``masks`` in place.
+    def walk(self, masks: list[int], dim_cap: int, first: int = 0) -> Iterator[list[int]]:
+        """Gray-code walk over the subsets of moves first..k-1, flipping ``masks`` in place.
 
         Yields the live class profile [n_A, n_B, n_C, n_D] once per subset,
-        the start state first; the i-th state is the start xor the moves in
-        the Gray code ``i ^ (i >> 1)``.  Needs independent moves, so that the
-        subsets are the states.
+        the start state first; the i-th state is the start xor the moves
+        ``first + j`` for the bits j of the Gray code ``i ^ (i >> 1)``.  The
+        enumeration and the exact chain diagnostics walk all 2^k subsets
+        (``first=0``); the census walks past its low block, whose moves it
+        applies with a table.  Needs independent moves, so that the subsets
+        are the states; refuses k above ``dim_cap`` whatever ``first``, when
+        called rather than when first advanced.
         """
         k = len(self.moves)
         if k != self.dimension:
             raise ValueError("the Gray walk needs independent (basis-cycle) moves")
         if k > dim_cap:
             raise ValueError(f"cycle-space dimension {k} exceeds enumeration cap {dim_cap}")
-        table, touch = CLASS16, self.touch
-        classes = [table[m] for m in masks]
-        profile = [0, 0, 0, 0]
-        for cl in classes:
-            profile[cl] += 1
+        return _gray_walk(masks, self.touch[first:])
+
+
+def _gray_walk(masks: list[int], touch: Sequence[list[tuple[int, int]]]) -> Iterator[list[int]]:
+    """The generator behind ``CycleKernel.walk``: move j of ``touch`` at Gray bit j."""
+    table = CLASS16
+    classes = [table[m] for m in masks]
+    profile = [0, 0, 0, 0]
+    for cl in classes:
+        profile[cl] += 1
+    yield profile
+    for i in range(1, 1 << len(touch)):
+        for v, xm in touch[(i & -i).bit_length() - 1]:
+            old = classes[v]
+            m2 = masks[v] ^ xm
+            masks[v] = m2
+            new = table[m2]
+            classes[v] = new
+            profile[old] -= 1
+            profile[new] += 1
         yield profile
-        for i in range(1, 1 << k):
-            for v, xm in touch[(i & -i).bit_length() - 1]:
-                old = classes[v]
-                m2 = masks[v] ^ xm
-                masks[v] = m2
-                new = table[m2]
-                classes[v] = new
-                profile[old] -= 1
-                profile[new] += 1
-            yield profile
+
+
+def enumerate_even_orientations(
+    graph: LabeledGraph, dim_cap: int = DEFAULT_DIM_CAP
+) -> Iterator[Bits]:
+    """All even orientations: the reference orientation xor the cycle space.
+
+    Follows the basis-cycle kernel's Gray walk, so consecutive states differ
+    by a single basis-cycle flip.  Raises when the cycle-space dimension
+    exceeds ``dim_cap``.
+    """
+    kernel = CycleKernel(graph)
+    masks = list(kernel.reference_masks)
+    for _ in kernel.walk(masks, dim_cap):
+        yield kernel.orientation(masks)
 
 
 # ----------------------------------------------------------------------

@@ -3,14 +3,19 @@
 These enumerate all 2^m orientations, colorings or edge assignments
 directly, with no cycle-space shortcut and no frontier contraction, so
 they check the package's exact routes independently; the reference chain
-recomputes whole weights instead of local ratios.  Keep them dumb.
+recomputes whole weights instead of local ratios, and the reference census
+counts the Gray walk's profiles one state at a time instead of in blocks.
+Keep them dumb.
 """
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 from eightvertex.graphs import LabeledGraph
 from eightvertex.states import (
     CLASS_BY_MASK,
+    DEFAULT_DIM_CAP,
+    CycleKernel,
     in_masks,
     red_masks,
     reference_even_orientation,
@@ -58,6 +63,17 @@ def zec_naive(graph: LabeledGraph, params) -> Fraction:
     for bits in even_colorings_naive(graph):
         total += _profile_weight(red_masks(graph, bits), p)
     return total
+
+
+def census_per_state(graph: LabeledGraph, model: str) -> dict:
+    """Class-profile counts of the kernel's full Gray walk, one Counter update per state.
+
+    ``model`` is "8v" (start: the reference orientation) or "ec" (start:
+    everything red), the starts of ``census_8v`` and ``census_ec``.
+    """
+    kernel = CycleKernel(graph)
+    start = list(kernel.reference_masks) if model == "8v" else [0b1111] * graph.vertex_count
+    return dict(Counter(map(tuple, kernel.walk(start, DEFAULT_DIM_CAP))))
 
 
 def holant_naive(graph: LabeledGraph, table):

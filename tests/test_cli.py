@@ -176,6 +176,23 @@ def test_diagnose_chain_csv(oct_file, capsys):
     assert float(last_tv) < 0.01
 
 
+@pytest.mark.parametrize("value", ["0", "-0.5", "1", "2"])
+def test_diagnose_chain_rejects_bad_threshold(oct_file, capsys, value):
+    code, out, err = run(capsys, "diagnose-chain", "--graph", oct_file,
+                         "--params", "1,1,1,1", f"--tv-threshold={value}")
+    assert code == 2
+    assert out == "" and "tv_threshold" in err
+
+
+def test_census_default_cap(tmp_path, capsys):
+    # torus 6x6 has k = 37, above the default enumeration cap of 30
+    path = tmp_path / "t66.8vx"
+    path.write_text(serialize_graph(gen_torus(6, 6)))
+    code, out, err = run(capsys, "census", "--graph", str(path))
+    assert code == 2
+    assert out == "" and "dimension 37 exceeds enumeration cap 30" in err
+
+
 def test_estimate_json(oct_file, capsys):
     code, out, _ = run(
         capsys, "estimate", "--graph", oct_file, "--params", "1,1,5,1",

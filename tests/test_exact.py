@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eightvertex import exact
 from eightvertex.exact import (
+    CENSUS_BLOCK,
     FRONTIER_CAP,
     Census,
     _frontier_plan,
@@ -17,10 +19,12 @@ from eightvertex.exact import (
     z8v_exact,
     zec_exact,
 )
-from eightvertex.graphs import gen_torus
+from eightvertex.graphs import Edge, LabeledGraph, gen_torus, validate
+from eightvertex.states import cycle_basis
 from eightvertex.transforms import MZ, MHZ, PLANAR_SWAP, bipartite_group, planar_group
 
-from ._brute import holant_naive, random_rationals, z8v_naive, zec_naive
+from ._brute import census_per_state, holant_naive, random_rationals, z8v_naive, zec_naive
+from .conftest import build_k5
 
 # signed rationals with small denominators, zero included
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
@@ -148,6 +152,47 @@ def test_bipartite_identity(k44, torus22, torus24):
 def test_dim_cap_raises(torus44):
     with pytest.raises(ValueError, match="cap"):
         census_8v(torus44, dim_cap=10)
+
+
+def two_k5() -> LabeledGraph:
+    """Two disjoint copies of K5: k = 20 - 10 + 2 = 12, the census block size."""
+    k5 = build_k5()
+    edges = [*k5.edges, *(Edge(e.u + 5, e.label_u, e.v + 5, e.label_v) for e in k5.edges)]
+    return validate(LabeledGraph(10, tuple(edges)))
+
+
+def assert_census_is_per_state(graph):
+    k = cycle_basis(graph).dimension
+    for model, census in (("8v", census_8v(graph)), ("ec", census_ec(graph))):
+        assert census.counts == census_per_state(graph, model)
+        assert (census.vertex_count, census.dimension) == (graph.vertex_count, k)
+        assert census.total() == 1 << k
+
+
+def test_census_matches_per_state_reference(fixture_censuses):
+    # nine fixture graphs, k from 3 (loop_graph) to 17 (torus 4x4): both sides of the block
+    dims = [c8.dimension for _, c8, _ in fixture_censuses]
+    assert min(dims) < CENSUS_BLOCK < max(dims) and 13 in dims
+    for g, c8, cec in fixture_censuses:
+        assert c8.counts == census_per_state(g, "8v")
+        assert cec.counts == census_per_state(g, "ec")
+
+
+def test_census_at_the_block_size_and_on_the_empty_graph():
+    graph = two_k5()
+    assert cycle_basis(graph).dimension == CENSUS_BLOCK
+    assert_census_is_per_state(graph)
+    empty = validate(LabeledGraph(0, ()))
+    assert_census_is_per_state(empty)
+    assert census_8v(empty).counts == census_ec(empty).counts == {(0, 0, 0, 0): 1}
+
+
+@pytest.mark.parametrize("block", [0, 1, 5, 9])
+def test_census_does_not_depend_on_the_block_size(monkeypatch, torus24, loop_graph, k5, block):
+    # block 0 is the Gray walk alone; torus 2x4 has k = 9, loop_graph 3, K5 6
+    monkeypatch.setattr(exact, "CENSUS_BLOCK", block)
+    for g in (torus24, loop_graph, k5):
+        assert_census_is_per_state(g)
 
 
 def test_holant_all_ones_counts_assignments(octahedron):

@@ -213,6 +213,13 @@ def test_exact_diagnostics_k44(k44):
     assert diag.steps_to_threshold is not None
 
 
+@pytest.mark.parametrize("threshold", [0.0, -0.1, 1.0, 1.5, float("nan")])
+def test_diagnostics_refuse_threshold_outside_unit_interval(loop_graph, threshold):
+    with pytest.raises(ValueError, match="tv_threshold"):
+        exact_chain_diagnostics(loop_graph, (1, 1, 1, 1), ChainConfig(seed=0),
+                                tv_threshold=threshold)
+
+
 def test_diagnostics_cap(torus44):
     with pytest.raises(ValueError, match="cap"):
         exact_chain_diagnostics(torus44, (1, 1, 1, 1), ChainConfig(seed=0))

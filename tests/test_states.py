@@ -3,6 +3,7 @@ import pytest
 from eightvertex.graphs import gen_torus
 from eightvertex.states import (
     CLASS_BY_MASK,
+    DEFAULT_DIM_CAP,
     CycleKernel,
     DualNotBipartiteError,
     VertexClass,
@@ -104,6 +105,39 @@ def test_walk_needs_independent_moves(octahedron):
     assert len(kernel.moves) == 8  # the face boundaries sum to zero
     with pytest.raises(ValueError, match="independent"):
         next(kernel.walk(list(kernel.reference_masks), 30))
+
+
+def test_walk_over_a_suffix_of_the_moves(torus22):
+    kernel = CycleKernel(torus22)
+    k = kernel.dimension
+    for first in range(k + 1):
+        masks = list(kernel.reference_masks)
+        seen = []
+        for _ in kernel.walk(masks, k, first):
+            seen.append(kernel.orientation(masks))
+        expected = set()
+        for subset in range(1 << (k - first)):
+            flip = set()
+            for j in range(k - first):
+                if subset >> j & 1:
+                    flip ^= kernel.moves[first + j]
+            expected.add(tuple(b ^ (e in flip) for e, b in enumerate(kernel.reference)))
+        assert len(seen) == 1 << (k - first)
+        assert set(seen) == expected
+
+
+def test_walk_refuses_when_called(torus44):
+    # the check runs at the call, not at the first step, so the census refuses before its tables
+    kernel = CycleKernel(torus44)
+    with pytest.raises(ValueError, match="dimension 17 exceeds enumeration cap 10"):
+        kernel.walk(list(kernel.reference_masks), 10, 12)
+
+
+def test_enumeration_default_cap():
+    # torus 6x6 has k = 37, above DEFAULT_DIM_CAP
+    assert DEFAULT_DIM_CAP == 30
+    with pytest.raises(ValueError, match="dimension 37 exceeds enumeration cap 30"):
+        next(enumerate_even_orientations(gen_torus(6, 6)))
 
 
 def test_coset_property(torus22):
