@@ -9,7 +9,7 @@ annealed estimator that composes with the transform planner.
 __version__ = "0.1.0"
 
 from .exact import Census, as_params, census_8v, census_ec, holant_exact, z8v_exact, zec_exact
-from .estimator import Estimate, anchor_z, anneal_estimate, estimate_z8v
+from .estimator import Estimate, anneal_estimate, estimate_z8v
 from .graphs import (
     Edge,
     LabeledGraph,

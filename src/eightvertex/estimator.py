@@ -18,7 +18,7 @@ from typing import Sequence
 from .exact import ParamVec, as_params, z8v_exact
 from .graphs import LabeledGraph
 from .mcmc import Chain, ChainConfig
-from .states import CycleKernel, cycle_basis, face_two_coloring
+from .states import CycleKernel, face_two_coloring
 from .transforms import TransformPlan, in_yz, plan_report, plan_transform
 
 UNIFORM = (Fraction(1), Fraction(1), Fraction(1), Fraction(1))
@@ -29,12 +29,6 @@ MAX_GROUPS = 200
 
 class PipelineError(RuntimeError):
     pass
-
-
-def anchor_z(graph: LabeledGraph) -> int:
-    """Partition function at the uniform point: the even-orientation count."""
-    basis = cycle_basis(graph)
-    return 1 << basis.dimension
 
 
 @dataclass(frozen=True)
@@ -219,21 +213,13 @@ def anneal_estimate(
 
     log_products = [0.0] * groups
     stage_relvars = []
-    p0, p1, p2, p3 = pow_table
     for stage_index in range(q):
         stage_params = schedule.params[stage_index]
         stage_means = []
         for c, chain in enumerate(chains):
             chain.set_params(stage_params)
             chain.advance(stage_burn_in, laziness)
-            counts = chain.counts
-            acc = 0.0
-            acc_sq = 0.0
-            for _ in range(s_g):
-                chain.advance(thinning, laziness)
-                ratio = p0[counts[0]] * p1[counts[1]] * p2[counts[2]] * p3[counts[3]]
-                acc += ratio
-                acc_sq += ratio * ratio
+            acc, acc_sq = chain.run(s_g, thinning, laziness, pow_table)
             mean = acc / s_g
             log_products[c] += math.log(mean)
             stage_means.append((mean, acc_sq / s_g))

@@ -248,6 +248,10 @@ def parse_graph(text: str) -> LabeledGraph:
         n, m = int(parts[1]), int(parts[3])
     except ValueError:
         fail("vertex/edge counts must be integers", 2)
+    if n < 0:
+        fail(f"negative vertex count {n}", 2)
+    if m != 2 * n:  # checked before the edge table of size m is allocated
+        fail(f"a 4-regular graph on {n} vertices has {2 * n} edges, not {m}", 2)
     if parts[5] not in _KEYWORD_TO_EMBEDDING:
         fail(f"unknown embedding keyword {parts[5]!r}", 2)
     embedding_kind = _KEYWORD_TO_EMBEDDING[parts[5]]

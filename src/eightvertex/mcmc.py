@@ -4,9 +4,12 @@ A state is the reference even orientation xor a sum of move edge sets
 (basis cycles, or face boundaries on a rotation system), so every state
 is even by construction.  Irreducibility is enforced, not assumed: the
 cycle-space kernel refuses move sets whose GF(2) rank is below the
-cycle-space dimension.  The chain keeps only per-vertex in-masks, classes
-and class counts; a proposal's weight ratio is evaluated over the
+cycle-space dimension.  The chain keeps only per-vertex in-masks and class
+counts; a proposal's weight ratio is a product of table lookups over the
 vertices the flip touches, and orientations are read back from the masks.
+The chain draws what a plain loop over ``random()`` and
+``randrange(nmoves)`` draws and does the same float operations, so a seed
+gives that loop's samples and estimates byte for byte.
 """
 from __future__ import annotations
 
@@ -22,6 +25,10 @@ from .states import CLASS16, Bits, CycleKernel, orientation_classes
 
 DIAGNOSTIC_DIM_CAP = 12
 _RECOUNT_PERIOD = 1 << 16
+# the masks of even in-degree (the only ones an even orientation has), and
+# per flip mask xm and in-mask m the step (m ^ xm, class before, class after)
+_EVEN_MASKS = tuple(m for m in range(16) if CLASS16[m] >= 0)
+_FLIP = tuple(tuple((m ^ xm, CLASS16[m], CLASS16[m ^ xm]) for m in range(16)) for xm in range(16))
 
 
 @dataclass(frozen=True)
@@ -63,59 +70,92 @@ class Chain:
     """Lazy Metropolis chain on a kernel's coset, started at the reference orientation.
 
     Each step draws, in this order, the laziness coin, a uniform move and
-    (for a ratio below 1) the acceptance coin, so a seed fixes the run.
-    Masks and classes stay exact integers; the class counts are re-derived
-    periodically as a cheap self-check.
+    (for a ratio below 1) the acceptance coin, so a seed fixes the run.  The
+    move is drawn as ``Random.randrange(nmoves)`` draws it (CPython
+    3.10-3.13): ``getrandbits(nmoves.bit_length())``, redrawn while it is
+    ``>= nmoves``, so the chain consumes the same stream as a call to
+    ``randrange`` would.  ``factors[xm][mask]`` is the class-weight ratio
+    ``w[class(mask ^ xm)] / w[class(mask)]`` of flipping the bits ``xm`` of
+    an in-mask, one 16-entry table per distinct flip mask of the kernel; a
+    proposal's ratio is the product of its touched vertices' factors, in
+    touch order.  Masks stay exact integers and the class counts are
+    recounted from them periodically as a cheap self-check.
     """
 
     def __init__(self, kernel: CycleKernel, rng: Random):
+        if not kernel.touch:
+            raise ValueError("the chain needs at least one move; this coset has a single state")
         self.kernel = kernel
         self.rng = rng
         self.masks = list(kernel.reference_masks)
-        self.classes = [CLASS16[m] for m in self.masks]
         self.counts = [0, 0, 0, 0]
-        for c in self.classes:
-            self.counts[c] += 1
-        self.ratio = [[1.0] * 4 for _ in range(4)]
+        for m in self.masks:
+            self.counts[CLASS16[m]] += 1
+        self.factors = {xm: [None] * 16 for flips in kernel.touch for _, xm in flips}
+        # per move and touched vertex: (vertex, its _FLIP row, its factor table)
+        self._moves = [
+            tuple((v, _FLIP[xm], self.factors[xm]) for v, xm in flips) for flips in kernel.touch
+        ]
+        self.set_params((1.0, 1.0, 1.0, 1.0))
         self.steps = 0
 
     def set_params(self, weights: Sequence[float]):
         """Target the Gibbs measure with these class weights (uniform until set)."""
-        self.ratio = [[weights[a] / weights[b] for b in range(4)] for a in range(4)]
+        ratio = [[weights[a] / weights[b] for b in range(4)] for a in range(4)]
+        for xm, table in self.factors.items():
+            for m in _EVEN_MASKS:
+                table[m] = ratio[CLASS16[m ^ xm]][CLASS16[m]]
 
     def orientation(self) -> Bits:
         return self.kernel.orientation(self.masks)
 
     def advance(self, steps: int, laziness: float):
-        table = CLASS16
-        masks, classes, counts = self.masks, self.classes, self.counts
-        touch, ratio_table = self.kernel.touch, self.ratio
-        nmoves = len(touch)
-        random, randrange = self.rng.random, self.rng.randrange
-        for _ in range(steps):
-            if random() < laziness:
-                continue
-            flips = touch[randrange(nmoves)]
-            ratio = 1.0
-            for v, xm in flips:
-                ratio *= ratio_table[table[masks[v] ^ xm]][classes[v]]
-            if ratio >= 1.0 or random() < ratio:
-                for v, xm in flips:
-                    old = classes[v]
-                    m2 = masks[v] ^ xm
-                    masks[v] = m2
-                    new = table[m2]
-                    classes[v] = new
-                    counts[old] -= 1
-                    counts[new] += 1
-        self.steps += steps
+        self.run(1, steps, laziness)
+
+    def run(self, samples: int, thinning: int, laziness: float, pows=None) -> tuple[float, float]:
+        """Run ``samples`` blocks of ``thinning`` steps.
+
+        With ``pows`` (per class, a table indexed by the class count), each
+        block ends by adding ``prod_i pows[i][counts[i]]`` and its square to
+        two sums, which are returned; without it they stay 0.
+        """
+        masks, counts, moves = self.masks, self.counts, self._moves
+        nmoves = len(moves)
+        bits = nmoves.bit_length()
+        random, getrandbits = self.rng.random, self.rng.getrandbits
+        if pows is not None:
+            p0, p1, p2, p3 = pows
+        acc = acc_sq = 0.0
+        for _ in range(samples):
+            for _ in range(thinning):
+                if random() < laziness:
+                    continue
+                j = getrandbits(bits)
+                while j >= nmoves:
+                    j = getrandbits(bits)
+                flips = moves[j]
+                ratio = 1.0
+                for v, _, f in flips:
+                    ratio *= f[masks[v]]
+                if ratio >= 1.0 or random() < ratio:
+                    for v, flip, _ in flips:
+                        m, old, new = flip[masks[v]]
+                        masks[v] = m
+                        counts[old] -= 1
+                        counts[new] += 1
+            if pows is not None:
+                w = p0[counts[0]] * p1[counts[1]] * p2[counts[2]] * p3[counts[3]]
+                acc += w
+                acc_sq += w * w
+        self.steps += samples * thinning
         if self.steps >= _RECOUNT_PERIOD:
             self.steps = 0
             recount = [0, 0, 0, 0]
-            for c in classes:
-                recount[c] += 1
+            for m in masks:
+                recount[CLASS16[m]] += 1
             if recount != counts:
-                raise AssertionError("chain class cache drifted")
+                raise AssertionError("chain class counts drifted from the masks")
+        return acc, acc_sq
 
 
 def sample(

@@ -103,10 +103,6 @@ def is_even_orientation(graph: LabeledGraph, orientation: Sequence[int]) -> bool
     return all(m in CLASS_BY_MASK for m in in_masks(graph, orientation))
 
 
-def is_even_coloring(graph: LabeledGraph, coloring: Sequence[int]) -> bool:
-    return all(m in CLASS_BY_MASK for m in red_masks(graph, coloring))
-
-
 # ----------------------------------------------------------------------
 # reference orientation and cycle space
 
@@ -224,8 +220,9 @@ def is_even_subgraph(graph: LabeledGraph, edge_set: frozenset[int] | set[int]) -
 # largest cycle-space dimension k that a 2^k enumeration accepts by default
 DEFAULT_DIM_CAP = 30
 
-# 4-bit mask -> class index, -1 for odd masks; a tuple lookup for hot loops
-CLASS16 = tuple(CLASS_BY_MASK.get(m, -1) for m in range(16))
+# 4-bit mask -> class index, -1 for odd masks; a tuple lookup for hot loops,
+# of plain ints because list indexing specialises on exact ints
+CLASS16 = tuple(int(CLASS_BY_MASK.get(m, -1)) for m in range(16))
 
 
 def _face_moves(graph: LabeledGraph) -> list[frozenset[int]]:

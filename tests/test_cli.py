@@ -225,6 +225,14 @@ def test_usage_error_on_missing_file(capsys):
     assert code == 2
 
 
+def test_edge_count_checked_before_allocation(tmp_path, capsys):
+    path = tmp_path / "huge.8vx"
+    path.write_text("8vx-graph 1\nvertices 2 edges 1000000000000 embedding none\n")
+    code, out, err = run(capsys, "exact", "--graph", str(path), "--params", "1,1,1,1")
+    assert code == 2
+    assert out == "" and "line 2: a 4-regular graph on 2 vertices has 4 edges" in err
+
+
 def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["exact", "--graph", "x", "--params", "1,1,1,1", "--frobnicate"])

@@ -5,7 +5,6 @@ import pytest
 
 from eightvertex.estimator import (
     PipelineError,
-    anchor_z,
     anneal_estimate,
     build_schedule,
     default_stage_count,
@@ -14,15 +13,14 @@ from eightvertex.estimator import (
 from eightvertex.exact import as_params, z8v_exact
 from eightvertex.graphs import LabeledGraph, gen_torus
 from eightvertex.mcmc import ChainConfig
+from eightvertex.states import CycleKernel
 
 
 def test_anchor_values(octahedron, k44, torus24, torus44):
-    assert anchor_z(octahedron) == 128
-    assert anchor_z(k44) == 512
-    assert anchor_z(torus24) == 512
-    assert anchor_z(torus44) == 1 << 17
-    # anchor agrees with the exact oracle at the uniform point
-    assert anchor_z(torus24) == z8v_exact(torus24, (1, 1, 1, 1))
+    # the anchor 2^k is the even-orientation count, Z at the uniform point
+    for graph, anchor in ((octahedron, 128), (k44, 512), (torus24, 512), (torus44, 1 << 17)):
+        assert 1 << CycleKernel(graph).dimension == anchor
+        assert z8v_exact(graph, (1, 1, 1, 1)) == anchor
 
 
 def test_schedule_endpoints_and_flags(octahedron):

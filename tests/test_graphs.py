@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eightvertex.graphs import (
+    EMBEDDING_KINDS,
+    LABELS,
     Edge,
     GraphFormatError,
     LabeledGraph,
@@ -115,6 +119,18 @@ def test_parse_rejects_duplicate_label_with_line():
         parse_graph(text)
 
 
+@pytest.mark.parametrize("size_line, message", [
+    ("vertices 2 edges 3 embedding none", "has 4 edges, not 3"),
+    ("vertices 2 edges 5 embedding none", "has 4 edges, not 5"),
+    # refused from line 2 alone, before an edge table of 10^12 slots is allocated
+    ("vertices 2 edges 1000000000000 embedding none", "has 4 edges, not 1000000000000"),
+    ("vertices -1 edges -2 embedding none", "negative vertex count -1"),
+])
+def test_parse_checks_sizes_on_line_2(size_line, message):
+    with pytest.raises(GraphFormatError, match=f"line 2: .*{message}"):
+        parse_graph(f"8vx-graph 1\n{size_line}\n")
+
+
 def test_detect_bipartition_on_parsed_graph():
     g = parse_graph(serialize_graph(gen_torus(2, 4)))
     sides = detect_bipartition(g)
@@ -123,3 +139,45 @@ def test_detect_bipartition_on_parsed_graph():
     for e in g.edges:
         assert (e.u in left) != (e.v in left)
     assert detect_bipartition(gen_octahedron()) is None
+
+
+@st.composite
+def paired_graphs(draw):
+    """A uniform pairing of the 4N half-edges, in random order and direction: loops
+    and parallel edges included."""
+    n = draw(st.integers(0, 6))
+    halves = draw(st.permutations([(v, lab) for v in range(n) for lab in LABELS]))
+    edges = tuple(Edge(*halves[i], *halves[i + 1]) for i in range(0, len(halves), 2))
+    kind = draw(st.sampled_from(["none", "rotation_system"]))
+    return validate(LabeledGraph(n, edges, kind))
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """A pairing of the left side's half-edges with the right side's, over a random
+    split of the vertices into two equal sides."""
+    side = draw(st.integers(0, 4))
+    left = frozenset(draw(st.permutations(range(2 * side)))[:side])
+    right = frozenset(range(2 * side)) - left
+    lhalves = [(v, lab) for v in sorted(left) for lab in LABELS]
+    rhalves = draw(st.permutations([(v, lab) for v in sorted(right) for lab in LABELS]))
+    flips = draw(st.lists(st.booleans(), min_size=len(lhalves), max_size=len(lhalves)))
+    edges = tuple(
+        Edge(*b, *a) if flip else Edge(*a, *b) for a, b, flip in zip(lhalves, rhalves, flips)
+    )
+    kind = draw(st.sampled_from(EMBEDDING_KINDS))
+    return validate(LabeledGraph(2 * side, edges, kind, (left, right)))
+
+
+GENERATED = st.one_of(
+    st.builds(gen_torus, st.integers(2, 5), st.integers(2, 5)),
+    st.sampled_from([gen_octahedron(), gen_k44()]),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph=st.one_of(paired_graphs(), bipartite_graphs(), GENERATED))
+def test_parse_inverts_serialize(graph):
+    text = serialize_graph(graph)
+    assert parse_graph(text) == graph
+    assert serialize_graph(parse_graph(text)) == text

@@ -1,13 +1,15 @@
 from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eightvertex.exact import census_8v
-from eightvertex.graphs import gen_octahedron, gen_torus
+from eightvertex.graphs import LabeledGraph, gen_octahedron, gen_torus
 from eightvertex.mcmc import (
+    _RECOUNT_PERIOD,
     Chain,
     ChainConfig,
     exact_chain_diagnostics,
@@ -79,9 +81,9 @@ def test_chain_matches_reference_chain(graph_name, proposal, params, seed):
     for bits in reference:
         chain.advance(1, 0.5)
         assert chain.orientation() == bits
-        # cached classes and counts match the orientation, which is even
+        # the masks' classes and the cached counts match the orientation, which is even
         classes = orientation_classes(graph, bits)
-        assert chain.classes == classes
+        assert [CLASS16[m] for m in chain.masks] == classes
         assert chain.counts == [classes.count(c) for c in range(4)]
 
 
@@ -95,10 +97,42 @@ class ScriptedRng:
     def random(self):
         return self.coins.pop(0)
 
-    def randrange(self, n):
+    def getrandbits(self, k):
         move = self.moves.pop(0)
-        assert 0 <= move < n
+        assert 0 <= move < 1 << k
         return move
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 17, 37, 65, 145])
+def test_move_draw_matches_randrange(n):
+    # n moves, move j toggling two labels at vertex j alone: at uniform
+    # weights every proposal is taken without an acceptance coin, so the
+    # changed vertex shows the drawn move, and laziness 0 still draws its coin
+    kernel = SimpleNamespace(touch=[[(j, 0b11)] for j in range(n)], reference_masks=[0] * n)
+    seed = 1000 + n
+    chain = Chain(kernel, Random(seed))
+    reference = Random(seed)
+    for _ in range(3000):
+        before = list(chain.masks)
+        chain.advance(1, 0.0)
+        (drawn,) = [v for v in range(n) if chain.masks[v] != before[v]]
+        reference.random()
+        assert drawn == reference.randrange(n)
+    assert chain.rng.getstate() == reference.getstate()
+
+
+def test_chain_needs_a_move():
+    # the empty graph's coset is one state: refused, where a draw below 0 would spin
+    with pytest.raises(ValueError, match="at least one move"):
+        sample(LabeledGraph(0, ()), (1, 2, 2, 1), ChainConfig(seed=0), 3)
+
+
+def test_periodic_recount_catches_drifted_counts(torus22):
+    chain = Chain(CycleKernel(torus22), Random(3))
+    chain.advance(_RECOUNT_PERIOD, 0.5)  # a recount that agrees passes
+    chain.counts[0] += 1
+    with pytest.raises(AssertionError, match="drifted"):
+        chain.advance(_RECOUNT_PERIOD, 0.5)
 
 
 def _chain_at(kernel, coords):
@@ -138,7 +172,7 @@ def test_known_acceptance_ratio(torus22):
     for coords in range(1 << len(kernel.moves)):
         for move, touched in enumerate(kernel.touch):
             chain = _chain_at(kernel, coords)
-            before = [chain.classes[v] for v, _ in touched]
+            before = [CLASS16[chain.masks[v]] for v, _ in touched]
             after = [CLASS16[chain.masks[v] ^ xm] for v, xm in touched]
             if before != [C, C] or after != [D, D]:
                 continue
