@@ -23,12 +23,11 @@ from .graphs import (
 from .holant import (
     QuarticFunction,
     appendix_lemma_check,
-    arrow_reversal_symmetric,
     binary_transform_check,
     constraint_from_params,
     holo_transform,
 )
-from .mcmc import ChainConfig, exact_chain_diagnostics, gibbs_weight, sample
+from .mcmc import ChainConfig, exact_chain_diagnostics, sample
 from .states import (
     CycleBasis,
     FaceColoring,
@@ -40,14 +39,11 @@ from .states import (
     face_two_coloring,
     orientation_to_coloring,
     reference_even_orientation,
-    vertex_class_coloring,
-    vertex_class_orientation,
 )
 from .transforms import (
     GroupElement,
     HalfIntMatrix,
     TransformPlan,
-    apply,
     bipartite_group,
     group_closure,
     group_fingerprint,

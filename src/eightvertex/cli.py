@@ -30,7 +30,6 @@ from .graphs import (
     gen_torus,
     parse_graph,
     serialize_graph,
-    validate,
 )
 from .holant import appendix_lemma_check, binary_transform_check
 from .mcmc import ChainConfig, exact_chain_diagnostics, sample
@@ -165,9 +164,7 @@ def _cmd_sample(args) -> int:
 def _cmd_diagnose_chain(args) -> int:
     graph = _load_graph(args.graph)
     p = _parse_params(args.params)
-    diag = exact_chain_diagnostics(
-        graph, p, ChainConfig(seed=0), tv_threshold=args.tv_threshold
-    )
+    diag = exact_chain_diagnostics(graph, p, tv_threshold=args.tv_threshold)
     print(
         f"# states={diag.states} detailed_balance={diag.detailed_balance} "
         f"stationary_exact={diag.stationary_exact} "
@@ -208,12 +205,9 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def _rand_params(rng: Random, signed: bool = False):
+def _rand_params(rng: Random):
     span = 65536
-    vals = [Fraction(rng.randrange(0, span + 1), span) for _ in range(4)]
-    if signed:
-        vals = [v if rng.random() < 0.5 else -v for v in vals]
-    return tuple(vals)
+    return tuple(Fraction(rng.randrange(0, span + 1), span) for _ in range(4))
 
 
 def _verify_holant(seed: int) -> bool:

@@ -43,16 +43,11 @@ class AnnealSchedule:
     geometric curve, which keeps every earlier stage.
     """
 
-    target: ParamVec
     stage_count: int
     params: tuple[tuple[float, float, float, float], ...]
     class_ratios: tuple[float, float, float, float]
     inside_yz: tuple[bool, ...]
     warning: bool
-
-    @property
-    def all_inside(self) -> bool:
-        return all(self.inside_yz)
 
 
 def _geometric_stages(target: ParamVec, q: int):
@@ -75,15 +70,14 @@ def default_stage_count(graph: LabeledGraph, target: ParamVec) -> int:
     return max(1, math.ceil(8 * graph.vertex_count * spread))
 
 
-def build_schedule(graph: LabeledGraph, target: Sequence, q: int | None = None) -> AnnealSchedule:
+def build_schedule(graph: LabeledGraph, target: Sequence) -> AnnealSchedule:
     t = as_params(target)
     if any(x <= 0 for x in t):
         raise ValueError("anneal target must be strictly positive")
-    if q is None:
-        q = default_stage_count(graph, t)
+    q = default_stage_count(graph, t)
     ratios, stages = _geometric_stages(t, q)
     flags = _stage_flags(stages)
-    return AnnealSchedule(t, q, stages, ratios, flags, not all(flags))
+    return AnnealSchedule(q, stages, ratios, flags, not all(flags))
 
 
 @dataclass(frozen=True)
@@ -165,6 +159,11 @@ def anneal_estimate(
     replaced by chain averages; the median over independent chain groups
     meets the (eps, delta) contract under the range-based variance model.
     Deterministic for a fixed seed.
+
+    Of ``cfg`` it reads ``seed`` (the master generator of the chain seeds),
+    ``proposal`` (the move set) and ``burn_in``, as a floor under the
+    initial burn-in of 10k steps for cycle-space dimension k.  ``thinning``
+    is not read: the stages thin by (k+1)/2 steps of their own.
     """
     _check_accuracy(eps, delta)
     t = as_params(target)
@@ -195,7 +194,6 @@ def anneal_estimate(
     s_g = _samples_per_group(q, n, t, eps)
     thinning = max(1, (k + 1) // 2)
     stage_burn_in = 2 * k
-    laziness = float(cfg.laziness)
 
     # per-class ratio powers, indexed [class][count]
     pow_table = [
@@ -209,7 +207,7 @@ def anneal_estimate(
     chains = [Chain(kernel, Random(master.getrandbits(64))) for _ in range(groups)]
     initial_burn = max(cfg.burn_in, 10 * k)
     for chain in chains:
-        chain.advance(initial_burn, laziness)
+        chain.advance(initial_burn)
 
     log_products = [0.0] * groups
     stage_relvars = []
@@ -218,8 +216,8 @@ def anneal_estimate(
         stage_means = []
         for c, chain in enumerate(chains):
             chain.set_params(stage_params)
-            chain.advance(stage_burn_in, laziness)
-            acc, acc_sq = chain.run(s_g, thinning, laziness, pow_table)
+            chain.advance(stage_burn_in)
+            acc, acc_sq = chain.run(s_g, thinning, pow_table)
             mean = acc / s_g
             log_products[c] += math.log(mean)
             stage_means.append((mean, acc_sq / s_g))

@@ -8,9 +8,9 @@ parallel edges are allowed; incidences are tracked per half-edge.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 LABELS = (1, 2, 3, 4)
 EMBEDDING_KINDS = ("none", "rotation_system", "bipartition")
@@ -80,9 +80,6 @@ class LabeledGraph:
                 missing = [l for l, h in zip(LABELS, row) if h is None]
                 raise ValueError(f"vertex {v}: not 4-regular (missing labels {missing})")
         return tuple(tuple(row) for row in table)  # type: ignore[arg-type]
-
-    def half_edge(self, vertex: int, label: int) -> HalfEdge:
-        return self.half_edges[vertex][label - 1]
 
 
 def validate(graph: LabeledGraph) -> LabeledGraph:
@@ -178,7 +175,11 @@ def gen_k44() -> LabeledGraph:
 def detect_bipartition(
     graph: LabeledGraph,
 ) -> tuple[frozenset[int], frozenset[int]] | None:
-    """BFS 2-coloring; None when some component has an odd cycle or a loop."""
+    """BFS 2-coloring; None when some component has an odd cycle or a loop.
+
+    Nothing in the package calls it: it finds the ``bipartition`` line that
+    a graph file needs for ``--class bipartite``, for users writing one.
+    """
     color = [-1] * graph.vertex_count
     adj: list[list[int]] = [[] for _ in range(graph.vertex_count)]
     for e in graph.edges:
@@ -257,6 +258,8 @@ def parse_graph(text: str) -> LabeledGraph:
     embedding_kind = _KEYWORD_TO_EMBEDDING[parts[5]]
 
     edges: list[Edge | None] = [None] * m
+    edge_lines = [0] * m
+    ends_seen: set[tuple[int, int]] = set()  # (vertex, label) pairs of earlier edges
     bipartition = None
     for lineno, raw in enumerate(lines[2:], start=3):
         line = raw.strip()
@@ -280,7 +283,12 @@ def parse_graph(text: str) -> LabeledGraph:
             for lab in (lu, lv):
                 if lab not in LABELS:
                     fail(f"label {lab} not in 1..4", lineno)
+            for end in ((u, lu), (v, lv)):
+                if end in ends_seen:
+                    fail(f"vertex {end[0]}: duplicate label {end[1]}", lineno)
+                ends_seen.add(end)
             edges[eid] = Edge(u, lu, v, lv)
+            edge_lines[eid] = lineno
         elif fields[0] == "bipartition":
             if len(fields) < 2 or fields[1] != "L:":
                 fail("expected 'bipartition L: <ids...>'", lineno)
@@ -299,6 +307,10 @@ def parse_graph(text: str) -> LabeledGraph:
         fail(f"missing edge ids {missing[:4]}", len(lines))
     if embedding_kind == "bipartition" and bipartition is None:
         fail("embedding 'bipartite' requires a bipartition line", len(lines))
+    if bipartition is not None:
+        for eid, e in enumerate(edges):
+            if (e.u in bipartition[0]) == (e.v in bipartition[0]):
+                fail(f"edge {eid} does not join the two sides", edge_lines[eid])
 
     graph = LabeledGraph(n, tuple(edges), embedding_kind, bipartition)  # type: ignore[arg-type]
     try:

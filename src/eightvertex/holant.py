@@ -110,28 +110,6 @@ def binary_transform_check(tol: float = TOL_EXACT) -> dict:
     }
 
 
-def arrow_reversal_symmetric(table: Sequence, tol: float = TOL_EXACT) -> bool:
-    """True when every entry equals its bitwise-complement entry.
-
-    Exact comparison for int/Fraction entries, tolerance-based otherwise.
-    Accepts any table whose length is a power of two.
-    """
-    size = len(table)
-    n = size.bit_length() - 1
-    if size != 1 << n:
-        raise ValueError("table length must be a power of two")
-    exact = all(isinstance(x, int) or type(x).__name__ == "Fraction" for x in table)
-    full = size - 1
-    for i in range(size):
-        a, b = table[i], table[i ^ full]
-        if exact:
-            if a != b:
-                return False
-        elif abs(complex(a) - complex(b)) > tol:
-            return False
-    return True
-
-
 def kron_power(T: np.ndarray, n: int) -> np.ndarray:
     out = np.array([[1.0 + 0j]])
     for _ in range(n):

@@ -4,9 +4,11 @@ A state is the reference even orientation xor a sum of move edge sets
 (basis cycles, or face boundaries on a rotation system), so every state
 is even by construction.  Irreducibility is enforced, not assumed: the
 cycle-space kernel refuses move sets whose GF(2) rank is below the
-cycle-space dimension.  The chain keeps only per-vertex in-masks and class
-counts; a proposal's weight ratio is a product of table lookups over the
-vertices the flip touches, and orientations are read back from the masks.
+cycle-space dimension.  The chain is lazy with the fixed holding
+probability ``LAZINESS`` = 1/2, which makes it aperiodic and its spectrum
+nonnegative.  It keeps only per-vertex in-masks and class counts; a
+proposal's weight ratio is a product of table lookups over the vertices
+the flip touches, and orientations are read back from the masks.
 The chain draws what a plain loop over ``random()`` and
 ``randrange(nmoves)`` draws and does the same float operations, so a seed
 gives that loop's samples and estimates byte for byte.
@@ -21,9 +23,11 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import LabeledGraph
-from .states import CLASS16, Bits, CycleKernel, orientation_classes
+from .states import CLASS16, Bits, CycleKernel
 
 DIAGNOSTIC_DIM_CAP = 12
+# the probability that a step holds the state without drawing a move
+LAZINESS = 0.5
 _RECOUNT_PERIOD = 1 << 16
 # the masks of even in-degree (the only ones an even orientation has), and
 # per flip mask xm and in-mask m the step (m ^ xm, class before, class after)
@@ -34,14 +38,11 @@ _FLIP = tuple(tuple((m ^ xm, CLASS16[m], CLASS16[m ^ xm]) for m in range(16)) fo
 @dataclass(frozen=True)
 class ChainConfig:
     seed: int
-    laziness: Fraction = Fraction(1, 2)
     proposal: str = "basis-cycle"  # or "face" (rotation systems only)
     burn_in: int = 0
     thinning: int = 1
 
     def __post_init__(self):
-        if not 0 < self.laziness < 1:
-            raise ValueError("laziness must lie strictly between 0 and 1")
         if self.proposal not in ("basis-cycle", "face"):
             raise ValueError(f"unknown proposal kind {self.proposal!r}")
         if self.burn_in < 0:
@@ -57,23 +58,15 @@ def _positive(params) -> tuple[Fraction, ...]:
     return p
 
 
-def gibbs_weight(graph: LabeledGraph, orientation: Sequence[int], params) -> Fraction:
-    """Product over vertices of the class weight; requires positive parameters."""
-    p = _positive(params)
-    w = Fraction(1)
-    for cls in orientation_classes(graph, orientation):
-        w *= p[cls]
-    return w
-
-
 class Chain:
     """Lazy Metropolis chain on a kernel's coset, started at the reference orientation.
 
     Each step draws, in this order, the laziness coin, a uniform move and
-    (for a ratio below 1) the acceptance coin, so a seed fixes the run.  The
-    move is drawn as ``Random.randrange(nmoves)`` draws it (CPython
-    3.10-3.13): ``getrandbits(nmoves.bit_length())``, redrawn while it is
-    ``>= nmoves``, so the chain consumes the same stream as a call to
+    (for a ratio below 1) the acceptance coin, so a seed fixes the run.  A
+    laziness coin below ``LAZINESS`` (1/2) holds the state and draws nothing
+    more.  The move is drawn as ``Random.randrange(nmoves)`` draws it
+    (CPython 3.10-3.13): ``getrandbits(nmoves.bit_length())``, redrawn while
+    it is ``>= nmoves``, so the chain consumes the same stream as a call to
     ``randrange`` would.  ``factors[xm][mask]`` is the class-weight ratio
     ``w[class(mask ^ xm)] / w[class(mask)]`` of flipping the bits ``xm`` of
     an in-mask, one 16-entry table per distinct flip mask of the kernel; a
@@ -109,10 +102,10 @@ class Chain:
     def orientation(self) -> Bits:
         return self.kernel.orientation(self.masks)
 
-    def advance(self, steps: int, laziness: float):
-        self.run(1, steps, laziness)
+    def advance(self, steps: int):
+        self.run(1, steps)
 
-    def run(self, samples: int, thinning: int, laziness: float, pows=None) -> tuple[float, float]:
+    def run(self, samples: int, thinning: int, pows=None) -> tuple[float, float]:
         """Run ``samples`` blocks of ``thinning`` steps.
 
         With ``pows`` (per class, a table indexed by the class count), each
@@ -123,6 +116,7 @@ class Chain:
         nmoves = len(moves)
         bits = nmoves.bit_length()
         random, getrandbits = self.rng.random, self.rng.getrandbits
+        laziness = LAZINESS
         if pows is not None:
             p0, p1, p2, p3 = pows
         acc = acc_sq = 0.0
@@ -172,11 +166,10 @@ def sample(
     weights = [float(x) for x in _positive(params)]
     chain = Chain(CycleKernel(graph, cfg.proposal), Random(cfg.seed))
     chain.set_params(weights)
-    laziness = float(cfg.laziness)
-    chain.advance(cfg.burn_in, laziness)
+    chain.advance(cfg.burn_in)
     out = []
     for _ in range(n_samples):
-        chain.advance(cfg.thinning, laziness)
+        chain.advance(cfg.thinning)
         out.append(chain.orientation())
     return out
 
@@ -212,27 +205,24 @@ def _state_weights(kernel: CycleKernel, params, dim_cap: int) -> list[Fraction]:
 def exact_chain_diagnostics(
     graph: LabeledGraph,
     params,
-    cfg: ChainConfig,
     dim_cap: int = DIAGNOSTIC_DIM_CAP,
     tv_threshold: float = 0.01,
     max_steps: int = 200_000,
 ) -> ChainDiagnostics:
     """Exact transition matrix,  detailed balance, and TV decay to stationarity.
 
-    Rational arithmetic for the matrix checks; the TV curve (from the
-    reference-orientation start) is tracked in floating point until it
-    falls below ``tv_threshold``, which must lie in (0, 1).  Only
-    basis-cycle proposals index the coset directly, so that proposal kind
-    is required here.
+    The chain is the basis-cycle chain with laziness ``LAZINESS``, the
+    chain that ``sample`` runs by default: only basis-cycle moves index the
+    coset directly.  Rational arithmetic for the matrix checks; the TV
+    curve (from the reference-orientation start) is tracked in floating
+    point until it falls below ``tv_threshold``, which must lie in (0, 1).
     """
-    if cfg.proposal != "basis-cycle":
-        raise ValueError("exact diagnostics require the basis-cycle proposal")
     if not 0 < tv_threshold < 1:
         raise ValueError(f"tv_threshold must lie in (0, 1), got {tv_threshold}")
     kernel = CycleKernel(graph)
     weights = _state_weights(kernel, _positive(params), dim_cap)
     k, size = kernel.dimension, len(weights)
-    lazy = Fraction(cfg.laziness)
+    lazy = Fraction(LAZINESS)
     move_prob = (1 - lazy) / k
 
     # sparse transition rows: P[x][x ^ bit_j] = move_prob * min(1, w_y/w_x)

@@ -74,18 +74,6 @@ def _class_of_mask(mask: int, what: str, vertex: int) -> VertexClass:
         ) from None
 
 
-def vertex_class_orientation(
-    graph: LabeledGraph, orientation: Sequence[int], vertex: int
-) -> VertexClass:
-    return _class_of_mask(in_masks(graph, orientation)[vertex], "in-degree", vertex)
-
-
-def vertex_class_coloring(
-    graph: LabeledGraph, coloring: Sequence[int], vertex: int
-) -> VertexClass:
-    return _class_of_mask(red_masks(graph, coloring)[vertex], "red", vertex)
-
-
 def orientation_classes(graph: LabeledGraph, orientation: Sequence[int]) -> list[VertexClass]:
     return [
         _class_of_mask(m, "in-degree", v)
@@ -97,10 +85,6 @@ def coloring_classes(graph: LabeledGraph, coloring: Sequence[int]) -> list[Verte
     return [
         _class_of_mask(m, "red", v) for v, m in enumerate(red_masks(graph, coloring))
     ]
-
-
-def is_even_orientation(graph: LabeledGraph, orientation: Sequence[int]) -> bool:
-    return all(m in CLASS_BY_MASK for m in in_masks(graph, orientation))
 
 
 # ----------------------------------------------------------------------
@@ -202,16 +186,6 @@ def cycle_basis(graph: LabeledGraph) -> CycleBasis:
         elements.append(frozenset(cycle))
     assert len(elements) == m - n + components
     return CycleBasis(tuple(elements), components)
-
-
-def is_even_subgraph(graph: LabeledGraph, edge_set: frozenset[int] | set[int]) -> bool:
-    """True when every vertex meets an even number of half-edges of the set."""
-    deg = [0] * graph.vertex_count
-    for eid in edge_set:
-        e = graph.edges[eid]
-        deg[e.u] += 1
-        deg[e.v] += 1
-    return all(d % 2 == 0 for d in deg)
 
 
 # ----------------------------------------------------------------------
@@ -372,10 +346,6 @@ class FaceColoring:
     face_of_dart: tuple[int, ...]
     colors: tuple[int, ...]
 
-    @property
-    def face_count(self) -> int:
-        return len(self.faces)
-
     def side_faces(self, edge: int) -> tuple[int, int]:
         """(face left of the slot-0 dart, face left of the slot-1 dart)."""
         return self.face_of_dart[2 * edge], self.face_of_dart[2 * edge + 1]
@@ -522,6 +492,11 @@ def orientation_to_bitstring(graph: LabeledGraph, orientation: Sequence[int]) ->
 
 
 def bitstring_to_orientation(graph: LabeledGraph, text: str) -> Bits:
+    """Inverse of ``orientation_to_bitstring``.
+
+    Nothing in the package calls it: it reads the lines that ``eightvertex
+    sample`` prints back into orientations, for users of that output.
+    """
     if len(text) != graph.edge_count or set(text) - {"0", "1"}:
         raise ValueError("bit-string length or alphabet mismatch")
     bits = []

@@ -5,6 +5,13 @@ are exact and are tested with zero tolerance.  The planar group (order 6,
 the symmetric group on three letters) composes the holographic parameter
 maps with the face-coloring swap (b, a, d, c); the bipartite group (order
 12, dihedral) uses the holographic maps directly.
+
+The groups already contain the admissible sign maps: the d flip is the
+planar element MZ^2*MHZ (and the bipartite MZ^5*MHZ), and -I is the
+bipartite element MZ^3.  A sign-flipped image is therefore another
+element's plain image, and the planner needs a single pass over the
+elements.  ``sign_normalize`` serves the diagnostics printed when no
+element works.
 """
 from __future__ import annotations
 
@@ -242,10 +249,6 @@ def group_fingerprint(elements: Sequence[GroupElement]) -> dict:
     return {"order": len(matrices), "abelian": abelian, "element_orders": orders}
 
 
-def apply(matrix: HalfIntMatrix, params: Sequence) -> ParamVec:
-    return matrix.apply(params)
-
-
 # ----------------------------------------------------------------------
 # region predicates (closed inequalities, nonnegative parameters only)
 
@@ -312,13 +315,6 @@ _REGIONS["Ybar"] = lambda p: any(_REGIONS[n + "bar"](p) for n in ("AD", "BD", "C
 _REGIONS["Z"] = _quad
 _REGIONS["Zbar"] = _quad_bar
 
-REGION_NAMES = tuple(sorted(_REGIONS))
-
-
-def in_region_all(params: Sequence, names: Iterable[str]) -> bool:
-    return all(region(params, n) for n in names)
-
-
 def in_yz(params: Sequence) -> bool:
     p = as_params(params)
     if any(x < 0 for x in p):
@@ -374,9 +370,7 @@ def sign_normalize(
 @dataclass(frozen=True)
 class TransformPlan:
     element: GroupElement
-    image: ParamVec  # sign-normalized, inside Y and Z
-    flips: tuple[str, ...]
-    raw_image: ParamVec
+    image: ParamVec  # nonnegative, inside Y and Z
 
     def to_jsonable(self) -> dict:
         from .exact import format_rational
@@ -385,7 +379,7 @@ class TransformPlan:
             "element_word": self.element.label,
             "matrix": [[format_rational(x) for x in row] for row in self.element.matrix.rows],
             "image": [format_rational(x) for x in self.image],
-            "flips": list(self.flips),
+            "flips": [],  # kept in the JSON: plans never need a sign flip
         }
 
 
@@ -399,27 +393,19 @@ def _search_order(elements: Sequence[GroupElement]) -> list[GroupElement]:
 def plan_transform(params: Sequence, graph_class: str) -> TransformPlan | None:
     """Find a group element whose image of ``params`` lies in Y and Z.
 
-    Plans that land nonnegative without any sign flip are preferred; within
-    a pass, elements are tried by shortest generator word, then
-    lexicographically.  The planar class allows only the d flip (planar
-    graphs may have an odd vertex count); the bipartite class allows both.
+    Elements are tried by shortest generator word, then lexicographically.
+    No sign flip is ever tried: each admissible flip (the d flip for the
+    planar class, which may have an odd vertex count, and also the all flip
+    for the bipartite class) is itself a group element, so every flipped
+    image is some element's plain image and this one pass finds it.
     """
     p = as_params(params)
     _require_nonneg(p)
     elements = _search_order(group_for_class(graph_class))
-    parity = _CLASS_PARITY[graph_class]
     for el in elements:
         q = el.matrix.apply(p)
         if all(x >= 0 for x in q) and in_yz(q):
-            return TransformPlan(el, q, (), q)
-    for el in elements:
-        q = el.matrix.apply(p)
-        try:
-            normalized, flips = sign_normalize(q, parity)
-        except SignNormalizeError:
-            continue
-        if flips and in_yz(normalized):
-            return TransformPlan(el, normalized, tuple(flips), q)
+            return TransformPlan(el, q)
     return None
 
 

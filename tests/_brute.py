@@ -5,21 +5,25 @@ directly, with no cycle-space shortcut and no frontier contraction, so
 they check the package's exact routes independently; the reference chain
 recomputes whole weights instead of local ratios, and the reference census
 counts the Gray walk's profiles one state at a time instead of in blocks.
-Keep them dumb.
+The predicates at the end (evenness, Gibbs weights, region intersections,
+arrow-reversal symmetry) have no caller in the package.  Keep them dumb.
 """
 from collections import Counter
 from fractions import Fraction
 from random import Random
 
 from eightvertex.graphs import LabeledGraph
+from eightvertex.holant import TOL_EXACT
 from eightvertex.states import (
     CLASS_BY_MASK,
     DEFAULT_DIM_CAP,
     CycleKernel,
     in_masks,
+    orientation_classes,
     red_masks,
     reference_even_orientation,
 )
+from eightvertex.transforms import region
 
 
 def even_orientations_naive(graph: LabeledGraph):
@@ -27,7 +31,7 @@ def even_orientations_naive(graph: LabeledGraph):
     out = []
     for state in range(1 << m):
         bits = tuple((state >> i) & 1 for i in range(m))
-        if all(mask in CLASS_BY_MASK for mask in in_masks(graph, bits)):
+        if is_even_orientation(graph, bits):
             out.append(bits)
     return out
 
@@ -128,3 +132,58 @@ def metropolis_reference(graph: LabeledGraph, params, moves, seed: int, laziness
             if ratio >= 1 or rng.random() < ratio:
                 bits = proposed
         yield bits
+
+
+# ----------------------------------------------------------------------
+# predicates with no caller in the package
+
+
+def is_even_orientation(graph: LabeledGraph, orientation) -> bool:
+    return all(m in CLASS_BY_MASK for m in in_masks(graph, orientation))
+
+
+def is_even_subgraph(graph: LabeledGraph, edge_set) -> bool:
+    """True when every vertex meets an even number of half-edges of the set."""
+    deg = [0] * graph.vertex_count
+    for eid in edge_set:
+        e = graph.edges[eid]
+        deg[e.u] += 1
+        deg[e.v] += 1
+    return all(d % 2 == 0 for d in deg)
+
+
+def gibbs_weight(graph: LabeledGraph, orientation, params) -> Fraction:
+    """Product over vertices of the class weight; requires positive parameters."""
+    p = tuple(Fraction(x) for x in params)
+    if any(x <= 0 for x in p):
+        raise ValueError("chain weights need strictly positive parameters")
+    w = Fraction(1)
+    for cls in orientation_classes(graph, orientation):
+        w *= p[cls]
+    return w
+
+
+def in_region_all(params, names) -> bool:
+    return all(region(params, n) for n in names)
+
+
+def arrow_reversal_symmetric(table, tol: float = TOL_EXACT) -> bool:
+    """True when every entry equals its bitwise-complement entry.
+
+    Exact comparison for int/Fraction entries, tolerance-based otherwise.
+    Accepts any table whose length is a power of two.
+    """
+    size = len(table)
+    n = size.bit_length() - 1
+    if size != 1 << n:
+        raise ValueError("table length must be a power of two")
+    exact = all(isinstance(x, int) or type(x).__name__ == "Fraction" for x in table)
+    full = size - 1
+    for i in range(size):
+        a, b = table[i], table[i ^ full]
+        if exact:
+            if a != b:
+                return False
+        elif abs(complex(a) - complex(b)) > tol:
+            return False
+    return True

@@ -28,7 +28,7 @@ def test_schedule_endpoints_and_flags(octahedron):
     assert sched.params[0] == (1.0, 1.0, 1.0, 1.0)
     final = sched.params[-1]
     assert all(abs(x - y) < 1e-9 for x, y in zip(final, (3, 3, 3, 1)))
-    assert sched.all_inside
+    assert all(sched.inside_yz)
     assert not sched.warning
     assert all(x > 0 for stage in sched.params for x in stage)
 
@@ -37,7 +37,7 @@ def test_schedule_outside_region_warns_without_refining(octahedron):
     # more stages lie on the same geometric curve, so q stays at its default
     sched = build_schedule(octahedron, (1, 1, 5, 1))
     assert sched.warning
-    assert not sched.all_inside
+    assert not all(sched.inside_yz)
     assert sched.stage_count == default_stage_count(octahedron, as_params((1, 1, 5, 1)))
 
 

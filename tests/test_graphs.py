@@ -114,8 +114,23 @@ def test_parse_rejects_duplicate_label_with_line():
         "edge 1 0 1 1 2\n"  # vertex 0 repeats label 1
         "edge 2 0 3 1 3\n"
         "edge 3 0 4 1 4\n"
+        "\n\n"
     )
-    with pytest.raises(GraphFormatError, match="duplicate label"):
+    with pytest.raises(GraphFormatError, match="line 4: vertex 0: duplicate label 1"):
+        parse_graph(text)
+
+
+def test_parse_reports_edge_within_one_side_at_its_line():
+    text = (
+        "8vx-graph 1\n"
+        "vertices 2 edges 4 embedding bipartite\n"
+        "edge 0 0 1 1 1\n"
+        "edge 1 0 2 0 3\n"  # a self-loop joins side L to itself
+        "edge 2 0 4 1 3\n"
+        "edge 3 1 2 1 4\n"
+        "bipartition L: 0\n"
+    )
+    with pytest.raises(GraphFormatError, match="line 4: edge 1 does not join the two sides"):
         parse_graph(text)
 
 

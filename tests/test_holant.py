@@ -12,13 +12,14 @@ from eightvertex.holant import (
     Z_BASIS,
     QuarticFunction,
     appendix_lemma_check,
-    arrow_reversal_symmetric,
     binary_transform_check,
     constraint_from_params,
     holo_transform,
     kron_power,
     transform_binary_row,
 )
+
+from ._brute import arrow_reversal_symmetric
 
 
 def test_constraint_placement():

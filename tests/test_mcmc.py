@@ -13,7 +13,6 @@ from eightvertex.mcmc import (
     Chain,
     ChainConfig,
     exact_chain_diagnostics,
-    gibbs_weight,
     sample,
 )
 from eightvertex.states import (
@@ -23,11 +22,10 @@ from eightvertex.states import (
     canonical_bipartite_orientation,
     canonical_planar_orientation,
     face_two_coloring,
-    is_even_orientation,
     orientation_classes,
 )
 
-from ._brute import metropolis_reference
+from ._brute import gibbs_weight, is_even_orientation, metropolis_reference
 
 YZ_POINTS = [
     (1, 1, 1, 1),
@@ -50,8 +48,6 @@ def test_gibbs_weight_examples(octahedron, k44):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="laziness"):
-        ChainConfig(seed=0, laziness=Fraction(0))
     with pytest.raises(ValueError, match="proposal"):
         ChainConfig(seed=0, proposal="teleport")
     with pytest.raises(ValueError, match="burn-in"):
@@ -79,7 +75,7 @@ def test_chain_matches_reference_chain(graph_name, proposal, params, seed):
     chain.set_params([float(x) for x in params])
     reference = metropolis_reference(graph, params, kernel.moves, seed, Fraction(1, 2), 300)
     for bits in reference:
-        chain.advance(1, 0.5)
+        chain.advance(1)
         assert chain.orientation() == bits
         # the masks' classes and the cached counts match the orientation, which is even
         classes = orientation_classes(graph, bits)
@@ -103,22 +99,43 @@ class ScriptedRng:
         return move
 
 
+def _one_vertex_moves(n):
+    """n moves, move j toggling two labels at vertex j alone.
+
+    At uniform weights every proposal is taken without an acceptance coin,
+    so the changed vertex shows the drawn move.
+    """
+    return SimpleNamespace(touch=[[(j, 0b11)] for j in range(n)], reference_masks=[0] * n)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 17, 37, 65, 145])
 def test_move_draw_matches_randrange(n):
-    # n moves, move j toggling two labels at vertex j alone: at uniform
-    # weights every proposal is taken without an acceptance coin, so the
-    # changed vertex shows the drawn move, and laziness 0 still draws its coin
-    kernel = SimpleNamespace(touch=[[(j, 0b11)] for j in range(n)], reference_masks=[0] * n)
     seed = 1000 + n
-    chain = Chain(kernel, Random(seed))
+    chain = Chain(_one_vertex_moves(n), Random(seed))
     reference = Random(seed)
+    moved = 0
     for _ in range(3000):
         before = list(chain.masks)
-        chain.advance(1, 0.0)
-        (drawn,) = [v for v in range(n) if chain.masks[v] != before[v]]
-        reference.random()
-        assert drawn == reference.randrange(n)
+        chain.advance(1)
+        changed = [v for v in range(n) if chain.masks[v] != before[v]]
+        if reference.random() < 0.5:  # the laziness coin holds the state
+            assert changed == []
+        else:
+            assert changed == [reference.randrange(n)]
+            moved += 1
+    assert moved > 1000
     assert chain.rng.getstate() == reference.getstate()
+
+
+def test_lazy_coin_boundary():
+    # a coin below 1/2 holds the state and draws no move; a coin of exactly
+    # 1/2 draws one, which the uniform weights then take without a coin
+    chain = Chain(_one_vertex_moves(3), ScriptedRng([0.4999, 0.5], [1]))
+    chain.advance(1)
+    assert chain.masks == [0, 0, 0] and chain.rng.moves == [1]
+    chain.advance(1)
+    assert chain.masks == [0, 0b11, 0]
+    assert chain.rng.coins == [] and chain.rng.moves == []
 
 
 def test_chain_needs_a_move():
@@ -129,17 +146,17 @@ def test_chain_needs_a_move():
 
 def test_periodic_recount_catches_drifted_counts(torus22):
     chain = Chain(CycleKernel(torus22), Random(3))
-    chain.advance(_RECOUNT_PERIOD, 0.5)  # a recount that agrees passes
+    chain.advance(_RECOUNT_PERIOD)  # a recount that agrees passes
     chain.counts[0] += 1
     with pytest.raises(AssertionError, match="drifted"):
-        chain.advance(_RECOUNT_PERIOD, 0.5)
+        chain.advance(_RECOUNT_PERIOD)
 
 
 def _chain_at(kernel, coords):
     """A chain moved to the reference xor the moves in ``coords`` by forced flips."""
     flips = [j for j in range(len(kernel.moves)) if coords >> j & 1]
     chain = Chain(kernel, ScriptedRng([0.9] * len(flips), flips))
-    chain.advance(len(flips), 0.5)
+    chain.advance(len(flips))
     return chain
 
 
@@ -157,7 +174,7 @@ def test_uniform_point_accepts_every_proposal(torus22):
             chain.set_params([1.0] * 4)
             before = chain.orientation()
             chain.rng = ScriptedRng([0.9], [move])
-            chain.advance(1, 0.5)
+            chain.advance(1)
             assert chain.orientation() == _flipped(before, kernel.moves[move])
             assert chain.rng.coins == [] and chain.rng.moves == []
 
@@ -184,7 +201,7 @@ def test_known_acceptance_ratio(torus22):
             chain.rng = ScriptedRng([0.9, 0.9, 0.2499, 0.9, 0.9, 0.2501], [move] * 4)
             seen = []
             for _ in range(4):
-                chain.advance(1, 0.5)
+                chain.advance(1)
                 seen.append(chain.orientation())
             assert seen == [flipped, start, flipped, flipped]
             assert chain.rng.coins == [] and chain.rng.moves == []
@@ -231,7 +248,7 @@ def test_empirical_class_frequencies_match_census(octahedron):
 
 @pytest.mark.parametrize("params", YZ_POINTS)
 def test_exact_diagnostics_octahedron(octahedron, params):
-    diag = exact_chain_diagnostics(octahedron, params, ChainConfig(seed=0))
+    diag = exact_chain_diagnostics(octahedron, params)
     assert diag.states == 128
     assert diag.detailed_balance
     assert diag.stationary_exact
@@ -241,7 +258,7 @@ def test_exact_diagnostics_octahedron(octahedron, params):
 
 
 def test_exact_diagnostics_k44(k44):
-    diag = exact_chain_diagnostics(k44, (2, 2, 3, 1), ChainConfig(seed=0))
+    diag = exact_chain_diagnostics(k44, (2, 2, 3, 1))
     assert diag.states == 512
     assert diag.detailed_balance and diag.stationary_exact
     assert diag.steps_to_threshold is not None
@@ -250,13 +267,12 @@ def test_exact_diagnostics_k44(k44):
 @pytest.mark.parametrize("threshold", [0.0, -0.1, 1.0, 1.5, float("nan")])
 def test_diagnostics_refuse_threshold_outside_unit_interval(loop_graph, threshold):
     with pytest.raises(ValueError, match="tv_threshold"):
-        exact_chain_diagnostics(loop_graph, (1, 1, 1, 1), ChainConfig(seed=0),
-                                tv_threshold=threshold)
+        exact_chain_diagnostics(loop_graph, (1, 1, 1, 1), tv_threshold=threshold)
 
 
 def test_diagnostics_cap(torus44):
     with pytest.raises(ValueError, match="cap"):
-        exact_chain_diagnostics(torus44, (1, 1, 1, 1), ChainConfig(seed=0))
+        exact_chain_diagnostics(torus44, (1, 1, 1, 1))
 
 
 def test_reachability(octahedron, k44):

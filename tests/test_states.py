@@ -14,19 +14,20 @@ from eightvertex.states import (
     enumerate_even_orientations,
     face_two_coloring,
     in_masks,
-    is_even_orientation,
-    is_even_subgraph,
     orientation_classes,
     orientation_to_coloring,
     bitstring_to_orientation,
     orientation_to_bitstring,
     red_masks,
     reference_even_orientation,
-    vertex_class_coloring,
-    vertex_class_orientation,
 )
 
-from ._brute import even_colorings_naive, even_orientations_naive
+from ._brute import (
+    even_colorings_naive,
+    even_orientations_naive,
+    is_even_orientation,
+    is_even_subgraph,
+)
 
 
 def test_class_table_matches_constraint_positions():
@@ -154,7 +155,7 @@ def test_coset_property(torus22):
 
 def test_face_two_coloring_octahedron(octahedron):
     fc = face_two_coloring(octahedron)
-    assert fc.face_count == 8
+    assert len(fc.faces) == 8
     assert fc.colors.count(0) == 4 and fc.colors.count(1) == 4
     assert fc.colors[0] == 0  # reference face is white
     for eid in range(octahedron.edge_count):
@@ -164,7 +165,7 @@ def test_face_two_coloring_octahedron(octahedron):
 
 def test_face_two_coloring_tori(torus44, torus34):
     fc = face_two_coloring(torus44)
-    assert fc.face_count == 16
+    assert len(fc.faces) == 16
     assert fc.colors.count(0) == 8
     with pytest.raises(DualNotBipartiteError) as err:
         face_two_coloring(torus34)
@@ -249,12 +250,10 @@ def test_per_state_bipartite_class_preservation(k44, torus22, torus24):
 
 def test_vertex_class_single_lookups(octahedron):
     ref = reference_even_orientation(octahedron)
-    for v in range(6):
-        assert vertex_class_orientation(octahedron, ref, v) == orientation_classes(
-            octahedron, ref
-        )[v]
+    masks = in_masks(octahedron, ref)
+    assert orientation_classes(octahedron, ref) == [CLASS_BY_MASK[m] for m in masks]
     all_red = (1,) * 12
-    assert vertex_class_coloring(octahedron, all_red, 0) == VertexClass.D
+    assert coloring_classes(octahedron, all_red) == [VertexClass.D] * 6
 
 
 def test_vertex_class_rejects_odd_states(octahedron):
