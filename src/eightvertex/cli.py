@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from random import Random
 
 from . import __version__
@@ -42,6 +41,7 @@ from .transforms import (
     plan_transform,
     planar_group,
     preimage_spotcheck,
+    sample_region_point,
 )
 
 
@@ -123,27 +123,8 @@ def _cmd_plan(args) -> int:
     p = _parse_params(args.params)
     plan = plan_transform(p, args.graph_class)
     if plan is None:
-        report = plan_report(p, args.graph_class)
-        print(
-            json.dumps(
-                {
-                    "plan": None,
-                    "diagnostics": [
-                        {
-                            "element": row["element"],
-                            "normalized": None
-                            if row.get("normalized") is None
-                            else [format_rational(x) for x in row["normalized"]],
-                            "in_Y": row.get("in_Y"),
-                            "in_Z": row.get("in_Z"),
-                            "reason": row.get("reason"),
-                        }
-                        for row in report
-                    ],
-                },
-                indent=2,
-            )
-        )
+        payload = {"plan": None, "diagnostics": plan_report(p, args.graph_class)}
+        print(json.dumps(payload, indent=2))
         return 1
     print(json.dumps(plan.to_jsonable(), indent=2))
     return 0
@@ -205,54 +186,31 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def _rand_params(rng: Random):
-    span = 65536
-    return tuple(Fraction(rng.randrange(0, span + 1), span) for _ in range(4))
-
-
 def _verify_holant(seed: int) -> bool:
     import numpy as np
 
-    from .holant import (
-        HZ_BASIS,
-        Z_BASIS,
-        constraint_from_params,
-        holo_transform,
-    )
+    from .holant import HZ_BASIS, Z_BASIS, constraint_from_params, holo_transform
+    from .transforms import MHZ, MZ
 
     ok = True
     report = binary_transform_check()
     ok &= _check("binary constraints transform (Z and H cases)", report["passed"])
 
+    # the basis change on every leg must act on (a, b, c, d) as the
+    # planner's parameter map
+    maps = (("Z", Z_BASIS, np.array(MZ.rows, dtype=float)),
+            ("HZ", HZ_BASIS, np.array(MHZ.rows, dtype=float)))
+    worst = {name: 0.0 for name, _, _ in maps}
     rng = Random(seed)
-    worst_z = worst_hz = 0.0
     for _ in range(100):
-        a, b, c, d = (rng.uniform(-1, 1) for _ in range(4))
-        f = constraint_from_params(a, b, c, d)
-        got_z = holo_transform(Z_BASIS, f).constraint_matrix()
-        want_z = 0.5 * np.array(
-            [
-                [a + b + c + d, 0, 0, -a + b + c - d],
-                [0, a - b + c - d, a + b - c - d, 0],
-                [0, a + b - c - d, a - b + c - d, 0],
-                [-a + b + c - d, 0, 0, a + b + c + d],
-            ]
-        )
-        worst_z = max(worst_z, float(np.abs(got_z - want_z).max()))
-        got_hz = holo_transform(HZ_BASIS, f).constraint_matrix()
-        want_hz = 0.5 * np.array(
-            [
-                [a + b + c - d, 0, 0, -a + b + c + d],
-                [0, a - b + c + d, a + b - c + d, 0],
-                [0, a + b - c + d, a - b + c + d, 0],
-                [-a + b + c + d, 0, 0, a + b + c - d],
-            ]
-        )
-        worst_hz = max(worst_hz, float(np.abs(got_hz - want_hz).max()))
-    ok &= _check("Z-image closed form (100 random params)", worst_z < 1e-10,
-                 f"max dev {worst_z:.2e}")
-    ok &= _check("HZ-image closed form (100 random params)", worst_hz < 1e-10,
-                 f"max dev {worst_hz:.2e}")
+        p = np.array([rng.uniform(-1, 1) for _ in range(4)])
+        for name, basis, matrix in maps:
+            got = holo_transform(basis, constraint_from_params(*p)).table
+            want = constraint_from_params(*(matrix @ p)).table
+            worst[name] = max(worst[name], float(np.abs(got - want).max()))
+    for name, dev in worst.items():
+        ok &= _check(f"{name}-image closed form (100 random params)", dev < 1e-10,
+                     f"max dev {dev:.2e}")
 
     rep = appendix_lemma_check(100, 4, seed=seed)
     ok &= _check("arrow-reversal iff real Z-image (100+100 tables)", rep["passed"])
@@ -305,34 +263,25 @@ def _verify_bijection() -> bool:
     )
 
     ok = True
-    swap = {0: 1, 1: 0, 2: 3, 3: 2}  # A<->B, C<->D
-    oct_ = gen_octahedron()
-    canon = canonical_planar_orientation(oct_, face_two_coloring(oct_))
-    images = set()
-    per_state = True
-    for tau in enumerate_even_orientations(oct_):
-        coloring = orientation_to_coloring(oct_, tau, canon)
-        images.add(coloring)
-        want = sorted(swap[c] for c in orientation_classes(oct_, tau))
-        got = sorted(coloring_classes(oct_, coloring))
-        per_state &= want == got
-    ok &= _check(
-        "octahedron bijection is onto all even colorings", len(images) == 128
+    # (name, graph, canonical orientation, class map, even-coloring count, class check)
+    cases = (
+        ("octahedron", gen_octahedron(),
+         lambda g: canonical_planar_orientation(g, face_two_coloring(g)),
+         {0: 1, 1: 0, 2: 3, 3: 2}, 128, "class swap A<->B, C<->D"),
+        ("K4,4", gen_k44(), canonical_bipartite_orientation,
+         {0: 0, 1: 1, 2: 2, 3: 3}, 512, "classes preserved"),
     )
-    ok &= _check("octahedron per-state class swap A<->B, C<->D", per_state)
-
-    k44 = gen_k44()
-    canon = canonical_bipartite_orientation(k44)
-    per_state = True
-    images = set()
-    for tau in enumerate_even_orientations(k44):
-        coloring = orientation_to_coloring(k44, tau, canon)
-        images.add(coloring)
-        per_state &= sorted(orientation_classes(k44, tau)) == sorted(
-            coloring_classes(k44, coloring)
-        )
-    ok &= _check("K4,4 bijection is onto all even colorings", len(images) == 512)
-    ok &= _check("K4,4 per-state classes preserved", per_state)
+    for name, graph, canonical, classes, count, class_check in cases:
+        canon = canonical(graph)
+        images = set()
+        per_state = True
+        for tau in enumerate_even_orientations(graph):
+            coloring = orientation_to_coloring(graph, tau, canon)
+            images.add(coloring)
+            want = sorted(classes[c] for c in orientation_classes(graph, tau))
+            per_state &= want == sorted(coloring_classes(graph, coloring))
+        ok &= _check(f"{name} bijection is onto all even colorings", len(images) == count)
+        ok &= _check(f"{name} per-state {class_check}", per_state)
     return ok
 
 
@@ -344,7 +293,7 @@ def _verify_signs(seed: int) -> bool:
         census = census_8v(graph)
         good_d = good_all = True
         for _ in range(20):
-            a, b, c, d = _rand_params(rng)
+            a, b, c, d = sample_region_point(rng, ())
             good_d &= census.evaluate((a, b, c, d)) == census.evaluate((a, b, c, -d))
             good_all &= census.evaluate((a, b, c, d)) == census.evaluate(
                 (-a, -b, -c, -d)
@@ -357,22 +306,15 @@ def _verify_signs(seed: int) -> bool:
 def _verify_invariance(seed: int) -> bool:
     rng = Random(seed)
     ok = True
-    oct_ = gen_octahedron()
-    census = census_8v(oct_)
-    good = True
-    for el in planar_group():
-        for _ in range(5):
-            p = _rand_params(rng)
-            good &= census.evaluate(p) == census.evaluate(el.matrix.apply(p))
-    ok &= _check("planar transforms preserve the octahedron value", good)
-    k44 = gen_k44()
-    census = census_8v(k44)
-    good = True
-    for el in bipartite_group():
-        for _ in range(5):
-            p = _rand_params(rng)
-            good &= census.evaluate(p) == census.evaluate(el.matrix.apply(p))
-    ok &= _check("bipartite transforms preserve the K4,4 value", good)
+    for name, graph, graph_class in (("octahedron", gen_octahedron(), "planar"),
+                                     ("K4,4", gen_k44(), "bipartite")):
+        census = census_8v(graph)
+        good = True
+        for el in group_for_class(graph_class):
+            for _ in range(5):
+                p = sample_region_point(rng, ())
+                good &= census.evaluate(p) == census.evaluate(el.matrix.apply(p))
+        ok &= _check(f"{graph_class} transforms preserve the {name} value", good)
     return ok
 
 

@@ -9,6 +9,7 @@ this evaluates parameters far outside the rapidly-mixing region.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -160,12 +161,19 @@ def anneal_estimate(
     meets the (eps, delta) contract under the range-based variance model.
     Deterministic for a fixed seed.
 
-    Of ``cfg`` it reads ``seed`` (the master generator of the chain seeds),
-    ``proposal`` (the move set) and ``burn_in``, as a floor under the
-    initial burn-in of 10k steps for cycle-space dimension k.  ``thinning``
-    is not read: the stages thin by (k+1)/2 steps of their own.
+    Of ``cfg`` it reads ``seed`` (the master generator of the chain seeds)
+    and ``proposal`` (the move set).  It refuses a ``burn_in`` other than 0
+    or a ``thinning`` other than 1 with a ``ValueError``: the chains burn in
+    10k steps for cycle-space dimension k, and the stages thin by (k+1)/2
+    steps of their own.
     """
     _check_accuracy(eps, delta)
+    for name, unset in (("burn_in", 0), ("thinning", 1)):
+        if getattr(cfg, name) != unset:
+            raise ValueError(
+                f"anneal_estimate sets its own {name}; ChainConfig.{name} must be "
+                f"{unset}, got {getattr(cfg, name)}"
+            )
     t = as_params(target)
     if any(x <= 0 for x in t):
         raise ValueError("anneal target must be strictly positive")
@@ -205,9 +213,8 @@ def anneal_estimate(
     # the raw seed would make nearby seeds share chain-seed multisets
     master = Random(cfg.seed)
     chains = [Chain(kernel, Random(master.getrandbits(64))) for _ in range(groups)]
-    initial_burn = max(cfg.burn_in, 10 * k)
     for chain in chains:
-        chain.advance(initial_burn)
+        chain.advance(10 * k)
 
     log_products = [0.0] * groups
     stage_relvars = []
@@ -293,7 +300,7 @@ def estimate_z8v(
         report = plan_report(p, graph_class)
         raise PipelineError(
             f"no group element maps {tuple(map(str, p))} into the rapidly-mixing "
-            f"region; per-element diagnostics: {report}"
+            f"region; per-element diagnostics: {json.dumps(report)}"
         )
     if any(x == 0 for x in plan.image):
         try:

@@ -26,6 +26,7 @@ from .graphs import LabeledGraph
 from .states import CLASS16, Bits, CycleKernel
 
 DIAGNOSTIC_DIM_CAP = 12
+DIAGNOSTIC_MAX_STEPS = 200_000
 # the probability that a step holds the state without drawing a move
 LAZINESS = 0.5
 _RECOUNT_PERIOD = 1 << 16
@@ -189,7 +190,7 @@ class ChainDiagnostics:
     tv_threshold: float
 
 
-def _state_weights(kernel: CycleKernel, params, dim_cap: int) -> list[Fraction]:
+def _state_weights(kernel: CycleKernel, params) -> list[Fraction]:
     """Exact Gibbs weight per cycle-space coordinate (bit j = basis cycle j)."""
 
     def weight(profile) -> Fraction:
@@ -198,16 +199,12 @@ def _state_weights(kernel: CycleKernel, params, dim_cap: int) -> list[Fraction]:
             w *= p_i**n_i
         return w
 
-    walk = kernel.walk(list(kernel.reference_masks), dim_cap)
+    walk = kernel.walk(list(kernel.reference_masks), DIAGNOSTIC_DIM_CAP)
     return [w for _, w in sorted((i ^ (i >> 1), weight(p)) for i, p in enumerate(walk))]
 
 
 def exact_chain_diagnostics(
-    graph: LabeledGraph,
-    params,
-    dim_cap: int = DIAGNOSTIC_DIM_CAP,
-    tv_threshold: float = 0.01,
-    max_steps: int = 200_000,
+    graph: LabeledGraph, params, tv_threshold: float = 0.01
 ) -> ChainDiagnostics:
     """Exact transition matrix,  detailed balance, and TV decay to stationarity.
 
@@ -215,12 +212,14 @@ def exact_chain_diagnostics(
     chain that ``sample`` runs by default: only basis-cycle moves index the
     coset directly.  Rational arithmetic for the matrix checks; the TV
     curve (from the reference-orientation start) is tracked in floating
-    point until it falls below ``tv_threshold``, which must lie in (0, 1).
+    point until it falls below ``tv_threshold``, which must lie in (0, 1),
+    or for ``DIAGNOSTIC_MAX_STEPS`` steps.  Graphs of cycle-space dimension
+    above ``DIAGNOSTIC_DIM_CAP`` are refused.
     """
     if not 0 < tv_threshold < 1:
         raise ValueError(f"tv_threshold must lie in (0, 1), got {tv_threshold}")
     kernel = CycleKernel(graph)
-    weights = _state_weights(kernel, _positive(params), dim_cap)
+    weights = _state_weights(kernel, _positive(params))
     k, size = kernel.dimension, len(weights)
     lazy = Fraction(LAZINESS)
     move_prob = (1 - lazy) / k
@@ -265,7 +264,7 @@ def exact_chain_diagnostics(
     steps_to_threshold = None
     idx = np.arange(size)
     flipped = [idx ^ (1 << j) for j in range(k)]
-    for t in range(1, max_steps + 1):
+    for t in range(1, DIAGNOSTIC_MAX_STEPS + 1):
         nxt = mu * stay_f
         for j in range(k):
             nxt[flipped[j]] += mu * acc[:, j]

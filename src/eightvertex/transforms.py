@@ -21,9 +21,11 @@ from functools import lru_cache
 from random import Random
 from typing import Iterable, Sequence
 
-from .exact import ParamVec, as_params
+from .exact import ParamVec, as_params, format_rational
 
 _HALF = Fraction(1, 2)
+# HalfIntMatrix.order gives up past this; the group elements have order <= 6
+ORDER_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -72,13 +74,13 @@ class HalfIntMatrix:
             out = out @ base
         return out
 
-    def order(self, cap: int = 64) -> int:
+    def order(self) -> int:
         acc = self
-        for k in range(1, cap + 1):
+        for k in range(1, ORDER_CAP + 1):
             if acc == IDENTITY:
                 return k
             acc = acc @ self
-        raise ValueError(f"order exceeds {cap}")
+        raise ValueError(f"order exceeds {ORDER_CAP}")
 
 
 def _det4(rows) -> Fraction:
@@ -373,8 +375,6 @@ class TransformPlan:
     image: ParamVec  # nonnegative, inside Y and Z
 
     def to_jsonable(self) -> dict:
-        from .exact import format_rational
-
         return {
             "element_word": self.element.label,
             "matrix": [[format_rational(x) for x in row] for row in self.element.matrix.rows],
@@ -410,24 +410,29 @@ def plan_transform(params: Sequence, graph_class: str) -> TransformPlan | None:
 
 
 def plan_report(params: Sequence, graph_class: str) -> list[dict]:
-    """Per-element diagnostics for a failed (or successful) plan search."""
+    """The per-element rows that ``plan`` prints when no element works.
+
+    One JSON-ready row per element in search order: ``element`` (its
+    label), ``normalized`` (the sign-normalized image as rational strings,
+    or None), ``in_Y`` and ``in_Z`` (None when there is no nonnegative
+    image) and ``reason`` (why there is none, else None).
+    """
     p = as_params(params)
     _require_nonneg(p)
     parity = _CLASS_PARITY[graph_class]
     rows = []
     for el in _search_order(group_for_class(graph_class)):
-        q = el.matrix.apply(p)
-        entry: dict = {"element": el.label, "raw_image": q}
+        row = {"element": el.label, "normalized": None, "in_Y": None, "in_Z": None,
+               "reason": None}
         try:
-            normalized, flips = sign_normalize(q, parity)
-            entry["normalized"] = normalized
-            entry["flips"] = flips
-            entry["in_Y"] = region(normalized, "Y")
-            entry["in_Z"] = region(normalized, "Z")
+            normalized, _ = sign_normalize(el.matrix.apply(p), parity)
         except SignNormalizeError:
-            entry["normalized"] = None
-            entry["reason"] = "no nonnegative sign orbit"
-        rows.append(entry)
+            row["reason"] = "no nonnegative sign orbit"
+        else:
+            row["normalized"] = [format_rational(x) for x in normalized]
+            row["in_Y"] = region(normalized, "Y")
+            row["in_Z"] = region(normalized, "Z")
+        rows.append(row)
     return rows
 
 
@@ -466,7 +471,10 @@ REJECTION_CAP = 100_000
 def sample_region_point(
     rng: Random, names: Sequence[str], cap: int = REJECTION_CAP
 ) -> ParamVec:
-    """Uniform rational point of the unit box conditioned on the region."""
+    """Uniform rational point of the unit box conditioned on the region.
+
+    With no region names (``()``) this is one plain draw from the box.
+    """
     for _ in range(cap):
         p = tuple(
             Fraction(rng.randrange(SAMPLE_DENOMINATOR + 1), SAMPLE_DENOMINATOR)
@@ -520,10 +528,7 @@ def preimage_spotcheck(samples_per_row: int = 100, seed: int = 0) -> SpotcheckRe
                     failures += 1
             comp_samples = comp_violations = 0
             while comp_samples < samples_per_row:
-                p = tuple(
-                    Fraction(rng.randrange(SAMPLE_DENOMINATOR + 1), SAMPLE_DENOMINATOR)
-                    for _ in range(4)
-                )
+                p = sample_region_point(rng, ())
                 if all(_REGIONS[n](p) for n in names):
                     continue
                 comp_samples += 1

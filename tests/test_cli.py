@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -270,6 +274,16 @@ GOLDEN = [
      "5a4435f5a7f41786051f0bec556ada6f874af54cf1e27ce7b7a42d8d239511bd"),
     (("verify", "invariance", "--seed", "1"), 0,
      "53002df7c9b2dfb2bebb25f136ff32be027b74ce9ef52d790830335833e2c52f"),
+    (("verify", "groups", "--seed", "1"), 0,
+     "ea51867a38e5b69f2294e4c74b35b5f782b95c886055cc88c9050e10f229bff6"),
+    (("verify", "bijection", "--seed", "1"), 0,
+     "f9e4c6d31c7d14947376845b0aa50617331705fb07d39df6605028a3295ca9ad"),
+    (("verify", "regions", "--seed", "1"), 0,
+     "2e626d5114458023cbee83e11c8f1af98f279359f3575fcaa97100c10ab67412"),
+    (("group-table", "--class", "planar"), 0,
+     "eee00518a48b2a7c39dfff988a5b8b9259af8a505cc31fe5fde7cac7183a3950"),
+    (("group-table", "--class", "bipartite"), 0,
+     "d12d54551c513b3de9190e5123464cda670f05e07fee48350d5b07d9b270b812"),
 ]
 GOLDEN_GRAPHS = {"torus4x4": lambda: gen_torus(4, 4), "octahedron": gen_octahedron,
                  "k44": gen_k44}
@@ -293,3 +307,20 @@ def test_fixed_seed_output_pinned(tmp_path, capsys, argv, exit_code, digest):
     code, out, _ = run(capsys, command, *rest)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _run_module(*argv):
+    """Run ``python -m eightvertex`` in a fresh process on this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "eightvertex", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_exit_status(tmp_path):
+    proc = _run_module("verify", "groups", "--seed", "1")
+    assert proc.returncode == 0
+    assert proc.stdout.rstrip("\n").endswith("== result: PASS")
+    proc = _run_module("exact", "--graph", str(tmp_path / "missing.8vx"),
+                       "--params", "1,1,1,1")
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr

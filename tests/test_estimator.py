@@ -1,6 +1,3 @@
-import math
-from fractions import Fraction
-
 import pytest
 
 from eightvertex.estimator import (
@@ -11,7 +8,7 @@ from eightvertex.estimator import (
     estimate_z8v,
 )
 from eightvertex.exact import as_params, z8v_exact
-from eightvertex.graphs import LabeledGraph, gen_torus
+from eightvertex.graphs import gen_torus
 from eightvertex.mcmc import ChainConfig
 from eightvertex.states import CycleKernel
 
@@ -64,6 +61,13 @@ def test_anneal_accuracy_small_target(octahedron):
     assert abs(est.value / exact - 1) < 0.05
     assert est.stages > 0
     assert est.groups >= 12
+
+
+@pytest.mark.parametrize("field, value", [("burn_in", 50), ("thinning", 3)])
+def test_anneal_refuses_chain_settings_it_does_not_read(octahedron, field, value):
+    cfg = ChainConfig(seed=1, **{field: value})
+    with pytest.raises(ValueError, match=f"ChainConfig.{field}"):
+        anneal_estimate(octahedron, (2, 2, 2, 1), 0.05, 0.25, cfg)
 
 
 def test_seeded_reproducibility(octahedron):

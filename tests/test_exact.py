@@ -9,7 +9,6 @@ from eightvertex import exact
 from eightvertex.exact import (
     CENSUS_BLOCK,
     FRONTIER_CAP,
-    Census,
     _frontier_plan,
     as_params,
     census_8v,

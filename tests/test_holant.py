@@ -18,6 +18,7 @@ from eightvertex.holant import (
     kron_power,
     transform_binary_row,
 )
+from eightvertex.transforms import MHZ, MZ
 
 from ._brute import arrow_reversal_symmetric
 
@@ -102,6 +103,19 @@ def test_hz_image_closed_form():
             ]
         )
         assert np.abs(got.constraint_matrix() - want).max() < 1e-10
+
+
+@pytest.mark.parametrize("basis, generator", [(Z_BASIS, MZ), (HZ_BASIS, MHZ)],
+                         ids=["Z-MZ", "HZ-MHZ"])
+def test_basis_change_acts_as_planner_generator(basis, generator):
+    # the tensor transform and the planner's exact parameter map are one map
+    matrix = np.array(generator.rows, dtype=float)
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        p = rng.uniform(-2, 2, 4)
+        got = holo_transform(basis, constraint_from_params(*p)).table
+        want = constraint_from_params(*(matrix @ p)).table
+        assert np.abs(got - want).max() < 1e-12
 
 
 def test_binary_transforms():
