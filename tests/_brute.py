@@ -167,6 +167,37 @@ def in_region_all(params, names) -> bool:
     return all(region(params, n) for n in names)
 
 
+def region_by_hand(params, name: str) -> bool:
+    """The twenty region inequalities, each written out in full."""
+    a, b, c, d = (Fraction(x) for x in params)
+    sa, sb, sc, sd = a * a, b * b, c * c, d * d
+    table = {
+        "A": a <= b + c + d,
+        "Abar": a >= b + c + d,
+        "B": b <= a + c + d,
+        "Bbar": b >= a + c + d,
+        "C": c <= a + b + d,
+        "Cbar": c >= a + b + d,
+        "D": d <= a + b + c,
+        "Dbar": d >= a + b + c,
+        "AD": a + d <= b + c,
+        "ADbar": a + d >= b + c,
+        "BD": b + d <= a + c,
+        "BDbar": b + d >= a + c,
+        "CD": c + d <= a + b,
+        "CDbar": c + d >= a + b,
+        "X": a <= b + c + d and b <= a + c + d and c <= a + b + d and d <= a + b + c,
+        "Xbar": a >= b + c + d or b >= a + c + d or c >= a + b + d or d >= a + b + c,
+        "Y": a + d <= b + c and b + d <= a + c and c + d <= a + b,
+        "Ybar": a + d >= b + c or b + d >= a + c or c + d >= a + b,
+        "Z": sa <= sb + sc + sd and sb <= sa + sc + sd and sc <= sa + sb + sd
+        and sd <= sa + sb + sc,
+        "Zbar": sa >= sb + sc + sd or sb >= sa + sc + sd or sc >= sa + sb + sd
+        or sd >= sa + sb + sc,
+    }
+    return table[name]
+
+
 def arrow_reversal_symmetric(table, tol: float = TOL_EXACT) -> bool:
     """True when every entry equals its bitwise-complement entry.
 

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eightvertex.exact import census_8v
 from eightvertex.transforms import (
@@ -22,6 +24,7 @@ from eightvertex.transforms import (
     group_closure,
     group_fingerprint,
     plan_report,
+    in_yz,
     plan_transform,
     planar_group,
     preimage_spotcheck,
@@ -30,7 +33,7 @@ from eightvertex.transforms import (
     sign_normalize,
 )
 
-from ._brute import in_region_all, random_rationals
+from ._brute import in_region_all, random_rationals, region_by_hand
 
 H = Fraction(1, 2)
 
@@ -169,6 +172,42 @@ def test_region_examples():
         region((-1, 1, 1, 1), "Y")
     with pytest.raises(KeyError):
         region((1, 1, 1, 1), "Q")
+
+
+REGION_NAMES = tuple(
+    name + suffix
+    for name in ("A", "B", "C", "D", "AD", "BD", "CD", "X", "Y", "Z")
+    for suffix in ("", "bar")
+)
+NONNEG = st.fractions(min_value=0, max_value=8, max_denominator=12)
+# integer points with one square equal to the sum of the other three
+SQUARE_BOUNDARIES = ((3, 2, 2, 1), (7, 6, 3, 2), (9, 8, 4, 1), (1, 1, 0, 0))
+
+
+@st.composite
+def boundary_points(draw):
+    """Nonnegative points on one region boundary, coordinates shuffled."""
+    kind = draw(st.sampled_from(("single", "pair", "square")))
+    if kind == "single":
+        x, y, z = draw(st.tuples(NONNEG, NONNEG, NONNEG))
+        point = [x + y + z, x, y, z]
+    elif kind == "pair":
+        s1, t1 = draw(st.tuples(NONNEG, NONNEG))
+        total = max(s1, t1) + draw(NONNEG)
+        point = [s1, total - s1, t1, total - t1]
+    else:
+        point = [draw(NONNEG) * x for x in draw(st.sampled_from(SQUARE_BOUNDARIES))]
+    return tuple(draw(st.permutations(point)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.tuples(NONNEG, NONNEG, NONNEG, NONNEG) | boundary_points())
+@example(p=(Fraction(1), Fraction(2), Fraction(2), Fraction(1)))  # a+d = b+c
+@example(p=(Fraction(0),) * 4)
+def test_regions_match_hand_written_inequalities(p):
+    for name in REGION_NAMES:
+        assert region(p, name) == region_by_hand(p, name), name
+    assert in_yz(p) == (region_by_hand(p, "Y") and region_by_hand(p, "Z"))
 
 
 def test_region_containments():
