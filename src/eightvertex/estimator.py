@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -18,7 +19,7 @@ from typing import Sequence
 
 from .exact import ParamVec, as_params, z8v_exact
 from .graphs import LabeledGraph
-from .mcmc import Chain, ChainConfig
+from .mcmc import Chain, ChainConfig, chain_weights, float_or_inf
 from .states import CycleKernel, face_two_coloring
 from .transforms import TransformPlan, in_yz, plan_report, plan_transform
 
@@ -166,6 +167,10 @@ def anneal_estimate(
     or a ``thinning`` other than 1 with a ``ValueError``: the chains burn in
     10k steps for cycle-space dimension k, and the stages thin by (k+1)/2
     steps of their own.
+
+    Before any chain step it also refuses, with a ``ValueError``, a target
+    that ``chain_weights`` refuses, or one where the bracket
+    [k ln 2 + n ln min, k ln 2 + n ln max] around ln Z leaves the float range.
     """
     _check_accuracy(eps, delta)
     for name, unset in (("burn_in", 0), ("thinning", 1)):
@@ -182,7 +187,17 @@ def anneal_estimate(
             "target outside the rapidly-mixing region; plan a transform first"
         )
     kernel = CycleKernel(graph, cfg.proposal)
-    anchor = 1 << kernel.dimension
+    weights = chain_weights(t, kernel)
+    n, k = graph.vertex_count, kernel.dimension
+    # Z sums 2^k state weights, each a product of n class weights
+    low = k * math.log(2) + n * math.log(min(weights))
+    high = k * math.log(2) + n * math.log(max(weights))
+    if low < math.log(sys.float_info.min) or high > math.log(sys.float_info.max):
+        raise ValueError(
+            f"ln Z lies in [{low:.1f}, {high:.1f}], which leaves the float range "
+            f"[{math.log(sys.float_info.min):.1f}, {math.log(sys.float_info.max):.1f}]"
+        )
+    anchor = 1 << k
     if t == UNIFORM:
         return Estimate(
             value=float(anchor),
@@ -196,8 +211,6 @@ def anneal_estimate(
 
     schedule = build_schedule(graph, t)
     q = schedule.stage_count
-    n = graph.vertex_count
-    k = kernel.dimension
     groups = _group_count(delta)
     s_g = _samples_per_group(q, n, t, eps)
     thinning = max(1, (k + 1) // 2)
@@ -290,7 +303,8 @@ def estimate_z8v(
     No correction factor is applied: the planned transform preserves the
     partition function exactly.  Planned images with zero entries cannot be
     annealed; they fall back to the exact contraction (flagged in the
-    diagnostics), which raises ``PipelineError`` on a graph too wide for it.
+    diagnostics), which raises ``PipelineError`` on a graph too wide for it
+    and ``ValueError`` when its nonzero value rounds to 0 or overflows a float.
     """
     _check_accuracy(eps, delta)
     p = as_params(params)
@@ -307,8 +321,13 @@ def estimate_z8v(
             value = z8v_exact(graph, plan.image)
         except ValueError as exc:  # a graph too wide for the contraction
             raise PipelineError(f"zero entries in the image; exact fallback: {exc}") from exc
+        approx = float_or_inf(value)
+        if value and approx in (0.0, math.inf):
+            raise ValueError(
+                f"the exact fallback's value is nonzero but its float is {approx}"
+            )
         estimate = Estimate(
-            value=float(value),
+            value=approx,
             relative_error_target=eps,
             failure_probability=delta,
             stages=0,

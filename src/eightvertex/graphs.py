@@ -290,6 +290,8 @@ def parse_graph(text: str) -> LabeledGraph:
             edges[eid] = Edge(u, lu, v, lv)
             edge_lines[eid] = lineno
         elif fields[0] == "bipartition":
+            if bipartition is not None:
+                fail("repeated bipartition line", lineno)
             if len(fields) < 2 or fields[1] != "L:":
                 fail("expected 'bipartition L: <ids...>'", lineno)
             try:

@@ -15,6 +15,8 @@ gives that loop's samples and estimates byte for byte.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -57,6 +59,39 @@ def _positive(params) -> tuple[Fraction, ...]:
     if any(x <= 0 for x in p):
         raise ValueError("chain weights need strictly positive parameters")
     return p
+
+
+def float_or_inf(x) -> float:
+    """``float(x)``, or infinity with x's sign where that overflows."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def chain_weights(params: Sequence, kernel: CycleKernel) -> list[float]:
+    """The parameters as float class weights, refused unless every ratio is a normal float.
+
+    Each weight must round to a positive normal float.  A proposal's ratio
+    is a product of one factor in [min/max, max/min] per vertex the move
+    touches, so (max/min)^T, with T the most vertices one move of
+    ``kernel`` touches, must stay inside the normal float range too.
+    Raises ``ValueError`` otherwise.
+    """
+    weights = [float_or_inf(x) for x in params]
+    if not all(sys.float_info.min <= w <= sys.float_info.max for w in weights):
+        raise ValueError(
+            f"weights {', '.join(f'{w:.3g}' for w in weights)} (as floats) must lie in "
+            f"the normal float range [{sys.float_info.min:.3g}, {sys.float_info.max:.3g}]"
+        )
+    touch = max(map(len, kernel.touch), default=0)
+    spread = math.log(max(weights)) - math.log(min(weights))
+    if touch * spread > -math.log(sys.float_info.min):
+        raise ValueError(
+            f"weights span a factor e^{spread:.1f}, so a move touching {touch} vertices "
+            f"can have a ratio e^{touch * spread:.1f}, outside the normal float range"
+        )
+    return weights
 
 
 class Chain:
@@ -164,9 +199,10 @@ def sample(
         raise ValueError("sample count must be nonnegative")
     if n_samples == 0:
         return []
-    weights = [float(x) for x in _positive(params)]
-    chain = Chain(CycleKernel(graph, cfg.proposal), Random(cfg.seed))
-    chain.set_params(weights)
+    p = _positive(params)
+    kernel = CycleKernel(graph, cfg.proposal)
+    chain = Chain(kernel, Random(cfg.seed))
+    chain.set_params(chain_weights(p, kernel))
     chain.advance(cfg.burn_in)
     out = []
     for _ in range(n_samples):

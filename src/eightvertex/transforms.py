@@ -11,7 +11,9 @@ planar element MZ^2*MHZ (and the bipartite MZ^5*MHZ), and -I is the
 bipartite element MZ^3.  A sign-flipped image is therefore another
 element's plain image, and the planner needs a single pass over the
 elements.  ``sign_normalize`` serves the diagnostics printed when no
-element works.
+element works.  The flip names it returns, and that the preimage tables
+use, stand for these matrices: "d" for ``D_FLIP`` and "all" for
+``NEG_IDENTITY``.
 """
 from __future__ import annotations
 
@@ -67,11 +69,8 @@ class HalfIntMatrix:
 
     def power(self, k: int) -> "HalfIntMatrix":
         out = IDENTITY
-        base = self
-        if k < 0:
-            base, k = self.inverse(), -k
         for _ in range(k):
-            out = out @ base
+            out = out @ self
         return out
 
     def order(self) -> int:
@@ -122,6 +121,8 @@ def _m(entries: Iterable[Iterable[int]], scale: Fraction = Fraction(1)) -> HalfI
 IDENTITY = _m([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
 NEG_IDENTITY = -IDENTITY
 D_FLIP = _m([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]])
+# the sign maps under the names that sign_normalize and the preimage tables use
+_FLIPS = {"d": D_FLIP, "all": NEG_IDENTITY}
 
 # holographic parameter maps between the eight-vertex and even-coloring models
 MZ = _m([[-1, 1, 1, -1], [1, -1, 1, -1], [1, 1, -1, -1], [1, 1, 1, 1]], _HALF)
@@ -132,8 +133,6 @@ PLANAR_SWAP = _m([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
 
 MZ_PLANAR = PLANAR_SWAP @ MZ
 MHZ_PLANAR = PLANAR_SWAP @ MHZ
-MZ_BIPARTITE = MZ
-MHZ_BIPARTITE = MHZ
 
 
 @dataclass(frozen=True)
@@ -216,7 +215,7 @@ def planar_group() -> tuple[GroupElement, ...]:
 @lru_cache(maxsize=None)
 def bipartite_group() -> tuple[GroupElement, ...]:
     """The 12 bipartite parameter transforms, in table order."""
-    return tuple(_normal_form_elements(MZ_BIPARTITE, MHZ_BIPARTITE, "MZ", "MHZ"))
+    return tuple(_normal_form_elements(MZ, MHZ, "MZ", "MHZ"))
 
 
 def group_for_class(graph_class: str) -> tuple[GroupElement, ...]:
@@ -263,65 +262,43 @@ def _require_nonneg(p: ParamVec):
 def region(params: Sequence, name: str) -> bool:
     """Membership in the named parameter region, decided exactly.
 
-    Single-letter names bound one parameter by the sum of the others
-    (A: a <= b+c+d and so on); two-letter names compare pair sums
-    (AD: a+d <= b+c); X and Y are the intersections of those families; Z
-    compares squares.  A trailing "bar" reverses the inequality (for the
-    intersection regions X, Y, Z it asks for at least one reversed).
+    Each region bounds sums of parameters by half the total, so that a sum
+    is at most the sum of the remaining parameters.  A single letter bounds
+    one parameter (A: a <= b+c+d); AD, BD and CD bound that letter plus d
+    (AD: a+d <= b+c); X asks this of all four letters and Y of all three
+    pairs; Z is X on the squared parameters.  A trailing "bar" reverses the
+    inequality, and for X, Y and Z asks for at least one reversed.  Unknown
+    names raise ``KeyError``.
     """
     p = as_params(params)
     _require_nonneg(p)
-    return _REGIONS[name](p)
+    return _in_region(p, name)
 
 
-def _linear(i: int):
-    def pred(p: ParamVec) -> bool:
-        return p[i] <= sum(p) - p[i]
-
-    def bar(p: ParamVec) -> bool:
-        return p[i] >= sum(p) - p[i]
-
-    return pred, bar
-
-
-def _pair(i: int):
-    # p[i] + p[3] vs the other two (i in 0..2)
-    def pred(p: ParamVec) -> bool:
-        return p[i] + p[3] <= sum(p) - p[i] - p[3]
-
-    def bar(p: ParamVec) -> bool:
-        return p[i] + p[3] >= sum(p) - p[i] - p[3]
-
-    return pred, bar
+# the index sets of each region, whose sums are bounded by half the total
+_REGION_SETS = {
+    "A": ((0,),), "B": ((1,),), "C": ((2,),), "D": ((3,),),
+    "AD": ((0, 3),), "BD": ((1, 3),), "CD": ((2, 3),),
+    "X": ((0,), (1,), (2,), (3,)),
+    "Y": ((0, 3), (1, 3), (2, 3)),
+    "Z": ((0,), (1,), (2,), (3,)),
+}
 
 
-def _quad(p: ParamVec) -> bool:
-    sq = [x * x for x in p]
-    return all(sq[i] <= sum(sq) - sq[i] for i in range(4))
+def _in_region(p: ParamVec, name: str) -> bool:
+    base = name.removesuffix("bar")
+    if base == "Z":
+        p = tuple(x * x for x in p)
+    total = sum(p)
+    sums = (2 * sum(p[i] for i in s) for s in _REGION_SETS[base])
+    if base == name:
+        return all(x <= total for x in sums)
+    return any(x >= total for x in sums)
 
-
-def _quad_bar(p: ParamVec) -> bool:
-    sq = [x * x for x in p]
-    return any(sq[i] >= sum(sq) - sq[i] for i in range(4))
-
-
-_REGIONS: dict = {}
-for _i, _name in enumerate("ABCD"):
-    _REGIONS[_name], _REGIONS[_name + "bar"] = _linear(_i)
-for _i, _name in enumerate(("AD", "BD", "CD")):
-    _REGIONS[_name], _REGIONS[_name + "bar"] = _pair(_i)
-_REGIONS["X"] = lambda p: all(_REGIONS[n](p) for n in "ABCD")
-_REGIONS["Xbar"] = lambda p: any(_REGIONS[n + "bar"](p) for n in "ABCD")
-_REGIONS["Y"] = lambda p: all(_REGIONS[n](p) for n in ("AD", "BD", "CD"))
-_REGIONS["Ybar"] = lambda p: any(_REGIONS[n + "bar"](p) for n in ("AD", "BD", "CD"))
-_REGIONS["Z"] = _quad
-_REGIONS["Zbar"] = _quad_bar
 
 def in_yz(params: Sequence) -> bool:
     p = as_params(params)
-    if any(x < 0 for x in p):
-        return False
-    return _REGIONS["Y"](p) and _REGIONS["Z"](p)
+    return all(x >= 0 for x in p) and _in_region(p, "Y") and _in_region(p, "Z")
 
 
 # ----------------------------------------------------------------------
@@ -333,15 +310,9 @@ class SignNormalizeError(ValueError):
 
 
 def _apply_flips(p: ParamVec, flips: Sequence[str]) -> ParamVec:
-    out = p
     for flip in flips:
-        if flip == "d":
-            out = (out[0], out[1], out[2], -out[3])
-        elif flip == "all":
-            out = tuple(-x for x in out)  # type: ignore[assignment]
-        else:
-            raise ValueError(f"unknown flip {flip!r}")
-    return out
+        p = _FLIPS[flip].apply(p)
+    return p
 
 
 def sign_normalize(
@@ -404,7 +375,7 @@ def plan_transform(params: Sequence, graph_class: str) -> TransformPlan | None:
     elements = _search_order(group_for_class(graph_class))
     for el in elements:
         q = el.matrix.apply(p)
-        if all(x >= 0 for x in q) and in_yz(q):
+        if in_yz(q):
             return TransformPlan(el, q)
     return None
 
@@ -468,19 +439,17 @@ SAMPLE_DENOMINATOR = 1 << 16
 REJECTION_CAP = 100_000
 
 
-def sample_region_point(
-    rng: Random, names: Sequence[str], cap: int = REJECTION_CAP
-) -> ParamVec:
+def sample_region_point(rng: Random, names: Sequence[str]) -> ParamVec:
     """Uniform rational point of the unit box conditioned on the region.
 
     With no region names (``()``) this is one plain draw from the box.
     """
-    for _ in range(cap):
+    for _ in range(REJECTION_CAP):
         p = tuple(
             Fraction(rng.randrange(SAMPLE_DENOMINATOR + 1), SAMPLE_DENOMINATOR)
             for _ in range(4)
         )
-        if all(_REGIONS[n](p) for n in names):
+        if all(_in_region(p, n) for n in names):
             return p  # type: ignore[return-value]
     raise RuntimeError(f"rejection sampling exhausted for region {names}")
 
@@ -501,7 +470,7 @@ class SpotcheckReport:
 
     @property
     def passed(self) -> bool:
-        return all(r.failures == 0 for r in self.rows)
+        return all(r.failures == 0 and r.complement_violations == 0 for r in self.rows)
 
 
 def preimage_spotcheck(samples_per_row: int = 100, seed: int = 0) -> SpotcheckReport:
@@ -509,7 +478,7 @@ def preimage_spotcheck(samples_per_row: int = 100, seed: int = 0) -> SpotcheckRe
 
     Points drawn inside the stated region (then sign-wrapped) must map to a
     nonnegative vector in Y; box points strictly outside the region must
-    not.  The complement direction is reported alongside.
+    not.  The report passes only when both directions do.
     """
     rng = Random(seed)
     rows = []
@@ -524,16 +493,16 @@ def preimage_spotcheck(samples_per_row: int = 100, seed: int = 0) -> SpotcheckRe
             for _ in range(samples_per_row):
                 p = sample_region_point(rng, names)
                 image = matrix.apply(_apply_flips(p, wrapper))
-                if not (all(x >= 0 for x in image) and _REGIONS["Y"](image)):
+                if not (all(x >= 0 for x in image) and _in_region(image, "Y")):
                     failures += 1
             comp_samples = comp_violations = 0
             while comp_samples < samples_per_row:
                 p = sample_region_point(rng, ())
-                if all(_REGIONS[n](p) for n in names):
+                if all(_in_region(p, n) for n in names):
                     continue
                 comp_samples += 1
                 image = matrix.apply(_apply_flips(p, wrapper))
-                if all(x >= 0 for x in image) and _REGIONS["Y"](image):
+                if all(x >= 0 for x in image) and _in_region(image, "Y"):
                     comp_violations += 1
             rows.append(
                 SpotcheckRow(

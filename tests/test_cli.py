@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -170,6 +172,26 @@ def test_estimate_rejects_bad_accuracy(oct_file, capsys, flag, value):
     assert out == "" and flag[2:] in err
 
 
+@pytest.mark.parametrize("command, params", [
+    ("estimate", "1e400,1e400,1e400,1e400"),  # weights overflow to inf
+    ("sample", "1e400,1,1,1"),
+    ("estimate", "1,2,2,1e-320"),  # a subnormal weight
+    ("estimate", "1,1,1,1e-400"),  # a weight that rounds to 0
+    ("estimate", "1e60,1e60,1e60,1e60"),  # Z = 2^7 * 1e360 overflows
+    ("estimate", "1e-60,1e-60,1e-60,1e-60"),  # Z = 2^7 * 1e-360 underflows
+    ("estimate", "1e400,1e400,1e400,0"),  # the exact fallback's value overflows
+    ("sample", "1e200,1,1,1e-200"),  # (max/min)^T overflows
+])
+def test_weights_outside_the_float_range_refused(oct_file, capsys, command, params):
+    extra = ("--class", "planar") if command == "estimate" else ("--samples", "5")
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--graph", oct_file, "--params", params,
+                         "--seed", "1", *extra)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_diagnose_chain_csv(oct_file, capsys):
     code, out, err = run(capsys, "diagnose-chain", "--graph", oct_file,
                          "--params", "1,1,1,1")
@@ -215,6 +237,19 @@ def test_verify_sections(capsys):
     code, out, _ = run(capsys, "verify", "groups", "--seed", "1")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_signs_checks_the_planner_matrices(monkeypatch, capsys):
+    # negating c is no symmetry where n_C can be odd, as on the octahedron
+    from eightvertex import transforms
+
+    wrong = transforms.HalfIntMatrix(tuple(
+        tuple(Fraction((-1 if i == 2 else 1) * (i == j)) for j in range(4)) for i in range(4)
+    ))
+    monkeypatch.setattr(transforms, "D_FLIP", wrong)
+    code, out, _ = run(capsys, "verify", "signs", "--seed", "1")
+    assert code == 1
+    assert "FAIL  d-flip invariance on octahedron" in out
 
 
 def test_usage_error_on_bad_params(oct_file, capsys):

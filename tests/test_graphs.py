@@ -134,6 +134,22 @@ def test_parse_reports_edge_within_one_side_at_its_line():
         parse_graph(text)
 
 
+def test_parse_rejects_repeated_bipartition_line():
+    text = (
+        "8vx-graph 1\n"
+        "vertices 2 edges 4 embedding bipartite\n"
+        "edge 0 0 1 1 1\n"
+        "edge 1 0 2 1 2\n"
+        "edge 2 0 3 1 3\n"
+        "edge 3 0 4 1 4\n"
+        "bipartition L: 0\n"
+        "bipartition L: 1\n"  # would silently swap the sides
+    )
+    with pytest.raises(GraphFormatError, match="line 8: repeated bipartition line"):
+        parse_graph(text)
+    assert parse_graph(text.rsplit("bipartition", 1)[0]).bipartition[0] == frozenset({0})
+
+
 @pytest.mark.parametrize("size_line, message", [
     ("vertices 2 edges 3 embedding none", "has 4 edges, not 3"),
     ("vertices 2 edges 5 embedding none", "has 4 edges, not 5"),

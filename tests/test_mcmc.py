@@ -1,3 +1,5 @@
+import math
+import sys
 from fractions import Fraction
 from random import Random
 from types import SimpleNamespace
@@ -12,6 +14,7 @@ from eightvertex.mcmc import (
     _RECOUNT_PERIOD,
     Chain,
     ChainConfig,
+    chain_weights,
     exact_chain_diagnostics,
     sample,
 )
@@ -142,6 +145,21 @@ def test_chain_needs_a_move():
     # the empty graph's coset is one state: refused, where a draw below 0 would spin
     with pytest.raises(ValueError, match="at least one move"):
         sample(LabeledGraph(0, ()), (1, 2, 2, 1), ChainConfig(seed=0), 3)
+
+
+@pytest.mark.parametrize("proposal", ["basis-cycle", "face"])
+def test_chain_weights_bound_the_widest_move(octahedron, proposal):
+    # a move over T vertices multiplies T factors of up to max/min each
+    kernel = CycleKernel(octahedron, proposal)
+    touch = max(len(flips) for flips in kernel.touch)
+    limit = -math.log(sys.float_info.min) / touch
+    inside = Fraction(math.exp(limit * 0.999))
+    assert chain_weights((1, 1, inside, 1), kernel) == [1.0, 1.0, float(inside), 1.0]
+    with pytest.raises(ValueError, match=f"touching {touch} vertices"):
+        chain_weights((1, 1, Fraction(math.exp(limit * 1.001)), 1), kernel)
+    for weight in (Fraction(10) ** 400, Fraction(1, 10**320), Fraction(1, 10**400)):
+        with pytest.raises(ValueError, match="normal float range"):
+            chain_weights((1, weight, 1, 1), kernel)
 
 
 def test_periodic_recount_catches_drifted_counts(torus22):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eightvertex import transforms
 from eightvertex.exact import census_8v
 from eightvertex.transforms import (
     BIPARTITE_PREIMAGE_TABLE,
@@ -360,3 +361,15 @@ def test_preimage_spotcheck_passes():
     assert report.passed
     assert all(r.complement_violations == 0 for r in report.rows)
     assert len(report.rows) == 18
+
+
+def test_preimage_spotcheck_counts_the_complement(monkeypatch):
+    # with Z added to the identity row's region, points of Y outside Z fall
+    # in the row's complement yet map into Y, while every point inside the
+    # stated region still does: only the complement direction can fail
+    table = (("I", (), ("AD", "BD", "CD", "Z")),) + PLANAR_PREIMAGE_TABLE[1:]
+    monkeypatch.setattr(transforms, "PLANAR_PREIMAGE_TABLE", table)
+    report = preimage_spotcheck(samples_per_row=60, seed=61)
+    assert all(r.failures == 0 for r in report.rows)
+    assert report.rows[0].complement_violations > 0
+    assert not report.passed
