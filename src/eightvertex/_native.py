@@ -1,0 +1,154 @@
+"""The compiled step loop of ``mcmc.Chain``: building ``_chain.c`` and binding it.
+
+``mcmc`` imports this module only when it builds a chain.  The first
+``load`` in a process compiles ``_chain.c`` with ``BUILD`` into this
+package's ``__pycache__``, under a name keyed by the sha256 of the source
+and the flags, unless that library is there already.  It compiles to a
+temporary file that is then moved into place, so a concurrent build never
+loads a half-written library.  A missing compiler, a failed build or an
+unwritable cache make ``load`` return None, and chains step in Python.
+"""
+from __future__ import annotations
+
+import ctypes
+import os
+from pathlib import Path
+
+from .states import CLASS16
+
+SOURCE = Path(__file__).with_name("_chain.c")
+BUILD = ("cc", "-O2", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC")
+# the most steps one call makes (or one block, if longer), so that Ctrl-C is
+# seen between calls
+CALL_STEPS = 1 << 20
+_STEP = None  # chain_run of the loaded library, or False once it failed
+
+int32, pointer = ctypes.c_int32, ctypes.POINTER
+
+
+class _State(ctypes.Structure):  # struct chain of _chain.c
+    _fields_ = [
+        ("mt", ctypes.c_uint32 * 624), ("index", int32),
+        ("nmoves", int32), ("bits", int32), ("nvertices", int32),
+        ("classes", int32 * 16), ("counts", int32 * 4), ("laziness", ctypes.c_double),
+        ("start", pointer(int32)), ("touch", pointer(int32)),
+        ("factors", pointer(ctypes.c_double)), ("masks", pointer(ctypes.c_uint8)),
+    ]
+
+
+def load():
+    """``NativeChain`` where the compiled kernel builds and loads, else None."""
+    global _STEP
+    if _STEP is None:
+        _STEP = _build() or False
+    return NativeChain if _STEP else None
+
+
+def _build():
+    # CPython's builtin sha256 where it has one, as ``random`` imports its
+    # sha512: hashlib loads OpenSSL, which adds 3.6 MB of RSS
+    for module in ("_sha2", "_sha256", "hashlib"):
+        try:
+            sha256 = __import__(module).sha256
+            break
+        except ImportError:
+            pass
+    try:
+        key = sha256(SOURCE.read_bytes() + "\0".join(BUILD).encode()).hexdigest()
+        library = SOURCE.parent / "__pycache__" / f"_chain.{key[:16]}.so"
+        if not library.exists():
+            library.parent.mkdir(exist_ok=True)
+            temp = f"{library}.{os.getpid()}.tmp"
+            # posix_spawn rather than subprocess, whose import alone adds 0.4 MB of RSS
+            quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
+            try:
+                pid = os.posix_spawnp(
+                    BUILD[0], [*BUILD, "-o", temp, str(SOURCE)], os.environ, file_actions=quiet
+                )
+                if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]):
+                    raise OSError(f"{BUILD[0]} failed on {SOURCE.name}")
+                os.replace(temp, library)
+            except BaseException:
+                if os.path.exists(temp):
+                    os.unlink(temp)
+                raise
+        step = ctypes.CDLL(str(library)).chain_run
+    except (OSError, AttributeError):  # AttributeError: no posix_spawnp on this platform
+        return None
+    step.restype = None
+    # the state goes by address: ctypes caches POINTER(_State) for good, and
+    # every fresh import of this module makes a new _State
+    step.argtypes = (
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, pointer(ctypes.c_double), int32,
+        pointer(ctypes.c_double), pointer(ctypes.c_uint8),
+    )
+    return step
+
+
+class NativeChain:
+    """A chain's masks, counts, factor tables and generator in native memory.
+
+    ``masks``, ``counts`` and each ``factors[xm]`` are ctypes arrays, which
+    the kernel steps in place and ``mcmc.Chain`` reads and writes as it
+    does its lists.  The generator's MT19937 state is copied from ``rng``
+    here, once; ``write_state`` copies it back.
+    """
+
+    def __init__(self, kernel, rng, laziness: float):
+        n, touch = len(kernel.reference_masks), kernel.touch
+        state = self._state = _State()
+        self._address = ctypes.addressof(state)
+        _, mt, _ = rng.getstate()
+        state.mt[:], state.index = mt[:-1], mt[-1]
+        state.nmoves, state.bits, state.nvertices = len(touch), len(touch).bit_length(), n
+        state.classes[:], state.laziness = CLASS16, laziness
+        start = [0]
+        for flips in touch:
+            start.append(start[-1] + len(flips))
+        entries = [v << 4 | xm for flips in touch for v, xm in flips]
+        state.start = (int32 * len(start))(*start)
+        state.touch = (int32 * len(entries))(*entries)
+        state.factors = factors = (ctypes.c_double * 256)()
+        state.masks = self.masks = (ctypes.c_uint8 * n)(*kernel.reference_masks)
+        self.counts = state.counts
+        self.factors = {
+            xm: (ctypes.c_double * 16).from_buffer(factors, 128 * xm)
+            for flips in touch for _, xm in flips
+        }
+        self._pows = None, None  # the last pows passed to run, and its native copy
+
+    def write_state(self, rng):
+        """Set ``rng`` to the kernel's point of its stream."""
+        version, _, gauss = rng.getstate()
+        rng.setstate((version, (*self._state.mt, self._state.index), gauss))
+
+    def run(self, samples: int, thinning: int, pows=None) -> tuple[float, float]:
+        """``Chain.run``'s blocks and sums."""
+        n = len(self.masks)
+        if pows is not None and pows is not self._pows[0]:
+            if len(pows) != 4:
+                raise ValueError(f"pows needs one table per class, got {len(pows)}")
+            flat = [t[count] for t in pows for count in range(n + 1)]
+            self._pows = pows, (ctypes.c_double * len(flat))(*flat)
+        if pows is None:
+            samples, thinning = samples * thinning, 1  # no work between blocks: the same steps
+        table = None if pows is None else self._pows[1]
+        sums = (ctypes.c_double * 2)()
+        for blocks in _calls(samples, thinning):
+            _STEP(self._address, blocks, thinning, table, n + 1, sums, None)
+        return sums[0], sums[1]
+
+    def record(self, samples: int, thinning: int):
+        """Run ``samples`` blocks; yield, per call, the masks after each of its blocks."""
+        n = len(self.masks)
+        for blocks in _calls(samples, thinning):
+            masks = (ctypes.c_uint8 * (blocks * n))()
+            _STEP(self._address, blocks, thinning, None, 0, None, masks)
+            yield bytes(masks)
+
+
+def _calls(samples: int, thinning: int):
+    """Split ``samples`` blocks into calls of at most ``CALL_STEPS`` steps, or one block."""
+    per_call = max(1, CALL_STEPS // max(1, thinning))
+    for done in range(0, samples, per_call):
+        yield min(per_call, samples - done)

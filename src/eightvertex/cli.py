@@ -133,11 +133,8 @@ def _cmd_plan(args) -> int:
 def _cmd_sample(args) -> int:
     graph = _load_graph(args.graph)
     p = _parse_params(args.params)
-    cfg = ChainConfig(
-        seed=args.seed, burn_in=args.burn_in, thinning=args.thinning,
-        proposal=args.proposal,
-    )
-    for orientation in sample(graph, p, cfg, args.samples):
+    cfg = ChainConfig(seed=args.seed, proposal=args.proposal)
+    for orientation in sample(graph, p, cfg, args.samples, args.burn_in, args.thinning):
         print(orientation_to_bitstring(graph, orientation))
     return 0
 
@@ -198,8 +195,8 @@ def _verify_holant(seed: int) -> bool:
 
     # the basis change on every leg must act on (a, b, c, d) as the
     # planner's parameter map
-    maps = (("Z", Z_BASIS, np.array(MZ.rows, dtype=float)),
-            ("HZ", HZ_BASIS, np.array(MHZ.rows, dtype=float)))
+    maps = (("Z basis change acts as MZ", Z_BASIS, np.array(MZ.rows, dtype=float)),
+            ("HZ basis change acts as MHZ", HZ_BASIS, np.array(MHZ.rows, dtype=float)))
     worst = {name: 0.0 for name, _, _ in maps}
     rng = Random(seed)
     for _ in range(100):
@@ -209,8 +206,7 @@ def _verify_holant(seed: int) -> bool:
             want = constraint_from_params(*(matrix @ p)).table
             worst[name] = max(worst[name], float(np.abs(got - want).max()))
     for name, dev in worst.items():
-        ok &= _check(f"{name}-image closed form (100 random params)", dev < 1e-10,
-                     f"max dev {dev:.2e}")
+        ok &= _check(f"{name} (100 random params)", dev < 1e-10, f"max dev {dev:.2e}")
 
     rep = appendix_lemma_check(100, 4, seed=seed)
     ok &= _check("arrow-reversal iff real Z-image (100+100 tables)", rep["passed"])

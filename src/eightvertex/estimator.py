@@ -163,22 +163,14 @@ def anneal_estimate(
     Deterministic for a fixed seed.
 
     Of ``cfg`` it reads ``seed`` (the master generator of the chain seeds)
-    and ``proposal`` (the move set).  It refuses a ``burn_in`` other than 0
-    or a ``thinning`` other than 1 with a ``ValueError``: the chains burn in
-    10k steps for cycle-space dimension k, and the stages thin by (k+1)/2
-    steps of their own.
+    and ``proposal`` (the move set).  The chains burn in 10k steps for
+    cycle-space dimension k, and the stages thin by (k+1)/2 steps.
 
     Before any chain step it also refuses, with a ``ValueError``, a target
     that ``chain_weights`` refuses, or one where the bracket
     [k ln 2 + n ln min, k ln 2 + n ln max] around ln Z leaves the float range.
     """
     _check_accuracy(eps, delta)
-    for name, unset in (("burn_in", 0), ("thinning", 1)):
-        if getattr(cfg, name) != unset:
-            raise ValueError(
-                f"anneal_estimate sets its own {name}; ChainConfig.{name} must be "
-                f"{unset}, got {getattr(cfg, name)}"
-            )
     t = as_params(target)
     if any(x <= 0 for x in t):
         raise ValueError("anneal target must be strictly positive")
@@ -217,10 +209,10 @@ def anneal_estimate(
     stage_burn_in = 2 * k
 
     # per-class ratio powers, indexed [class][count]
-    pow_table = [
-        [schedule.class_ratios[cls] ** cnt for cnt in range(n + 1)]
+    pow_table = tuple(
+        tuple(schedule.class_ratios[cls] ** cnt for cnt in range(n + 1))
         for cls in range(4)
-    ]
+    )
 
     # chain seeds come from a master generator: xoring the chain index onto
     # the raw seed would make nearby seeds share chain-seed multisets

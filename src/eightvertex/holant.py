@@ -45,8 +45,12 @@ class QuarticFunction:
 
 
 def constraint_from_params(a, b, c, d) -> QuarticFunction:
-    """The zero-field eight-vertex constraint: a on opposite-pair-in states,
-    b and c on the two adjacent patterns, d on sink/source."""
+    """The zero-field eight-vertex constraint, with x_i the bit of label i.
+
+    a and b are the two adjacent pairs (labels 1,2 or 3,4 and labels 2,3
+    or 1,4), c the opposite pairs (1,3 or 2,4) and d none or all, as in
+    ``states.CLASS_BY_MASK``.
+    """
     t = np.zeros(16, dtype=complex)
     t[_index(1, 1, 0, 0)] = t[_index(0, 0, 1, 1)] = a
     t[_index(0, 1, 1, 0)] = t[_index(1, 0, 0, 1)] = b

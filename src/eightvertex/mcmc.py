@@ -12,6 +12,16 @@ the flip touches, and orientations are read back from the masks.
 The chain draws what a plain loop over ``random()`` and
 ``randrange(nmoves)`` draws and does the same float operations, so a seed
 gives that loop's samples and estimates byte for byte.
+
+The steps run in a compiled kernel, ``_chain.c``, wherever one can be
+built: it keeps the masks, counts, factor tables and the generator's
+MT19937 state in native memory and draws exactly as CPython 3.10-3.13's
+``random.Random`` does.  The first chain built in a process compiles it
+with ``cc`` into this package's ``__pycache__``, under a name keyed by the
+source and the flags, unless that file is there already (see
+``_native``).  Without a compiler or a writable cache, or for a generator
+that is not exactly ``random.Random``, the same steps run in Python, which
+is also the kernel's oracle in the tests.
 """
 from __future__ import annotations
 
@@ -20,7 +30,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,16 +52,10 @@ _FLIP = tuple(tuple((m ^ xm, CLASS16[m], CLASS16[m ^ xm]) for m in range(16)) fo
 class ChainConfig:
     seed: int
     proposal: str = "basis-cycle"  # or "face" (rotation systems only)
-    burn_in: int = 0
-    thinning: int = 1
 
     def __post_init__(self):
         if self.proposal not in ("basis-cycle", "face"):
             raise ValueError(f"unknown proposal kind {self.proposal!r}")
-        if self.burn_in < 0:
-            raise ValueError("burn-in must be nonnegative")
-        if self.thinning < 1:
-            raise ValueError("thinning must be at least 1")
 
 
 def _positive(params) -> tuple[Fraction, ...]:
@@ -94,6 +98,13 @@ def chain_weights(params: Sequence, kernel: CycleKernel) -> list[float]:
     return weights
 
 
+def _load_kernel():
+    """``_native.NativeChain`` where the compiled kernel builds and loads, else None."""
+    from . import _native  # with the first chain: commands without one never build it
+
+    return _native.load()
+
+
 class Chain:
     """Lazy Metropolis chain on a kernel's coset, started at the reference orientation.
 
@@ -109,24 +120,54 @@ class Chain:
     proposal's ratio is the product of its touched vertices' factors, in
     touch order.  Masks stay exact integers and the class counts are
     recounted from them periodically as a cheap self-check.
+
+    Where ``type(rng) is random.Random`` and the compiled kernel loads,
+    ``masks``, ``counts`` and the factor tables are ctypes arrays in native
+    memory and the kernel makes the steps, from a copy of ``rng``'s state
+    taken here; reading ``rng`` writes the kernel's state back into it.
+    Otherwise (another generator, or no kernel) they are lists and the
+    same steps run in Python.  Both paths give the same masks, counts,
+    sums and generator state, bit for bit.
     """
 
     def __init__(self, kernel: CycleKernel, rng: Random):
         if not kernel.touch:
             raise ValueError("the chain needs at least one move; this coset has a single state")
         self.kernel = kernel
-        self.rng = rng
-        self.masks = list(kernel.reference_masks)
-        self.counts = [0, 0, 0, 0]
+        self._rng = rng
+        # the kernel packs vertex << 4 | flip mask into an int32
+        n = len(kernel.reference_masks)
+        native = _load_kernel() if type(rng) is Random and n < 1 << 27 else None
+        self._native = None if native is None else native(kernel, rng, LAZINESS)
+        if self._native is None:
+            self.masks = list(kernel.reference_masks)
+            self.counts = [0, 0, 0, 0]
+            self.factors = {xm: [None] * 16 for flips in kernel.touch for _, xm in flips}
+            # per move and touched vertex: (vertex, its _FLIP row, its factor table)
+            self._moves = [
+                tuple((v, _FLIP[xm], self.factors[xm]) for v, xm in flips)
+                for flips in kernel.touch
+            ]
+        else:
+            self.masks, self.counts = self._native.masks, self._native.counts
+            self.factors = self._native.factors
         for m in self.masks:
             self.counts[CLASS16[m]] += 1
-        self.factors = {xm: [None] * 16 for flips in kernel.touch for _, xm in flips}
-        # per move and touched vertex: (vertex, its _FLIP row, its factor table)
-        self._moves = [
-            tuple((v, _FLIP[xm], self.factors[xm]) for v, xm in flips) for flips in kernel.touch
-        ]
         self.set_params((1.0, 1.0, 1.0, 1.0))
         self.steps = 0
+
+    @property
+    def rng(self) -> Random:
+        """The chain's generator, at the chain's point of its stream."""
+        if self._native is not None:
+            self._native.write_state(self._rng)
+        return self._rng
+
+    @rng.setter
+    def rng(self, rng):
+        if self._native is not None:
+            raise AttributeError("the compiled kernel holds this chain's generator state")
+        self._rng = rng
 
     def set_params(self, weights: Sequence[float]):
         """Target the Gibbs measure with these class weights (uniform until set)."""
@@ -146,8 +187,43 @@ class Chain:
 
         With ``pows`` (per class, a table indexed by the class count), each
         block ends by adding ``prod_i pows[i][counts[i]]`` and its square to
-        two sums, which are returned; without it they stay 0.
+        two sums, which are returned; without it they stay 0.  The kernel
+        copies ``pows`` when it sees a new object, so pass immutable tables.
         """
+        if self._native is None:
+            sums = self._python_run(samples, thinning, pows)
+        else:
+            sums = self._native.run(samples, thinning, pows)
+        self._recount(samples * thinning)
+        return sums
+
+    def orientations(self, samples: int, thinning: int) -> Iterator[Bits]:
+        """The orientation after each of ``samples`` blocks of ``thinning`` steps.
+
+        The compiled kernel records each block's masks, many blocks a call.
+        """
+        if self._native is None:
+            for _ in range(samples):
+                self.run(1, thinning)
+                yield self.orientation()
+            return
+        n = len(self.masks)
+        for masks in self._native.record(samples, thinning):
+            self._recount(len(masks) // n * thinning)
+            for start in range(0, len(masks), n):
+                yield self.kernel.orientation(masks[start:start + n])
+
+    def _recount(self, steps: int):
+        self.steps += steps
+        if self.steps >= _RECOUNT_PERIOD:
+            self.steps = 0
+            recount = [0, 0, 0, 0]
+            for m in self.masks:
+                recount[CLASS16[m]] += 1
+            if recount != list(self.counts):
+                raise AssertionError("chain class counts drifted from the masks")
+
+    def _python_run(self, samples: int, thinning: int, pows) -> tuple[float, float]:
         masks, counts, moves = self.masks, self.counts, self._moves
         nmoves = len(moves)
         bits = nmoves.bit_length()
@@ -177,14 +253,6 @@ class Chain:
                 w = p0[counts[0]] * p1[counts[1]] * p2[counts[2]] * p3[counts[3]]
                 acc += w
                 acc_sq += w * w
-        self.steps += samples * thinning
-        if self.steps >= _RECOUNT_PERIOD:
-            self.steps = 0
-            recount = [0, 0, 0, 0]
-            for m in masks:
-                recount[CLASS16[m]] += 1
-            if recount != counts:
-                raise AssertionError("chain class counts drifted from the masks")
         return acc, acc_sq
 
 
@@ -193,22 +261,24 @@ def sample(
     params,
     cfg: ChainConfig,
     n_samples: int,
+    burn_in: int = 0,
+    thinning: int = 1,
 ) -> list[Bits]:
-    """Burn in, then record an orientation every ``thinning`` steps."""
+    """Burn in ``burn_in`` steps, then record an orientation every ``thinning`` steps."""
     if n_samples < 0:
         raise ValueError("sample count must be nonnegative")
+    if burn_in < 0:
+        raise ValueError("burn-in must be nonnegative")
+    if thinning < 1:
+        raise ValueError("thinning must be at least 1")
     if n_samples == 0:
         return []
     p = _positive(params)
     kernel = CycleKernel(graph, cfg.proposal)
     chain = Chain(kernel, Random(cfg.seed))
     chain.set_params(chain_weights(p, kernel))
-    chain.advance(cfg.burn_in)
-    out = []
-    for _ in range(n_samples):
-        chain.advance(cfg.thinning)
-        out.append(chain.orientation())
-    return out
+    chain.advance(burn_in)
+    return list(chain.orientations(n_samples, thinning))
 
 
 # ----------------------------------------------------------------------

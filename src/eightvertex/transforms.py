@@ -64,9 +64,6 @@ class HalfIntMatrix:
         p = as_params(p)
         return tuple(sum(row[j] * p[j] for j in range(4)) for row in self.rows)  # type: ignore[return-value]
 
-    def inverse(self) -> "HalfIntMatrix":
-        return HalfIntMatrix(_invert4(self.rows))
-
     def power(self, k: int) -> "HalfIntMatrix":
         out = IDENTITY
         for _ in range(k):
@@ -95,23 +92,6 @@ def _det4(rows) -> Fraction:
         minor = [[rows[i][k] for k in range(4) if k != j] for i in range(1, 4)]
         total += (-1) ** j * rows[0][j] * det3(minor)
     return total
-
-
-def _invert4(rows) -> tuple[tuple[Fraction, ...], ...]:
-    # Gauss-Jordan over the rationals
-    aug = [list(rows[i]) + [Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-    for col in range(4):
-        pivot = next((r for r in range(col, 4) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(4):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[4:]) for row in aug)
 
 
 def _m(entries: Iterable[Iterable[int]], scale: Fraction = Fraction(1)) -> HalfIntMatrix:
@@ -458,9 +438,7 @@ def sample_region_point(rng: Random, names: Sequence[str]) -> ParamVec:
 class SpotcheckRow:
     graph_class: str
     element: str
-    samples: int
     failures: int
-    complement_samples: int
     complement_violations: int
 
 
@@ -504,14 +482,5 @@ def preimage_spotcheck(samples_per_row: int = 100, seed: int = 0) -> SpotcheckRe
                 image = matrix.apply(_apply_flips(p, wrapper))
                 if all(x >= 0 for x in image) and _in_region(image, "Y"):
                     comp_violations += 1
-            rows.append(
-                SpotcheckRow(
-                    graph_class,
-                    label,
-                    samples_per_row,
-                    failures,
-                    comp_samples,
-                    comp_violations,
-                )
-            )
+            rows.append(SpotcheckRow(graph_class, label, failures, comp_violations))
     return SpotcheckReport(tuple(rows))

@@ -6,7 +6,8 @@ they check the package's exact routes independently; the reference chain
 recomputes whole weights instead of local ratios, and the reference census
 counts the Gray walk's profiles one state at a time instead of in blocks.
 The predicates at the end (evenness, Gibbs weights, region intersections,
-arrow-reversal symmetry) have no caller in the package.  Keep them dumb.
+arrow-reversal symmetry) and the matrix inverse have no caller in the
+package.  Keep them dumb.
 """
 from collections import Counter
 from fractions import Fraction
@@ -23,7 +24,7 @@ from eightvertex.states import (
     red_masks,
     reference_even_orientation,
 )
-from eightvertex.transforms import region
+from eightvertex.transforms import HalfIntMatrix, region
 
 
 def even_orientations_naive(graph: LabeledGraph):
@@ -218,3 +219,18 @@ def arrow_reversal_symmetric(table, tol: float = TOL_EXACT) -> bool:
         elif abs(complex(a) - complex(b)) > tol:
             return False
     return True
+
+
+def inverse(matrix: HalfIntMatrix) -> HalfIntMatrix:
+    """The inverse matrix, by Gauss-Jordan elimination over the rationals."""
+    aug = [list(matrix.rows[i]) + [Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    for col in range(4):
+        pivot = next(r for r in range(col, 4) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(4):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return HalfIntMatrix(tuple(tuple(row[4:]) for row in aug))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from eightvertex import mcmc
 from eightvertex.cli import main
 from eightvertex.exact import census_8v, z8v_exact
 from eightvertex.graphs import gen_k44, gen_octahedron, gen_torus, parse_graph, serialize_graph
@@ -281,9 +282,11 @@ def test_unknown_flag_rejected(capsys):
 # stdout sha256 and exit status of fixed-seed runs.  The sample and estimate
 # digests were captured before the chain's table-driven step replaced the
 # class-ratio matrix and randrange: the chain must keep every draw and every
-# float operation.  The plan and verify digests were captured before the
-# planner lost its sign-flip pass, which no group element ever needed.  A
-# command whose second word names a graph gets that graph's file as --graph.
+# float operation, on the compiled kernel (wherever it builds) and on the
+# Python steps (test_chain_pins_hold_on_the_python_path).  The plan and
+# verify digests were captured before the planner lost its sign-flip pass,
+# which no group element ever needed.  A command whose second word names a
+# graph gets that graph's file as --graph.
 # `verify holant` is not pinned: it prints float deviations that depend on
 # the host's numpy and BLAS.
 GOLDEN = [
@@ -342,6 +345,19 @@ def test_fixed_seed_output_pinned(tmp_path, capsys, argv, exit_code, digest):
     code, out, _ = run(capsys, command, *rest)
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, digest",
+    [pin for pin in GOLDEN if pin[0][0] in ("sample", "estimate")],
+    ids=[_golden_id(a) for a, _, _ in GOLDEN if a[0] in ("sample", "estimate")],
+)
+def test_chain_pins_hold_on_the_python_path(monkeypatch, tmp_path, capsys, argv, exit_code,
+                                            digest):
+    # the pins above run the compiled kernel wherever it builds; without it
+    # the Python steps must print the same bytes
+    monkeypatch.setattr(mcmc, "_load_kernel", lambda: None)
+    test_fixed_seed_output_pinned(tmp_path, capsys, argv, exit_code, digest)
 
 
 def _run_module(*argv):

@@ -11,6 +11,7 @@ from eightvertex.holant import (
     NEQ2,
     Z_BASIS,
     QuarticFunction,
+    _index,
     appendix_lemma_check,
     binary_transform_check,
     constraint_from_params,
@@ -18,6 +19,7 @@ from eightvertex.holant import (
     kron_power,
     transform_binary_row,
 )
+from eightvertex.states import CLASS_BY_MASK
 from eightvertex.transforms import MHZ, MZ
 
 from ._brute import arrow_reversal_symmetric
@@ -38,6 +40,17 @@ def test_constraint_matrix_layout():
         [[4, 0, 0, 1], [0, 2, 3, 0], [0, 3, 2, 0], [1, 0, 0, 4]], dtype=complex
     )
     assert np.array_equal(f.constraint_matrix(), want)
+
+
+def test_constraint_classes_match_the_class_table():
+    # with x_i the bit of label i, each entry carries the weight of its
+    # in-mask's class, and odd masks carry 0
+    params = (1, 2, 3, 4)
+    table = constraint_from_params(*params).table
+    for mask in range(16):
+        x = [mask >> (label - 1) & 1 for label in (1, 2, 3, 4)]
+        want = params[CLASS_BY_MASK[mask]] if mask in CLASS_BY_MASK else 0
+        assert table[_index(*x)] == want
 
 
 def test_constraints_are_arrow_reversal_symmetric():

@@ -1,4 +1,5 @@
 import math
+import shutil
 import sys
 from fractions import Fraction
 from random import Random
@@ -9,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eightvertex.exact import census_8v
-from eightvertex.graphs import LabeledGraph, gen_octahedron, gen_torus
+from eightvertex import mcmc
+from eightvertex.graphs import LabeledGraph, gen_k44, gen_octahedron, gen_torus
 from eightvertex.mcmc import (
     _RECOUNT_PERIOD,
     Chain,
@@ -50,11 +52,13 @@ def test_gibbs_weight_examples(octahedron, k44):
         gibbs_weight(octahedron, tau, (1, 1, 0, 1))
 
 
-def test_config_validation():
+def test_config_validation(octahedron):
     with pytest.raises(ValueError, match="proposal"):
         ChainConfig(seed=0, proposal="teleport")
     with pytest.raises(ValueError, match="burn-in"):
-        ChainConfig(seed=0, burn_in=-5)
+        sample(octahedron, (1, 1, 1, 1), ChainConfig(seed=0), 3, burn_in=-5)
+    with pytest.raises(ValueError, match="thinning"):
+        sample(octahedron, (1, 1, 1, 1), ChainConfig(seed=0), 3, thinning=0)
 
 
 # powers of two keep every float weight ratio exact, so the chain's float
@@ -83,7 +87,7 @@ def test_chain_matches_reference_chain(graph_name, proposal, params, seed):
         # the masks' classes and the cached counts match the orientation, which is even
         classes = orientation_classes(graph, bits)
         assert [CLASS16[m] for m in chain.masks] == classes
-        assert chain.counts == [classes.count(c) for c in range(4)]
+        assert list(chain.counts) == [classes.count(c) for c in range(4)]
 
 
 class ScriptedRng:
@@ -227,13 +231,13 @@ def test_known_acceptance_ratio(torus22):
 
 
 def test_sampling_deterministic_and_sized(octahedron):
-    cfg = ChainConfig(seed=123, burn_in=50, thinning=3)
-    a = sample(octahedron, (1, 1, 1, 2), cfg, 200)
-    b = sample(octahedron, (1, 1, 1, 2), cfg, 200)
+    cfg = ChainConfig(seed=123)
+    a = sample(octahedron, (1, 1, 1, 2), cfg, 200, burn_in=50, thinning=3)
+    b = sample(octahedron, (1, 1, 1, 2), cfg, 200, burn_in=50, thinning=3)
     assert a == b
     assert len(a) == 200
-    assert sample(octahedron, (1, 1, 1, 1), cfg, 0) == []
-    different = sample(octahedron, (1, 1, 1, 2), ChainConfig(seed=124, burn_in=50, thinning=3), 200)
+    assert sample(octahedron, (1, 1, 1, 1), cfg, 0, burn_in=50, thinning=3) == []
+    different = sample(octahedron, (1, 1, 1, 2), ChainConfig(seed=124), 200, burn_in=50, thinning=3)
     assert a != different
 
 
@@ -253,8 +257,7 @@ def test_empirical_class_frequencies_match_census(octahedron):
     var_d = second - mean_d * mean_d
 
     n_samples = 10_000
-    cfg = ChainConfig(seed=2024, burn_in=500, thinning=14)
-    draws = sample(octahedron, p, cfg, n_samples)
+    draws = sample(octahedron, p, ChainConfig(seed=2024), n_samples, burn_in=500, thinning=14)
     counts = [
         sum(1 for c in orientation_classes(octahedron, tau) if c == VertexClass.D)
         for tau in draws
@@ -311,8 +314,8 @@ def test_face_moves_refused_on_tori(rows, cols, rank, k):
 
 
 def test_face_proposal_runs_on_planar_graphs(octahedron):
-    cfg = ChainConfig(seed=5, proposal="face", burn_in=20, thinning=2)
-    draws = sample(octahedron, (1, 1, 2, 1), cfg, 50)
+    cfg = ChainConfig(seed=5, proposal="face")
+    draws = sample(octahedron, (1, 1, 2, 1), cfg, 50, burn_in=20, thinning=2)
     assert len(draws) == 50
     for tau in draws:
         assert is_even_orientation(octahedron, tau)
@@ -322,3 +325,89 @@ def test_face_proposal_needs_rotation_system(k44):
     cfg = ChainConfig(seed=5, proposal="face")
     with pytest.raises(ValueError, match="rotation"):
         sample(k44, (1, 1, 1, 1), cfg, 1)
+
+
+class PythonRandom(Random):
+    """A Random that is not exactly ``random.Random``, so a chain built on it steps in Python."""
+
+
+def test_native_kernel_loads_where_a_compiler_is(octahedron):
+    # a CI host with a compiler must run the compiled kernel, not fall back quietly
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on this host")
+    assert mcmc._load_kernel() is not None
+    assert Chain(CycleKernel(octahedron), Random(0))._native is not None
+    assert Chain(CycleKernel(octahedron), PythonRandom(0))._native is None
+
+
+def test_chains_step_in_python_where_the_kernel_cannot_build(monkeypatch, tmp_path, octahedron):
+    # no compiler, and a source that does not compile: no library, no
+    # temporary file left behind, and the same samples from the Python steps
+    from eightvertex import _native
+
+    expected = sample(octahedron, (1, 1, 1, 2), ChainConfig(seed=9), 20, burn_in=5, thinning=3)
+    broken = tmp_path / "_chain.c"
+    broken.write_text("this is not C\n")
+    for source, build in ((_native.SOURCE, ("no-such-compiler",) + _native.BUILD[1:]),
+                          (broken, _native.BUILD)):
+        monkeypatch.setattr(_native, "_STEP", None)
+        monkeypatch.setattr(_native, "SOURCE", source)
+        monkeypatch.setattr(_native, "BUILD", build)
+        assert _native.load() is None
+        assert Chain(CycleKernel(octahedron), Random(0))._native is None
+        got = sample(octahedron, (1, 1, 1, 2), ChainConfig(seed=9), 20, burn_in=5, thinning=3)
+        assert got == expected
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["__pycache__", "_chain.c"]
+
+
+NATIVE_KERNELS = {
+    "octahedron": CycleKernel(gen_octahedron()),
+    "octahedron-face": CycleKernel(gen_octahedron(), "face"),
+    "torus2x2": CycleKernel(gen_torus(2, 2)),
+    "torus4x4": CycleKernel(gen_torus(4, 4)),
+    "k44": CycleKernel(gen_k44()),
+    # the redraw loop of the move draw, at and between powers of two
+    **{f"one-vertex-{n}": _one_vertex_moves(n) for n in (1, 2, 3, 5, 9, 17, 37, 65, 145)},
+}
+WEIGHT = st.floats(0.05, 20.0)
+# (blocks, thinning, sum the class-count weights, record orientations)
+RUN = st.tuples(st.integers(0, 40), st.integers(1, 30), st.booleans(), st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(NATIVE_KERNELS)),
+    seed=st.integers(0, 2**64 - 1),
+    weights=st.lists(st.tuples(WEIGHT, WEIGHT, WEIGHT, WEIGHT), min_size=1, max_size=3),
+    ratios=st.tuples(WEIGHT, WEIGHT, WEIGHT, WEIGHT),
+    runs=st.lists(RUN, min_size=1, max_size=4),
+)
+@example(name="torus4x4", seed=1, weights=[(1.0, 2.0, 2.0, 1.0)], ratios=(1.1, 0.9, 1.0, 1.3),
+         runs=[(1, _RECOUNT_PERIOD + 7, False, False), (3, 7, True, True)])
+# one-block and two-block weighted runs show a sum that rounds once more or less
+@example(name="torus4x4", seed=3, weights=[(1.0, 1.2, 0.9, 1.1)], ratios=(1.1, 0.7, 1.3, 0.37),
+         runs=[(1, 2, True, False)] * 40 + [(2, 2, True, False)] * 40)
+@example(name="one-vertex-145", seed=2, weights=[(1.0,) * 4], ratios=(1.0,) * 4,
+         runs=[(_RECOUNT_PERIOD // 3 + 1, 3, True, False)])
+def test_native_chain_matches_python_chain(name, seed, weights, ratios, runs):
+    kernel = NATIVE_KERNELS[name]
+    if mcmc._load_kernel() is None:
+        pytest.skip("the compiled kernel is not available on this host")
+    native, python = Chain(kernel, Random(seed)), Chain(kernel, PythonRandom(seed))
+    assert native._native is not None and python._native is None
+    n = len(kernel.reference_masks)
+    pows = tuple(tuple(r**count for count in range(n + 1)) for r in ratios)
+    for index, (blocks, thinning, weighted, record) in enumerate(runs):
+        for chain in (native, python):
+            chain.set_params(weights[index % len(weights)])
+        if record and hasattr(kernel, "orientation"):
+            assert list(native.orientations(blocks, thinning)) == list(
+                python.orientations(blocks, thinning))
+        else:
+            sums = native.run(blocks, thinning, pows if weighted else None)
+            # bit-equal sums: the same float operations in the same order
+            assert sums == python.run(blocks, thinning, pows if weighted else None)
+        assert list(native.masks) == python.masks
+        assert list(native.counts) == python.counts
+        assert native.steps == python.steps
+    assert native.rng.getstate() == python.rng.getstate()
