@@ -134,20 +134,19 @@ class NativeChain:
             samples, thinning = samples * thinning, 1  # no work between blocks: the same steps
         table = None if pows is None else self._pows[1]
         sums = (ctypes.c_double * 2)()
-        for blocks in _calls(samples, thinning):
+        for blocks in calls(samples, thinning):
             _STEP(self._address, blocks, thinning, table, n + 1, sums, None)
         return sums[0], sums[1]
 
-    def record(self, samples: int, thinning: int):
-        """Run ``samples`` blocks; yield, per call, the masks after each of its blocks."""
-        n = len(self.masks)
-        for blocks in _calls(samples, thinning):
-            masks = (ctypes.c_uint8 * (blocks * n))()
-            _STEP(self._address, blocks, thinning, None, 0, None, masks)
-            yield bytes(masks)
+    def record(self, blocks: int, thinning: int) -> bytearray:
+        """Run ``blocks`` blocks in one call; return the masks after each of them."""
+        masks = bytearray(blocks * len(self.masks))
+        _STEP(self._address, blocks, thinning, None, 0, None,
+              (ctypes.c_uint8 * len(masks)).from_buffer(masks))
+        return masks
 
 
-def _calls(samples: int, thinning: int):
+def calls(samples: int, thinning: int):
     """Split ``samples`` blocks into calls of at most ``CALL_STEPS`` steps, or one block."""
     per_call = max(1, CALL_STEPS // max(1, thinning))
     for done in range(0, samples, per_call):

@@ -134,8 +134,11 @@ def _cmd_sample(args) -> int:
     graph = _load_graph(args.graph)
     p = _parse_params(args.params)
     cfg = ChainConfig(seed=args.seed, proposal=args.proposal)
-    for orientation in sample(graph, p, cfg, args.samples, args.burn_in, args.thinning):
-        print(orientation_to_bitstring(graph, orientation))
+    rows = sample(graph, p, cfg, args.samples, args.burn_in, args.thinning)
+    # about a megabyte of text per write
+    per_write = max(1, (1 << 20) // (graph.edge_count + 1))
+    for start in range(0, len(rows), per_write):
+        sys.stdout.write(orientation_to_bitstring(graph, rows[start:start + per_write]))
     return 0
 
 
@@ -391,7 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("sample", help="emit sampled orientations as bit-strings")
+    p = sub.add_parser(
+        "sample", help="emit sampled orientations as bit-strings",
+        description="Print one line per sample.  Bit i of a line is edge i in file order: "
+        "1 iff the edge points toward its higher-numbered endpoint.  A self-loop "
+        "'edge i v a v b' keeps its slot bit: 1 iff it points into label b.",
+    )
     p.add_argument("--graph", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--seed", type=int, required=True)

@@ -16,11 +16,6 @@ import numpy as np
 TOL_EXACT = 1e-12
 TOL_REAL = 1e-10
 
-# constraint-matrix layout: rows (x1,x2) in order 00,01,10,11,
-# columns (x3,x4) in order 00,10,01,11
-_ROW_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
-_COL_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))
-
 
 def _index(x1: int, x2: int, x3: int, x4: int) -> int:
     return (x1 << 3) | (x2 << 2) | (x3 << 1) | x4
@@ -35,13 +30,6 @@ class QuarticFunction:
     def __post_init__(self):
         arr = np.asarray(self.table, dtype=complex).reshape(16)
         object.__setattr__(self, "table", arr)
-
-    def constraint_matrix(self) -> np.ndarray:
-        out = np.empty((4, 4), dtype=complex)
-        for r, (x1, x2) in enumerate(_ROW_ORDER):
-            for c, (x3, x4) in enumerate(_COL_ORDER):
-                out[r, c] = self.table[_index(x1, x2, x3, x4)]
-        return out
 
 
 def constraint_from_params(a, b, c, d) -> QuarticFunction:

@@ -8,7 +8,9 @@ cycle-space dimension.  The chain is lazy with the fixed holding
 probability ``LAZINESS`` = 1/2, which makes it aperiodic and its spectrum
 nonnegative.  It keeps only per-vertex in-masks and class counts; a
 proposal's weight ratio is a product of table lookups over the vertices
-the flip touches, and orientations are read back from the masks.
+the flip touches.  ``sample`` records the masks after each block of steps,
+many blocks at a time, and reads a whole record's orientations from it in
+one array pass.
 The chain draws what a plain loop over ``random()`` and
 ``randrange(nmoves)`` draws and does the same float operations, so a seed
 gives that loop's samples and estimates byte for byte.
@@ -197,21 +199,25 @@ class Chain:
         self._recount(samples * thinning)
         return sums
 
-    def orientations(self, samples: int, thinning: int) -> Iterator[Bits]:
-        """The orientation after each of ``samples`` blocks of ``thinning`` steps.
+    def mask_blocks(self, samples: int, thinning: int) -> Iterator[bytearray]:
+        """Run ``samples`` blocks of ``thinning`` steps, recording the masks after each.
 
-        The compiled kernel records each block's masks, many blocks a call.
+        Yields, per call of at most ``_native.CALL_STEPS`` steps (or one
+        block), the in-masks after each of its blocks: one byte per vertex,
+        one block after another.
         """
-        if self._native is None:
-            for _ in range(samples):
-                self.run(1, thinning)
-                yield self.orientation()
-            return
-        n = len(self.masks)
-        for masks in self._native.record(samples, thinning):
-            self._recount(len(masks) // n * thinning)
-            for start in range(0, len(masks), n):
-                yield self.kernel.orientation(masks[start:start + n])
+        from ._native import calls
+
+        for blocks in calls(samples, thinning):
+            if self._native is None:
+                masks = bytearray()
+                for _ in range(blocks):
+                    self._python_run(1, thinning, None)
+                    masks.extend(self.masks)
+            else:
+                masks = self._native.record(blocks, thinning)
+            self._recount(blocks * thinning)
+            yield masks
 
     def _recount(self, steps: int):
         self.steps += steps
@@ -263,22 +269,35 @@ def sample(
     n_samples: int,
     burn_in: int = 0,
     thinning: int = 1,
-) -> list[Bits]:
-    """Burn in ``burn_in`` steps, then record an orientation every ``thinning`` steps."""
+) -> np.ndarray:
+    """Burn in ``burn_in`` steps, then record an orientation every ``thinning`` steps.
+
+    Returns one orientation per row, in slot bits (see ``states``): a
+    ``uint8`` array of shape ``(n_samples, graph.edge_count)``.
+    """
     if n_samples < 0:
         raise ValueError("sample count must be nonnegative")
     if burn_in < 0:
         raise ValueError("burn-in must be nonnegative")
     if thinning < 1:
         raise ValueError("thinning must be at least 1")
+    try:
+        rows = np.empty((n_samples, graph.edge_count), dtype=np.uint8)
+    except MemoryError:
+        raise ValueError(f"{n_samples} samples of {graph.edge_count} bits do not fit in memory") from None
     if n_samples == 0:
-        return []
+        return rows
     p = _positive(params)
     kernel = CycleKernel(graph, cfg.proposal)
     chain = Chain(kernel, Random(cfg.seed))
     chain.set_params(chain_weights(p, kernel))
     chain.advance(burn_in)
-    return list(chain.orientations(n_samples, thinning))
+    done = 0
+    for block in chain.mask_blocks(n_samples, thinning):
+        masks = np.frombuffer(block, dtype=np.uint8).reshape(-1, graph.vertex_count)
+        rows[done:done + len(masks)] = kernel.orientations(masks)
+        done += len(masks)
+    return rows
 
 
 # ----------------------------------------------------------------------

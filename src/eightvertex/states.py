@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .graphs import LabeledGraph
 
 Bits = tuple[int, ...]
@@ -273,6 +275,11 @@ class CycleKernel:
         """The orientation with in-masks ``masks``: bit 1 iff the slot-1 label is incoming."""
         return tuple((masks[v] >> shift) & 1 for v, shift in self._heads)
 
+    def orientations(self, masks: np.ndarray) -> np.ndarray:
+        """``orientation`` of each row of a ``(rows, n)`` uint8 array, as a ``(rows, m)`` one."""
+        heads, shifts = np.array(self._heads, dtype=np.intp).reshape(-1, 2).T
+        return (masks[:, heads] >> shifts.astype(np.uint8)) & 1
+
     def walk(self, masks: list[int], dim_cap: int, first: int = 0) -> Iterator[list[int]]:
         """Gray-code walk over the subsets of moves first..k-1, flipping ``masks`` in place.
 
@@ -476,36 +483,34 @@ def orientation_to_coloring(
     return tuple(a ^ b for a, b in zip(orientation, canonical))
 
 
-def orientation_to_bitstring(graph: LabeledGraph, orientation: Sequence[int]) -> str:
+def _wire_flips(graph: LabeledGraph) -> np.ndarray:
+    """Per edge, 1 where the slot-1 endpoint is the lower-numbered one: slot bit xor wire bit."""
+    return np.array([e.v < e.u for e in graph.edges], dtype=np.uint8)
+
+
+def orientation_to_bitstring(graph: LabeledGraph, orientations) -> str:
     """Wire form: bit 1 iff the edge points toward its higher-numbered endpoint.
 
-    Self-loops keep the internal slot bit.
+    A self-loop keeps its slot bit.  One orientation gives one line, without
+    a newline; an array of them, one per row, gives a line per row, each
+    ending in a newline.
     """
-    out = []
-    for eid, e in enumerate(graph.edges):
-        if e.u == e.v:
-            out.append(str(orientation[eid]))
-        else:
-            head = e.v if orientation[eid] else e.u
-            out.append("1" if head == max(e.u, e.v) else "0")
-    return "".join(out)
+    bits = np.asarray(orientations, dtype=np.uint8)
+    if bits.shape[-1:] != (graph.edge_count,):
+        raise ValueError("orientation length does not match the graph")
+    text = (bits ^ _wire_flips(graph)) + np.uint8(ord("0"))
+    if text.ndim == 2:
+        text = np.column_stack((text, np.full(len(text), ord("\n"), dtype=np.uint8)))
+    return text.tobytes().decode("ascii")
 
 
 def bitstring_to_orientation(graph: LabeledGraph, text: str) -> Bits:
-    """Inverse of ``orientation_to_bitstring``.
+    """Inverse of ``orientation_to_bitstring`` on one line.
 
     Nothing in the package calls it: it reads the lines that ``eightvertex
     sample`` prints back into orientations, for users of that output.
     """
     if len(text) != graph.edge_count or set(text) - {"0", "1"}:
         raise ValueError("bit-string length or alphabet mismatch")
-    bits = []
-    for eid, e in enumerate(graph.edges):
-        raw = int(text[eid])
-        if e.u == e.v:
-            bits.append(raw)
-        else:
-            high_is_v = max(e.u, e.v) == e.v
-            bits.append(raw if high_is_v else 1 - raw)
-    return tuple(bits)
-
+    bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - np.uint8(ord("0"))
+    return tuple((bits ^ _wire_flips(graph)).tolist())

@@ -6,15 +6,18 @@ they check the package's exact routes independently; the reference chain
 recomputes whole weights instead of local ratios, and the reference census
 counts the Gray walk's profiles one state at a time instead of in blocks.
 The predicates at the end (evenness, Gibbs weights, region intersections,
-arrow-reversal symmetry) and the matrix inverse have no caller in the
-package.  Keep them dumb.
+arrow-reversal symmetry), the matrix inverse, the constraint-matrix
+layout and the per-edge bit-string form have no caller in the package.
+Keep them dumb.
 """
 from collections import Counter
 from fractions import Fraction
 from random import Random
 
+import numpy as np
+
 from eightvertex.graphs import LabeledGraph
-from eightvertex.holant import TOL_EXACT
+from eightvertex.holant import TOL_EXACT, _index
 from eightvertex.states import (
     CLASS_BY_MASK,
     DEFAULT_DIM_CAP,
@@ -234,3 +237,33 @@ def inverse(matrix: HalfIntMatrix) -> HalfIntMatrix:
                 factor = aug[r][col]
                 aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
     return HalfIntMatrix(tuple(tuple(row[4:]) for row in aug))
+
+
+# constraint-matrix layout: rows (x1,x2) in order 00,01,10,11,
+# columns (x3,x4) in order 00,10,01,11
+_ROW_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
+_COL_ORDER = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def constraint_matrix(table) -> np.ndarray:
+    """The 4x4 constraint matrix of a 16-entry truth table indexed by (x1, x2, x3, x4)."""
+    out = np.empty((4, 4), dtype=complex)
+    for r, (x1, x2) in enumerate(_ROW_ORDER):
+        for c, (x3, x4) in enumerate(_COL_ORDER):
+            out[r, c] = table[_index(x1, x2, x3, x4)]
+    return out
+
+
+def orientation_to_bitstring(graph: LabeledGraph, orientation) -> str:
+    """Wire form, one edge at a time: bit 1 iff the edge points toward its higher-numbered endpoint.
+
+    Self-loops keep the internal slot bit.
+    """
+    out = []
+    for eid, e in enumerate(graph.edges):
+        if e.u == e.v:
+            out.append(str(orientation[eid]))
+        else:
+            head = e.v if orientation[eid] else e.u
+            out.append("1" if head == max(e.u, e.v) else "0")
+    return "".join(out)

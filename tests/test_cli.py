@@ -14,6 +14,8 @@ from eightvertex.cli import main
 from eightvertex.exact import census_8v, z8v_exact
 from eightvertex.graphs import gen_k44, gen_octahedron, gen_torus, parse_graph, serialize_graph
 
+from .conftest import build_loop_graph
+
 
 @pytest.fixture()
 def oct_file(tmp_path):
@@ -158,6 +160,14 @@ def test_sample_refuses_face_moves_on_torus(tmp_path, capsys):
     assert "rank 15" in err and "k=17" in err
 
 
+def test_sample_refuses_a_count_past_memory(oct_file, capsys):
+    # 10^16 rows of 12 bytes: more than any address space holds
+    code, out, err = run(capsys, "sample", "--graph", oct_file, "--params", "1,1,1,2",
+                         "--seed", "7", "--samples", str(10**16))
+    assert code == 2
+    assert out == "" and "do not fit in memory" in err
+
+
 def test_sample_rejects_negative_burn_in(oct_file, capsys):
     code, out, err = run(capsys, "sample", "--graph", oct_file, "--params", "1,1,1,2",
                          "--seed", "7", "--samples", "5", "--burn-in", "-5")
@@ -295,6 +305,9 @@ GOLDEN = [
     (("sample", "octahedron", "--params", "1,1,2,1", "--seed", "5", "--samples", "200",
       "--proposal", "face"), 0,
      "479affa2d3af75b6a6a062b75101b4b0f4b372d909df777028f15f7990c83222"),
+    # self-loops print their slot bit; captured before the rows were read in one array pass
+    (("sample", "loop_graph", "--params", "1,2,3,1", "--seed", "3", "--samples", "200"), 0,
+     "7a697fa2ae61df4f798ad2fa4627a6f19ace93059af8fe5d43ba8126d5b001fd"),
     (("estimate", "octahedron", "--params", "1,1,5,1", "--class", "planar", "--eps", "0.1",
       "--seed", "3"), 0,
      "634ae51c655c6f412ec01d3767e7abf6f6bb183803bd2f2e606c255899436f2f"),
@@ -324,7 +337,7 @@ GOLDEN = [
      "d12d54551c513b3de9190e5123464cda670f05e07fee48350d5b07d9b270b812"),
 ]
 GOLDEN_GRAPHS = {"torus4x4": lambda: gen_torus(4, 4), "octahedron": gen_octahedron,
-                 "k44": gen_k44}
+                 "k44": gen_k44, "loop_graph": build_loop_graph}
 
 
 def _golden_id(argv):

@@ -22,7 +22,7 @@ from eightvertex.holant import (
 from eightvertex.states import CLASS_BY_MASK
 from eightvertex.transforms import MHZ, MZ
 
-from ._brute import arrow_reversal_symmetric
+from ._brute import arrow_reversal_symmetric, constraint_matrix
 
 
 def test_constraint_placement():
@@ -39,7 +39,7 @@ def test_constraint_matrix_layout():
     want = np.array(
         [[4, 0, 0, 1], [0, 2, 3, 0], [0, 3, 2, 0], [1, 0, 0, 4]], dtype=complex
     )
-    assert np.array_equal(f.constraint_matrix(), want)
+    assert np.array_equal(constraint_matrix(f.table), want)
 
 
 def test_constraint_classes_match_the_class_table():
@@ -99,7 +99,7 @@ def test_z_image_closed_form():
                 [-a + b + c - d, 0, 0, a + b + c + d],
             ]
         )
-        assert np.abs(got.constraint_matrix() - want).max() < 1e-10
+        assert np.abs(constraint_matrix(got.table) - want).max() < 1e-10
 
 
 def test_hz_image_closed_form():
@@ -115,7 +115,7 @@ def test_hz_image_closed_form():
                 [-a + b + c + d, 0, 0, a + b + c - d],
             ]
         )
-        assert np.abs(got.constraint_matrix() - want).max() < 1e-10
+        assert np.abs(constraint_matrix(got.table) - want).max() < 1e-10
 
 
 @pytest.mark.parametrize("basis, generator", [(Z_BASIS, MZ), (HZ_BASIS, MHZ)],

@@ -5,6 +5,7 @@ from fractions import Fraction
 from random import Random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,13 +25,17 @@ from eightvertex.states import (
     CLASS16,
     CycleKernel,
     VertexClass,
+    bitstring_to_orientation,
     canonical_bipartite_orientation,
     canonical_planar_orientation,
     face_two_coloring,
     orientation_classes,
+    orientation_to_bitstring,
 )
 
 from ._brute import gibbs_weight, is_even_orientation, metropolis_reference
+from ._brute import orientation_to_bitstring as per_edge_bitstring
+from .conftest import build_k5, build_loop_graph, build_two_components
 
 YZ_POINTS = [
     (1, 1, 1, 1),
@@ -234,11 +239,88 @@ def test_sampling_deterministic_and_sized(octahedron):
     cfg = ChainConfig(seed=123)
     a = sample(octahedron, (1, 1, 1, 2), cfg, 200, burn_in=50, thinning=3)
     b = sample(octahedron, (1, 1, 1, 2), cfg, 200, burn_in=50, thinning=3)
-    assert a == b
-    assert len(a) == 200
-    assert sample(octahedron, (1, 1, 1, 1), cfg, 0, burn_in=50, thinning=3) == []
+    assert np.array_equal(a, b)
+    assert a.shape == (200, 12) and a.dtype == np.uint8
+    assert sample(octahedron, (1, 1, 1, 1), cfg, 0, burn_in=50, thinning=3).shape == (0, 12)
     different = sample(octahedron, (1, 1, 1, 2), ChainConfig(seed=124), 200, burn_in=50, thinning=3)
-    assert a != different
+    assert not np.array_equal(a, different)
+
+
+FIXTURE_GRAPHS = {
+    "octahedron": gen_octahedron(),
+    "k44": gen_k44(),
+    "k5": build_k5(),
+    "loop_graph": build_loop_graph(),
+    "two_components": build_two_components(),
+    **{f"torus{r}x{c}": gen_torus(r, c) for r, c in ((2, 2), (2, 4), (3, 4), (4, 4))},
+}
+
+
+def _rows_block_by_block(graph, params, seed, samples, burn_in, thinning):
+    """``sample``'s orientations from Python steps, read one block and one edge at a time."""
+    kernel = CycleKernel(graph)
+    chain = Chain(kernel, PythonRandom(seed))
+    chain.set_params(chain_weights(params, kernel))
+    chain.advance(burn_in)
+    rows = []
+    for _ in range(samples):
+        chain.advance(thinning)
+        rows.append(chain.orientation())
+    return rows
+
+
+def _check_rows(graph, rows, expected):
+    """The array rows and their wire text against the per-edge forms, and the text parsed back."""
+    assert rows.dtype == np.uint8 and rows.shape == (len(expected), graph.edge_count)
+    assert rows.tolist() == [list(bits) for bits in expected]
+    text = orientation_to_bitstring(graph, rows)
+    assert text == "".join(per_edge_bitstring(graph, bits) + "\n" for bits in expected)
+    for line, bits in zip(text.splitlines(), expected):
+        assert orientation_to_bitstring(graph, bits) == line
+        assert bitstring_to_orientation(graph, line) == bits
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FIXTURE_GRAPHS)),
+    seed=st.integers(0, 2**32 - 1),
+    params=st.tuples(*[st.integers(1, 5)] * 4),
+    samples=st.integers(0, 25),
+    burn_in=st.integers(0, 40),
+    thinning=st.integers(1, 6),
+)
+# self-loops keep their slot bit; the 8 wrap-around edges of torus 4x4 have v < u
+@example(name="loop_graph", seed=3, params=(1, 2, 3, 1), samples=25, burn_in=0, thinning=1)
+@example(name="torus4x4", seed=11, params=(1, 2, 2, 1), samples=25, burn_in=10, thinning=3)
+def test_sample_rows_match_the_per_edge_forms(name, seed, params, samples, burn_in, thinning):
+    graph = FIXTURE_GRAPHS[name]
+    rows = sample(graph, params, ChainConfig(seed=seed), samples, burn_in, thinning)
+    _check_rows(graph, rows, _rows_block_by_block(graph, params, seed, samples, burn_in, thinning))
+
+
+@pytest.mark.parametrize("native", [True, False], ids=["native", "python"])
+@pytest.mark.parametrize("name", ["torus4x4", "loop_graph"])
+def test_sample_rows_span_several_record_calls(monkeypatch, name, native):
+    from eightvertex import _native
+
+    if native and mcmc._load_kernel() is None:
+        pytest.skip("the compiled kernel is not available on this host")
+    if not native:
+        monkeypatch.setattr(mcmc, "_load_kernel", lambda: None)
+    # at most 10 steps a call: with thinning 3, 25 samples take 8 calls of 3 blocks and one of 1
+    monkeypatch.setattr(_native, "CALL_STEPS", 10)
+    graph, recorded, mask_blocks = FIXTURE_GRAPHS[name], [], Chain.mask_blocks
+
+    def spy(chain, samples, thinning):
+        assert (chain._native is not None) == native
+        for block in mask_blocks(chain, samples, thinning):
+            recorded.append(len(block) // graph.vertex_count)
+            yield block
+
+    monkeypatch.setattr(Chain, "mask_blocks", spy)
+    rows = sample(graph, (1, 2, 3, 1), ChainConfig(seed=5), 25, burn_in=7, thinning=3)
+    assert recorded == [3] * 8 + [1]
+    _check_rows(graph, rows, _rows_block_by_block(graph, (1, 2, 3, 1), 5, 25, 7, 3))
 
 
 def test_empirical_class_frequencies_match_census(octahedron):
@@ -356,7 +438,7 @@ def test_chains_step_in_python_where_the_kernel_cannot_build(monkeypatch, tmp_pa
         assert _native.load() is None
         assert Chain(CycleKernel(octahedron), Random(0))._native is None
         got = sample(octahedron, (1, 1, 1, 2), ChainConfig(seed=9), 20, burn_in=5, thinning=3)
-        assert got == expected
+        assert np.array_equal(got, expected)
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["__pycache__", "_chain.c"]
 
 
@@ -370,7 +452,7 @@ NATIVE_KERNELS = {
     **{f"one-vertex-{n}": _one_vertex_moves(n) for n in (1, 2, 3, 5, 9, 17, 37, 65, 145)},
 }
 WEIGHT = st.floats(0.05, 20.0)
-# (blocks, thinning, sum the class-count weights, record orientations)
+# (blocks, thinning, sum the class-count weights, record masks)
 RUN = st.tuples(st.integers(0, 40), st.integers(1, 30), st.booleans(), st.booleans())
 
 
@@ -400,9 +482,9 @@ def test_native_chain_matches_python_chain(name, seed, weights, ratios, runs):
     for index, (blocks, thinning, weighted, record) in enumerate(runs):
         for chain in (native, python):
             chain.set_params(weights[index % len(weights)])
-        if record and hasattr(kernel, "orientation"):
-            assert list(native.orientations(blocks, thinning)) == list(
-                python.orientations(blocks, thinning))
+        if record:
+            assert list(native.mask_blocks(blocks, thinning)) == list(
+                python.mask_blocks(blocks, thinning))
         else:
             sums = native.run(blocks, thinning, pows if weighted else None)
             # bit-equal sums: the same float operations in the same order
