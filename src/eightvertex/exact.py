@@ -6,9 +6,9 @@ touches floating point; signed and zero parameters are allowed throughout.
 (transfer-matrix) contraction along a greedy vertex order, costing about
 2^width * n.  The censuses enumerate all 2^k even states over the cycle
 space, independently of the contraction, which they cross-check when
-evaluated at a point: a numpy table counts the 2^L subsets of the low
-``CENSUS_BLOCK`` basis cycles at once, and the cycle-space kernel's Gray
-walk runs over the other k - L cycles.
+evaluated at a point: they count the class profiles of each block of
+states that the cycle-space kernel lists (``states.CycleKernel.blocks``)
+with one ``bincount``.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from .states import CLASS16, DEFAULT_DIM_CAP, CycleKernel
 
 ParamVec = tuple[Fraction, Fraction, Fraction, Fraction]
 
-CENSUS_BLOCK = 12  # low basis cycles counted at once, 2^12 states per table
 FRONTIER_CAP = 20
 
 
@@ -62,36 +61,20 @@ class Census:
         return acc
 
 
-def _census(kernel: CycleKernel, masks: list[int], dim_cap: int) -> Census:
-    """Count the class profiles of all 2^k states, 2^L low subsets per walk state.
+def _census(kernel: CycleKernel, start: Sequence[int], dim_cap: int) -> Census:
+    """Count the class profiles of all 2^k states, one block of the kernel's at a time.
 
-    ``lo[v][s]`` is the xor that subset s of the L low moves applies to
-    vertex v's mask, built by doubling.  At each state of the Gray walk over
-    the other moves, the 2^L profiles are coded n_A + D*n_B + D^2*n_C with
-    D = n + 1 (n_D is the rest) and counted by ``bincount``; a bin holds at
-    most 2^k states, so int64 is exact.
+    Each state's profile is coded n_A + D*n_B + D^2*n_C with D = n + 1
+    (n_D is the rest) and counted by ``bincount``; a bin holds at most 2^k
+    states, so int64 is exact.
     """
     n = kernel.graph.vertex_count
-    low = min(kernel.dimension, CENSUS_BLOCK)
-    walk = kernel.walk(masks, dim_cap, first=low)  # refuses k > dim_cap before any table
+    blocks = kernel.blocks(start, dim_cap)  # refuses k > dim_cap before any table
     D = n + 1
     place = np.array([(1, D, D * D, 0)[c] for c in CLASS16], np.intp)
-    lo = np.zeros((n, 1), np.uint8)
-    for j in range(low):
-        xor = np.zeros((n, 1), np.uint8)
-        for v, xm in kernel.touch[j]:
-            xor[v] = xm
-        lo = np.hstack([lo, lo ^ xor])
-    touched = lo.any(axis=1)
-    block = [(v, lo[v]) for v in np.flatnonzero(touched).tolist()]
-    rest = np.flatnonzero(~touched).tolist()
-    rest_place = place.tolist()
     hist = np.zeros(D**3, np.int64)
-    for _ in walk:
-        codes = np.full(1 << low, sum(rest_place[masks[v]] for v in rest), np.intp)
-        for v, lo_v in block:
-            codes += place[lo_v ^ masks[v]]
-        hist += np.bincount(codes, minlength=D**3)
+    for block in blocks:
+        hist += np.bincount(place[block].sum(axis=0), minlength=D**3)
     counts = {}
     for code in np.flatnonzero(hist).tolist():
         na, nb, nc = code % D, code // D % D, code // (D * D)
@@ -102,7 +85,7 @@ def _census(kernel: CycleKernel, masks: list[int], dim_cap: int) -> Census:
 def census_8v(graph: LabeledGraph, dim_cap: int = DEFAULT_DIM_CAP) -> Census:
     """Class census over all even orientations."""
     kernel = CycleKernel(graph)
-    return _census(kernel, list(kernel.reference_masks), dim_cap)
+    return _census(kernel, kernel.reference_masks, dim_cap)
 
 
 def census_ec(graph: LabeledGraph, dim_cap: int = DEFAULT_DIM_CAP) -> Census:

@@ -56,14 +56,6 @@ EQ2 = np.array([1, 0, 0, 1], dtype=complex)
 NEQ2 = np.array([0, 1, 1, 0], dtype=complex)
 
 
-def _verify_basis_constants():
-    if not np.allclose(H_BASIS @ Z_BASIS, HZ_BASIS, atol=TOL_EXACT):
-        raise RuntimeError("basis constant mismatch: HZ != H @ Z")
-
-
-_verify_basis_constants()
-
-
 def kron_power(T: np.ndarray, n: int) -> np.ndarray:
     out = np.array([[1.0 + 0j]])
     for _ in range(n):

@@ -13,7 +13,10 @@ many blocks at a time, and reads a whole record's orientations from it in
 one array pass.
 The chain draws what a plain loop over ``random()`` and
 ``randrange(nmoves)`` draws and does the same float operations, so a seed
-gives that loop's samples and estimates byte for byte.
+gives that loop's samples and estimates byte for byte.  The exact chain
+diagnostics read each state's Gibbs weight from the kernel's blocks of
+masks (``states.CycleKernel.blocks``), which list the states by
+cycle-space coordinate, so basis-cycle move j flips bit j of the index.
 
 The steps run in a compiled kernel, ``_chain.c``, wherever one can be
 built: it keeps the masks, counts, factor tables and the generator's
@@ -37,7 +40,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .graphs import LabeledGraph
-from .states import CLASS16, Bits, CycleKernel
+from .states import CLASS16, CycleKernel
 
 DIAGNOSTIC_DIM_CAP = 12
 DIAGNOSTIC_MAX_STEPS = 200_000
@@ -177,9 +180,6 @@ class Chain:
         for xm, table in self.factors.items():
             for m in _EVEN_MASKS:
                 table[m] = ratio[CLASS16[m ^ xm]][CLASS16[m]]
-
-    def orientation(self) -> Bits:
-        return self.kernel.orientation(self.masks)
 
     def advance(self, steps: int):
         self.run(1, steps)
@@ -324,8 +324,10 @@ def _state_weights(kernel: CycleKernel, params) -> list[Fraction]:
             w *= p_i**n_i
         return w
 
-    walk = kernel.walk(list(kernel.reference_masks), DIAGNOSTIC_DIM_CAP)
-    return [w for _, w in sorted((i ^ (i >> 1), weight(p)) for i, p in enumerate(walk))]
+    masks = np.hstack(list(kernel.blocks(kernel.reference_masks, DIAGNOSTIC_DIM_CAP)))
+    classes = np.array(CLASS16)[masks]
+    profiles = np.stack([(classes == c).sum(axis=0) for c in range(4)], axis=1)
+    return [weight(p) for p in profiles.tolist()]
 
 
 def exact_chain_diagnostics(

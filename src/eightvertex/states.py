@@ -5,14 +5,16 @@ the edge's slot-1 endpoint (the ``(v, label_v)`` side).  A coloring is a
 tuple of bits with 1 = red, 0 = green.  Evenness means an even number of
 incoming arrows (resp. green edges) at every vertex; the even
 orientations form a coset of the binary cycle space.  ``CycleKernel``
-holds the moves through that coset and the one Gray walk over it.  The
-Metropolis chain flips single moves; the enumeration and the exact chain
-diagnostics walk all 2^k move subsets; the census (``exact``) walks the
-moves past its low block and counts each block of 2^L low subsets with a
-numpy table.  ``DEFAULT_DIM_CAP`` bounds every 2^k enumeration.
+holds the moves through that coset and the one enumeration of it,
+``blocks``: the in-masks of all 2^k states, 2^``BLOCK_MOVES`` at a time, in
+cycle-space coordinate order.  The Metropolis chain flips single moves;
+the enumeration, the exact chain diagnostics and the census (``exact``)
+read the blocks.  ``DEFAULT_DIM_CAP`` bounds every 2^k enumeration.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterator, Sequence
@@ -195,6 +197,8 @@ def cycle_basis(graph: LabeledGraph) -> CycleBasis:
 
 # largest cycle-space dimension k that a 2^k enumeration accepts by default
 DEFAULT_DIM_CAP = 30
+# moves per chunk of ``CycleKernel.blocks``: a block holds 2^12 states, n * 4 KiB of masks
+BLOCK_MOVES = 12
 
 # 4-bit mask -> class index, -1 for odd masks; a tuple lookup for hot loops,
 # of plain ints because list indexing specialises on exact ints
@@ -271,53 +275,53 @@ class CycleKernel:
         self.reference_masks = tuple(in_masks(graph, self.reference))
         self._heads = tuple((e.v, e.label_v - 1) for e in graph.edges)
 
-    def orientation(self, masks: Sequence[int]) -> Bits:
-        """The orientation with in-masks ``masks``: bit 1 iff the slot-1 label is incoming."""
-        return tuple((masks[v] >> shift) & 1 for v, shift in self._heads)
-
     def orientations(self, masks: np.ndarray) -> np.ndarray:
-        """``orientation`` of each row of a ``(rows, n)`` uint8 array, as a ``(rows, m)`` one."""
+        """The orientations with the in-masks of each row of a ``(rows, n)`` uint8 array.
+
+        Returns a ``(rows, m)`` uint8 array: bit 1 iff the edge's slot-1 label is incoming.
+        """
         heads, shifts = np.array(self._heads, dtype=np.intp).reshape(-1, 2).T
         return (masks[:, heads] >> shifts.astype(np.uint8)) & 1
 
-    def walk(self, masks: list[int], dim_cap: int, first: int = 0) -> Iterator[list[int]]:
-        """Gray-code walk over the subsets of moves first..k-1, flipping ``masks`` in place.
+    def blocks(self, start: Sequence[int], dim_cap: int) -> Iterator[np.ndarray]:
+        """All 2^k states from the masks ``start``, as ``(n, 2^L)`` uint8 arrays of masks.
 
-        Yields the live class profile [n_A, n_B, n_C, n_D] once per subset,
-        the start state first; the i-th state is the start xor the moves
-        ``first + j`` for the bits j of the Gray code ``i ^ (i >> 1)``.  The
-        enumeration and the exact chain diagnostics walk all 2^k subsets
-        (``first=0``); the census walks past its low block, whose moves it
-        applies with a table.  Needs independent moves, so that the subsets
-        are the states; refuses k above ``dim_cap`` whatever ``first``, when
-        called rather than when first advanced.
+        Column t of block s is ``start`` xor the moves at the set bits of
+        ``s * 2^L + t``, with L = min(k, ``BLOCK_MOVES``), so the blocks list
+        the coset in cycle-space coordinate order.  The moves are cut into
+        chunks of L, each with a table of the xors its subsets apply, so
+        memory stays O(n * 2^L) whatever k is.  Needs independent moves, so
+        that the subsets are the states; refuses k above ``dim_cap`` when
+        called, before any table is built.
         """
         k = len(self.moves)
         if k != self.dimension:
-            raise ValueError("the Gray walk needs independent (basis-cycle) moves")
+            raise ValueError("enumerating the coset needs independent (basis-cycle) moves")
         if k > dim_cap:
             raise ValueError(f"cycle-space dimension {k} exceeds enumeration cap {dim_cap}")
-        return _gray_walk(masks, self.touch[first:])
+        n = len(self.reference_masks)
+        # k = 0 keeps one chunk: the table of the empty subset alone
+        low, *high = (
+            _subset_xors(n, self.touch[j:j + BLOCK_MOVES]) for j in range(0, max(k, 1), BLOCK_MOVES)
+        )
+        start = np.array(start, np.uint8)
+        # one column of each higher chunk's table picks a block, the last chunk's varying slowest
+        return (
+            low ^ functools.reduce(np.bitwise_xor, columns, start)[:, None]
+            for columns in itertools.product(*(table.T for table in reversed(high)))
+        )
 
 
-def _gray_walk(masks: list[int], touch: Sequence[list[tuple[int, int]]]) -> Iterator[list[int]]:
-    """The generator behind ``CycleKernel.walk``: move j of ``touch`` at Gray bit j."""
-    table = CLASS16
-    classes = [table[m] for m in masks]
-    profile = [0, 0, 0, 0]
-    for cl in classes:
-        profile[cl] += 1
-    yield profile
-    for i in range(1, 1 << len(touch)):
-        for v, xm in touch[(i & -i).bit_length() - 1]:
-            old = classes[v]
-            m2 = masks[v] ^ xm
-            masks[v] = m2
-            new = table[m2]
-            classes[v] = new
-            profile[old] -= 1
-            profile[new] += 1
-        yield profile
+def _subset_xors(n: int, touch: Sequence[list[tuple[int, int]]]) -> np.ndarray:
+    """``(n, 2^len(touch))`` table, built by doubling: column s is the xor of each vertex's
+    mask that the moves of ``touch`` at the set bits of s apply."""
+    table = np.zeros((n, 1), np.uint8)
+    for flips in touch:
+        xor = np.zeros((n, 1), np.uint8)
+        for v, xm in flips:
+            xor[v] = xm
+        table = np.hstack([table, table ^ xor])
+    return table
 
 
 def enumerate_even_orientations(
@@ -325,14 +329,13 @@ def enumerate_even_orientations(
 ) -> Iterator[Bits]:
     """All even orientations: the reference orientation xor the cycle space.
 
-    Follows the basis-cycle kernel's Gray walk, so consecutive states differ
-    by a single basis-cycle flip.  Raises when the cycle-space dimension
-    exceeds ``dim_cap``.
+    In cycle-space coordinate order: the i-th is the reference xor the
+    basis cycles at the set bits of i.  Raises when the cycle-space
+    dimension exceeds ``dim_cap``.
     """
     kernel = CycleKernel(graph)
-    masks = list(kernel.reference_masks)
-    for _ in kernel.walk(masks, dim_cap):
-        yield kernel.orientation(masks)
+    for block in kernel.blocks(kernel.reference_masks, dim_cap):
+        yield from map(tuple, kernel.orientations(block.T).tolist())
 
 
 # ----------------------------------------------------------------------

@@ -3,12 +3,12 @@
 These enumerate all 2^m orientations, colorings or edge assignments
 directly, with no cycle-space shortcut and no frontier contraction, so
 they check the package's exact routes independently; the reference chain
-recomputes whole weights instead of local ratios, and the reference census
-counts the Gray walk's profiles one state at a time instead of in blocks.
-The predicates at the end (evenness, Gibbs weights, region intersections,
-arrow-reversal symmetry), the matrix inverse, the constraint-matrix
-layout and the per-edge bit-string form have no caller in the package.
-Keep them dumb.
+recomputes whole weights instead of local ratios, and the reference walk
+of the coset flips one move at a time in Gray-code order, where the package
+lists the states in blocks of masks.  The predicates at the end (evenness,
+Gibbs weights, region intersections, arrow-reversal symmetry), the matrix
+inverse, the constraint-matrix layout and the per-edge orientation and
+bit-string forms have no caller in the package.  Keep them dumb.
 """
 from collections import Counter
 from fractions import Fraction
@@ -20,7 +20,6 @@ from eightvertex.graphs import LabeledGraph
 from eightvertex.holant import TOL_EXACT, _index
 from eightvertex.states import (
     CLASS_BY_MASK,
-    DEFAULT_DIM_CAP,
     CycleKernel,
     in_masks,
     orientation_classes,
@@ -73,15 +72,49 @@ def zec_naive(graph: LabeledGraph, params) -> Fraction:
     return total
 
 
+def gray_walk(kernel: CycleKernel, start):
+    """The 2^k states of ``kernel``'s coset from the masks ``start``, one move flip at a time.
+
+    Yields (coordinate, class profile) per state in Gray-code order: bit j
+    of the coordinate is move j, and the profile is (n_A, n_B, n_C, n_D).
+    """
+    masks = list(start)
+    profile = [0, 0, 0, 0]
+    for mask in masks:
+        profile[CLASS_BY_MASK[mask]] += 1
+    coordinate = 0
+    yield coordinate, tuple(profile)
+    for i in range(1, 1 << len(kernel.touch)):
+        j = (i & -i).bit_length() - 1  # the move this Gray step flips
+        coordinate ^= 1 << j
+        for v, xm in kernel.touch[j]:
+            profile[CLASS_BY_MASK[masks[v]]] -= 1
+            masks[v] ^= xm
+            profile[CLASS_BY_MASK[masks[v]]] += 1
+        yield coordinate, tuple(profile)
+
+
 def census_per_state(graph: LabeledGraph, model: str) -> dict:
-    """Class-profile counts of the kernel's full Gray walk, one Counter update per state.
+    """Class-profile counts of the reference walk, one Counter update per state.
 
     ``model`` is "8v" (start: the reference orientation) or "ec" (start:
     everything red), the starts of ``census_8v`` and ``census_ec``.
     """
     kernel = CycleKernel(graph)
-    start = list(kernel.reference_masks) if model == "8v" else [0b1111] * graph.vertex_count
-    return dict(Counter(map(tuple, kernel.walk(start, DEFAULT_DIM_CAP))))
+    start = kernel.reference_masks if model == "8v" else [0b1111] * graph.vertex_count
+    return dict(Counter(profile for _, profile in gray_walk(kernel, start)))
+
+
+def state_weights_per_coordinate(kernel: CycleKernel, params) -> list:
+    """The Gibbs weight of each state of the walk from the reference orientation,
+    listed by cycle-space coordinate."""
+    weights = [None] * (1 << len(kernel.touch))
+    for coordinate, profile in gray_walk(kernel, kernel.reference_masks):
+        w = Fraction(1)
+        for p_i, n_i in zip(params, profile):
+            w *= Fraction(p_i) ** n_i
+        weights[coordinate] = w
+    return weights
 
 
 def holant_naive(graph: LabeledGraph, table):
@@ -252,6 +285,12 @@ def constraint_matrix(table) -> np.ndarray:
         for c, (x3, x4) in enumerate(_COL_ORDER):
             out[r, c] = table[_index(x1, x2, x3, x4)]
     return out
+
+
+def orientation_from_masks(graph: LabeledGraph, masks) -> tuple:
+    """The orientation with in-masks ``masks``, one edge at a time: bit 1 iff the
+    edge's slot-1 label is incoming at its slot-1 vertex."""
+    return tuple((masks[e.v] >> (e.label_v - 1)) & 1 for e in graph.edges)
 
 
 def orientation_to_bitstring(graph: LabeledGraph, orientation) -> str:

@@ -277,10 +277,16 @@ def test_usage_error_on_missing_file(capsys):
 
 def test_edge_count_checked_before_allocation(tmp_path, capsys):
     path = tmp_path / "huge.8vx"
-    path.write_text("8vx-graph 1\nvertices 2 edges 1000000000000 embedding none\n")
-    code, out, err = run(capsys, "exact", "--graph", str(path), "--params", "1,1,1,1")
-    assert code == 2
-    assert out == "" and "line 2: a 4-regular graph on 2 vertices has 4 edges" in err
+    for size_line, message in (
+        ("vertices 2 edges 1000000000000", "a 4-regular graph on 2 vertices has 4 edges"),
+        # consistent counts, but more edges than lines after the header
+        ("vertices 1000000000000 edges 2000000000000",
+         "2000000000000 edges need as many edge lines, but only 0 lines follow"),
+    ):
+        path.write_text(f"8vx-graph 1\n{size_line} embedding none\n")
+        code, out, err = run(capsys, "exact", "--graph", str(path), "--params", "1,1,1,1")
+        assert code == 2
+        assert out == "" and f"line 2: {message}" in err
 
 
 def test_unknown_flag_rejected(capsys):
@@ -335,6 +341,11 @@ GOLDEN = [
      "eee00518a48b2a7c39dfff988a5b8b9259af8a505cc31fe5fde7cac7183a3950"),
     (("group-table", "--class", "bipartite"), 0,
      "d12d54551c513b3de9190e5123464cda670f05e07fee48350d5b07d9b270b812"),
+    # captured while the census still walked the moves past its block in Gray order
+    (("census", "torus4x4"), 0,
+     "e80ba79e898a20e98c4d83aaf2b15eecfd62d4e2a6079096bd82538de410bae7"),
+    (("census", "loop_graph", "--model", "ec"), 0,
+     "95f574f9b22836cc780ccb2a74c9d84e944697ea26ddbe0b5d32bc381ed4ec5f"),
 ]
 GOLDEN_GRAPHS = {"torus4x4": lambda: gen_torus(4, 4), "octahedron": gen_octahedron,
                  "k44": gen_k44, "loop_graph": build_loop_graph}

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eightvertex import exact
+from eightvertex import states
 from eightvertex.exact import (
-    CENSUS_BLOCK,
     FRONTIER_CAP,
     _frontier_plan,
     as_params,
@@ -19,7 +18,7 @@ from eightvertex.exact import (
     zec_exact,
 )
 from eightvertex.graphs import Edge, LabeledGraph, gen_torus, validate
-from eightvertex.states import cycle_basis
+from eightvertex.states import BLOCK_MOVES, cycle_basis
 from eightvertex.transforms import MZ, MHZ, PLANAR_SWAP, bipartite_group, planar_group
 
 from ._brute import census_per_state, holant_naive, random_rationals, z8v_naive, zec_naive
@@ -154,7 +153,7 @@ def test_dim_cap_raises(torus44):
 
 
 def two_k5() -> LabeledGraph:
-    """Two disjoint copies of K5: k = 20 - 10 + 2 = 12, the census block size."""
+    """Two disjoint copies of K5: k = 20 - 10 + 2 = 12, the moves in one block."""
     k5 = build_k5()
     edges = [*k5.edges, *(Edge(e.u + 5, e.label_u, e.v + 5, e.label_v) for e in k5.edges)]
     return validate(LabeledGraph(10, tuple(edges)))
@@ -171,7 +170,7 @@ def assert_census_is_per_state(graph):
 def test_census_matches_per_state_reference(fixture_censuses):
     # nine fixture graphs, k from 3 (loop_graph) to 17 (torus 4x4): both sides of the block
     dims = [c8.dimension for _, c8, _ in fixture_censuses]
-    assert min(dims) < CENSUS_BLOCK < max(dims) and 13 in dims
+    assert min(dims) < BLOCK_MOVES < max(dims) and 13 in dims
     for g, c8, cec in fixture_censuses:
         assert c8.counts == census_per_state(g, "8v")
         assert cec.counts == census_per_state(g, "ec")
@@ -179,17 +178,17 @@ def test_census_matches_per_state_reference(fixture_censuses):
 
 def test_census_at_the_block_size_and_on_the_empty_graph():
     graph = two_k5()
-    assert cycle_basis(graph).dimension == CENSUS_BLOCK
+    assert cycle_basis(graph).dimension == BLOCK_MOVES
     assert_census_is_per_state(graph)
     empty = validate(LabeledGraph(0, ()))
     assert_census_is_per_state(empty)
     assert census_8v(empty).counts == census_ec(empty).counts == {(0, 0, 0, 0): 1}
 
 
-@pytest.mark.parametrize("block", [0, 1, 5, 9])
+@pytest.mark.parametrize("block", [1, 2, 5, 9])
 def test_census_does_not_depend_on_the_block_size(monkeypatch, torus24, loop_graph, k5, block):
-    # block 0 is the Gray walk alone; torus 2x4 has k = 9, loop_graph 3, K5 6
-    monkeypatch.setattr(exact, "CENSUS_BLOCK", block)
+    # torus 2x4 has k = 9, loop_graph 3, K5 6: blocks of 2 and 5 leave a narrower last chunk
+    monkeypatch.setattr(states, "BLOCK_MOVES", block)
     for g in (torus24, loop_graph, k5):
         assert_census_is_per_state(g)
 

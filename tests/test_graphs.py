@@ -156,6 +156,9 @@ def test_parse_rejects_repeated_bipartition_line():
     # refused from line 2 alone, before an edge table of 10^12 slots is allocated
     ("vertices 2 edges 1000000000000 embedding none", "has 4 edges, not 1000000000000"),
     ("vertices -1 edges -2 embedding none", "negative vertex count -1"),
+    # consistent counts, but more edges than lines after the header
+    ("vertices 1000000000000 edges 2000000000000 embedding none",
+     "2000000000000 edges need as many edge lines, but only 0 lines follow"),
 ])
 def test_parse_checks_sizes_on_line_2(size_line, message):
     with pytest.raises(GraphFormatError, match=f"line 2: .*{message}"):

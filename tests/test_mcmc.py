@@ -33,7 +33,13 @@ from eightvertex.states import (
     orientation_to_bitstring,
 )
 
-from ._brute import gibbs_weight, is_even_orientation, metropolis_reference
+from ._brute import (
+    gibbs_weight,
+    is_even_orientation,
+    metropolis_reference,
+    orientation_from_masks,
+    state_weights_per_coordinate,
+)
 from ._brute import orientation_to_bitstring as per_edge_bitstring
 from .conftest import build_k5, build_loop_graph, build_two_components
 
@@ -88,7 +94,7 @@ def test_chain_matches_reference_chain(graph_name, proposal, params, seed):
     reference = metropolis_reference(graph, params, kernel.moves, seed, Fraction(1, 2), 300)
     for bits in reference:
         chain.advance(1)
-        assert chain.orientation() == bits
+        assert orientation_from_masks(graph, chain.masks) == bits
         # the masks' classes and the cached counts match the orientation, which is even
         classes = orientation_classes(graph, bits)
         assert [CLASS16[m] for m in chain.masks] == classes
@@ -199,10 +205,11 @@ def test_uniform_point_accepts_every_proposal(torus22):
         for move in range(len(kernel.moves)):
             chain = _chain_at(kernel, coords)
             chain.set_params([1.0] * 4)
-            before = chain.orientation()
+            before = orientation_from_masks(torus22, chain.masks)
             chain.rng = ScriptedRng([0.9], [move])
             chain.advance(1)
-            assert chain.orientation() == _flipped(before, kernel.moves[move])
+            after = orientation_from_masks(torus22, chain.masks)
+            assert after == _flipped(before, kernel.moves[move])
             assert chain.rng.coins == [] and chain.rng.moves == []
 
 
@@ -222,14 +229,14 @@ def test_known_acceptance_ratio(torus22):
                 continue
             found += 1
             chain.set_params([1.0, 1.0, 1.0, 2.0])
-            start = chain.orientation()
+            start = orientation_from_masks(torus22, chain.masks)
             flipped = _flipped(start, kernel.moves[move])
             # forward (ratio 4), back on coin 0.2499, forward, no way back on 0.2501
             chain.rng = ScriptedRng([0.9, 0.9, 0.2499, 0.9, 0.9, 0.2501], [move] * 4)
             seen = []
             for _ in range(4):
                 chain.advance(1)
-                seen.append(chain.orientation())
+                seen.append(orientation_from_masks(torus22, chain.masks))
             assert seen == [flipped, start, flipped, flipped]
             assert chain.rng.coins == [] and chain.rng.moves == []
     assert found
@@ -265,7 +272,7 @@ def _rows_block_by_block(graph, params, seed, samples, burn_in, thinning):
     rows = []
     for _ in range(samples):
         chain.advance(thinning)
-        rows.append(chain.orientation())
+        rows.append(orientation_from_masks(graph, chain.masks))
     return rows
 
 
@@ -358,6 +365,15 @@ def test_exact_diagnostics_octahedron(octahedron, params):
     assert diag.rows_sum_one
     assert diag.steps_to_threshold is not None
     assert diag.tv_curve[-1][1] < 0.01
+
+
+@pytest.mark.parametrize("params", [(1, 1, 1, 1), (2, 2, 3, 1), (Fraction(1, 3), 5, 2, 7)])
+def test_state_weights_follow_the_reference_walk(octahedron, k44, torus24, params):
+    # per cycle-space coordinate, as the chain diagnostics index states
+    for g in (octahedron, k44, torus24):
+        kernel = CycleKernel(g)
+        p = tuple(Fraction(x) for x in params)
+        assert mcmc._state_weights(kernel, p) == state_weights_per_coordinate(kernel, p)
 
 
 def test_exact_diagnostics_k44(k44):

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from eightvertex import states
 from eightvertex.graphs import gen_torus
 from eightvertex.states import (
     CLASS_BY_MASK,
@@ -27,6 +29,7 @@ from ._brute import (
     even_orientations_naive,
     is_even_orientation,
     is_even_subgraph,
+    orientation_from_masks,
 )
 
 
@@ -93,45 +96,48 @@ def test_enumeration_cap():
         list(enumerate_even_orientations(g, dim_cap=10))
 
 
-def test_kernel_reads_orientations_from_masks(octahedron, loop_graph):
-    for g in (octahedron, loop_graph):
+def test_kernel_reads_orientations_from_masks(octahedron, loop_graph, torus44):
+    for g in (octahedron, loop_graph, torus44):
         kernel = CycleKernel(g)
-        assert kernel.orientation(kernel.reference_masks) == kernel.reference
-        for t in enumerate_even_orientations(g):
-            assert kernel.orientation(in_masks(g, t)) == t
+        orients = even_orientations_naive(g) if g.edge_count <= 12 else [kernel.reference]
+        masks = np.array([in_masks(g, t) for t in orients], np.uint8)
+        rows = kernel.orientations(masks)
+        assert rows.dtype == np.uint8
+        assert [tuple(r) for r in rows.tolist()] == orients
+        assert [orientation_from_masks(g, m) for m in masks.tolist()] == orients
 
 
-def test_walk_needs_independent_moves(octahedron):
+@pytest.mark.parametrize("block", [1, 2, 4, 12])
+def test_blocks_list_the_coset_in_coordinate_order(monkeypatch, torus24, block):
+    # k = 9: blocks of 2 and 4 moves leave a narrower last chunk, 12 is one block
+    monkeypatch.setattr(states, "BLOCK_MOVES", block)
+    kernel = CycleKernel(torus24)
+    k, n = kernel.dimension, torus24.vertex_count
+    blocks = list(kernel.blocks(kernel.reference_masks, k))
+    width = 1 << min(k, block)
+    assert [b.shape for b in blocks] == [(n, width)] * ((1 << k) // width)
+    listed = np.hstack(blocks).T.tolist()
+    for coordinate in range(1 << k):
+        flip = set()
+        for j in range(k):
+            if coordinate >> j & 1:
+                flip ^= kernel.moves[j]
+        t = tuple(b ^ (e in flip) for e, b in enumerate(kernel.reference))
+        assert listed[coordinate] == in_masks(torus24, t)
+
+
+def test_blocks_need_independent_moves(octahedron):
     kernel = CycleKernel(octahedron, "face")
     assert len(kernel.moves) == 8  # the face boundaries sum to zero
     with pytest.raises(ValueError, match="independent"):
-        next(kernel.walk(list(kernel.reference_masks), 30))
+        kernel.blocks(kernel.reference_masks, 30)
 
 
-def test_walk_over_a_suffix_of_the_moves(torus22):
-    kernel = CycleKernel(torus22)
-    k = kernel.dimension
-    for first in range(k + 1):
-        masks = list(kernel.reference_masks)
-        seen = []
-        for _ in kernel.walk(masks, k, first):
-            seen.append(kernel.orientation(masks))
-        expected = set()
-        for subset in range(1 << (k - first)):
-            flip = set()
-            for j in range(k - first):
-                if subset >> j & 1:
-                    flip ^= kernel.moves[first + j]
-            expected.add(tuple(b ^ (e in flip) for e, b in enumerate(kernel.reference)))
-        assert len(seen) == 1 << (k - first)
-        assert set(seen) == expected
-
-
-def test_walk_refuses_when_called(torus44):
-    # the check runs at the call, not at the first step, so the census refuses before its tables
+def test_blocks_refuse_when_called(torus44):
+    # the check runs at the call, not at the first block, before any table is built
     kernel = CycleKernel(torus44)
     with pytest.raises(ValueError, match="dimension 17 exceeds enumeration cap 10"):
-        kernel.walk(list(kernel.reference_masks), 10, 12)
+        kernel.blocks(kernel.reference_masks, 10)
 
 
 def test_enumeration_default_cap():
