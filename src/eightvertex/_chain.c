@@ -4,8 +4,14 @@
    so a seed gives the same run byte for byte.  The draws are CPython's
    (3.10-3.13, Modules/_randommodule.c): MT19937 (Matsumoto and Nishimura,
    ACM TOMACS 1998) words, random() from two words, and getrandbits(k) for
-   k <= 32 as one word shifted right by 32 - k.  Build with
-   -ffp-contract=off, so that no multiply and add fuse into one rounding. */
+   k <= 32 as one word shifted right by 32 - k.  Each twist of the state
+   tempers all 624 new words into a buffer, so a draw is one load; a state
+   copied in with words left to draw (tempered = 0) is tempered on the
+   first call.  The mt array stays the untempered state that getstate()
+   returns.  Each call first fills the factor tables from the four class
+   weights, with the same divisions as Chain.set_params, so a stage needs
+   no per-entry work in Python.  Build with -ffp-contract=off, so that no
+   multiply and add fuse into one rounding. */
 #include <stdint.h>
 #include <string.h>
 
@@ -15,81 +21,132 @@
 struct chain {
     uint32_t mt[N];      /* the state of random.Random: getstate()[1] */
     int32_t index;
+    int32_t tempered;    /* whether words holds mt tempered */
     int32_t nmoves, bits, nvertices;
-    int32_t classes[16]; /* in-mask -> class (states.CLASS16) */
+    int32_t classes[16]; /* in-mask -> class (states.CLASS16), -1 for odd masks */
     int32_t counts[4];   /* vertices per class */
     double laziness;
+    double weights[4];     /* the class weights of Chain.set_params */
     const int32_t *start;  /* move j is entries start[j] .. start[j+1]-1 of touch */
     const int32_t *touch;  /* per entry, vertex << 4 | the label bits it flips */
-    const double *factors; /* [xm << 4 | mask]: the weight ratio of flipping xm at mask */
     uint8_t *masks;        /* per vertex, the labels that point in */
+    double factors[256];   /* [xm << 4 | mask]: the weight ratio of flipping xm at mask */
+    uint32_t words[N];     /* mt tempered: the next draws are words[index..] */
 };
 
-static uint32_t genrand(struct chain *c)
+static void twist(uint32_t *mt)
 {
-    uint32_t y, *mt = c->mt;
+    uint32_t y;
     int k;
-    if (c->index >= N) {
-        for (k = 0; k < N; k++) {
-            y = (mt[k] & 0x80000000U) | (mt[(k + 1) % N] & 0x7fffffffU);
-            mt[k] = mt[(k + M) % N] ^ (y >> 1) ^ (y & 1U ? 0x9908b0dfU : 0U);
-        }
-        c->index = 0;
+    for (k = 0; k < N - M; k++) {
+        y = (mt[k] & 0x80000000U) | (mt[k + 1] & 0x7fffffffU);
+        mt[k] = mt[k + M] ^ (y >> 1) ^ (y & 1U ? 0x9908b0dfU : 0U);
     }
-    y = mt[c->index++];
-    y ^= y >> 11;
-    y ^= (y << 7) & 0x9d2c5680U;
-    y ^= (y << 15) & 0xefc60000U;
-    return y ^ (y >> 18);
+    for (; k < N - 1; k++) {
+        y = (mt[k] & 0x80000000U) | (mt[k + 1] & 0x7fffffffU);
+        mt[k] = mt[k + (M - N)] ^ (y >> 1) ^ (y & 1U ? 0x9908b0dfU : 0U);
+    }
+    y = (mt[N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+    mt[N - 1] = mt[M - 1] ^ (y >> 1) ^ (y & 1U ? 0x9908b0dfU : 0U);
 }
 
-static double random53(struct chain *c)
+static void temper(const uint32_t *mt, uint32_t *words)
 {
-    uint32_t a = genrand(c) >> 5, b = genrand(c) >> 6;
+    int k;
+    for (k = 0; k < N; k++) {
+        uint32_t y = mt[k];
+        y ^= y >> 11;
+        y ^= (y << 7) & 0x9d2c5680U;
+        y ^= (y << 15) & 0xefc60000U;
+        words[k] = y ^ (y >> 18);
+    }
+}
+
+/* The next word of the stream; *index is the generator's index. */
+static uint32_t draw(struct chain *c, int32_t *index)
+{
+    if (*index >= N) {
+        twist(c->mt);
+        temper(c->mt, c->words);
+        *index = 0;
+    }
+    return c->words[(*index)++];
+}
+
+static double random53(struct chain *c, int32_t *index)
+{
+    uint32_t a = draw(c, index) >> 5, b = draw(c, index) >> 6;
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* Fills the factor tables from the weights as Chain.set_params does, one
+   division per ratio, skipping odd masks, which no even orientation has. */
+static void fill_factors(struct chain *c)
+{
+    double ratio[4][4];
+    int a, b, xm, m;
+    for (a = 0; a < 4; a++)
+        for (b = 0; b < 4; b++)
+            ratio[a][b] = c->weights[a] / c->weights[b];
+    for (xm = 0; xm < 16; xm++)
+        for (m = 0; m < 16; m++) {
+            int32_t from = c->classes[m], to = c->classes[m ^ xm];
+            if (from >= 0 && to >= 0)
+                c->factors[xm << 4 | m] = ratio[to][from];
+        }
 }
 
 /* Runs `blocks` blocks of `thinning` steps.  With `pows` (four tables of
    `stride` entries, indexed by class count), each block ends by adding
    w = pows_0[n_0] * pows_1[n_1] * pows_2[n_2] * pows_3[n_3] to sums[0] and
    w * w to sums[1].  With `record`, each block ends by copying the masks
-   into the next nvertices bytes of it. */
+   into the next nvertices bytes of it.  The generator's index and the
+   class counts live in locals until the call returns. */
 void chain_run(struct chain *c, int64_t blocks, int64_t thinning,
                const double *pows, int32_t stride, double *sums, uint8_t *record)
 {
     uint8_t *masks = c->masks;
     const int32_t *touch = c->touch, *start = c->start, *cls = c->classes;
-    const double *factors = c->factors;
+    const double *factors = c->factors, laziness = c->laziness;
     uint32_t shift = 32 - c->bits, nmoves = c->nmoves, j;
+    int32_t index = c->index, counts[4];
     int64_t b, t;
     const int32_t *e, *end;
+    if (!c->tempered) {
+        temper(c->mt, c->words);
+        c->tempered = 1;
+    }
+    fill_factors(c);
+    memcpy(counts, c->counts, sizeof counts);
     for (b = 0; b < blocks; b++) {
         for (t = 0; t < thinning; t++) {
             double ratio = 1.0;
-            if (random53(c) < c->laziness)
+            if (random53(c, &index) < laziness)
                 continue;
             do
-                j = genrand(c) >> shift;
+                j = draw(c, &index) >> shift;
             while (j >= nmoves);
             end = touch + start[j + 1];
             for (e = touch + start[j]; e < end; e++)
                 ratio *= factors[(*e & 15) << 4 | masks[*e >> 4]];
-            if (ratio >= 1.0 || random53(c) < ratio) {
+            if (ratio >= 1.0 || random53(c, &index) < ratio) {
                 for (e = touch + start[j]; e < end; e++) {
                     uint8_t *m = masks + (*e >> 4);
-                    c->counts[cls[*m]]--;
+                    counts[cls[*m]]--;
                     *m ^= *e & 15;
-                    c->counts[cls[*m]]++;
+                    counts[cls[*m]]++;
                 }
             }
         }
         if (pows) {
-            double w = pows[c->counts[0]] * pows[stride + c->counts[1]]
-                       * pows[2 * stride + c->counts[2]] * pows[3 * stride + c->counts[3]];
+            double w = pows[counts[0]] * pows[stride + counts[1]]
+                       * pows[2 * stride + counts[2]] * pows[3 * stride + counts[3]];
             sums[0] += w;
             sums[1] += w * w;
         }
         if (record)
             memcpy(record + b * c->nvertices, masks, c->nvertices);
     }
+    memcpy(c->counts, counts, sizeof counts);
+    c->index = index;
 }

@@ -28,11 +28,12 @@ int32, pointer = ctypes.c_int32, ctypes.POINTER
 
 class _State(ctypes.Structure):  # struct chain of _chain.c
     _fields_ = [
-        ("mt", ctypes.c_uint32 * 624), ("index", int32),
+        ("mt", ctypes.c_uint32 * 624), ("index", int32), ("tempered", int32),
         ("nmoves", int32), ("bits", int32), ("nvertices", int32),
         ("classes", int32 * 16), ("counts", int32 * 4), ("laziness", ctypes.c_double),
-        ("start", pointer(int32)), ("touch", pointer(int32)),
-        ("factors", pointer(ctypes.c_double)), ("masks", pointer(ctypes.c_uint8)),
+        ("weights", ctypes.c_double * 4), ("start", pointer(int32)), ("touch", pointer(int32)),
+        ("masks", pointer(ctypes.c_uint8)), ("factors", ctypes.c_double * 256),
+        ("words", ctypes.c_uint32 * 624),
     ]
 
 
@@ -86,12 +87,15 @@ def _build():
 
 
 class NativeChain:
-    """A chain's masks, counts, factor tables and generator in native memory.
+    """A chain's masks, counts, class weights and generator in native memory.
 
-    ``masks``, ``counts`` and each ``factors[xm]`` are ctypes arrays, which
-    the kernel steps in place and ``mcmc.Chain`` reads and writes as it
-    does its lists.  The generator's MT19937 state is copied from ``rng``
-    here, once; ``write_state`` copies it back.
+    ``masks``, ``counts`` and ``weights`` are ctypes arrays, which the
+    kernel reads and steps in place and ``mcmc.Chain`` reads and writes as
+    it does its lists.  Each kernel call first fills the factor tables from
+    ``weights``, so setting a stage's parameters is four stores.  The
+    generator's MT19937 state is copied from ``rng`` here, once, and the
+    kernel tempers it into its word buffer on its first call;
+    ``write_state`` copies the untempered state back.
     """
 
     def __init__(self, kernel, rng, laziness: float):
@@ -108,13 +112,8 @@ class NativeChain:
         entries = [v << 4 | xm for flips in touch for v, xm in flips]
         state.start = (int32 * len(start))(*start)
         state.touch = (int32 * len(entries))(*entries)
-        state.factors = factors = (ctypes.c_double * 256)()
         state.masks = self.masks = (ctypes.c_uint8 * n)(*kernel.reference_masks)
-        self.counts = state.counts
-        self.factors = {
-            xm: (ctypes.c_double * 16).from_buffer(factors, 128 * xm)
-            for flips in touch for _, xm in flips
-        }
+        self.counts, self.weights = state.counts, state.weights
         self._pows = None, None  # the last pows passed to run, and its native copy
 
     def write_state(self, rng):

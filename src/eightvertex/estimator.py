@@ -21,7 +21,7 @@ from .exact import ParamVec, as_params, z8v_exact
 from .graphs import LabeledGraph
 from .mcmc import Chain, ChainConfig, chain_weights, float_or_inf
 from .states import CycleKernel, face_two_coloring
-from .transforms import TransformPlan, in_yz, plan_report, plan_transform
+from .transforms import TransformPlan, _in_region, in_yz, plan_report, plan_transform
 
 UNIFORM = (Fraction(1), Fraction(1), Fraction(1), Fraction(1))
 MIN_GROUPS = 12
@@ -62,9 +62,19 @@ def _geometric_stages(target: ParamVec, q: int):
 
 
 def _stage_flags(stages) -> tuple[bool, ...]:
-    return tuple(
-        in_yz(tuple(Fraction(x) for x in stage)) for stage in stages
-    )
+    """``in_yz`` of each positive float stage, decided on integers.
+
+    A stage times the largest of its entries' power-of-two denominators is
+    an exact integer vector, and Y and Z are homogeneous, so the scaled
+    stage lies in them exactly when the stage does.
+    """
+    flags = []
+    for stage in stages:
+        ratios = [x.as_integer_ratio() for x in stage]
+        denominator = max(d for _, d in ratios)
+        scaled = tuple(n * (denominator // d) for n, d in ratios)
+        flags.append(_in_region(scaled, "Y") and _in_region(scaled, "Z"))
+    return tuple(flags)
 
 
 def default_stage_count(graph: LabeledGraph, target: ParamVec) -> int:

@@ -21,7 +21,10 @@ cycle-space coordinate, so basis-cycle move j flips bit j of the index.
 The steps run in a compiled kernel, ``_chain.c``, wherever one can be
 built: it keeps the masks, counts, factor tables and the generator's
 MT19937 state in native memory and draws exactly as CPython 3.10-3.13's
-``random.Random`` does.  The first chain built in a process compiles it
+``random.Random`` does.  It tempers each twist's 624 words into a buffer,
+so a draw is a load, and at the start of each call fills the factor tables
+itself from the four class weights, so ``set_params`` does no per-entry
+work in Python.  The first chain built in a process compiles it
 with ``cc`` into this package's ``__pycache__``, under a name keyed by the
 source and the flags, unless that file is there already (see
 ``_native``).  Without a compiler or a writable cache, or for a generator
@@ -127,9 +130,12 @@ class Chain:
     recounted from them periodically as a cheap self-check.
 
     Where ``type(rng) is random.Random`` and the compiled kernel loads,
-    ``masks``, ``counts`` and the factor tables are ctypes arrays in native
-    memory and the kernel makes the steps, from a copy of ``rng``'s state
-    taken here; reading ``rng`` writes the kernel's state back into it.
+    ``masks`` and ``counts`` are ctypes arrays in native memory and the
+    kernel makes the steps, from a copy of ``rng``'s state taken here;
+    reading ``rng`` writes the kernel's state back into it.  There
+    ``set_params`` only stores the four weights, and the kernel fills the
+    same factor tables from them, with the same divisions, at the start of
+    each call.
     Otherwise (another generator, or no kernel) they are lists and the
     same steps run in Python.  Both paths give the same masks, counts,
     sums and generator state, bit for bit.
@@ -155,7 +161,6 @@ class Chain:
             ]
         else:
             self.masks, self.counts = self._native.masks, self._native.counts
-            self.factors = self._native.factors
         for m in self.masks:
             self.counts[CLASS16[m]] += 1
         self.set_params((1.0, 1.0, 1.0, 1.0))
@@ -176,6 +181,9 @@ class Chain:
 
     def set_params(self, weights: Sequence[float]):
         """Target the Gibbs measure with these class weights (uniform until set)."""
+        if self._native is not None:
+            self._native.weights[:] = weights
+            return
         ratio = [[weights[a] / weights[b] for b in range(4)] for a in range(4)]
         for xm, table in self.factors.items():
             for m in _EVEN_MASKS:

@@ -1,7 +1,13 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eightvertex.estimator import (
     PipelineError,
+    _geometric_stages,
+    _stage_flags,
     anneal_estimate,
     build_schedule,
     default_stage_count,
@@ -11,6 +17,7 @@ from eightvertex.exact import as_params, z8v_exact
 from eightvertex.graphs import gen_torus
 from eightvertex.mcmc import ChainConfig
 from eightvertex.states import CycleKernel
+from eightvertex.transforms import in_yz
 
 
 def test_anchor_values(octahedron, k44, torus24, torus44):
@@ -28,6 +35,33 @@ def test_schedule_endpoints_and_flags(octahedron):
     assert all(sched.inside_yz)
     assert not sched.warning
     assert all(x > 0 for stage in sched.params for x in stage)
+
+
+POSITIVE = st.fractions(min_value=Fraction(1, 1000), max_value=1000).filter(lambda x: x > 0)
+FLOAT = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+def _fraction_flags(stages):
+    return tuple(in_yz(tuple(Fraction(x) for x in stage)) for stage in stages)
+
+
+@settings(max_examples=200, deadline=None)
+@given(target=st.tuples(POSITIVE, POSITIVE, POSITIVE, POSITIVE), q=st.integers(1, 150))
+# stages on the boundary of Y (b+d = a+c) and Z's side of (1,1,1,1)
+@example(target=(1, 2, 2, 1), q=89)
+@example(target=(1, 1, 1, 3), q=141)
+def test_stage_flags_match_the_fraction_predicate(target, q):
+    _, stages = _geometric_stages(as_params(target), q)
+    assert _stage_flags(stages) == _fraction_flags(stages)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stage=st.tuples(FLOAT, FLOAT, FLOAT, FLOAT))
+@example(stage=(1.0, 2.0, 2.0, 1.0))
+@example(stage=(1.0, 1.0, 1.0, 3.0))
+@example(stage=(5e-324, 1.7976931348623157e308, 1.0, 0.1))
+def test_stage_flags_are_exact_across_the_float_range(stage):
+    assert _stage_flags([stage]) == _fraction_flags([stage])
 
 
 def test_schedule_outside_region_warns_without_refining(octahedron):

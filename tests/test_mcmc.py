@@ -468,34 +468,50 @@ NATIVE_KERNELS = {
     **{f"one-vertex-{n}": _one_vertex_moves(n) for n in (1, 2, 3, 5, 9, 17, 37, 65, 145)},
 }
 WEIGHT = st.floats(0.05, 20.0)
-# (blocks, thinning, sum the class-count weights, record masks)
-RUN = st.tuples(st.integers(0, 40), st.integers(1, 30), st.booleans(), st.booleans())
+# (blocks, thinning, sum the class-count weights, record masks, then rebuild
+# both chains from the generators read back from them)
+RUN = st.tuples(st.integers(0, 40), st.integers(1, 30), st.booleans(), st.booleans(),
+                st.booleans())
+# words drawn before the chains are built: the kernel's tempered buffer must
+# be filled from a state copied in at any index, before and after a twist
+SKIPS = (0, 1, 311, 623, 625)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(sorted(NATIVE_KERNELS)),
     seed=st.integers(0, 2**64 - 1),
+    skip=st.sampled_from(SKIPS),
     weights=st.lists(st.tuples(WEIGHT, WEIGHT, WEIGHT, WEIGHT), min_size=1, max_size=3),
     ratios=st.tuples(WEIGHT, WEIGHT, WEIGHT, WEIGHT),
     runs=st.lists(RUN, min_size=1, max_size=4),
 )
-@example(name="torus4x4", seed=1, weights=[(1.0, 2.0, 2.0, 1.0)], ratios=(1.1, 0.9, 1.0, 1.3),
-         runs=[(1, _RECOUNT_PERIOD + 7, False, False), (3, 7, True, True)])
+@example(name="torus4x4", seed=1, skip=0, weights=[(1.0, 2.0, 2.0, 1.0)],
+         ratios=(1.1, 0.9, 1.0, 1.3),
+         runs=[(1, _RECOUNT_PERIOD + 7, False, False, False), (3, 7, True, True, False)])
 # one-block and two-block weighted runs show a sum that rounds once more or less
-@example(name="torus4x4", seed=3, weights=[(1.0, 1.2, 0.9, 1.1)], ratios=(1.1, 0.7, 1.3, 0.37),
-         runs=[(1, 2, True, False)] * 40 + [(2, 2, True, False)] * 40)
-@example(name="one-vertex-145", seed=2, weights=[(1.0,) * 4], ratios=(1.0,) * 4,
-         runs=[(_RECOUNT_PERIOD // 3 + 1, 3, True, False)])
-def test_native_chain_matches_python_chain(name, seed, weights, ratios, runs):
+@example(name="torus4x4", seed=3, skip=0, weights=[(1.0, 1.2, 0.9, 1.1)],
+         ratios=(1.1, 0.7, 1.3, 0.37),
+         runs=[(1, 2, True, False, False)] * 40 + [(2, 2, True, False, False)] * 40)
+@example(name="one-vertex-145", seed=2, skip=0, weights=[(1.0,) * 4], ratios=(1.0,) * 4,
+         runs=[(_RECOUNT_PERIOD // 3 + 1, 3, True, False, False)])
+@example(name="k44", seed=5, skip=623, weights=[(1.0, 3.0, 0.5, 2.0)],
+         ratios=(1.1, 0.9, 1.0, 1.3), runs=[(5, 3, True, False, True), (40, 30, True, True, True)])
+@example(name="torus2x2", seed=7, skip=625, weights=[(2.0, 1.0, 1.0, 0.5)],
+         ratios=(0.8, 1.2, 1.0, 1.1), runs=[(0, 1, False, False, True), (1, 1, True, False, True)])
+def test_native_chain_matches_python_chain(name, seed, skip, weights, ratios, runs):
     kernel = NATIVE_KERNELS[name]
     if mcmc._load_kernel() is None:
         pytest.skip("the compiled kernel is not available on this host")
-    native, python = Chain(kernel, Random(seed)), Chain(kernel, PythonRandom(seed))
+    rngs = Random(seed), PythonRandom(seed)
+    for rng in rngs:
+        for _ in range(skip):
+            rng.getrandbits(32)
+    native, python = (Chain(kernel, rng) for rng in rngs)
     assert native._native is not None and python._native is None
     n = len(kernel.reference_masks)
     pows = tuple(tuple(r**count for count in range(n + 1)) for r in ratios)
-    for index, (blocks, thinning, weighted, record) in enumerate(runs):
+    for index, (blocks, thinning, weighted, record, rebuild) in enumerate(runs):
         for chain in (native, python):
             chain.set_params(weights[index % len(weights)])
         if record:
@@ -508,4 +524,8 @@ def test_native_chain_matches_python_chain(name, seed, weights, ratios, runs):
         assert list(native.masks) == python.masks
         assert list(native.counts) == python.counts
         assert native.steps == python.steps
-    assert native.rng.getstate() == python.rng.getstate()
+        # reading the generator between runs leaves the kernel's stream as it was
+        assert native.rng.getstate() == python.rng.getstate()
+        if rebuild:  # a new chain copies the state in wherever the index stands
+            native, python = Chain(kernel, native.rng), Chain(kernel, python.rng)
+            assert native._native is not None and python._native is None
