@@ -8,10 +8,13 @@
    tempers all 624 new words into a buffer, so a draw is one load; a state
    copied in with words left to draw (tempered = 0) is tempered on the
    first call.  The mt array stays the untempered state that getstate()
-   returns.  Each call first fills the factor tables from the four class
-   weights, with the same divisions as Chain.set_params, so a stage needs
-   no per-entry work in Python.  Build with -ffp-contract=off, so that no
-   multiply and add fuse into one rounding. */
+   returns.  chain_run makes plain or recorded blocks at the weights set
+   from Python; chain_anneal runs a chain's whole annealing schedule, stage
+   after stage, from a cursor kept in the state, so that a caller can cut
+   it into calls of bounded length.  Both fill the factor tables from the
+   four class weights with the same divisions as Chain.set_params.  Build
+   with -ffp-contract=off, so that no multiply and add fuse into one
+   rounding. */
 #include <stdint.h>
 #include <string.h>
 
@@ -32,6 +35,8 @@ struct chain {
     uint8_t *masks;        /* per vertex, the labels that point in */
     double factors[256];   /* [xm << 4 | mask]: the weight ratio of flipping xm at mask */
     uint32_t words[N];     /* mt tempered: the next draws are words[index..] */
+    int32_t stage;         /* chain_anneal's cursor: the stage it runs next */
+    int64_t done;          /* and the steps of that stage made so far */
 };
 
 static void twist(uint32_t *mt)
@@ -96,14 +101,15 @@ static void fill_factors(struct chain *c)
         }
 }
 
-/* Runs `blocks` blocks of `thinning` steps.  With `pows` (four tables of
-   `stride` entries, indexed by class count), each block ends by adding
-   w = pows_0[n_0] * pows_1[n_1] * pows_2[n_2] * pows_3[n_3] to sums[0] and
-   w * w to sums[1].  With `record`, each block ends by copying the masks
-   into the next nvertices bytes of it.  The generator's index and the
-   class counts live in locals until the call returns. */
-void chain_run(struct chain *c, int64_t blocks, int64_t thinning,
-               const double *pows, int32_t stride, double *sums, uint8_t *record)
+/* Runs `blocks` blocks of `thinning` steps with the factor tables as they
+   stand.  With `pows` (four tables of `stride` entries, indexed by class
+   count), each block ends by adding w = pows_0[n_0] * pows_1[n_1] *
+   pows_2[n_2] * pows_3[n_3] to sums[0] and w * w to sums[1].  With
+   `record`, each block ends by copying the masks into the next nvertices
+   bytes of it.  The generator's index and the class counts live in locals
+   until it returns. */
+static void run_blocks(struct chain *c, int64_t blocks, int64_t thinning,
+                       const double *pows, int32_t stride, double *sums, uint8_t *record)
 {
     uint8_t *masks = c->masks;
     const int32_t *touch = c->touch, *start = c->start, *cls = c->classes;
@@ -116,7 +122,6 @@ void chain_run(struct chain *c, int64_t blocks, int64_t thinning,
         temper(c->mt, c->words);
         c->tempered = 1;
     }
-    fill_factors(c);
     memcpy(counts, c->counts, sizeof counts);
     for (b = 0; b < blocks; b++) {
         for (t = 0; t < thinning; t++) {
@@ -149,4 +154,48 @@ void chain_run(struct chain *c, int64_t blocks, int64_t thinning,
     }
     memcpy(c->counts, counts, sizeof counts);
     c->index = index;
+}
+
+/* Runs `blocks` blocks of `thinning` steps at the class weights in
+   `weights`, recording the masks after each block into `record` if given. */
+void chain_run(struct chain *c, int64_t blocks, int64_t thinning, uint8_t *record)
+{
+    fill_factors(c);
+    run_blocks(c, blocks, thinning, NULL, 0, NULL, record);
+}
+
+/* Runs an annealing schedule of `stages` stages from the cursor (stage,
+   done), for at most `budget` steps, or one block where that is longer,
+   and returns the steps it made.  Stage g sets the class weights to
+   params[4g .. 4g+3], makes `burn` steps, then `samples` blocks of
+   `thinning` steps, which add to sums[2g] and sums[2g + 1] as run_blocks
+   does.  A call that stops inside a stage leaves the cursor there, and the
+   next call resumes it. */
+int64_t chain_anneal(struct chain *c, int32_t stages, const double *params, int64_t burn,
+                     int64_t samples, int64_t thinning, const double *pows, int32_t stride,
+                     double *sums, int64_t budget)
+{
+    int64_t made = 0, n, fit;
+    for (; c->stage < stages; c->stage++, c->done = 0) {
+        memcpy(c->weights, params + 4 * c->stage, sizeof c->weights);
+        fill_factors(c);
+        n = burn - c->done < budget - made ? burn - c->done : budget - made;
+        if (n > 0) {
+            run_blocks(c, 1, n, NULL, 0, NULL, NULL);
+            c->done += n;
+            made += n;
+        }
+        if (c->done < burn)
+            break;
+        n = samples - (c->done - burn) / thinning; /* the stage's blocks left */
+        fit = (budget - made) / thinning;
+        if (n > fit)
+            n = fit > 0 || made > 0 ? fit : 1; /* a call makes one block at least */
+        run_blocks(c, n, thinning, pows, stride, sums + 2 * c->stage, NULL);
+        c->done += n * thinning;
+        made += n * thinning;
+        if (c->done < burn + samples * thinning)
+            break;
+    }
+    return made;
 }

@@ -21,7 +21,7 @@ BUILD = ("cc", "-O2", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC")
 # the most steps one call makes (or one block, if longer), so that Ctrl-C is
 # seen between calls
 CALL_STEPS = 1 << 20
-_STEP = None  # chain_run of the loaded library, or False once it failed
+_LIB = None  # the loaded library, or False once it failed
 
 int32, pointer = ctypes.c_int32, ctypes.POINTER
 
@@ -33,16 +33,16 @@ class _State(ctypes.Structure):  # struct chain of _chain.c
         ("classes", int32 * 16), ("counts", int32 * 4), ("laziness", ctypes.c_double),
         ("weights", ctypes.c_double * 4), ("start", pointer(int32)), ("touch", pointer(int32)),
         ("masks", pointer(ctypes.c_uint8)), ("factors", ctypes.c_double * 256),
-        ("words", ctypes.c_uint32 * 624),
+        ("words", ctypes.c_uint32 * 624), ("stage", int32), ("done", ctypes.c_int64),
     ]
 
 
 def load():
     """``NativeChain`` where the compiled kernel builds and loads, else None."""
-    global _STEP
-    if _STEP is None:
-        _STEP = _build() or False
-    return NativeChain if _STEP else None
+    global _LIB
+    if _LIB is None:
+        _LIB = _build() or False
+    return NativeChain if _LIB else None
 
 
 def _build():
@@ -73,17 +73,17 @@ def _build():
                 if os.path.exists(temp):
                     os.unlink(temp)
                 raise
-        step = ctypes.CDLL(str(library)).chain_run
+        lib = ctypes.CDLL(str(library))
+        run, anneal = lib.chain_run, lib.chain_anneal
     except (OSError, AttributeError):  # AttributeError: no posix_spawnp on this platform
         return None
-    step.restype = None
     # the state goes by address: ctypes caches POINTER(_State) for good, and
     # every fresh import of this module makes a new _State
-    step.argtypes = (
-        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, pointer(ctypes.c_double), int32,
-        pointer(ctypes.c_double), pointer(ctypes.c_uint8),
-    )
-    return step
+    i64, doubles = ctypes.c_int64, pointer(ctypes.c_double)
+    run.restype, anneal.restype = None, i64
+    run.argtypes = (ctypes.c_void_p, i64, i64, pointer(ctypes.c_uint8))
+    anneal.argtypes = (ctypes.c_void_p, int32, doubles, i64, i64, i64, doubles, int32, doubles, i64)
+    return lib
 
 
 class NativeChain:
@@ -91,10 +91,10 @@ class NativeChain:
 
     ``masks``, ``counts`` and ``weights`` are ctypes arrays, which the
     kernel reads and steps in place and ``mcmc.Chain`` reads and writes as
-    it does its lists.  Each kernel call first fills the factor tables from
-    ``weights``, so setting a stage's parameters is four stores.  The
-    generator's MT19937 state is copied from ``rng`` here, once, and the
-    kernel tempers it into its word buffer on its first call;
+    it does its lists.  ``anneal`` hands the kernel a whole schedule, which
+    it runs in calls of at most ``CALL_STEPS`` steps from a cursor in the
+    state.  The generator's MT19937 state is copied from ``rng`` here, once,
+    and the kernel tempers it into its word buffer on its first call;
     ``write_state`` copies the untempered state back.
     """
 
@@ -114,35 +114,35 @@ class NativeChain:
         state.touch = (int32 * len(entries))(*entries)
         state.masks = self.masks = (ctypes.c_uint8 * n)(*kernel.reference_masks)
         self.counts, self.weights = state.counts, state.weights
-        self._pows = None, None  # the last pows passed to run, and its native copy
 
     def write_state(self, rng):
         """Set ``rng`` to the kernel's point of its stream."""
         version, _, gauss = rng.getstate()
         rng.setstate((version, (*self._state.mt, self._state.index), gauss))
 
-    def run(self, samples: int, thinning: int, pows=None) -> tuple[float, float]:
-        """``Chain.run``'s blocks and sums."""
-        n = len(self.masks)
-        if pows is not None and pows is not self._pows[0]:
-            if len(pows) != 4:
-                raise ValueError(f"pows needs one table per class, got {len(pows)}")
-            flat = [t[count] for t in pows for count in range(n + 1)]
-            self._pows = pows, (ctypes.c_double * len(flat))(*flat)
-        if pows is None:
-            samples, thinning = samples * thinning, 1  # no work between blocks: the same steps
-        table = None if pows is None else self._pows[1]
-        sums = (ctypes.c_double * 2)()
-        for blocks in calls(samples, thinning):
-            _STEP(self._address, blocks, thinning, table, n + 1, sums, None)
-        return sums[0], sums[1]
+    def advance(self, steps: int):
+        """``Chain.advance``'s steps, in calls of at most ``CALL_STEPS``."""
+        for blocks in calls(steps, 1):
+            _LIB.chain_run(self._address, blocks, 1, None)
 
     def record(self, blocks: int, thinning: int) -> bytearray:
         """Run ``blocks`` blocks in one call; return the masks after each of them."""
         masks = bytearray(blocks * len(self.masks))
-        _STEP(self._address, blocks, thinning, None, 0, None,
-              (ctypes.c_uint8 * len(masks)).from_buffer(masks))
+        _LIB.chain_run(self._address, blocks, thinning,
+                       (ctypes.c_uint8 * len(masks)).from_buffer(masks))
         return masks
+
+    def anneal(self, stages, burn_in: int, samples: int, thinning: int, pows, recount):
+        """``Chain.anneal``'s per-stage sums, calling ``recount`` with each call's steps."""
+        n, q = len(self.masks), len(stages)
+        params = (ctypes.c_double * (4 * q))(*[w for stage in stages for w in stage])
+        table = (ctypes.c_double * (4 * n + 4))(*[t[count] for t in pows for count in range(n + 1)])
+        sums = (ctypes.c_double * (2 * q))()
+        self._state.stage, self._state.done = 0, 0
+        while self._state.stage < q:
+            recount(_LIB.chain_anneal(self._address, q, params, burn_in, samples, thinning,
+                                      table, n + 1, sums, CALL_STEPS))
+        return list(zip(sums[::2], sums[1::2]))
 
 
 def calls(samples: int, thinning: int):

@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from random import Random
 from typing import Sequence
 
@@ -23,7 +22,6 @@ from .mcmc import Chain, ChainConfig, chain_weights, float_or_inf
 from .states import CycleKernel, face_two_coloring
 from .transforms import TransformPlan, _in_region, in_yz, plan_report, plan_transform
 
-UNIFORM = (Fraction(1), Fraction(1), Fraction(1), Fraction(1))
 MIN_GROUPS = 12
 MIN_SAMPLES_PER_GROUP = 16
 MAX_GROUPS = 200
@@ -174,11 +172,15 @@ def anneal_estimate(
 
     Of ``cfg`` it reads ``seed`` (the master generator of the chain seeds)
     and ``proposal`` (the move set).  The chains burn in 10k steps for
-    cycle-space dimension k, and the stages thin by (k+1)/2 steps.
+    cycle-space dimension k, and the stages thin by (k+1)/2 steps.  Each
+    chain, one after another, runs the whole schedule in one
+    ``Chain.anneal``; every chain has its own generator, so the result is
+    the same as running the stages one at a time across all chains.
 
     Before any chain step it also refuses, with a ``ValueError``, a target
     that ``chain_weights`` refuses, or one where the bracket
     [k ln 2 + n ln min, k ln 2 + n ln max] around ln Z leaves the float range.
+    A target with four equal entries a is exact, 2^k a^n, and runs no chain.
     """
     _check_accuracy(eps, delta)
     t = as_params(target)
@@ -200,9 +202,9 @@ def anneal_estimate(
             f"[{math.log(sys.float_info.min):.1f}, {math.log(sys.float_info.max):.1f}]"
         )
     anchor = 1 << k
-    if t == UNIFORM:
+    if len(set(t)) == 1:  # every state weighs a^n: Z = 2^k a^n, no chain needed
         return Estimate(
-            value=float(anchor),
+            value=float(anchor * t[0] ** n),
             relative_error_target=eps,
             failure_probability=delta,
             stages=0,
@@ -227,24 +229,23 @@ def anneal_estimate(
     # chain seeds come from a master generator: xoring the chain index onto
     # the raw seed would make nearby seeds share chain-seed multisets
     master = Random(cfg.seed)
-    chains = [Chain(kernel, Random(master.getrandbits(64))) for _ in range(groups)]
-    for chain in chains:
+    stage_sums = []  # per chain, per stage: (sum, sum of squares)
+    for _ in range(groups):
+        chain = Chain(kernel, Random(master.getrandbits(64)))
         chain.advance(10 * k)
+        stage_sums.append(
+            chain.anneal(schedule.params[:q], stage_burn_in, s_g, thinning, pow_table))
 
-    log_products = [0.0] * groups
+    log_products = []
+    for sums in stage_sums:
+        log_product = 0.0
+        for acc, _ in sums:
+            log_product += math.log(acc / s_g)
+        log_products.append(log_product)
     stage_relvars = []
-    for stage_index in range(q):
-        stage_params = schedule.params[stage_index]
-        stage_means = []
-        for c, chain in enumerate(chains):
-            chain.set_params(stage_params)
-            chain.advance(stage_burn_in)
-            acc, acc_sq = chain.run(s_g, thinning, pow_table)
-            mean = acc / s_g
-            log_products[c] += math.log(mean)
-            stage_means.append((mean, acc_sq / s_g))
-        grand = sum(m for m, _ in stage_means) / groups
-        second = sum(sq for _, sq in stage_means) / groups
+    for stage in zip(*stage_sums):
+        grand = sum(acc / s_g for acc, _ in stage) / groups
+        second = sum(acc_sq / s_g for _, acc_sq in stage) / groups
         stage_relvars.append(max(0.0, second / (grand * grand) - 1.0))
 
     ordered = sorted(log_products)

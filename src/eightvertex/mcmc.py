@@ -22,14 +22,15 @@ The steps run in a compiled kernel, ``_chain.c``, wherever one can be
 built: it keeps the masks, counts, factor tables and the generator's
 MT19937 state in native memory and draws exactly as CPython 3.10-3.13's
 ``random.Random`` does.  It tempers each twist's 624 words into a buffer,
-so a draw is a load, and at the start of each call fills the factor tables
-itself from the four class weights, so ``set_params`` does no per-entry
-work in Python.  The first chain built in a process compiles it
-with ``cc`` into this package's ``__pycache__``, under a name keyed by the
-source and the flags, unless that file is there already (see
-``_native``).  Without a compiler or a writable cache, or for a generator
-that is not exactly ``random.Random``, the same steps run in Python, which
-is also the kernel's oracle in the tests.
+so a draw is a load, and fills the factor tables itself from the four
+class weights, so ``set_params`` does no per-entry work in Python.
+``Chain.anneal`` hands it a chain's whole annealing schedule, which it
+runs stage after stage in a few calls.  The first chain built in a
+process compiles it with ``cc`` into this package's ``__pycache__``, under
+a name keyed by the source and the flags, unless that file is there
+already (see ``_native``).  Without a compiler or a writable cache, or for
+a generator that is not exactly ``random.Random``, the same steps run in
+Python, which is also the kernel's oracle in the tests.
 """
 from __future__ import annotations
 
@@ -135,10 +136,12 @@ class Chain:
     reading ``rng`` writes the kernel's state back into it.  There
     ``set_params`` only stores the four weights, and the kernel fills the
     same factor tables from them, with the same divisions, at the start of
-    each call.
+    each call and each stage.
     Otherwise (another generator, or no kernel) they are lists and the
     same steps run in Python.  Both paths give the same masks, counts,
-    sums and generator state, bit for bit.
+    sums, ``steps`` and generator state, bit for bit.  ``steps`` counts
+    every step made; each time it passes a multiple of ``_RECOUNT_PERIOD``
+    the class counts are recounted from the masks.
     """
 
     def __init__(self, kernel: CycleKernel, rng: Random):
@@ -190,21 +193,33 @@ class Chain:
                 table[m] = ratio[CLASS16[m ^ xm]][CLASS16[m]]
 
     def advance(self, steps: int):
-        self.run(1, steps)
-
-    def run(self, samples: int, thinning: int, pows=None) -> tuple[float, float]:
-        """Run ``samples`` blocks of ``thinning`` steps.
-
-        With ``pows`` (per class, a table indexed by the class count), each
-        block ends by adding ``prod_i pows[i][counts[i]]`` and its square to
-        two sums, which are returned; without it they stay 0.  The kernel
-        copies ``pows`` when it sees a new object, so pass immutable tables.
-        """
+        """Make ``steps`` steps at the current parameters."""
         if self._native is None:
-            sums = self._python_run(samples, thinning, pows)
+            self._python_run(1, steps, None)
         else:
-            sums = self._native.run(samples, thinning, pows)
-        self._recount(samples * thinning)
+            self._native.advance(steps)
+        self._recount(steps)
+
+    def anneal(self, stages, burn_in: int, samples: int, thinning: int, pows):
+        """Run an annealing schedule; return each stage's two sums.
+
+        Stage g targets the class weights ``stages[g]`` (as ``set_params``),
+        makes ``burn_in`` steps, then ``samples`` blocks of ``thinning``
+        steps; each block ends by adding ``prod_i pows[i][counts[i]]`` (per
+        class, a table indexed by the class count) and its square to the
+        stage's two sums.  The compiled kernel runs the whole schedule, in
+        calls of at most ``_native.CALL_STEPS`` steps (or one block).
+        """
+        if len(pows) != 4:
+            raise ValueError(f"pows needs one table per class, got {len(pows)}")
+        if self._native is not None:
+            return self._native.anneal(stages, burn_in, samples, thinning, pows, self._recount)
+        sums = []
+        for weights in stages:
+            self.set_params(weights)
+            self.advance(burn_in)
+            sums.append(self._python_run(samples, thinning, pows))
+            self._recount(samples * thinning)
         return sums
 
     def mask_blocks(self, samples: int, thinning: int) -> Iterator[bytearray]:
@@ -228,9 +243,10 @@ class Chain:
             yield masks
 
     def _recount(self, steps: int):
+        """Count ``steps`` more steps, and recount the classes from the masks each
+        time the total passes a multiple of ``_RECOUNT_PERIOD``."""
         self.steps += steps
-        if self.steps >= _RECOUNT_PERIOD:
-            self.steps = 0
+        if self.steps // _RECOUNT_PERIOD != (self.steps - steps) // _RECOUNT_PERIOD:
             recount = [0, 0, 0, 0]
             for m in self.masks:
                 recount[CLASS16[m]] += 1

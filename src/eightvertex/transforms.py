@@ -1,7 +1,9 @@
 """Parameter-transform groups, region predicates and transform planning.
 
 All matrices and predicates here are exact rationals: the group identities
-are exact and are tested with zero tolerance.  The planar group (order 6,
+are exact and are tested with zero tolerance.  The group closures multiply
+integer matrices, twice the half-integer ones, and make a ``HalfIntMatrix``
+only for each element they return.  The planar group (order 6,
 the symmetric group on three letters) composes the holographic parameter
 maps with the face-coloring swap (b, a, d, c); the bipartite group (order
 12, dihedral) uses the holographic maps directly.
@@ -71,12 +73,7 @@ class HalfIntMatrix:
         return out
 
     def order(self) -> int:
-        acc = self
-        for k in range(1, ORDER_CAP + 1):
-            if acc == IDENTITY:
-                return k
-            acc = acc @ self
-        raise ValueError(f"order exceeds {ORDER_CAP}")
+        return _order2(_doubled(self))
 
 
 def _det4(rows) -> Fraction:
@@ -127,6 +124,65 @@ class ClosureCapError(RuntimeError):
     pass
 
 
+# A group element as twice its matrix, a 4x4 tuple of integers: the closure
+# multiplies these, and builds one HalfIntMatrix per element at the end.
+_IDENTITY2 = ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
+
+
+def _doubled(matrix: HalfIntMatrix) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(2 * x) for x in row) for row in matrix.rows)
+
+
+def _product2(a, b) -> tuple[tuple[int, ...], ...]:
+    """Twice AB from twice A and twice B, refused unless AB is a half-integer matrix."""
+    columns = tuple(zip(*b))
+    rows = []
+    for row in a:
+        out = []
+        for column in columns:
+            x = row[0] * column[0] + row[1] * column[1] + row[2] * column[2] + row[3] * column[3]
+            if x % 2:
+                raise ValueError(f"entry {Fraction(x, 4)} is not a half-integer")
+            out.append(x // 2)
+        rows.append(tuple(out))
+    return tuple(rows)
+
+
+def _order2(m2) -> int:
+    acc = m2
+    for k in range(1, ORDER_CAP + 1):
+        if acc == _IDENTITY2:
+            return k
+        acc = _product2(acc, m2)
+    raise ValueError(f"order exceeds {ORDER_CAP}")
+
+
+def _element(m2, word: tuple[str, ...], label: str) -> GroupElement:
+    matrix = HalfIntMatrix(tuple(tuple(Fraction(x, 2) for x in row) for row in m2))
+    return GroupElement(matrix, word, label, _order2(m2))
+
+
+def _closure2(generators, cap: int) -> dict:
+    """Doubled matrix -> shortest word, breadth-first from the identity."""
+    seen = {_IDENTITY2: ()}
+    frontier = [_IDENTITY2]
+    while frontier:
+        next_frontier = []
+        for m2 in frontier:
+            word = seen[m2]
+            for name, gen in generators:
+                prod = _product2(m2, gen)
+                if prod not in seen:
+                    seen[prod] = word + (name,)
+                    next_frontier.append(prod)
+                    if len(seen) > cap:
+                        raise ClosureCapError(
+                            f"closure exceeded {cap} elements; not a small group"
+                        )
+        frontier = next_frontier
+    return seen
+
+
 def group_closure(
     generators: Sequence[tuple[str, HalfIntMatrix]], cap: int = 1024
 ) -> list[GroupElement]:
@@ -136,27 +192,8 @@ def group_closure(
     by generator order).  Raises :class:`ClosureCapError` past ``cap``
     elements, which signals the input does not generate a small group.
     """
-    seen: dict[tuple, tuple[HalfIntMatrix, tuple[str, ...]]] = {}
-    frontier: list[tuple[HalfIntMatrix, tuple[str, ...]]] = [(IDENTITY, ())]
-    seen[IDENTITY.rows] = (IDENTITY, ())
-    while frontier:
-        next_frontier = []
-        for matrix, word in frontier:
-            for name, gen in generators:
-                prod = matrix @ gen
-                if prod.rows not in seen:
-                    entry = (prod, word + (name,))
-                    seen[prod.rows] = entry
-                    next_frontier.append(entry)
-                    if len(seen) > cap:
-                        raise ClosureCapError(
-                            f"closure exceeded {cap} elements; not a small group"
-                        )
-        frontier = next_frontier
-    elements = []
-    for matrix, word in seen.values():
-        label = "*".join(word) if word else "I"
-        elements.append(GroupElement(matrix, word, label, matrix.order()))
+    seen = _closure2([(name, _doubled(gen)) for name, gen in generators], cap)
+    elements = [_element(m2, word, "*".join(word) if word else "I") for m2, word in seen.items()]
     elements.sort(key=lambda el: (len(el.word), el.word))
     return elements
 
@@ -165,23 +202,22 @@ def _normal_form_elements(
     mz: HalfIntMatrix, mhz: HalfIntMatrix, mz_name: str, mhz_name: str
 ) -> list[GroupElement]:
     """Closure relabeled in normal-form order MZ^i, then MZ^i*MHZ."""
-    closure = group_closure([(mz_name, mz), (mhz_name, mhz)])
-    by_rows = {el.matrix.rows: el for el in closure}
-    rotations = mz.order()
+    mz2, mhz2 = _doubled(mz), _doubled(mhz)
+    words = _closure2([(mz_name, mz2), (mhz_name, mhz2)], 1024)
+    rotations = _order2(mz2)
     ordered = []
     for with_ref in (0, 1):
-        acc = IDENTITY
+        acc = _IDENTITY2
         for i in range(rotations):
-            matrix = acc @ mhz if with_ref else acc
+            m2 = _product2(acc, mhz2) if with_ref else acc
             rot = "" if i == 0 else (mz_name if i == 1 else f"{mz_name}^{i}")
             if with_ref:
                 label = f"{rot}*{mhz_name}" if rot else mhz_name
             else:
                 label = rot or "I"
-            base = by_rows.pop(matrix.rows)
-            ordered.append(GroupElement(matrix, base.word, label, base.order))
-            acc = acc @ mz
-    if by_rows:
+            ordered.append(_element(m2, words.pop(m2), label))
+            acc = _product2(acc, mz2)
+    if words:
         raise RuntimeError("normal form did not cover the closure")
     return ordered
 

@@ -6,9 +6,10 @@ they check the package's exact routes independently; the reference chain
 recomputes whole weights instead of local ratios, and the reference walk
 of the coset flips one move at a time in Gray-code order, where the package
 lists the states in blocks of masks.  The predicates at the end (evenness,
-Gibbs weights, region intersections, arrow-reversal symmetry), the matrix
-inverse, the constraint-matrix layout and the per-edge orientation and
-bit-string forms have no caller in the package.  Keep them dumb.
+Gibbs weights, region intersections, arrow-reversal symmetry), the group
+closure in validated matrix products, the matrix inverse, the
+constraint-matrix layout and the per-edge orientation and bit-string forms
+have no caller in the package.  Keep them dumb.
 """
 from collections import Counter
 from fractions import Fraction
@@ -26,7 +27,7 @@ from eightvertex.states import (
     red_masks,
     reference_even_orientation,
 )
-from eightvertex.transforms import HalfIntMatrix, region
+from eightvertex.transforms import IDENTITY, ClosureCapError, GroupElement, HalfIntMatrix, region
 
 
 def even_orientations_naive(graph: LabeledGraph):
@@ -255,6 +256,45 @@ def arrow_reversal_symmetric(table, tol: float = TOL_EXACT) -> bool:
         elif abs(complex(a) - complex(b)) > tol:
             return False
     return True
+
+
+def closure_by_products(generators, cap: int = 1024) -> list:
+    """``group_closure`` in validated ``HalfIntMatrix`` products: breadth-first,
+    one product per (element, generator), each element with its shortest word."""
+    seen = {IDENTITY.rows: (IDENTITY, ())}
+    frontier = [(IDENTITY, ())]
+    while frontier:
+        next_frontier = []
+        for matrix, word in frontier:
+            for name, gen in generators:
+                prod = matrix @ gen
+                if prod.rows not in seen:
+                    entry = (prod, word + (name,))
+                    seen[prod.rows] = entry
+                    next_frontier.append(entry)
+                    if len(seen) > cap:
+                        raise ClosureCapError(f"closure exceeded {cap} elements")
+        frontier = next_frontier
+    elements = [GroupElement(matrix, word, "*".join(word) if word else "I", matrix.order())
+                for matrix, word in seen.values()]
+    elements.sort(key=lambda el: (len(el.word), el.word))
+    return elements
+
+
+def normal_form_by_products(mz: HalfIntMatrix, mhz: HalfIntMatrix, mz_name: str, mhz_name: str):
+    """The closure of the two generators in table order MZ^i, then MZ^i*MHZ,
+    each with its closure word, from ``HalfIntMatrix`` products."""
+    by_rows = {el.matrix.rows: el for el in closure_by_products([(mz_name, mz), (mhz_name, mhz)])}
+    ordered = []
+    for with_ref in (False, True):
+        for i in range(mz.order()):
+            matrix = mz.power(i) @ mhz if with_ref else mz.power(i)
+            rot = "" if i == 0 else (mz_name if i == 1 else f"{mz_name}^{i}")
+            label = (f"{rot}*{mhz_name}" if rot else mhz_name) if with_ref else (rot or "I")
+            base = by_rows.pop(matrix.rows)
+            ordered.append(GroupElement(matrix, base.word, label, base.order))
+    assert not by_rows
+    return ordered
 
 
 def inverse(matrix: HalfIntMatrix) -> HalfIntMatrix:

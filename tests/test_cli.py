@@ -244,6 +244,22 @@ def test_estimate_json(oct_file, capsys):
     assert payload["stages"] > 0
 
 
+@pytest.mark.parametrize("params, value", [
+    ("2,2,2,2", "8192.0"),  # 2^7 * 2^6; 34 stages gave 8192.000000000033
+    # 2^7 * 1e180; 3,316 stages gave 1.2799999999846295e+182
+    ("1e30,1e30,1e30,1e30", "1.28e+182"),
+])
+def test_estimate_is_exact_at_multiples_of_the_uniform_point(oct_file, capsys, params, value):
+    # every state weighs a^n, so Z = 2^k a^n with no chain step
+    code, out, _ = run(capsys, "estimate", "--graph", oct_file, "--params", params,
+                       "--class", "planar", "--eps", "0.2", "--seed", "1")
+    assert code == 0
+    assert f'"value": {value},' in out
+    payload = json.loads(out)
+    assert payload["stages"] == 0 and payload["groups"] == 0
+    assert payload["diagnostics"] == {"exact_anchor": True, "anchor": 128}
+
+
 def test_verify_sections(capsys):
     code, out, _ = run(capsys, "verify", "groups", "--seed", "1")
     assert code == 0

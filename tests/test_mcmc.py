@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 from random import Random
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -438,23 +439,44 @@ def test_native_kernel_loads_where_a_compiler_is(octahedron):
     assert Chain(CycleKernel(octahedron), PythonRandom(0))._native is None
 
 
+@pytest.mark.parametrize("rng", [Random, PythonRandom], ids=["native", "python"])
+def test_anneal_needs_one_pow_table_per_class(octahedron, rng):
+    chain = Chain(CycleKernel(octahedron), rng(1))
+    with pytest.raises(ValueError, match="one table per class, got 3"):
+        chain.anneal([(1.0, 2.0, 2.0, 1.0)], 1, 1, 1, ((1.0,) * 7,) * 3)
+
+
+def _short_schedule(kernel):
+    """Three stages' sums from a chain at seed 4, on Python steps or the kernel's."""
+    n = len(kernel.reference_masks)
+    pows = tuple(tuple(r**count for count in range(n + 1)) for r in (1.1, 0.9, 1.0, 1.3))
+    chain = Chain(kernel, Random(4))
+    chain.advance(30)
+    stages = [(1.0, 2.0, 2.0, 1.0), (1.1, 1.8, 2.0, 1.3), (1.2, 1.6, 2.0, 1.7)]
+    return chain.anneal(stages, 14, 25, 4, pows), chain.rng.getstate()
+
+
 def test_chains_step_in_python_where_the_kernel_cannot_build(monkeypatch, tmp_path, octahedron):
     # no compiler, and a source that does not compile: no library, no
-    # temporary file left behind, and the same samples from the Python steps
+    # temporary file left behind, and the same samples and schedule sums
+    # from the Python steps
     from eightvertex import _native
 
+    kernel = CycleKernel(octahedron)
     expected = sample(octahedron, (1, 1, 1, 2), ChainConfig(seed=9), 20, burn_in=5, thinning=3)
+    expected_sums = _short_schedule(kernel)
     broken = tmp_path / "_chain.c"
     broken.write_text("this is not C\n")
     for source, build in ((_native.SOURCE, ("no-such-compiler",) + _native.BUILD[1:]),
                           (broken, _native.BUILD)):
-        monkeypatch.setattr(_native, "_STEP", None)
+        monkeypatch.setattr(_native, "_LIB", None)
         monkeypatch.setattr(_native, "SOURCE", source)
         monkeypatch.setattr(_native, "BUILD", build)
         assert _native.load() is None
-        assert Chain(CycleKernel(octahedron), Random(0))._native is None
+        assert Chain(kernel, Random(0))._native is None
         got = sample(octahedron, (1, 1, 1, 2), ChainConfig(seed=9), 20, burn_in=5, thinning=3)
         assert np.array_equal(got, expected)
+        assert _short_schedule(kernel) == expected_sums
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["__pycache__", "_chain.c"]
 
 
@@ -468,10 +490,11 @@ NATIVE_KERNELS = {
     **{f"one-vertex-{n}": _one_vertex_moves(n) for n in (1, 2, 3, 5, 9, 17, 37, 65, 145)},
 }
 WEIGHT = st.floats(0.05, 20.0)
-# (blocks, thinning, sum the class-count weights, record masks, then rebuild
-# both chains from the generators read back from them)
-RUN = st.tuples(st.integers(0, 40), st.integers(1, 30), st.booleans(), st.booleans(),
-                st.booleans())
+# (blocks, thinning, burn-in, then: advance blocks * thinning steps, record
+# the masks after each block, or anneal through the stages `weights`;
+# and whether to rebuild both chains from the generators read back from them)
+RUN = st.tuples(st.integers(0, 40), st.integers(1, 30), st.integers(0, 25),
+                st.sampled_from(["advance", "record", "anneal"]), st.booleans())
 # words drawn before the chains are built: the kernel's tempered buffer must
 # be filled from a state copied in at any index, before and after a twist
 SKIPS = (0, 1, 311, 623, 625)
@@ -482,24 +505,37 @@ SKIPS = (0, 1, 311, 623, 625)
     name=st.sampled_from(sorted(NATIVE_KERNELS)),
     seed=st.integers(0, 2**64 - 1),
     skip=st.sampled_from(SKIPS),
+    call_steps=st.sampled_from([1 << 20, 1, 10, 64]),
     weights=st.lists(st.tuples(WEIGHT, WEIGHT, WEIGHT, WEIGHT), min_size=1, max_size=3),
     ratios=st.tuples(WEIGHT, WEIGHT, WEIGHT, WEIGHT),
     runs=st.lists(RUN, min_size=1, max_size=4),
 )
-@example(name="torus4x4", seed=1, skip=0, weights=[(1.0, 2.0, 2.0, 1.0)],
+@example(name="torus4x4", seed=1, skip=0, call_steps=1 << 20, weights=[(1.0, 2.0, 2.0, 1.0)],
          ratios=(1.1, 0.9, 1.0, 1.3),
-         runs=[(1, _RECOUNT_PERIOD + 7, False, False, False), (3, 7, True, True, False)])
-# one-block and two-block weighted runs show a sum that rounds once more or less
-@example(name="torus4x4", seed=3, skip=0, weights=[(1.0, 1.2, 0.9, 1.1)],
+         runs=[(1, _RECOUNT_PERIOD + 7, 0, "advance", False), (3, 7, 0, "record", False),
+               (3, 7, 5, "anneal", False)])
+# one-block and two-block stages show a sum that rounds once more or less
+@example(name="torus4x4", seed=3, skip=0, call_steps=1 << 20, weights=[(1.0, 1.2, 0.9, 1.1)] * 3,
          ratios=(1.1, 0.7, 1.3, 0.37),
-         runs=[(1, 2, True, False, False)] * 40 + [(2, 2, True, False, False)] * 40)
-@example(name="one-vertex-145", seed=2, skip=0, weights=[(1.0,) * 4], ratios=(1.0,) * 4,
-         runs=[(_RECOUNT_PERIOD // 3 + 1, 3, True, False, False)])
-@example(name="k44", seed=5, skip=623, weights=[(1.0, 3.0, 0.5, 2.0)],
-         ratios=(1.1, 0.9, 1.0, 1.3), runs=[(5, 3, True, False, True), (40, 30, True, True, True)])
-@example(name="torus2x2", seed=7, skip=625, weights=[(2.0, 1.0, 1.0, 0.5)],
-         ratios=(0.8, 1.2, 1.0, 1.1), runs=[(0, 1, False, False, True), (1, 1, True, False, True)])
-def test_native_chain_matches_python_chain(name, seed, skip, weights, ratios, runs):
+         runs=[(1, 2, 0, "anneal", False)] * 20 + [(2, 2, 0, "anneal", False)] * 20)
+@example(name="one-vertex-145", seed=2, skip=0, call_steps=1 << 20, weights=[(1.0,) * 4],
+         ratios=(1.0,) * 4, runs=[(_RECOUNT_PERIOD // 3 + 1, 3, 0, "anneal", False)])
+@example(name="k44", seed=5, skip=623, call_steps=1 << 20, weights=[(1.0, 3.0, 0.5, 2.0)],
+         ratios=(1.1, 0.9, 1.0, 1.3),
+         runs=[(5, 3, 0, "anneal", True), (40, 30, 0, "record", True)])
+@example(name="torus2x2", seed=7, skip=625, call_steps=1 << 20, weights=[(2.0, 1.0, 1.0, 0.5)],
+         ratios=(0.8, 1.2, 1.0, 1.1),
+         runs=[(0, 1, 0, "advance", True), (1, 1, 3, "anneal", True)])
+# stages of 61 steps at 10 steps a call: burn-in split across calls, blocks
+# cut at call ends, and a block longer than a call made whole
+@example(name="torus4x4", seed=11, skip=311, call_steps=10,
+         weights=[(1.0, 2.0, 2.0, 1.0), (1.2, 1.7, 2.1, 0.9), (0.8, 1.5, 2.4, 1.1)],
+         ratios=(1.1, 0.9, 1.0, 1.3),
+         runs=[(12, 3, 25, "anneal", False), (4, 13, 2, "anneal", True),
+               (9, 4, 0, "record", False)])
+def test_native_chain_matches_python_chain(name, seed, skip, call_steps, weights, ratios, runs):
+    from eightvertex import _native
+
     kernel = NATIVE_KERNELS[name]
     if mcmc._load_kernel() is None:
         pytest.skip("the compiled kernel is not available on this host")
@@ -511,21 +547,38 @@ def test_native_chain_matches_python_chain(name, seed, skip, weights, ratios, ru
     assert native._native is not None and python._native is None
     n = len(kernel.reference_masks)
     pows = tuple(tuple(r**count for count in range(n + 1)) for r in ratios)
-    for index, (blocks, thinning, weighted, record, rebuild) in enumerate(runs):
-        for chain in (native, python):
-            chain.set_params(weights[index % len(weights)])
-        if record:
-            assert list(native.mask_blocks(blocks, thinning)) == list(
-                python.mask_blocks(blocks, thinning))
-        else:
-            sums = native.run(blocks, thinning, pows if weighted else None)
-            # bit-equal sums: the same float operations in the same order
-            assert sums == python.run(blocks, thinning, pows if weighted else None)
-        assert list(native.masks) == python.masks
-        assert list(native.counts) == python.counts
-        assert native.steps == python.steps
-        # reading the generator between runs leaves the kernel's stream as it was
-        assert native.rng.getstate() == python.rng.getstate()
-        if rebuild:  # a new chain copies the state in wherever the index stands
-            native, python = Chain(kernel, native.rng), Chain(kernel, python.rng)
-            assert native._native is not None and python._native is None
+    with patch.object(_native, "CALL_STEPS", call_steps):
+        for index, (blocks, thinning, burn_in, kind, rebuild) in enumerate(runs):
+            # no call makes more steps than CALL_STEPS, unless one block does
+            most = max(call_steps, thinning)
+            if kind == "anneal":
+                calls = []
+                native._recount = lambda steps, chain=native: (
+                    calls.append(steps), Chain._recount(chain, steps))
+                sums = native.anneal(weights, burn_in, blocks, thinning, pows)
+                del native._recount
+                # bit-equal sums: the same float operations in the same order
+                assert sums == python.anneal(weights, burn_in, blocks, thinning, pows)
+                assert len(sums) == len(weights)
+                total = len(weights) * (burn_in + blocks * thinning)
+                assert sum(calls) == total and all(c <= most for c in calls)
+                if total > most:
+                    assert len(calls) > 1
+            else:
+                for chain in (native, python):
+                    chain.set_params(weights[index % len(weights)])
+                if kind == "record":
+                    recorded = list(native.mask_blocks(blocks, thinning))
+                    assert recorded == list(python.mask_blocks(blocks, thinning))
+                    assert all(len(b) // n * thinning <= most for b in recorded)
+                else:
+                    native.advance(blocks * thinning)
+                    python.advance(blocks * thinning)
+            assert list(native.masks) == python.masks
+            assert list(native.counts) == python.counts
+            assert native.steps == python.steps
+            # reading the generator between runs leaves the kernel's stream as it was
+            assert native.rng.getstate() == python.rng.getstate()
+            if rebuild:  # a new chain copies the state in wherever the index stands
+                native, python = Chain(kernel, native.rng), Chain(kernel, python.rng)
+                assert native._native is not None and python._native is None

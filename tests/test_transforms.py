@@ -34,7 +34,14 @@ from eightvertex.transforms import (
     sign_normalize,
 )
 
-from ._brute import in_region_all, inverse, random_rationals, region_by_hand
+from ._brute import (
+    closure_by_products,
+    in_region_all,
+    inverse,
+    normal_form_by_products,
+    random_rationals,
+    region_by_hand,
+)
 
 H = Fraction(1, 2)
 
@@ -131,6 +138,21 @@ def test_generic_closures():
     assert len(neg) == 2
     fp = group_fingerprint(neg)
     assert fp["order"] == 2 and fp["abelian"]
+
+
+@pytest.mark.parametrize("group, mz, mhz", [
+    (planar_group, MZ_PLANAR, MHZ_PLANAR),
+    (bipartite_group, MZ, MHZ),
+])
+def test_groups_match_the_matrix_product_closure(group, mz, mhz):
+    # the integer closure against one built from validated HalfIntMatrix
+    # products: rows, word, label and order of each element, in table order
+    want = normal_form_by_products(mz, mhz, "MZ", "MHZ")
+    got = group()
+    assert [(el.matrix.rows, el.word, el.label, el.order) for el in got] == [
+        (el.matrix.rows, el.word, el.label, el.order) for el in want]
+    assert group_closure([("MZ", mz), ("MHZ", mhz)]) == closure_by_products(
+        [("MZ", mz), ("MHZ", mhz)])
 
 
 def test_closure_cap():
