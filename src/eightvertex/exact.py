@@ -3,10 +3,11 @@
 This module is the ground-truth oracle for everything else, so it never
 touches floating point; signed and zero parameters are allowed throughout.
 ``z8v_exact``, ``zec_exact`` and ``holant_exact`` share one frontier
-(transfer-matrix) contraction along a greedy vertex order, costing about
-2^width * n.  The censuses enumerate all 2^k even states over the cycle
-space, independently of the contraction, which they cross-check when
-evaluated at a point: they count the class profiles of each block of
+(transfer-matrix) contraction along a greedy vertex order: one matmul per
+vertex on an array of at most 2^width exact entries, about 2^width * n
+products in all.  The censuses enumerate all 2^k even states over the
+cycle space, independently of the contraction, which they cross-check
+when evaluated at a point: they count the class profiles of each block of
 states that the cycle-space kernel lists (``states.CycleKernel.blocks``)
 with one ``bincount``.
 """
@@ -94,19 +95,17 @@ def census_ec(graph: LabeledGraph, dim_cap: int = DEFAULT_DIM_CAP) -> Census:
 
 
 def _frontier_plan(graph: LabeledGraph):
-    """Greedy vertex order with a fixed bit slot per open edge; returns (steps, width).
+    """Greedy vertex order and the edges each step closes and opens; returns (steps, width).
 
     Next comes the unvisited vertex with the most edges into the visited
     set, ties broken by id.  A step is (vertex, closed, opened, loops): the
-    (slot, label bit) of each edge it closes and opens, and each self-loop's
-    label bits.  Opened edges take the smallest free slots, so keys stay
-    below 2^width, width being the most edges open between steps.
+    (edge id, label - 1) of each edge it closes and opens, and each
+    self-loop's label bits.  The width is the most edges open between steps.
     """
     n = graph.vertex_count
     into = [0] * n  # per unvisited vertex, its edges into the visited set
     visited = [False] * n
-    slot_of: dict[int, int] = {}
-    steps, width = [], 0
+    steps, open_count, width = [], 0, 0
     for _ in range(n):
         v = max((u for u in range(n) if not visited[u]), key=lambda u: (into[u], -u))
         visited[v] = True
@@ -117,14 +116,12 @@ def _frontier_plan(graph: LabeledGraph):
             if other == v:
                 loops[eid] = loops.get(eid, 0) | 1 << label
             elif visited[other]:
-                closed.append((slot_of.pop(eid), 1 << label))
+                closed.append((eid, label))
             else:
                 into[other] += 1
-                opened.append((eid, 1 << label))
-        for i, (eid, bit) in enumerate(opened):
-            slot_of[eid] = min(set(range(len(slot_of) + 1)) - set(slot_of.values()))
-            opened[i] = (slot_of[eid], bit)
-        width = max(width, len(slot_of))
+                opened.append((eid, label))
+        open_count += len(opened) - len(closed)
+        width = max(width, open_count)
         steps.append((v, closed, opened, list(loops.values())))
     return steps, width
 
@@ -133,35 +130,29 @@ def _contract(graph: LabeledGraph, tables: Sequence[Sequence]):
     """Sum over all 0/1 edge assignments of the product of ``tables[v][mask_v]``.
 
     ``mask_v`` has bit label-1 set where the edge at that label of v has
-    value 1; entries may be any ring elements.  A greedy order wider than
+    value 1; entries may be any ring elements, kept exact in an ``object``
+    array.  The frontier has one axis per open edge, in the order opened.
+    Each vertex's table maps its closed edges' values to its opened edges'
+    values, summed over its self-loops; the closed axes move to the end and
+    one matmul with the table replaces them.  A greedy order wider than
     ``FRONTIER_CAP`` is refused before any work.
     """
     steps, width = _frontier_plan(graph)
     if width > FRONTIER_CAP:
         raise ValueError(f"frontier width {width} exceeds cap {FRONTIER_CAP}")
-    states = {0: 1}
+    state, live = np.array(1, dtype=object), []
     for v, closed, opened, loops in steps:
-        # bits of the closing edges -> {bits of the opened edges: weight}, loops summed
-        step: dict[int, dict] = {}
+        table = np.zeros((2,) * (len(closed) + len(opened)), dtype=object)
         for mask, w in enumerate(tables[v]):
-            if w == 0 or any(mask & pair not in (0, pair) for pair in loops):
-                continue
-            row = step.setdefault(sum(1 << s for s, bit in closed if mask & bit), {})
-            add = sum(1 << s for s, bit in opened if mask & bit)
-            row[add] = row.get(add, 0) + w
-        close_mask = sum(1 << s for s, _ in closed)
-        new: dict = {}
-        get = new.get
-        for key, val in states.items():
-            cut = key & close_mask
-            row = step.get(cut)
-            if row:
-                rest = key ^ cut
-                for add, w in row.items():
-                    k2 = rest | add
-                    new[k2] = get(k2, 0) + val * w
-        states = new
-    return states.get(0, 0)
+            if all(mask & pair in (0, pair) for pair in loops):
+                table[tuple(mask >> label & 1 for _, label in closed + opened)] += w
+        shut = [eid for eid, _ in closed]
+        keep = [eid for eid in live if eid not in shut]
+        state = state.transpose([live.index(eid) for eid in keep + shut])
+        state = state.reshape(-1, 1 << len(shut)) @ table.reshape(1 << len(shut), -1)
+        live = keep + [eid for eid, _ in opened]
+        state = state.reshape((2,) * len(live))
+    return state[()]
 
 
 def _class_sum(graph: LabeledGraph, params: Sequence, twists: Sequence[int]) -> Fraction:

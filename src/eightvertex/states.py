@@ -506,14 +506,3 @@ def orientation_to_bitstring(graph: LabeledGraph, orientations) -> str:
         text = np.column_stack((text, np.full(len(text), ord("\n"), dtype=np.uint8)))
     return text.tobytes().decode("ascii")
 
-
-def bitstring_to_orientation(graph: LabeledGraph, text: str) -> Bits:
-    """Inverse of ``orientation_to_bitstring`` on one line.
-
-    Nothing in the package calls it: it reads the lines that ``eightvertex
-    sample`` prints back into orientations, for users of that output.
-    """
-    if len(text) != graph.edge_count or set(text) - {"0", "1"}:
-        raise ValueError("bit-string length or alphabet mismatch")
-    bits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - np.uint8(ord("0"))
-    return tuple((bits ^ _wire_flips(graph)).tolist())

@@ -8,8 +8,8 @@ of the coset flips one move at a time in Gray-code order, where the package
 lists the states in blocks of masks.  The predicates at the end (evenness,
 Gibbs weights, region intersections, arrow-reversal symmetry), the group
 closure in validated matrix products, the matrix inverse, the
-constraint-matrix layout and the per-edge orientation and bit-string forms
-have no caller in the package.  Keep them dumb.
+constraint-matrix layout, the per-edge orientation and bit-string forms and
+the bit-string reader have no caller in the package.  Keep them dumb.
 """
 from collections import Counter
 from fractions import Fraction
@@ -346,3 +346,15 @@ def orientation_to_bitstring(graph: LabeledGraph, orientation) -> str:
             head = e.v if orientation[eid] else e.u
             out.append("1" if head == max(e.u, e.v) else "0")
     return "".join(out)
+
+
+def bitstring_to_orientation(graph: LabeledGraph, text: str) -> tuple:
+    """Inverse of ``orientation_to_bitstring`` on one line, one edge at a time.
+
+    It reads the lines that ``eightvertex sample`` prints back into
+    orientations: a non-loop edge has slot bit 1 iff it points at its slot-1
+    end, so the wire bit is flipped where that end is the lower-numbered one.
+    """
+    if len(text) != graph.edge_count or set(text) - {"0", "1"}:
+        raise ValueError("bit-string length or alphabet mismatch")
+    return tuple(int(bit) ^ (e.v < e.u) for bit, e in zip(text, graph.edges))

@@ -288,6 +288,25 @@ def test_contraction_matches_census(fixture_censuses, p):
         assert zec_exact(g, p) == cec.evaluate(p)
 
 
+@st.composite
+def multigraphs(draw):
+    """A labeled 4-regular multigraph on 1-5 vertices from a shuffled pairing of its
+    half-edges: self-loops, parallel edges and several components all occur."""
+    n = draw(st.integers(1, 5))
+    half = draw(st.permutations([(v, label) for v in range(n) for label in (1, 2, 3, 4)]))
+    edges = tuple(Edge(*half[i], *half[i + 1]) for i in range(0, 4 * n, 2))
+    return validate(LabeledGraph(n, edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=multigraphs(), table=st.lists(st.integers(-3, 3), min_size=16, max_size=16),
+       p=param_vectors)
+def test_contraction_on_random_multigraphs(g, table, p):
+    assert holant_exact(g, table) == holant_naive(g, table)
+    assert z8v_exact(g, p) == census_8v(g).evaluate(p)
+    assert zec_exact(g, p) == census_ec(g).evaluate(p)
+
+
 @settings(max_examples=3, deadline=None)
 @given(
     p=st.tuples(*[st.fractions(min_value=Fraction(1, 7), max_value=3, max_denominator=7)] * 4)

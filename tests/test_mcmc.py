@@ -26,7 +26,6 @@ from eightvertex.states import (
     CLASS16,
     CycleKernel,
     VertexClass,
-    bitstring_to_orientation,
     canonical_bipartite_orientation,
     canonical_planar_orientation,
     face_two_coloring,
@@ -35,6 +34,7 @@ from eightvertex.states import (
 )
 
 from ._brute import (
+    bitstring_to_orientation,
     gibbs_weight,
     is_even_orientation,
     metropolis_reference,

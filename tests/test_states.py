@@ -18,13 +18,13 @@ from eightvertex.states import (
     in_masks,
     orientation_classes,
     orientation_to_coloring,
-    bitstring_to_orientation,
     orientation_to_bitstring,
     red_masks,
     reference_even_orientation,
 )
 
 from ._brute import (
+    bitstring_to_orientation,
     even_colorings_naive,
     even_orientations_naive,
     is_even_orientation,
