@@ -4,12 +4,12 @@ This module is the ground-truth oracle for everything else, so it never
 touches floating point; signed and zero parameters are allowed throughout.
 ``z8v_exact``, ``zec_exact`` and ``holant_exact`` share one frontier
 (transfer-matrix) contraction along a greedy vertex order: one matmul per
-vertex on an array of at most 2^width exact entries, about 2^width * n
-products in all.  The censuses enumerate all 2^k even states over the
-cycle space, independently of the contraction, which they cross-check
-when evaluated at a point: they count the class profiles of each block of
-states that the cycle-space kernel lists (``states.CycleKernel.blocks``)
-with one ``bincount``.
+vertex over the frontier's nonzero exact entries, at most 2^width of them,
+so at most about 2^width * n products.  The censuses enumerate all 2^k
+even states over the cycle space, independently of the contraction, which
+they cross-check when evaluated at a point: they count the class profiles
+of each block of states that the cycle-space kernel lists
+(``states.CycleKernel.blocks``) with one ``bincount``.
 """
 from __future__ import annotations
 
@@ -130,29 +130,37 @@ def _contract(graph: LabeledGraph, tables: Sequence[Sequence]):
     """Sum over all 0/1 edge assignments of the product of ``tables[v][mask_v]``.
 
     ``mask_v`` has bit label-1 set where the edge at that label of v has
-    value 1; entries may be any ring elements, kept exact in an ``object``
-    array.  The frontier has one axis per open edge, in the order opened.
-    Each vertex's table maps its closed edges' values to its opened edges'
-    values, summed over its self-loops; the closed axes move to the end and
-    one matmul with the table replaces them.  A greedy order wider than
-    ``FRONTIER_CAP`` is refused before any work.
+    value 1; entries may be any ring elements, kept exact in ``object``
+    arrays.  The frontier keeps its nonzero entries only, keyed by their flat
+    index in an array with one axis per open edge, in the order opened.  A
+    vertex's table, summed over its self-loops, maps its closed edges to its
+    opened ones: one matmul on a row per value of the staying axes, then zero
+    sums are dropped, so the work follows the nonzero support.  A greedy
+    order wider than ``FRONTIER_CAP`` is refused before any work.
     """
     steps, width = _frontier_plan(graph)
     if width > FRONTIER_CAP:
         raise ValueError(f"frontier width {width} exceeds cap {FRONTIER_CAP}")
-    state, live = np.array(1, dtype=object), []
+    keys, vals, live = np.zeros(1, np.int64), np.ones(1, dtype=object), []
     for v, closed, opened, loops in steps:
         table = np.zeros((2,) * (len(closed) + len(opened)), dtype=object)
         for mask, w in enumerate(tables[v]):
             if all(mask & pair in (0, pair) for pair in loops):
                 table[tuple(mask >> label & 1 for _, label in closed + opened)] += w
-        shut = [eid for eid, _ in closed]
-        keep = [eid for eid in live if eid not in shut]
-        state = state.transpose([live.index(eid) for eid in keep + shut])
-        state = state.reshape(-1, 1 << len(shut)) @ table.reshape(1 << len(shut), -1)
-        live = keep + [eid for eid, _ in opened]
-        state = state.reshape((2,) * len(live))
-    return state[()]
+        gone = [eid for eid, _ in closed]
+        shut = [len(live) - 1 - live.index(eid) for eid in gone]  # their bits in a key
+        col = sum((keys >> p & 1) << i for i, p in enumerate(reversed(shut)))
+        for p in sorted(shut, reverse=True):  # squeeze the closed axes out
+            keys = keys >> (p + 1) << p | keys & (1 << p) - 1
+        rest, row = np.unique(keys, return_inverse=True)
+        rows = np.zeros((len(rest), 1 << len(shut)), dtype=object)
+        rows[row, col] = vals
+        vals = (rows @ table.reshape(1 << len(shut), -1)).ravel()
+        keys = (rest[:, None] << len(opened) | np.arange(1 << len(opened))).ravel()
+        nonzero = vals != 0
+        keys, vals = keys[nonzero], vals[nonzero]
+        live = [eid for eid in live if eid not in gone] + [eid for eid, _ in opened]
+    return vals[0] if len(vals) else 0
 
 
 def _class_sum(graph: LabeledGraph, params: Sequence, twists: Sequence[int]) -> Fraction:

@@ -288,6 +288,17 @@ def test_contraction_matches_census(fixture_censuses, p):
         assert zec_exact(g, p) == cec.evaluate(p)
 
 
+def test_contraction_at_zero_entry_points(fixture_censuses):
+    # the estimator's exact fallback gets planned images with zero entries,
+    # where the frontier drops every state that touches a zero class
+    rng = Random(43)
+    for zeros in range(16):
+        p = [0 if zeros >> i & 1 else x for i, x in enumerate(random_rationals(rng, True))]
+        for g, c8, cec in fixture_censuses:
+            assert z8v_exact(g, p) == c8.evaluate(p)
+            assert zec_exact(g, p) == cec.evaluate(p)
+
+
 @st.composite
 def multigraphs(draw):
     """A labeled 4-regular multigraph on 1-5 vertices from a shuffled pairing of its
