@@ -6,12 +6,21 @@ the target; each stage's ratio of consecutive Gibbs weights is estimated
 from warm-started chains, and a median over independent chain groups
 controls the failure probability.  Composed with the transform planner
 this evaluates parameters far outside the rapidly-mixing region.
+
+The groups share nothing but the master seed, so their chains run on one
+thread per allowed CPU, each thread pinned to its own CPU (``_run_pinned``);
+the compiled kernel's ctypes calls release the GIL.  Unpinned, the
+scheduler kept both threads of a 2-vCPU host on one vCPU while the other
+idled, and the threads gained nothing.  Results are stored by chain index
+and combined in chain order, so every thread count gives the same bits.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass, field
 from random import Random
 from typing import Sequence
@@ -156,6 +165,83 @@ def _samples_per_group(q: int, n: int, target: ParamVec, eps: float) -> int:
     return max(MIN_SAMPLES_PER_GROUP, need)
 
 
+class _Stopped(Exception):
+    """A pooled chain reached a call boundary after its pool began to stop."""
+
+
+class _PooledChain(Chain):
+    """A ``Chain`` that raises ``_Stopped`` at its next call boundary once ``stop`` is set.
+
+    Both steppers count each call's steps through ``_recount``: the compiled
+    kernel after each call of at most ``CALL_STEPS`` steps, the Python steps
+    after each burn-in and each stage.
+    """
+
+    def __init__(self, kernel: CycleKernel, rng: Random, stop: threading.Event):
+        self._stop = stop
+        super().__init__(kernel, rng)
+
+    def _recount(self, steps: int):
+        if self._stop.is_set():
+            raise _Stopped
+        super()._recount(steps)
+
+
+def _run_pinned(count: int, task, stop: threading.Event):
+    """Call ``task(i)`` for each i < count on one thread per allowed CPU, each pinned.
+
+    The calling thread pins itself to the first allowed CPU and helper j to
+    the j-th, at most ``count`` threads in all.  They pull indices from one
+    shared counter, so a loaded CPU takes fewer.  Without
+    ``os.sched_getaffinity`` the caller runs every task alone.  A helper's
+    exception reaches the caller.  On any exit the caller sets ``stop``
+    (whose tasks raise ``_Stopped`` at their next call boundary), joins
+    every helper and gets its own affinity back.
+    """
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    indices, lock, errors, started = iter(range(count)), threading.Lock(), [], []
+
+    def work():
+        while not stop.is_set():
+            with lock:
+                i = next(indices, None)
+            if i is None:
+                return
+            task(i)
+
+    def helper(cpu):
+        try:
+            os.sched_setaffinity(0, {cpu})
+            work()
+        except _Stopped:
+            pass
+        except BaseException as exc:  # raised in the caller after the join
+            errors.append(exc)
+            stop.set()
+
+    try:
+        if cpus:
+            os.sched_setaffinity(0, cpus[:1])
+        for cpu in cpus[1:count]:
+            thread = threading.Thread(target=helper, args=(cpu,))
+            thread.start()
+            started.append(thread)
+        try:
+            work()
+        except _Stopped:  # a helper failed: its error is raised below
+            pass
+        for thread in started:
+            thread.join()
+    finally:
+        stop.set()  # a no-op unless the caller is leaving early
+        for thread in started:
+            thread.join()
+        if cpus:
+            os.sched_setaffinity(0, cpus)
+    if errors:
+        raise errors[0]
+
+
 def anneal_estimate(
     graph: LabeledGraph,
     target: Sequence,
@@ -173,9 +259,13 @@ def anneal_estimate(
     Of ``cfg`` it reads ``seed`` (the master generator of the chain seeds)
     and ``proposal`` (the move set).  The chains burn in 10k steps for
     cycle-space dimension k, and the stages thin by (k+1)/2 steps.  Each
-    chain, one after another, runs the whole schedule in one
-    ``Chain.anneal``; every chain has its own generator, so the result is
-    the same as running the stages one at a time across all chains.
+    chain runs the whole schedule in one ``Chain.anneal``.  The chains are
+    built here in order, then run on one thread per allowed CPU, each
+    thread pinned to its CPU (``_run_pinned``; unpinned threads shared one
+    CPU and gained nothing); on the Python steps the GIL serialises them.
+    Every chain has its own generator and the sums are combined in chain
+    order, so the result is the same for every thread count, and the same
+    as running the stages one at a time across all chains.
 
     Before any chain step it also refuses, with a ``ValueError``, a target
     that ``chain_weights`` refuses, or one where the bracket
@@ -229,12 +319,17 @@ def anneal_estimate(
     # chain seeds come from a master generator: xoring the chain index onto
     # the raw seed would make nearby seeds share chain-seed multisets
     master = Random(cfg.seed)
-    stage_sums = []  # per chain, per stage: (sum, sum of squares)
-    for _ in range(groups):
-        chain = Chain(kernel, Random(master.getrandbits(64)))
-        chain.advance(10 * k)
-        stage_sums.append(
-            chain.anneal(schedule.params[:q], stage_burn_in, s_g, thinning, pow_table))
+    stop = threading.Event()
+    # built in this thread: the first one builds the kernel, into a temp file named by pid only
+    chains = [_PooledChain(kernel, Random(master.getrandbits(64)), stop) for _ in range(groups)]
+    stage_sums = [None] * groups  # per chain, per stage: (sum, sum of squares)
+
+    def run_chain(i):
+        chains[i].advance(10 * k)
+        stage_sums[i] = chains[i].anneal(
+            schedule.params[:q], stage_burn_in, s_g, thinning, pow_table)
+
+    _run_pinned(groups, run_chain, stop)
 
     log_products = []
     for sums in stage_sums:

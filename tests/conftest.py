@@ -1,3 +1,6 @@
+import contextlib
+import os
+
 import pytest
 
 from eightvertex.graphs import (
@@ -85,3 +88,19 @@ def build_two_components() -> LabeledGraph:
 @pytest.fixture(scope="session")
 def two_components():
     return build_two_components()
+
+
+@contextlib.contextmanager
+def one_cpu():
+    """Cut this thread's CPU affinity to its first allowed CPU; restore it on exit."""
+    before = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, sorted(before)[:1])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, before)
+
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform"
+)

@@ -14,7 +14,7 @@ from eightvertex.cli import main
 from eightvertex.exact import census_8v, z8v_exact
 from eightvertex.graphs import gen_k44, gen_octahedron, gen_torus, parse_graph, serialize_graph
 
-from .conftest import build_loop_graph
+from .conftest import build_loop_graph, needs_affinity, one_cpu
 
 
 @pytest.fixture()
@@ -398,6 +398,23 @@ def test_chain_pins_hold_on_the_python_path(monkeypatch, tmp_path, capsys, argv,
     # the Python steps must print the same bytes
     monkeypatch.setattr(mcmc, "_load_kernel", lambda: None)
     test_fixed_seed_output_pinned(tmp_path, capsys, argv, exit_code, digest)
+
+
+@needs_affinity
+@pytest.mark.parametrize("python_path", [False, True], ids=["compiled", "python"])
+@pytest.mark.parametrize(
+    "argv, exit_code, digest",
+    [pin for pin in GOLDEN if pin[0][0] == "estimate"],
+    ids=[_golden_id(a) for a, _, _ in GOLDEN if a[0] == "estimate"],
+)
+def test_estimate_pins_hold_on_one_cpu(monkeypatch, tmp_path, capsys, argv, exit_code, digest,
+                                       python_path):
+    # the pins above run one chain thread per allowed CPU; one CPU runs them
+    # all in the calling thread, and must print the same bytes
+    if python_path:
+        monkeypatch.setattr(mcmc, "_load_kernel", lambda: None)
+    with one_cpu():
+        test_fixed_seed_output_pinned(tmp_path, capsys, argv, exit_code, digest)
 
 
 def _run_module(*argv):

@@ -1,12 +1,18 @@
+import os
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eightvertex import mcmc
 from eightvertex.estimator import (
     PipelineError,
     _geometric_stages,
+    _run_pinned,
     _stage_flags,
     anneal_estimate,
     build_schedule,
@@ -15,9 +21,11 @@ from eightvertex.estimator import (
 )
 from eightvertex.exact import as_params, z8v_exact
 from eightvertex.graphs import gen_torus
-from eightvertex.mcmc import ChainConfig
+from eightvertex.mcmc import Chain, ChainConfig
 from eightvertex.states import CycleKernel
 from eightvertex.transforms import in_yz
+
+from .conftest import needs_affinity, one_cpu
 
 
 def test_anchor_values(octahedron, k44, torus24, torus44):
@@ -211,3 +219,133 @@ def test_accuracy_targets_validated(octahedron, k44, eps, delta, match):
     if match != "200 groups":  # the exact fallback needs no groups
         with pytest.raises(ValueError, match=match):
             estimate_z8v(k44, (2, 2, 0, 0), "bipartite", eps, delta, ChainConfig(seed=1))
+
+
+@pytest.fixture(params=["compiled", "python"])
+def stepper(request, monkeypatch):
+    """Step the chains in the compiled kernel (wherever it builds) or in Python."""
+    if request.param == "python":
+        monkeypatch.setattr(mcmc, "_load_kernel", lambda: None)
+    return request.param
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The chains built in this test, in order: the estimator's chain indices."""
+    chains, init = [], Chain.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        chains.append(self)
+
+    monkeypatch.setattr(Chain, "__init__", recording_init)
+    return chains
+
+
+def _octahedron_estimate(octahedron):
+    return anneal_estimate(octahedron, (2, 2, 3, 1), 0.05, 0.1, ChainConfig(seed=5))
+
+
+@needs_affinity
+def test_every_thread_count_gives_the_same_bits(monkeypatch, octahedron, stepper, built):
+    # the chains run on one pinned thread per allowed CPU and their sums are
+    # combined in chain order, so the CPU count changes no bit of the output,
+    # even where the first chain finishes last
+    with one_cpu():
+        alone = repr(_octahedron_estimate(octahedron).to_jsonable())
+    built.clear()
+    anneal = Chain.anneal
+
+    def slow_first_anneal(self, *args):
+        if self is built[0]:
+            time.sleep(0.2)
+        return anneal(self, *args)
+
+    monkeypatch.setattr(Chain, "anneal", slow_first_anneal)
+    threads, cpus = threading.active_count(), os.sched_getaffinity(0)
+    assert repr(_octahedron_estimate(octahedron).to_jsonable()) == alone
+    assert threading.active_count() == threads
+    assert os.sched_getaffinity(0) == cpus
+    monkeypatch.delattr(os, "sched_getaffinity")  # no affinity API: the caller alone
+    assert repr(_octahedron_estimate(octahedron).to_jsonable()) == alone
+
+
+def test_the_pool_runs_each_index_once():
+    # a switch after nearly every bytecode, so that an index handed out twice
+    # or lost between the threads would show
+    seen, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _run_pinned(2000, seen.append, threading.Event())
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(seen) == list(range(2000))
+
+
+@needs_affinity
+def test_each_pool_thread_pins_itself_to_its_own_cpu(monkeypatch):
+    # unpinned, the threads shared one CPU of a 2-vCPU host and gained nothing
+    cpus, caller = sorted(os.sched_getaffinity(0)), threading.current_thread()
+    pins, setaffinity = [], os.sched_setaffinity
+
+    def recording_setaffinity(pid, mask):
+        pins.append((threading.current_thread() is caller, sorted(mask)))
+        setaffinity(pid, mask)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recording_setaffinity)
+    _run_pinned(3, lambda i: None, threading.Event())
+    assert pins[0] == (True, cpus[:1]) and pins[-1] == (True, cpus)  # pinned, then restored
+    helpers = sorted(mask for by_caller, mask in pins if not by_caller)
+    assert helpers == [[cpu] for cpu in cpus[1:3]]
+
+
+@needs_affinity
+@pytest.mark.parametrize("failing", ["first", "last", "helper"])
+def test_a_chain_error_reaches_the_caller(monkeypatch, octahedron, stepper, built, failing):
+    if failing == "helper" and len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one allowed CPU: no helper thread")
+    anneal, caller = Chain.anneal, threading.current_thread()
+
+    def failing_anneal(self, *args):
+        if failing == "helper":
+            fails = threading.current_thread() is not caller
+        else:
+            fails = self is built[0 if failing == "first" else -1]
+        if fails:
+            raise AssertionError("chain class counts drifted from the masks")
+        return anneal(self, *args)
+
+    monkeypatch.setattr(Chain, "anneal", failing_anneal)
+    threads, cpus = threading.active_count(), os.sched_getaffinity(0)
+    with pytest.raises(AssertionError, match="drifted"):
+        _octahedron_estimate(octahedron)
+    assert threading.active_count() == threads
+    assert os.sched_getaffinity(0) == cpus
+
+
+@needs_affinity
+def test_ctrl_c_stops_the_helpers_at_their_next_call(monkeypatch, octahedron, stepper):
+    # a helper's chain would run for 10 s; Ctrl-C in the caller must stop it
+    # at its next call boundary, not wait for it to finish
+    anneal, caller = Chain.anneal, threading.current_thread()
+    has_helpers = len(os.sched_getaffinity(0)) > 1
+    helping, finished = threading.Event(), []
+
+    def interrupted_anneal(self, *args):
+        if threading.current_thread() is caller:
+            if has_helpers:
+                helping.wait(10)
+            raise KeyboardInterrupt
+        helping.set()
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            anneal(self, *args)
+        finished.append(self)
+
+    monkeypatch.setattr(Chain, "anneal", interrupted_anneal)
+    threads, cpus = threading.active_count(), os.sched_getaffinity(0)
+    with pytest.raises(KeyboardInterrupt):
+        _octahedron_estimate(octahedron)
+    assert not finished
+    assert threading.active_count() == threads
+    assert os.sched_getaffinity(0) == cpus
