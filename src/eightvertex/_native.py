@@ -8,9 +8,9 @@ temporary file that is then moved into place, so a concurrent build never
 loads a half-written library.  A missing compiler, a failed build or an
 unwritable cache make ``load`` return None, and chains step in Python.
 ``load`` runs in the thread that builds the first chain, and is not
-thread-safe (the temporary file is named by pid only): the estimator builds
-every chain in its calling thread before it starts the helper threads that
-run them.
+thread-safe (the temporary file is named by pid only): the estimator calls
+it once in its calling thread before it starts the helper threads that
+build and run its chains.
 """
 from __future__ import annotations
 

@@ -7,15 +7,13 @@ from warm-started chains, and a median over independent chain groups
 controls the failure probability.  Composed with the transform planner
 this evaluates parameters far outside the rapidly-mixing region.
 
-The groups share nothing but the master seed, so their chains run on one
-thread per allowed CPU, each thread pinned to its own CPU (``_run_pinned``);
-the compiled kernel's ctypes calls release the GIL.  Unpinned, the
-scheduler kept both threads of a 2-vCPU host on one vCPU while the other
-idled, and the threads gained nothing.  Results are stored by chain index
-and combined in chain order, so every thread count gives the same bits.
+The groups share nothing but the master seed: their chains run on one
+pinned thread per allowed CPU (``_run_pinned``), and their sums are
+combined in chain order, so every thread count gives the same bits.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -25,6 +23,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Sequence
 
+from . import mcmc
 from .exact import ParamVec, as_params, z8v_exact
 from .graphs import LabeledGraph
 from .mcmc import Chain, ChainConfig, chain_weights, float_or_inf
@@ -172,9 +171,8 @@ class _Stopped(Exception):
 class _PooledChain(Chain):
     """A ``Chain`` that raises ``_Stopped`` at its next call boundary once ``stop`` is set.
 
-    Both steppers count each call's steps through ``_recount``: the compiled
-    kernel after each call of at most ``CALL_STEPS`` steps, the Python steps
-    after each burn-in and each stage.
+    Both steppers call ``_recount`` after each call: at most ``CALL_STEPS``
+    steps on the kernel, one burn-in or stage on the Python steps.
     """
 
     def __init__(self, kernel: CycleKernel, rng: Random, stop: threading.Event):
@@ -187,57 +185,60 @@ class _PooledChain(Chain):
         super()._recount(steps)
 
 
+def _pin(cpus) -> None:
+    with contextlib.suppress(OSError):  # the allowed set changed since it was read
+        os.sched_setaffinity(0, cpus)
+
+
 def _run_pinned(count: int, task, stop: threading.Event):
     """Call ``task(i)`` for each i < count on one thread per allowed CPU, each pinned.
 
-    The calling thread pins itself to the first allowed CPU and helper j to
-    the j-th, at most ``count`` threads in all.  They pull indices from one
-    shared counter, so a loaded CPU takes fewer.  Without
-    ``os.sched_getaffinity`` the caller runs every task alone.  A helper's
-    exception reaches the caller.  On any exit the caller sets ``stop``
-    (whose tasks raise ``_Stopped`` at their next call boundary), joins
-    every helper and gets its own affinity back.
+    Unpinned, the scheduler kept both threads of a 2-vCPU host on one vCPU
+    and they gained nothing.  So the caller pins itself to one allowed CPU
+    and each helper to another, at most ``count`` threads; the CPU list
+    turns by the process id, so that concurrent processes start apart.  The
+    threads pull indices from one counter, so a loaded CPU takes fewer.  A
+    helper's exception reaches the caller.  On any exit the caller sets
+    ``stop``, joins the helpers and restores its affinity.  Without
+    ``os.sched_getaffinity`` the caller runs every task alone.
     """
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    indices, lock, errors, started = iter(range(count)), threading.Lock(), [], []
+    before, turn = set(cpus), os.getpid() % max(1, len(cpus))
+    cpus = cpus[turn:] + cpus[:turn]
+    indices, lock, errors, helpers = iter(range(count)), threading.Lock(), [], []
 
     def work():
-        while not stop.is_set():
-            with lock:
-                i = next(indices, None)
-            if i is None:
-                return
-            task(i)
+        with contextlib.suppress(_Stopped):  # a stop: the caller raises what caused it
+            while not stop.is_set():
+                with lock:
+                    i = next(indices, None)
+                if i is None:
+                    return
+                task(i)
 
     def helper(cpu):
+        _pin({cpu})
         try:
-            os.sched_setaffinity(0, {cpu})
             work()
-        except _Stopped:
-            pass
         except BaseException as exc:  # raised in the caller after the join
             errors.append(exc)
             stop.set()
 
     try:
         if cpus:
-            os.sched_setaffinity(0, cpus[:1])
+            _pin(cpus[:1])
         for cpu in cpus[1:count]:
-            thread = threading.Thread(target=helper, args=(cpu,))
-            thread.start()
-            started.append(thread)
-        try:
-            work()
-        except _Stopped:  # a helper failed: its error is raised below
-            pass
-        for thread in started:
+            helpers.append(threading.Thread(target=helper, args=(cpu,)))
+            helpers[-1].start()
+        work()
+        for thread in helpers:
             thread.join()
     finally:
         stop.set()  # a no-op unless the caller is leaving early
-        for thread in started:
+        for thread in helpers:
             thread.join()
         if cpus:
-            os.sched_setaffinity(0, cpus)
+            _pin(before)
     if errors:
         raise errors[0]
 
@@ -259,13 +260,12 @@ def anneal_estimate(
     Of ``cfg`` it reads ``seed`` (the master generator of the chain seeds)
     and ``proposal`` (the move set).  The chains burn in 10k steps for
     cycle-space dimension k, and the stages thin by (k+1)/2 steps.  Each
-    chain runs the whole schedule in one ``Chain.anneal``.  The chains are
-    built here in order, then run on one thread per allowed CPU, each
-    thread pinned to its CPU (``_run_pinned``; unpinned threads shared one
-    CPU and gained nothing); on the Python steps the GIL serialises them.
-    Every chain has its own generator and the sums are combined in chain
-    order, so the result is the same for every thread count, and the same
-    as running the stages one at a time across all chains.
+    chain runs the whole schedule in one ``Chain.anneal``, on one pinned
+    thread per allowed CPU (``_run_pinned``); on the Python steps the GIL
+    serialises them.  Every chain has its own generator, seeded here in
+    order, and the sums are combined in chain order, so the result is the
+    same for every thread count, and the same as running the stages one at
+    a time across all chains.
 
     Before any chain step it also refuses, with a ``ValueError``, a target
     that ``chain_weights`` refuses, or one where the bracket
@@ -319,15 +319,15 @@ def anneal_estimate(
     # chain seeds come from a master generator: xoring the chain index onto
     # the raw seed would make nearby seeds share chain-seed multisets
     master = Random(cfg.seed)
+    seeds = [master.getrandbits(64) for _ in range(groups)]
+    mcmc._load_kernel()  # here: it builds into a temp file named by pid only
     stop = threading.Event()
-    # built in this thread: the first one builds the kernel, into a temp file named by pid only
-    chains = [_PooledChain(kernel, Random(master.getrandbits(64)), stop) for _ in range(groups)]
     stage_sums = [None] * groups  # per chain, per stage: (sum, sum of squares)
 
     def run_chain(i):
-        chains[i].advance(10 * k)
-        stage_sums[i] = chains[i].anneal(
-            schedule.params[:q], stage_burn_in, s_g, thinning, pow_table)
+        chain = _PooledChain(kernel, Random(seeds[i]), stop)
+        chain.advance(10 * k)
+        stage_sums[i] = chain.anneal(schedule.params[:q], stage_burn_in, s_g, thinning, pow_table)
 
     _run_pinned(groups, run_chain, stop)
 

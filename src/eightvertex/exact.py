@@ -152,10 +152,7 @@ def _contract(graph: LabeledGraph, tables: Sequence[Sequence]):
         col = sum((keys >> p & 1) << i for i, p in enumerate(reversed(shut)))
         for p in sorted(shut, reverse=True):  # squeeze the closed axes out
             keys = keys >> (p + 1) << p | keys & (1 << p) - 1
-        if shut:
-            rest, row = np.unique(keys, return_inverse=True)
-        else:  # the keys are sorted and distinct already
-            rest, row = keys, np.arange(len(keys))
+        rest, row = np.unique(keys, return_inverse=True)
         rows = np.zeros((len(rest), 1 << len(shut)), dtype=object)
         rows[row, col] = vals
         vals = (rows @ table.reshape(1 << len(shut), -1)).ravel()

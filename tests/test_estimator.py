@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +13,7 @@ from eightvertex import mcmc
 from eightvertex.estimator import (
     PipelineError,
     _geometric_stages,
+    _group_count,
     _run_pinned,
     _stage_flags,
     anneal_estimate,
@@ -229,35 +231,39 @@ def stepper(request, monkeypatch):
     return request.param
 
 
-@pytest.fixture
-def built(monkeypatch):
-    """The chains built in this test, in order: the estimator's chain indices."""
-    chains, init = [], Chain.__init__
+SEED, DELTA = 5, 0.1
 
-    def recording_init(self, *args):
-        init(self, *args)
-        chains.append(self)
+
+@pytest.fixture
+def chain_index(monkeypatch):
+    """Each chain built in this test, mapped to its index in the master seed order."""
+    master, index, init = Random(SEED), {}, Chain.__init__
+    states = [Random(master.getrandbits(64)).getstate() for _ in range(_group_count(DELTA))]
+
+    def recording_init(self, kernel, rng, *args):
+        index[self] = states.index(rng.getstate())
+        init(self, kernel, rng, *args)
 
     monkeypatch.setattr(Chain, "__init__", recording_init)
-    return chains
+    return index
 
 
 def _octahedron_estimate(octahedron):
-    return anneal_estimate(octahedron, (2, 2, 3, 1), 0.05, 0.1, ChainConfig(seed=5))
+    return anneal_estimate(octahedron, (2, 2, 3, 1), 0.05, DELTA, ChainConfig(seed=SEED))
 
 
 @needs_affinity
-def test_every_thread_count_gives_the_same_bits(monkeypatch, octahedron, stepper, built):
+def test_every_thread_count_gives_the_same_bits(monkeypatch, octahedron, stepper,
+                                                 chain_index):
     # the chains run on one pinned thread per allowed CPU and their sums are
     # combined in chain order, so the CPU count changes no bit of the output,
     # even where the first chain finishes last
     with one_cpu():
         alone = repr(_octahedron_estimate(octahedron).to_jsonable())
-    built.clear()
     anneal = Chain.anneal
 
     def slow_first_anneal(self, *args):
-        if self is built[0]:
+        if chain_index[self] == 0:
             time.sleep(0.2)
         return anneal(self, *args)
 
@@ -268,6 +274,21 @@ def test_every_thread_count_gives_the_same_bits(monkeypatch, octahedron, stepper
     assert os.sched_getaffinity(0) == cpus
     monkeypatch.delattr(os, "sched_getaffinity")  # no affinity API: the caller alone
     assert repr(_octahedron_estimate(octahedron).to_jsonable()) == alone
+
+
+@needs_affinity
+def test_a_failed_pin_leaves_the_thread_unpinned(monkeypatch, octahedron):
+    # the allowed CPU set can change between the get and the set; the
+    # estimate then runs unpinned rather than failing
+    expected = repr(_octahedron_estimate(octahedron).to_jsonable())
+
+    def refused(pid, mask):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refused)
+    threads = threading.active_count()
+    assert repr(_octahedron_estimate(octahedron).to_jsonable()) == expected
+    assert threading.active_count() == threads
 
 
 def test_the_pool_runs_each_index_once():
@@ -283,25 +304,30 @@ def test_the_pool_runs_each_index_once():
 
 
 @needs_affinity
-def test_each_pool_thread_pins_itself_to_its_own_cpu(monkeypatch):
-    # unpinned, the threads shared one CPU of a 2-vCPU host and gained nothing
+@pytest.mark.parametrize("pid", [0, 1, 7])
+def test_each_pool_thread_pins_itself_to_its_own_cpu(monkeypatch, pid):
+    # unpinned, the threads shared one CPU of a 2-vCPU host and gained nothing;
+    # the CPU list turns by the process id, so concurrent processes start apart
     cpus, caller = sorted(os.sched_getaffinity(0)), threading.current_thread()
+    turned = cpus[pid % len(cpus):] + cpus[:pid % len(cpus)]
     pins, setaffinity = [], os.sched_setaffinity
 
     def recording_setaffinity(pid, mask):
         pins.append((threading.current_thread() is caller, sorted(mask)))
         setaffinity(pid, mask)
 
+    monkeypatch.setattr(os, "getpid", lambda: pid)
     monkeypatch.setattr(os, "sched_setaffinity", recording_setaffinity)
     _run_pinned(3, lambda i: None, threading.Event())
-    assert pins[0] == (True, cpus[:1]) and pins[-1] == (True, cpus)  # pinned, then restored
+    assert pins[0] == (True, turned[:1]) and pins[-1] == (True, cpus)  # pinned, then restored
     helpers = sorted(mask for by_caller, mask in pins if not by_caller)
-    assert helpers == [[cpu] for cpu in cpus[1:3]]
+    assert helpers == sorted([cpu] for cpu in turned[1:3])
 
 
 @needs_affinity
 @pytest.mark.parametrize("failing", ["first", "last", "helper"])
-def test_a_chain_error_reaches_the_caller(monkeypatch, octahedron, stepper, built, failing):
+def test_a_chain_error_reaches_the_caller(monkeypatch, octahedron, stepper, chain_index,
+                                         failing):
     if failing == "helper" and len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one allowed CPU: no helper thread")
     anneal, caller = Chain.anneal, threading.current_thread()
@@ -310,7 +336,7 @@ def test_a_chain_error_reaches_the_caller(monkeypatch, octahedron, stepper, buil
         if failing == "helper":
             fails = threading.current_thread() is not caller
         else:
-            fails = self is built[0 if failing == "first" else -1]
+            fails = chain_index[self] == (0 if failing == "first" else _group_count(DELTA) - 1)
         if fails:
             raise AssertionError("chain class counts drifted from the masks")
         return anneal(self, *args)
