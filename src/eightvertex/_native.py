@@ -7,15 +7,14 @@ and the flags, unless that library is there already.  It compiles to a
 temporary file that is then moved into place, so a concurrent build never
 loads a half-written library.  A missing compiler, a failed build or an
 unwritable cache make ``load`` return None, and chains step in Python.
-``load`` runs in the thread that builds the first chain, and is not
-thread-safe (the temporary file is named by pid only): the estimator calls
-it once in its calling thread before it starts the helper threads that
-build and run its chains.
+``load`` runs in the thread that builds the first chain; a lock makes
+threads that build their first chains at once wait for one build.
 """
 from __future__ import annotations
 
 import ctypes
 import os
+import threading
 from pathlib import Path
 
 from .states import CLASS16
@@ -26,6 +25,7 @@ BUILD = ("cc", "-O2", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC")
 # seen between calls
 CALL_STEPS = 1 << 20
 _LIB = None  # the loaded library, or False once it failed
+_LOCK = threading.Lock()
 
 int32, pointer = ctypes.c_int32, ctypes.POINTER
 
@@ -44,8 +44,9 @@ class _State(ctypes.Structure):  # struct chain of _chain.c
 def load():
     """``NativeChain`` where the compiled kernel builds and loads, else None."""
     global _LIB
-    if _LIB is None:
-        _LIB = _build() or False
+    with _LOCK:
+        if _LIB is None:
+            _LIB = _build() or False
     return NativeChain if _LIB else None
 
 
@@ -63,7 +64,7 @@ def _build():
         library = SOURCE.parent / "__pycache__" / f"_chain.{key[:16]}.so"
         if not library.exists():
             library.parent.mkdir(exist_ok=True)
-            temp = f"{library}.{os.getpid()}.tmp"
+            temp = f"{library}.{os.getpid()}.{threading.get_ident()}.tmp"
             # posix_spawn rather than subprocess, whose import alone adds 0.4 MB of RSS
             quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_WRONLY, 0) for fd in (1, 2)]
             try:

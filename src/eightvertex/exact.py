@@ -7,9 +7,11 @@ touches floating point; signed and zero parameters are allowed throughout.
 vertex over the frontier's nonzero exact entries, at most 2^width of them,
 so at most about 2^width * n products.  The censuses enumerate all 2^k
 even states over the cycle space, independently of the contraction, which
-they cross-check when evaluated at a point: they count the class profiles
-of each block of states that the cycle-space kernel lists
-(``states.CycleKernel.blocks``) with one ``bincount``.
+they cross-check when evaluated at a point.  They read the blocks of
+states that the cycle-space kernel lists (``states.CycleKernel.blocks``)
+and code each block's class profiles as a sum of per-vertex rows, one
+row per (vertex, block start) pair that occurs, then count them with
+one ``bincount``.
 """
 from __future__ import annotations
 
@@ -67,15 +69,28 @@ def _census(kernel: CycleKernel, start: Sequence[int], dim_cap: int) -> Census:
 
     Each state's profile is coded n_A + D*n_B + D^2*n_C with D = n + 1
     (n_D is the rest) and counted by ``bincount``; a bin holds at most 2^k
-    states, so int64 is exact.
+    states, so int64 is exact.  Vertex v's masks in a block are
+    ``low[v] ^ x`` for the block's start x at v, so its codes there are a
+    row that depends on (v, x) alone: each row is built the first time its
+    pair occurs, and a block's codes are the sum of its n rows, in the
+    smallest unsigned type that holds D^3, above every code.
     """
     n = kernel.graph.vertex_count
-    blocks = kernel.blocks(start, dim_cap)  # refuses k > dim_cap before any table
+    low, starts = kernel.blocks(start, dim_cap)  # refuses k > dim_cap before any table
     D = n + 1
-    place = np.array([(1, D, D * D, 0)[c] for c in CLASS16], np.intp)
+    place = np.array([(1, D, D * D, 0)[c] for c in CLASS16], np.min_scalar_type(D**3))
+    rows: dict[tuple[int, int], np.ndarray] = {}
+    codes = np.empty(low.shape[1], place.dtype)
     hist = np.zeros(D**3, np.int64)
-    for block in blocks:
-        hist += np.bincount(place[block].sum(axis=0), minlength=D**3)
+    for block_start in starts:
+        codes[:] = 0
+        for pair in enumerate(block_start.tolist()):
+            row = rows.get(pair)
+            if row is None:
+                v, x = pair
+                row = rows[pair] = place[low[v] ^ x]
+            codes += row
+        hist += np.bincount(codes, minlength=D**3)
     counts = {}
     for code in np.flatnonzero(hist).tolist():
         na, nb, nc = code % D, code // D % D, code // (D * D)

@@ -348,7 +348,8 @@ def _state_weights(kernel: CycleKernel, params) -> list[Fraction]:
             w *= p_i**n_i
         return w
 
-    masks = np.hstack(list(kernel.blocks(kernel.reference_masks, DIAGNOSTIC_DIM_CAP)))
+    low, starts = kernel.blocks(kernel.reference_masks, DIAGNOSTIC_DIM_CAP)
+    masks = np.hstack([low ^ start[:, None] for start in starts])
     classes = np.array(CLASS16)[masks]
     profiles = np.stack([(classes == c).sum(axis=0) for c in range(4)], axis=1)
     return [weight(p) for p in profiles.tolist()]

@@ -7,7 +7,8 @@ incoming arrows (resp. green edges) at every vertex; the even
 orientations form a coset of the binary cycle space.  ``CycleKernel``
 holds the moves through that coset and the one enumeration of it,
 ``blocks``: the in-masks of all 2^k states, 2^``BLOCK_MOVES`` at a time, in
-cycle-space coordinate order.  The Metropolis chain flips single moves;
+cycle-space coordinate order, as one table of the low moves' xors and a
+start per block to xor onto it.  The Metropolis chain flips single moves;
 the enumeration, the exact chain diagnostics and the census (``exact``)
 read the blocks.  ``DEFAULT_DIM_CAP`` bounds every 2^k enumeration.
 """
@@ -283,16 +284,21 @@ class CycleKernel:
         heads, shifts = np.array(self._heads, dtype=np.intp).reshape(-1, 2).T
         return (masks[:, heads] >> shifts.astype(np.uint8)) & 1
 
-    def blocks(self, start: Sequence[int], dim_cap: int) -> Iterator[np.ndarray]:
-        """All 2^k states from the masks ``start``, as ``(n, 2^L)`` uint8 arrays of masks.
+    def blocks(
+        self, start: Sequence[int], dim_cap: int
+    ) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+        """All 2^k states from the masks ``start``, as ``(low, starts)``: block s
+        is ``low ^ starts_s[:, None]``, an ``(n, 2^L)`` uint8 array of masks.
 
         Column t of block s is ``start`` xor the moves at the set bits of
         ``s * 2^L + t``, with L = min(k, ``BLOCK_MOVES``), so the blocks list
         the coset in cycle-space coordinate order.  The moves are cut into
-        chunks of L, each with a table of the xors its subsets apply, so
-        memory stays O(n * 2^L) whatever k is.  Needs independent moves, so
-        that the subsets are the states; refuses k above ``dim_cap`` when
-        called, before any table is built.
+        chunks of L, each with a table of the xors its subsets apply:
+        ``low`` is the first chunk's table, and ``starts`` yields, per block,
+        ``start`` xor one column of each higher chunk's, so memory stays
+        O(n * 2^L) whatever k is.  Needs independent moves, so that the
+        subsets are the states; refuses k above ``dim_cap`` when called,
+        before any table is built.
         """
         k = len(self.moves)
         if k != self.dimension:
@@ -305,9 +311,10 @@ class CycleKernel:
             _subset_xors(n, self.touch[j:j + BLOCK_MOVES]) for j in range(0, max(k, 1), BLOCK_MOVES)
         )
         start = np.array(start, np.uint8)
-        # one column of each higher chunk's table picks a block, the last chunk's varying slowest
-        return (
-            low ^ functools.reduce(np.bitwise_xor, columns, start)[:, None]
+        # one column of each higher chunk's table picks a block's start, the last
+        # chunk's varying slowest
+        return low, (
+            functools.reduce(np.bitwise_xor, columns, start)
             for columns in itertools.product(*(table.T for table in reversed(high)))
         )
 
@@ -334,8 +341,9 @@ def enumerate_even_orientations(
     dimension exceeds ``dim_cap``.
     """
     kernel = CycleKernel(graph)
-    for block in kernel.blocks(kernel.reference_masks, dim_cap):
-        yield from map(tuple, kernel.orientations(block.T).tolist())
+    low, starts = kernel.blocks(kernel.reference_masks, dim_cap)
+    for start in starts:
+        yield from map(tuple, kernel.orientations((low ^ start[:, None]).T).tolist())
 
 
 # ----------------------------------------------------------------------

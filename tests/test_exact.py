@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -318,13 +319,47 @@ def test_contraction_on_random_multigraphs(g, table, p):
     assert zec_exact(g, p) == census_ec(g).evaluate(p)
 
 
+@settings(max_examples=60, deadline=None)
+@given(g=multigraphs(), block=st.integers(1, 4), p=param_vectors)
+def test_census_under_small_blocks_on_random_multigraphs(g, block, p):
+    # many blocks per census: each cached code row serves several blocks,
+    # and a last chunk narrower than the block size occurs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(states, "BLOCK_MOVES", block)
+        assert census_8v(g).evaluate(p) == z8v_exact(g, p)
+        assert census_ec(g).evaluate(p) == zec_exact(g, p)
+
+
+def test_census_memory_stays_near_one_block():
+    # the cached rows are those of the (vertex, start) pairs that occur: a
+    # table of all 16 per vertex would take 2.6 MB on torus 4x5
+    torus = gen_torus(4, 5)
+    tracemalloc.start()
+    try:
+        census_8v(torus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
+
+
+def test_census_of_torus46():
+    # k = 25: two chunks above the first, so the blocks' starts take the
+    # product of two tables' columns
+    torus = gen_torus(4, 6)
+    census = census_8v(torus)
+    assert census.dimension == 25 and census.total() == 1 << 25
+    p = (Fraction(3, 7), Fraction(-2), Fraction(5, 3), Fraction(1, 2))
+    assert census.evaluate(p) == z8v_exact(torus, p)
+
+
 @settings(max_examples=3, deadline=None)
 @given(
     p=st.tuples(*[st.fractions(min_value=Fraction(1, 7), max_value=3, max_denominator=7)] * 4)
     | param_vectors
 )
 def test_group_invariance_torus46(p):
-    # k = 25: a census of 2^25 states per point would take minutes
+    # k = 25: the frontier contraction, far cheaper per point than a census of 2^25 states
     torus46 = gen_torus(4, 6)
     images = {tuple(el.matrix.apply(p)) for el in planar_group() + bipartite_group()}
     values = {z8v_exact(torus46, q) for q in images}

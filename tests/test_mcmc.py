@@ -1,6 +1,7 @@
 import math
 import shutil
 import sys
+import threading
 from fractions import Fraction
 from random import Random
 from types import SimpleNamespace
@@ -454,6 +455,36 @@ def _short_schedule(kernel):
     chain.advance(30)
     stages = [(1.0, 2.0, 2.0, 1.0), (1.1, 1.8, 2.0, 1.3), (1.2, 1.6, 2.0, 1.7)]
     return chain.anneal(stages, 14, 25, 4, pows), chain.rng.getstate()
+
+
+def test_two_threads_build_their_first_chains_at_once(monkeypatch, tmp_path):
+    # both threads load the library from one build: no clash on the
+    # temporary file, and no failed build left in _LIB
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on this host")
+    from eightvertex import _native
+
+    kernel = CycleKernel(gen_torus(3, 3))
+    for repeat in range(3):
+        source = tmp_path / str(repeat) / "_chain.c"  # a fresh cache: each repeat compiles
+        source.parent.mkdir()
+        source.write_bytes(_native.SOURCE.read_bytes())
+        monkeypatch.setattr(_native, "SOURCE", source)
+        monkeypatch.setattr(_native, "_LIB", None)
+        barrier, chains = threading.Barrier(2), []
+
+        def build():
+            barrier.wait(timeout=60)
+            chains.append(Chain(kernel, Random(repeat)))
+
+        threads = [threading.Thread(target=build) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert _native._LIB
+        assert [chain._native is not None for chain in chains] == [True, True]
 
 
 def test_chains_step_in_python_where_the_kernel_cannot_build(monkeypatch, tmp_path, octahedron):

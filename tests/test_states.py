@@ -113,10 +113,12 @@ def test_blocks_list_the_coset_in_coordinate_order(monkeypatch, torus24, block):
     monkeypatch.setattr(states, "BLOCK_MOVES", block)
     kernel = CycleKernel(torus24)
     k, n = kernel.dimension, torus24.vertex_count
-    blocks = list(kernel.blocks(kernel.reference_masks, k))
+    low, starts = kernel.blocks(kernel.reference_masks, k)
+    starts = list(starts)
     width = 1 << min(k, block)
-    assert [b.shape for b in blocks] == [(n, width)] * ((1 << k) // width)
-    listed = np.hstack(blocks).T.tolist()
+    assert low.shape == (n, width) and low.dtype == np.uint8
+    assert [s.shape for s in starts] == [(n,)] * ((1 << k) // width)
+    listed = np.hstack([low ^ s[:, None] for s in starts]).T.tolist()
     for coordinate in range(1 << k):
         flip = set()
         for j in range(k):
