@@ -1,6 +1,8 @@
 """Batch command-line surface.
 
 Exit status: 0 on success, 1 on verification failure, 2 on usage errors.
+When the reader of stdout goes away (``sample ... | head -1``), the rest of
+the output goes to the null device and the status is 1, with no traceback.
 Exact scalars are printed as integers or ``num/den``; structured results
 are JSON, series are CSV.
 """
@@ -8,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from random import Random
 
@@ -55,7 +58,7 @@ def _load_graph(path: str) -> LabeledGraph:
             return parse_graph(fh.read())
     except OSError as exc:
         raise UsageError(f"cannot read graph file {path}: {exc}") from exc
-    except GraphFormatError as exc:
+    except (GraphFormatError, UnicodeDecodeError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
 
 
@@ -80,8 +83,11 @@ def _cmd_gen(args) -> int:
         raise UsageError(f"unknown graph type {args.type}")
     text = serialize_graph(graph)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write graph file {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0
@@ -433,10 +439,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Python flushes stdout again at exit: point it at the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

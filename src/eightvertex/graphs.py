@@ -172,38 +172,6 @@ def gen_k44() -> LabeledGraph:
     return validate(LabeledGraph(8, edges, "bipartition", bipartition))
 
 
-def detect_bipartition(
-    graph: LabeledGraph,
-) -> tuple[frozenset[int], frozenset[int]] | None:
-    """BFS 2-coloring; None when some component has an odd cycle or a loop.
-
-    Nothing in the package calls it: it finds the ``bipartition`` line that
-    a graph file needs for ``--class bipartite``, for users writing one.
-    """
-    color = [-1] * graph.vertex_count
-    adj: list[list[int]] = [[] for _ in range(graph.vertex_count)]
-    for e in graph.edges:
-        if e.u == e.v:
-            return None
-        adj[e.u].append(e.v)
-        adj[e.v].append(e.u)
-    for start in range(graph.vertex_count):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if color[w] == -1:
-                    color[w] = color[v] ^ 1
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    left = frozenset(v for v, c in enumerate(color) if c == 0)
-    return left, frozenset(range(graph.vertex_count)) - left
-
-
 # ----------------------------------------------------------------------
 # file format
 #

@@ -1,12 +1,12 @@
 """Parameter-transform groups, region predicates and transform planning.
 
 All matrices and predicates here are exact rationals: the group identities
-are exact and are tested with zero tolerance.  The group closures multiply
-integer matrices, twice the half-integer ones, and make a ``HalfIntMatrix``
-only for each element they return.  The planar group (order 6,
-the symmetric group on three letters) composes the holographic parameter
-maps with the face-coloring swap (b, a, d, c); the bipartite group (order
-12, dihedral) uses the holographic maps directly.
+are exact and are tested with zero tolerance.  A ``HalfIntMatrix`` holds
+twice its entries as integers, so its products, powers and orders, and the
+group closures built from them, run in integer arithmetic.  The planar
+group (order 6, the symmetric group on three letters) composes the
+holographic parameter maps with the face-coloring swap (b, a, d, c); the
+bipartite group (order 12, dihedral) uses the holographic maps directly.
 
 The groups already contain the admissible sign maps: the d flip is the
 planar element MZ^2*MHZ (and the bipartite MZ^5*MHZ), and -I is the
@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from random import Random
 from typing import Iterable, Sequence
 
@@ -32,39 +33,60 @@ _HALF = Fraction(1, 2)
 ORDER_CAP = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HalfIntMatrix:
-    """Invertible 4x4 matrix with entries in (1/2) * Z, stored exactly."""
+    """Invertible 4x4 matrix with entries in (1/2) * Z, held as twice its entries."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    twice: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.rows)
+    def __init__(self, rows: Sequence[Sequence]):
+        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("expected a 4x4 matrix")
         for row in rows:
             for x in row:
                 if (2 * x).denominator != 1:
                     raise ValueError(f"entry {x} is not a half-integer")
-        object.__setattr__(self, "rows", rows)
-        if _det4(rows) == 0:
+        twice = tuple(tuple(int(2 * x) for x in row) for row in rows)
+        if _det(twice) == 0:
             raise ValueError("matrix is singular")
+        object.__setattr__(self, "twice", twice)
+
+    @classmethod
+    def _of_twice(cls, twice: tuple[tuple[int, ...], ...]) -> "HalfIntMatrix":
+        """Unchecked: for negations and products of matrices already checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "twice", twice)
+        return out
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, 2) for x in row) for row in self.twice)
 
     def __matmul__(self, other: "HalfIntMatrix") -> "HalfIntMatrix":
-        a, b = self.rows, other.rows
-        return HalfIntMatrix(
-            tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
-                for i in range(4)
-            )
-        )
+        """The product, refused unless it is a half-integer matrix."""
+        columns = tuple(zip(*other.twice))
+        out = []
+        for row in self.twice:
+            for column in columns:
+                x = row[0] * column[0] + row[1] * column[1] + row[2] * column[2] + row[3] * column[3]
+                if x % 2:
+                    raise ValueError(f"entry {Fraction(x, 4)} is not a half-integer")
+                out.append(x // 2)
+        return HalfIntMatrix._of_twice(tuple(tuple(out[i:i + 4]) for i in range(0, 16, 4)))
 
     def __neg__(self) -> "HalfIntMatrix":
-        return HalfIntMatrix(tuple(tuple(-x for x in row) for row in self.rows))
+        return HalfIntMatrix._of_twice(tuple(tuple(-x for x in row) for row in self.twice))
 
     def apply(self, p: Sequence) -> ParamVec:
+        """The image of ``p``, summed in integers over a common denominator."""
         p = as_params(p)
-        return tuple(sum(row[j] * p[j] for j in range(4)) for row in self.rows)  # type: ignore[return-value]
+        den = lcm(*(x.denominator for x in p))
+        n = [x.numerator * (den // x.denominator) for x in p]
+        return tuple(  # type: ignore[return-value]
+            Fraction(r[0] * n[0] + r[1] * n[1] + r[2] * n[2] + r[3] * n[3], 2 * den)
+            for r in self.twice
+        )
 
     def power(self, k: int) -> "HalfIntMatrix":
         out = IDENTITY
@@ -73,22 +95,20 @@ class HalfIntMatrix:
         return out
 
     def order(self) -> int:
-        return _order2(_doubled(self))
+        acc = self
+        for k in range(1, ORDER_CAP + 1):
+            if acc == IDENTITY:
+                return k
+            acc = acc @ self
+        raise ValueError(f"order exceeds {ORDER_CAP}")
 
 
-def _det4(rows) -> Fraction:
-    def det3(r):
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
-
-    total = Fraction(0)
-    for j in range(4):
-        minor = [[rows[i][k] for k in range(4) if k != j] for i in range(1, 4)]
-        total += (-1) ** j * rows[0][j] * det3(minor)
-    return total
+def _det(m) -> int:
+    """Determinant by expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j in range(len(m)) if m[0][j])
 
 
 def _m(entries: Iterable[Iterable[int]], scale: Fraction = Fraction(1)) -> HalfIntMatrix:
@@ -124,65 +144,6 @@ class ClosureCapError(RuntimeError):
     pass
 
 
-# A group element as twice its matrix, a 4x4 tuple of integers: the closure
-# multiplies these, and builds one HalfIntMatrix per element at the end.
-_IDENTITY2 = ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
-
-
-def _doubled(matrix: HalfIntMatrix) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(2 * x) for x in row) for row in matrix.rows)
-
-
-def _product2(a, b) -> tuple[tuple[int, ...], ...]:
-    """Twice AB from twice A and twice B, refused unless AB is a half-integer matrix."""
-    columns = tuple(zip(*b))
-    rows = []
-    for row in a:
-        out = []
-        for column in columns:
-            x = row[0] * column[0] + row[1] * column[1] + row[2] * column[2] + row[3] * column[3]
-            if x % 2:
-                raise ValueError(f"entry {Fraction(x, 4)} is not a half-integer")
-            out.append(x // 2)
-        rows.append(tuple(out))
-    return tuple(rows)
-
-
-def _order2(m2) -> int:
-    acc = m2
-    for k in range(1, ORDER_CAP + 1):
-        if acc == _IDENTITY2:
-            return k
-        acc = _product2(acc, m2)
-    raise ValueError(f"order exceeds {ORDER_CAP}")
-
-
-def _element(m2, word: tuple[str, ...], label: str) -> GroupElement:
-    matrix = HalfIntMatrix(tuple(tuple(Fraction(x, 2) for x in row) for row in m2))
-    return GroupElement(matrix, word, label, _order2(m2))
-
-
-def _closure2(generators, cap: int) -> dict:
-    """Doubled matrix -> shortest word, breadth-first from the identity."""
-    seen = {_IDENTITY2: ()}
-    frontier = [_IDENTITY2]
-    while frontier:
-        next_frontier = []
-        for m2 in frontier:
-            word = seen[m2]
-            for name, gen in generators:
-                prod = _product2(m2, gen)
-                if prod not in seen:
-                    seen[prod] = word + (name,)
-                    next_frontier.append(prod)
-                    if len(seen) > cap:
-                        raise ClosureCapError(
-                            f"closure exceeded {cap} elements; not a small group"
-                        )
-        frontier = next_frontier
-    return seen
-
-
 def group_closure(
     generators: Sequence[tuple[str, HalfIntMatrix]], cap: int = 1024
 ) -> list[GroupElement]:
@@ -192,8 +153,24 @@ def group_closure(
     by generator order).  Raises :class:`ClosureCapError` past ``cap``
     elements, which signals the input does not generate a small group.
     """
-    seen = _closure2([(name, _doubled(gen)) for name, gen in generators], cap)
-    elements = [_element(m2, word, "*".join(word) if word else "I") for m2, word in seen.items()]
+    seen = {IDENTITY: ()}
+    frontier = [IDENTITY]
+    while frontier:
+        next_frontier = []
+        for matrix in frontier:
+            word = seen[matrix]
+            for name, gen in generators:
+                prod = matrix @ gen
+                if prod not in seen:
+                    seen[prod] = word + (name,)
+                    next_frontier.append(prod)
+                    if len(seen) > cap:
+                        raise ClosureCapError(
+                            f"closure exceeded {cap} elements; not a small group"
+                        )
+        frontier = next_frontier
+    elements = [GroupElement(matrix, word, "*".join(word) if word else "I", matrix.order())
+                for matrix, word in seen.items()]
     elements.sort(key=lambda el: (len(el.word), el.word))
     return elements
 
@@ -201,23 +178,19 @@ def group_closure(
 def _normal_form_elements(
     mz: HalfIntMatrix, mhz: HalfIntMatrix, mz_name: str, mhz_name: str
 ) -> list[GroupElement]:
-    """Closure relabeled in normal-form order MZ^i, then MZ^i*MHZ."""
-    mz2, mhz2 = _doubled(mz), _doubled(mhz)
-    words = _closure2([(mz_name, mz2), (mhz_name, mhz2)], 1024)
-    rotations = _order2(mz2)
+    """The closure relabeled in normal-form order MZ^i, then MZ^i*MHZ."""
+    by_matrix = {el.matrix: el for el in group_closure([(mz_name, mz), (mhz_name, mhz)])}
     ordered = []
-    for with_ref in (0, 1):
-        acc = _IDENTITY2
-        for i in range(rotations):
-            m2 = _product2(acc, mhz2) if with_ref else acc
+    for with_ref in (False, True):
+        rotation = IDENTITY
+        for i in range(mz.order()):
+            matrix = rotation @ mhz if with_ref else rotation
             rot = "" if i == 0 else (mz_name if i == 1 else f"{mz_name}^{i}")
-            if with_ref:
-                label = f"{rot}*{mhz_name}" if rot else mhz_name
-            else:
-                label = rot or "I"
-            ordered.append(_element(m2, words.pop(m2), label))
-            acc = _product2(acc, mz2)
-    if words:
+            label = (f"{rot}*{mhz_name}" if rot else mhz_name) if with_ref else (rot or "I")
+            base = by_matrix.pop(matrix)
+            ordered.append(GroupElement(matrix, base.word, label, base.order))
+            rotation = rotation @ mz
+    if by_matrix:
         raise RuntimeError("normal form did not cover the closure")
     return ordered
 
@@ -249,16 +222,16 @@ def group_fingerprint(elements: Sequence[GroupElement]) -> dict:
     multiset {1:1, 2:7, 3:2, 6:2} pins the dihedral group D6.
     """
     matrices = [el.matrix for el in elements]
-    keys = {m.rows for m in matrices}
+    keys = set(matrices)
     if len(keys) != len(matrices):
         raise ValueError("input contains duplicate elements")
     abelian = True
     for i, a in enumerate(matrices):
         for b in matrices[i:]:
             ab, ba = a @ b, b @ a
-            if ab.rows not in keys or ba.rows not in keys:
+            if ab not in keys or ba not in keys:
                 raise ValueError("input is not closed under products")
-            if ab.rows != ba.rows:
+            if ab != ba:
                 abelian = False
     orders: dict[int, int] = {}
     for el in elements:

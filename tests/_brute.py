@@ -7,7 +7,7 @@ recomputes whole weights instead of local ratios, and the reference walk
 of the coset flips one move at a time in Gray-code order, where the package
 lists the states in blocks of masks.  The predicates at the end (evenness,
 Gibbs weights, region intersections, arrow-reversal symmetry), the group
-closure in validated matrix products, the matrix inverse, the
+closure in ``Fraction`` products of the rows, the matrix inverse, the
 constraint-matrix layout, the per-edge orientation and bit-string forms and
 the bit-string reader have no caller in the package.  Keep them dumb.
 """
@@ -258,8 +258,26 @@ def arrow_reversal_symmetric(table, tol: float = TOL_EXACT) -> bool:
     return True
 
 
+def rows_product(a, b) -> tuple:
+    """The product of two 4x4 row tuples, in ``Fraction`` arithmetic."""
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
+                 for i in range(4))
+
+
+def product(a: HalfIntMatrix, b: HalfIntMatrix) -> HalfIntMatrix:
+    """``a @ b`` from the ``Fraction`` rows, through the validated constructor."""
+    return HalfIntMatrix(rows_product(a.rows, b.rows))
+
+
+def order_by_products(matrix: HalfIntMatrix) -> int:
+    acc, k = matrix, 1
+    while acc.rows != IDENTITY.rows:
+        acc, k = product(acc, matrix), k + 1
+    return k
+
+
 def closure_by_products(generators, cap: int = 1024) -> list:
-    """``group_closure`` in validated ``HalfIntMatrix`` products: breadth-first,
+    """``group_closure`` in ``Fraction`` products of the rows: breadth-first,
     one product per (element, generator), each element with its shortest word."""
     seen = {IDENTITY.rows: (IDENTITY, ())}
     frontier = [(IDENTITY, ())]
@@ -267,7 +285,7 @@ def closure_by_products(generators, cap: int = 1024) -> list:
         next_frontier = []
         for matrix, word in frontier:
             for name, gen in generators:
-                prod = matrix @ gen
+                prod = product(matrix, gen)
                 if prod.rows not in seen:
                     entry = (prod, word + (name,))
                     seen[prod.rows] = entry
@@ -275,7 +293,8 @@ def closure_by_products(generators, cap: int = 1024) -> list:
                     if len(seen) > cap:
                         raise ClosureCapError(f"closure exceeded {cap} elements")
         frontier = next_frontier
-    elements = [GroupElement(matrix, word, "*".join(word) if word else "I", matrix.order())
+    elements = [GroupElement(matrix, word, "*".join(word) if word else "I",
+                             order_by_products(matrix))
                 for matrix, word in seen.values()]
     elements.sort(key=lambda el: (len(el.word), el.word))
     return elements
@@ -283,16 +302,18 @@ def closure_by_products(generators, cap: int = 1024) -> list:
 
 def normal_form_by_products(mz: HalfIntMatrix, mhz: HalfIntMatrix, mz_name: str, mhz_name: str):
     """The closure of the two generators in table order MZ^i, then MZ^i*MHZ,
-    each with its closure word, from ``HalfIntMatrix`` products."""
+    each with its closure word, from ``Fraction`` products of the rows."""
     by_rows = {el.matrix.rows: el for el in closure_by_products([(mz_name, mz), (mhz_name, mhz)])}
     ordered = []
     for with_ref in (False, True):
-        for i in range(mz.order()):
-            matrix = mz.power(i) @ mhz if with_ref else mz.power(i)
+        rotation = IDENTITY
+        for i in range(order_by_products(mz)):
+            matrix = product(rotation, mhz) if with_ref else rotation
             rot = "" if i == 0 else (mz_name if i == 1 else f"{mz_name}^{i}")
             label = (f"{rot}*{mhz_name}" if rot else mhz_name) if with_ref else (rot or "I")
             base = by_rows.pop(matrix.rows)
             ordered.append(GroupElement(matrix, base.word, label, base.order))
+            rotation = product(rotation, mz)
     assert not by_rows
     return ordered
 

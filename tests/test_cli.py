@@ -291,6 +291,21 @@ def test_usage_error_on_missing_file(capsys):
     assert code == 2
 
 
+def test_usage_error_on_unwritable_gen_output(tmp_path, capsys):
+    path = tmp_path / "missing" / "t.8vx"
+    code, _, err = run(capsys, "gen", "--type", "torus", "--out", str(path))
+    assert code == 2
+    assert f"error: cannot write graph file {path}:" in err
+
+
+def test_usage_error_on_non_utf8_graph_file(tmp_path, capsys):
+    path = tmp_path / "bad.8vx"
+    path.write_bytes(b"8vx-graph 1\n\xff\n")
+    code, _, err = run(capsys, "exact", "--graph", str(path), "--params", "1,1,1,1")
+    assert code == 2
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_edge_count_checked_before_allocation(tmp_path, capsys):
     path = tmp_path / "huge.8vx"
     for size_line, message in (
@@ -432,3 +447,19 @@ def test_module_entry_point_exit_status(tmp_path):
                        "--params", "1,1,1,1")
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+
+def test_closed_stdout_pipe_ends_without_traceback(tmp_path):
+    # the reader takes one line and goes away while sample still writes
+    path = tmp_path / "t.8vx"
+    path.write_text(serialize_graph(gen_torus(4, 4)))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "eightvertex", "sample", "--graph", str(path),
+         "--params", "1,1,1,1", "--samples", "200000", "--seed", "1"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.readline()) == 33
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert err == b"", err.decode()

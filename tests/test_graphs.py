@@ -8,7 +8,6 @@ from eightvertex.graphs import (
     Edge,
     GraphFormatError,
     LabeledGraph,
-    detect_bipartition,
     gen_k44,
     gen_octahedron,
     gen_torus,
@@ -163,16 +162,6 @@ def test_parse_rejects_repeated_bipartition_line():
 def test_parse_checks_sizes_on_line_2(size_line, message):
     with pytest.raises(GraphFormatError, match=f"line 2: .*{message}"):
         parse_graph(f"8vx-graph 1\n{size_line}\n")
-
-
-def test_detect_bipartition_on_parsed_graph():
-    g = parse_graph(serialize_graph(gen_torus(2, 4)))
-    sides = detect_bipartition(g)
-    assert sides is not None
-    left, right = sides
-    for e in g.edges:
-        assert (e.u in left) != (e.v in left)
-    assert detect_bipartition(gen_octahedron()) is None
 
 
 @st.composite

@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eightvertex import transforms
@@ -40,6 +40,7 @@ from ._brute import (
     inverse,
     normal_form_by_products,
     random_rationals,
+    rows_product,
     region_by_hand,
 )
 
@@ -81,6 +82,66 @@ def test_half_integer_validation():
         )
     with pytest.raises(ValueError, match="singular"):
         HalfIntMatrix(tuple(tuple(Fraction(1) for _ in range(4)) for _ in range(4)))
+
+
+@st.composite
+def half_int_matrices(draw):
+    """A random invertible half-integer matrix, integral half of the time
+    (so that products with it stay in (1/2) * Z), or a group element."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from([el.matrix for el in bipartite_group() + planar_group()]))
+    step = 2 if draw(st.booleans()) else 1
+    twice = draw(st.lists(st.integers(-3, 3), min_size=16, max_size=16))
+    rows = tuple(tuple(Fraction(step * x, 2) for x in twice[i:i + 4]) for i in range(0, 16, 4))
+    try:
+        return HalfIntMatrix(rows)
+    except ValueError:
+        assume(False)
+
+
+def _half_integral(rows) -> bool:
+    return all((2 * x).denominator == 1 for row in rows for x in row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(half_int_matrices(), half_int_matrices())
+def test_product_matches_fraction_arithmetic(a, b):
+    want = rows_product(a.rows, b.rows)
+    if _half_integral(want):
+        assert (a @ b).rows == want
+    else:
+        with pytest.raises(ValueError, match="not a half-integer"):
+            a @ b
+
+
+@settings(max_examples=200, deadline=None)
+@given(half_int_matrices(),
+       st.lists(st.fractions(min_value=-10, max_value=10, max_denominator=50),
+                min_size=4, max_size=4))
+def test_apply_matches_fraction_arithmetic(a, p):
+    assert a.apply(p) == tuple(sum(a.rows[i][j] * p[j] for j in range(4)) for i in range(4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(half_int_matrices(), st.integers(0, 6))
+def test_negation_and_power_match_fraction_arithmetic(a, k):
+    assert (-a).rows == tuple(tuple(-x for x in row) for row in a.rows)
+    want = IDENTITY.rows
+    for _ in range(k):
+        want = rows_product(want, a.rows)
+        if not _half_integral(want):
+            with pytest.raises(ValueError, match="not a half-integer"):
+                a.power(k)
+            return
+    assert a.power(k).rows == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(half_int_matrices(), half_int_matrices())
+def test_equality_and_hash_follow_the_rows(a, b):
+    assert (a == b) == (a.rows == b.rows)
+    same = HalfIntMatrix(a.rows)
+    assert same == a and hash(same) == hash(a)
 
 
 def test_matrix_inverse_roundtrip():
@@ -145,8 +206,8 @@ def test_generic_closures():
     (bipartite_group, MZ, MHZ),
 ])
 def test_groups_match_the_matrix_product_closure(group, mz, mhz):
-    # the integer closure against one built from validated HalfIntMatrix
-    # products: rows, word, label and order of each element, in table order
+    # the group against one built from Fraction products of the rows: rows,
+    # word, label and order of each element, in table order
     want = normal_form_by_products(mz, mhz, "MZ", "MHZ")
     got = group()
     assert [(el.matrix.rows, el.word, el.label, el.order) for el in got] == [
