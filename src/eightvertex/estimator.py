@@ -190,21 +190,32 @@ def _pin(cpus) -> None:
         os.sched_setaffinity(0, cpus)
 
 
+def _cpu_order(cpus, pid: int, count: int) -> list[int]:
+    """The allowed ``cpus`` in the order that ``_run_pinned`` pins its threads to them.
+
+    A process runs t = min(count, len(cpus)) threads on the first t.  The
+    sorted list turns by ``pid * t``, so processes with consecutive ids
+    take disjoint blocks of t CPUs wherever such blocks fit.
+    """
+    cpus = sorted(cpus)
+    turn = pid * min(count, len(cpus)) % max(1, len(cpus))
+    return cpus[turn:] + cpus[:turn]
+
+
 def _run_pinned(count: int, task, stop: threading.Event):
     """Call ``task(i)`` for each i < count on one thread per allowed CPU, each pinned.
 
     Unpinned, the scheduler kept both threads of a 2-vCPU host on one vCPU
     and they gained nothing.  So the caller pins itself to one allowed CPU
-    and each helper to another, at most ``count`` threads; the CPU list
-    turns by the process id, so that concurrent processes start apart.  The
+    and each helper to another, at most ``count`` threads, in the order of
+    ``_cpu_order``, so that concurrent processes start apart.  The
     threads pull indices from one counter, so a loaded CPU takes fewer.  A
     helper's exception reaches the caller.  On any exit the caller sets
     ``stop``, joins the helpers and restores its affinity.  Without
     ``os.sched_getaffinity`` the caller runs every task alone.
     """
-    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-    before, turn = set(cpus), os.getpid() % max(1, len(cpus))
-    cpus = cpus[turn:] + cpus[:turn]
+    before = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    cpus = _cpu_order(before, os.getpid(), count)
     indices, lock, errors, helpers = iter(range(count)), threading.Lock(), [], []
 
     def work():

@@ -3,18 +3,22 @@
 This module is the ground-truth oracle for everything else, so it never
 touches floating point; signed and zero parameters are allowed throughout.
 ``z8v_exact``, ``zec_exact`` and ``holant_exact`` share one frontier
-(transfer-matrix) contraction along a greedy vertex order: one matmul per
-vertex over the frontier's nonzero exact entries, at most 2^width of them,
-so at most about 2^width * n products.  The censuses enumerate all 2^k
-even states over the cycle space, independently of the contraction, which
-they cross-check when evaluated at a point.  They read the blocks of
-states that the cycle-space kernel lists (``states.CycleKernel.blocks``)
-and code each block's class profiles as a sum of per-vertex rows, one
-row per (vertex, block start) pair that occurs, then count them with
-one ``bincount``.
+(transfer-matrix) contraction along a vertex order: one matmul per vertex
+over the frontier's nonzero exact entries, at most 2^width of them, so at
+most about 2^width * n products.  The order is the narrowest of several
+greedy tries from different starts (``_frontier_plan``), which finds the
+short way round a long torus: width 10 on 4xM for every M.  The censuses
+enumerate all 2^k even states over the cycle space, independently of the
+contraction, which they cross-check when evaluated at a point.  They read
+the blocks of states that the cycle-space kernel lists
+(``states.CycleKernel.blocks``) and code each block's class profiles as a
+sum of per-vertex rows, one row per (vertex, block start) pair that
+occurs, then count a batch of blocks per ``bincount``.
 """
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,7 +73,9 @@ def _census(kernel: CycleKernel, start: Sequence[int], dim_cap: int) -> Census:
 
     Each state's profile is coded n_A + D*n_B + D^2*n_C with D = n + 1
     (n_D is the rest) and counted by ``bincount``; a bin holds at most 2^k
-    states, so int64 is exact.  Vertex v's masks in a block are
+    states, so int64 is exact.  One call counts a batch of blocks, at least
+    D^3 codes, so the D^3-bin histogram it allocates and adds costs no more
+    than the codes it counts.  Vertex v's masks in a block are
     ``low[v] ^ x`` for the block's start x at v, so its codes there are a
     row that depends on (v, x) alone: each row is built the first time its
     pair occurs, and a block's codes are the sum of its n rows, in the
@@ -80,17 +86,19 @@ def _census(kernel: CycleKernel, start: Sequence[int], dim_cap: int) -> Census:
     D = n + 1
     place = np.array([(1, D, D * D, 0)[c] for c in CLASS16], np.min_scalar_type(D**3))
     rows: dict[tuple[int, int], np.ndarray] = {}
-    codes = np.empty(low.shape[1], place.dtype)
+    batch = -(-(D**3) // low.shape[1])
+    codes = np.empty((batch, low.shape[1]), place.dtype)
     hist = np.zeros(D**3, np.int64)
-    for block_start in starts:
-        codes[:] = 0
-        for pair in enumerate(block_start.tolist()):
-            row = rows.get(pair)
-            if row is None:
-                v, x = pair
-                row = rows[pair] = place[low[v] ^ x]
-            codes += row
-        hist += np.bincount(codes, minlength=D**3)
+    while chunk := list(itertools.islice(starts, batch)):
+        for block_codes, block_start in zip(codes, chunk):
+            block_codes[:] = 0
+            for pair in enumerate(block_start.tolist()):
+                row = rows.get(pair)
+                if row is None:
+                    v, x = pair
+                    row = rows[pair] = place[low[v] ^ x]
+                block_codes += row
+        hist += np.bincount(codes[: len(chunk)].ravel(), minlength=D**3)
     counts = {}
     for code in np.flatnonzero(hist).tolist():
         na, nb, nc = code % D, code // D % D, code // (D * D)
@@ -109,20 +117,70 @@ def census_ec(graph: LabeledGraph, dim_cap: int = DEFAULT_DIM_CAP) -> Census:
     return _census(CycleKernel(graph), [0b1111] * graph.vertex_count, dim_cap)
 
 
-def _frontier_plan(graph: LabeledGraph):
-    """Greedy vertex order and the edges each step closes and opens; returns (steps, width).
+def _greedy_order(ends: Sequence[Sequence[int]], start: int, recent: bool = False):
+    """One greedy vertex order from ``start``; returns (order, width, cost).
 
     Next comes the unvisited vertex with the most edges into the visited
-    set, ties broken by id.  A step is (vertex, closed, opened, loops): the
+    set, ties broken by id, or with ``recent`` by the latest edge to reach
+    it (unreached vertices still by id).  The candidates sit in a heap of
+    (-edges in, tie, id) entries whose stale ones are skipped, so a try
+    costs O(m log n).  ``ends[v]`` lists v's neighbours once per edge,
+    self-loops left out.  The width is the most edges open between steps;
+    the cost sums 2^(edges open once a step has opened its own), the
+    products in that step's matmul when the frontier is dense.
+    """
+    n = len(ends)
+    into, visited = [0] * n, [False] * n
+    heap = [(0, u, u) for u in range(n)]  # sorted, so already a heap
+    order, open_count, width, cost, ticks, v = [], 0, 0, 0, 0, start
+    for step in range(n):
+        if step:
+            key, _, v = heapq.heappop(heap)
+            while visited[v] or -key != into[v]:  # stale: visited, or reached again since
+                key, _, v = heapq.heappop(heap)
+        visited[v] = True
+        order.append(v)
+        opened = closed = 0
+        for u in ends[v]:
+            if visited[u]:
+                closed += 1
+            else:
+                opened += 1
+                into[u] += 1
+                ticks += 1
+                heapq.heappush(heap, (-into[u], -ticks if recent else u, u))
+        cost += 1 << open_count + opened
+        open_count += opened - closed
+        width = max(width, open_count)
+    return order, width, cost
+
+
+def _frontier_plan(graph: LabeledGraph):
+    """The narrowest of several greedy vertex orders, and the edges each step
+    closes and opens; returns (steps, width).
+
+    The greedy runs with ties by id from vertex 0 and from starts spread
+    over the ids (``i * n // 8`` for i < 8, and n - 1), and with ties to
+    the latest reached from vertex 0.  The narrowest order wins, then the
+    cheapest, then the earliest try.  On a long torus the start at 0 sweeps
+    along the rows (width 130 on 4x64) where a start further in goes the
+    short way round (width 10); on a torus with shuffled ids the ties by id
+    scatter the frontier (20-24 on 8x8) where ties to the latest reached
+    keep it a band (18).  A step is (vertex, closed, opened, loops): the
     (edge id, label - 1) of each edge it closes and opens, and each
-    self-loop's label bits.  The width is the most edges open between steps.
+    self-loop's label bits.
     """
     n = graph.vertex_count
-    into = [0] * n  # per unvisited vertex, its edges into the visited set
+    ends = [
+        [u for eid, slot in hs if (u := graph.edges[eid].endpoint(1 - slot)[0]) != v]
+        for v, hs in enumerate(graph.half_edges)
+    ]
+    starts = dict.fromkeys([i * n // 8 for i in range(8)] + [n - 1])
+    tries = [_greedy_order(ends, s) for s in starts] + [_greedy_order(ends, 0, recent=True)]
+    order, width, _ = min(tries, key=lambda t: t[1:])
     visited = [False] * n
-    steps, open_count, width = [], 0, 0
-    for _ in range(n):
-        v = max((u for u in range(n) if not visited[u]), key=lambda u: (into[u], -u))
+    steps = []
+    for v in order:
         visited[v] = True
         closed, opened, loops = [], [], {}
         for label, (eid, slot) in enumerate(graph.half_edges[v]):
@@ -133,10 +191,7 @@ def _frontier_plan(graph: LabeledGraph):
             elif visited[other]:
                 closed.append((eid, label))
             else:
-                into[other] += 1
                 opened.append((eid, label))
-        open_count += len(opened) - len(closed)
-        width = max(width, open_count)
         steps.append((v, closed, opened, list(loops.values())))
     return steps, width
 
@@ -150,8 +205,8 @@ def _contract(graph: LabeledGraph, tables: Sequence[Sequence]):
     index in an array with one axis per open edge, in the order opened.  A
     vertex's table, summed over its self-loops, maps its closed edges to its
     opened ones: one matmul on a row per value of the staying axes, then zero
-    sums are dropped, so the work follows the nonzero support.  A greedy
-    order wider than ``FRONTIER_CAP`` is refused before any work.
+    sums are dropped, so the work follows the nonzero support.  A plan
+    wider than ``FRONTIER_CAP`` is refused before any work.
     """
     steps, width = _frontier_plan(graph)
     if width > FRONTIER_CAP:
@@ -219,7 +274,8 @@ def holant_exact(graph: LabeledGraph, table: Sequence):
     ``table`` has 16 entries indexed by (x1, x2, x3, x4) with x1 the most
     significant bit; entries may be any ring elements (complex, Fraction,
     int).  The frontier contraction takes about 2^width * n steps for the
-    greedy order's frontier width (refused above ``FRONTIER_CAP``), not 2^m.
+    frontier width of the narrowest greedy order that ``_frontier_plan``
+    finds over its starts (refused above ``FRONTIER_CAP``), not 2^m.
     """
     if len(table) != 16:
         raise ValueError("arity-4 truth table needs 16 entries")

@@ -2,10 +2,12 @@
 
 These enumerate all 2^m orientations, colorings or edge assignments
 directly, with no cycle-space shortcut and no frontier contraction, so
-they check the package's exact routes independently; the reference chain
-recomputes whole weights instead of local ratios, and the reference walk
-of the coset flips one move at a time in Gray-code order, where the package
-lists the states in blocks of masks.  The predicates at the end (evenness,
+they check the package's exact routes independently; the reference plan
+scans every vertex per step for the one greedy order from vertex 0, where
+the package pops a heap and keeps the narrowest of several orders; the
+reference chain recomputes whole weights instead of local ratios, and the
+reference walk of the coset flips one move at a time in Gray-code order,
+where the package lists the states in blocks of masks.  The predicates at the end (evenness,
 Gibbs weights, region intersections, arrow-reversal symmetry), the group
 closure in ``Fraction`` products of the rows, the matrix inverse, the
 constraint-matrix layout, the per-edge orientation and bit-string forms and
@@ -17,7 +19,7 @@ from random import Random
 
 import numpy as np
 
-from eightvertex.graphs import LabeledGraph
+from eightvertex.graphs import Edge, LabeledGraph
 from eightvertex.holant import TOL_EXACT, _index
 from eightvertex.states import (
     CLASS_BY_MASK,
@@ -141,6 +143,45 @@ def holant_naive(graph: LabeledGraph, table):
             w = w * table[rev[mask]]
         total = total + w
     return total
+
+
+def greedy_plan_from_zero(graph: LabeledGraph):
+    """The single greedy frontier plan that ``exact._frontier_plan`` made before
+    it tried several orders; returns (steps, width) in the same form.
+
+    Next comes the unvisited vertex with the most edges into the visited
+    set, ties broken by id, found by a scan of all vertices per step.
+    """
+    n = graph.vertex_count
+    into = [0] * n  # per unvisited vertex, its edges into the visited set
+    visited = [False] * n
+    steps, open_count, width = [], 0, 0
+    for _ in range(n):
+        v = max((u for u in range(n) if not visited[u]), key=lambda u: (into[u], -u))
+        visited[v] = True
+        closed, opened, loops = [], [], {}
+        for label, (eid, slot) in enumerate(graph.half_edges[v]):
+            e = graph.edges[eid]
+            other = e.v if slot == 0 else e.u
+            if other == v:
+                loops[eid] = loops.get(eid, 0) | 1 << label
+            elif visited[other]:
+                closed.append((eid, label))
+            else:
+                into[other] += 1
+                opened.append((eid, label))
+        open_count += len(opened) - len(closed)
+        width = max(width, open_count)
+        steps.append((v, closed, opened, list(loops.values())))
+    return steps, width
+
+
+def relabel_vertices(graph: LabeledGraph, seed: int) -> LabeledGraph:
+    """``graph`` with its vertex ids shuffled by a seeded permutation."""
+    perm = list(range(graph.vertex_count))
+    Random(seed).shuffle(perm)
+    edges = tuple(Edge(perm[e.u], e.label_u, perm[e.v], e.label_v) for e in graph.edges)
+    return LabeledGraph(graph.vertex_count, edges)
 
 
 def random_rationals(rng: Random, signed: bool = False, span: int = 64):

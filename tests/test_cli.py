@@ -77,6 +77,31 @@ def test_exact_torus66_past_the_census(tmp_path, capsys):
     assert out.strip() == str(2**37) == "137438953472"
 
 
+@pytest.fixture(scope="module")
+def torus4x64_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("long") / "t4x64.8vx"
+    path.write_text(serialize_graph(gen_torus(4, 64)))
+    return str(path)
+
+
+def test_exact_long_torus(torus4x64_file, capsys):
+    # the greedy order from vertex 0 alone has width 130 here; another start has 10
+    code, out, _ = run(capsys, "exact", "--graph", torus4x64_file, "--params", "1,1,1,1")
+    assert code == 0
+    assert out.strip() == str(2**257)
+
+
+def test_exact_long_torus_ec_is_8v_with_classes_swapped(torus4x64_file, capsys):
+    # orienting every edge east or south puts each vertex in class B, and xoring an
+    # even coloring onto it swaps A<->C and B<->D
+    code, ec, _ = run(capsys, "exact", "--graph", torus4x64_file, "--model", "ec",
+                      "--params", "3/7,-2,5/3,1")
+    assert code == 0
+    code, v8, _ = run(capsys, "exact", "--graph", torus4x64_file, "--params", "5/3,1,3/7,-2")
+    assert code == 0
+    assert ec == v8 and "/" in ec
+
+
 def test_exact_refuses_wide_graph(tmp_path, capsys):
     path = tmp_path / "t1212.8vx"
     path.write_text(serialize_graph(gen_torus(12, 12)))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from eightvertex import mcmc
 from eightvertex.estimator import (
     PipelineError,
+    _cpu_order,
     _geometric_stages,
     _group_count,
     _run_pinned,
@@ -309,7 +310,7 @@ def test_each_pool_thread_pins_itself_to_its_own_cpu(monkeypatch, pid):
     # unpinned, the threads shared one CPU of a 2-vCPU host and gained nothing;
     # the CPU list turns by the process id, so concurrent processes start apart
     cpus, caller = sorted(os.sched_getaffinity(0)), threading.current_thread()
-    turned = cpus[pid % len(cpus):] + cpus[:pid % len(cpus)]
+    turned = _cpu_order(cpus, pid, 3)
     pins, setaffinity = [], os.sched_setaffinity
 
     def recording_setaffinity(pid, mask):
@@ -322,6 +323,39 @@ def test_each_pool_thread_pins_itself_to_its_own_cpu(monkeypatch, pid):
     assert pins[0] == (True, turned[:1]) and pins[-1] == (True, cpus)  # pinned, then restored
     helpers = sorted(mask for by_caller, mask in pins if not by_caller)
     assert helpers == sorted([cpu] for cpu in turned[1:3])
+
+
+def test_cpu_order_gives_consecutive_processes_disjoint_blocks():
+    # fake pids and CPU lists: no thread starts and no affinity changes
+    cpus = list(range(64))
+    for pid in (0, 1, 4321):
+        blocks = [set(_cpu_order(cpus, p, 12)[:12]) for p in (pid, pid + 1, pid + 2)]
+        assert all(len(b) == 12 for b in blocks)
+        assert not (blocks[0] & blocks[1] or blocks[1] & blocks[2] or blocks[0] & blocks[2])
+    # turning by the pid alone, two processes of 12 threads shared 11 CPUs
+    assert _cpu_order(cpus, 5, 12)[:3] == [60, 61, 62]
+    assert _cpu_order(cpus, 6, 12)[:12] == list(range(8, 20))
+
+
+@given(cpus=st.sets(st.integers(0, 255), max_size=40), pid=st.integers(0, 2**22),
+       count=st.integers(0, 300))
+def test_cpu_order_is_a_turn_of_the_sorted_cpus(cpus, pid, count):
+    order = _cpu_order(cpus, pid, count)
+    ranked = sorted(cpus)
+    assert sorted(order) == ranked
+    turn = ranked.index(order[0]) if order else 0
+    assert order == ranked[turn:] + ranked[:turn]
+    if count >= len(cpus):  # every process runs on every CPU: no turn
+        assert order == ranked
+
+
+def test_cpu_order_on_two_cpus():
+    # the caller takes the first CPU and a helper the second: with two or more
+    # tasks every process uses both, and one task alternates by the pid
+    assert _cpu_order({1, 0}, 7, 12) == [0, 1]
+    assert _cpu_order([0, 1], 7, 1) == [1, 0]
+    assert _cpu_order([0, 1], 8, 1) == [0, 1]
+    assert _cpu_order([], 7, 12) == []
 
 
 @needs_affinity

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eightvertex import states
+from eightvertex import exact, states
 from eightvertex.exact import (
     FRONTIER_CAP,
     _frontier_plan,
@@ -22,7 +22,15 @@ from eightvertex.graphs import Edge, LabeledGraph, gen_torus, validate
 from eightvertex.states import BLOCK_MOVES, cycle_basis
 from eightvertex.transforms import MZ, MHZ, PLANAR_SWAP, bipartite_group, planar_group
 
-from ._brute import census_per_state, holant_naive, random_rationals, z8v_naive, zec_naive
+from ._brute import (
+    census_per_state,
+    greedy_plan_from_zero,
+    holant_naive,
+    random_rationals,
+    relabel_vertices,
+    z8v_naive,
+    zec_naive,
+)
 from .conftest import build_k5
 
 # signed rationals with small denominators, zero included
@@ -301,10 +309,10 @@ def test_contraction_at_zero_entry_points(fixture_censuses):
 
 
 @st.composite
-def multigraphs(draw):
-    """A labeled 4-regular multigraph on 1-5 vertices from a shuffled pairing of its
-    half-edges: self-loops, parallel edges and several components all occur."""
-    n = draw(st.integers(1, 5))
+def multigraphs(draw, max_vertices=5):
+    """A labeled 4-regular multigraph on 1-``max_vertices`` vertices from a shuffled pairing
+    of its half-edges: self-loops, parallel edges and several components all occur."""
+    n = draw(st.integers(1, max_vertices))
     half = draw(st.permutations([(v, label) for v in range(n) for label in (1, 2, 3, 4)]))
     edges = tuple(Edge(*half[i], *half[i + 1]) for i in range(0, 4 * n, 2))
     return validate(LabeledGraph(n, edges))
@@ -317,6 +325,23 @@ def test_contraction_on_random_multigraphs(g, table, p):
     assert holant_exact(g, table) == holant_naive(g, table)
     assert z8v_exact(g, p) == census_8v(g).evaluate(p)
     assert zec_exact(g, p) == census_ec(g).evaluate(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=multigraphs(max_vertices=14), table=st.lists(st.integers(-3, 3), min_size=16, max_size=16),
+       p=param_vectors)
+def test_plan_against_the_single_greedy_order(g, table, p):
+    # the order from vertex 0 is one of the planner's tries, so it is never narrower,
+    # and every exact route gives the same value under either plan
+    steps, width = _frontier_plan(g)
+    ref_steps, ref_width = greedy_plan_from_zero(g)
+    assert width <= ref_width
+    assert sorted(v for v, *_ in steps) == list(range(g.vertex_count))
+    values = [(z8v_exact(g, p), zec_exact(g, p), holant_exact(g, table))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_frontier_plan", greedy_plan_from_zero)
+        values.append((z8v_exact(g, p), zec_exact(g, p), holant_exact(g, table)))
+    assert values[0] == values[1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -378,5 +403,28 @@ def test_torus66_values():
 
 
 def test_greedy_frontier_widths():
-    for rows, cols, width in ((4, 5, 12), (6, 6, 14), (8, 8, 18)):
-        assert _frontier_plan(gen_torus(rows, cols))[1] <= width
+    # the greedy order from vertex 0 alone sweeps the long rows: 12, 34, 130, 34 and
+    # 66 on 4x5, 4x16, 4x64, 6x16 and 8x32; 12x12 stays above the cap
+    for rows, cols, width in ((4, 5, 10), (6, 6, 14), (8, 8, 18), (4, 16, 10), (4, 64, 10),
+                              (6, 16, 14), (8, 32, 18), (12, 12, 26)):
+        assert _frontier_plan(gen_torus(rows, cols))[1] == width
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_plan_survives_shuffled_vertex_ids(seed):
+    # ties by id scatter the frontier of a shuffled torus (20-24 on 8x8); the try
+    # with ties to the latest reached vertex keeps the unshuffled widths
+    assert _frontier_plan(relabel_vertices(gen_torus(4, 16), seed))[1] == 10
+    assert _frontier_plan(relabel_vertices(gen_torus(8, 8), seed))[1] == 18
+
+
+def test_plan_is_the_cheapest_of_the_narrowest():
+    # on torus 4x5 two starts reach width 10; the cost is the products of each
+    # step's matmul on a dense frontier, 2^(open before the step + opened)
+    steps, width = _frontier_plan(gen_torus(4, 5))
+    assert width == 10 and greedy_plan_from_zero(gen_torus(4, 5))[1] == 12
+    open_count, cost = 0, 0
+    for _, closed, opened, _ in steps:
+        cost += 1 << open_count + len(opened)
+        open_count += len(opened) - len(closed)
+    assert cost == 40224
