@@ -7,11 +7,12 @@ scans every vertex per step for the one greedy order from vertex 0, where
 the package pops a heap and keeps the narrowest of several orders; the
 reference chain recomputes whole weights instead of local ratios, and the
 reference walk of the coset flips one move at a time in Gray-code order,
-where the package lists the states in blocks of masks.  The predicates at the end (evenness,
-Gibbs weights, region intersections, arrow-reversal symmetry), the group
-closure in ``Fraction`` products of the rows, the matrix inverse, the
-constraint-matrix layout, the per-edge orientation and bit-string forms and
-the bit-string reader have no caller in the package.  Keep them dumb.
+where the package lists the states in blocks of masks.  The predicates at
+the end (evenness, Gibbs weights, region intersections, arrow-reversal
+symmetry), the group closure in ``Fraction`` products of the rows, the
+matrix inverse, the constraint-matrix layout, the per-edge orientation and
+bit-string forms and the bit-string reader have no caller in the package.
+Keep them dumb.
 """
 from collections import Counter
 from fractions import Fraction
@@ -146,8 +147,8 @@ def holant_naive(graph: LabeledGraph, table):
 
 
 def greedy_plan_from_zero(graph: LabeledGraph):
-    """The single greedy frontier plan that ``exact._frontier_plan`` made before
-    it tried several orders; returns (steps, width) in the same form.
+    """The greedy frontier plan from vertex 0 alone, the first of the tries of
+    ``exact._frontier_plan``; returns (steps, width) in the same form.
 
     Next comes the unvisited vertex with the most edges into the visited
     set, ties broken by id, found by a scan of all vertices per step.

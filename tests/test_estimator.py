@@ -332,7 +332,7 @@ def test_cpu_order_gives_consecutive_processes_disjoint_blocks():
         blocks = [set(_cpu_order(cpus, p, 12)[:12]) for p in (pid, pid + 1, pid + 2)]
         assert all(len(b) == 12 for b in blocks)
         assert not (blocks[0] & blocks[1] or blocks[1] & blocks[2] or blocks[0] & blocks[2])
-    # turning by the pid alone, two processes of 12 threads shared 11 CPUs
+    # a turn by the pid alone would start pids 5 and 6 one CPU apart, sharing 11 CPUs
     assert _cpu_order(cpus, 5, 12)[:3] == [60, 61, 62]
     assert _cpu_order(cpus, 6, 12)[:12] == list(range(8, 20))
 
