@@ -41,21 +41,28 @@ class PipelineError(RuntimeError):
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    """Geometric stage parameters from the uniform point to the target.
+    """What the chains of one estimate run, from ``build_schedule``.
 
-    ``params[t][i]`` is the class-i weight at stage t; ``inside_yz[t]``
-    flags membership of stage t in the rapidly-mixing region.  When a stage
-    lies outside the region ``warning`` is set and the schedule is used
-    anyway (stationarity does not depend on the region, only the mixing
-    rationale weakens).  More stages cannot help: they lie on the same
-    geometric curve, which keeps every earlier stage.
+    ``params[t]`` are the class weights of stage t on the geometric curve
+    from the uniform point to the target, stage q = len(params) - 1, and
+    ``pows[i][c]`` is class i's ratio of consecutive stages to the power c.
+    Each of ``groups`` chains burns in ``burn_in`` = 10k steps, for
+    cycle-space dimension k, then runs stages 0..q-1 in one ``Chain.anneal``:
+    ``stage_burn_in`` = 2k steps, then ``samples`` blocks of ``thinning`` =
+    (k+1)/2 steps.  ``inside_yz[t]`` flags stage t in the rapidly-mixing
+    region; stages outside it still run, as stationarity does not depend on
+    the region (only the mixing rationale weakens), and more stages on the
+    same curve cannot help.
     """
 
-    stage_count: int
     params: tuple[tuple[float, float, float, float], ...]
-    class_ratios: tuple[float, float, float, float]
+    pows: tuple[tuple[float, ...], ...]
     inside_yz: tuple[bool, ...]
-    warning: bool
+    groups: int
+    samples: int
+    burn_in: int
+    stage_burn_in: int
+    thinning: int
 
 
 def _geometric_stages(target: ParamVec, q: int):
@@ -88,24 +95,14 @@ def default_stage_count(graph: LabeledGraph, target: ParamVec) -> int:
     return max(1, math.ceil(8 * graph.vertex_count * spread))
 
 
-def build_schedule(graph: LabeledGraph, target: Sequence) -> AnnealSchedule:
-    t = as_params(target)
-    if any(x <= 0 for x in t):
-        raise ValueError("anneal target must be strictly positive")
-    q = default_stage_count(graph, t)
-    ratios, stages = _geometric_stages(t, q)
-    flags = _stage_flags(stages)
-    return AnnealSchedule(q, stages, ratios, flags, not all(flags))
-
-
 @dataclass(frozen=True)
 class Estimate:
     value: float
     relative_error_target: float
     failure_probability: float
-    stages: int
-    groups: int
-    samples_per_stage: int
+    stages: int = 0
+    groups: int = 0
+    samples_per_stage: int = 0
     diagnostics: dict = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
@@ -162,6 +159,22 @@ def _samples_per_group(q: int, n: int, target: ParamVec, eps: float) -> int:
     relvar = (width - 1.0) ** 2 / 4.0
     need = math.ceil(4.0 * q * relvar / (eps * eps))
     return max(MIN_SAMPLES_PER_GROUP, need)
+
+
+def build_schedule(
+    graph: LabeledGraph, target: Sequence, eps: float, delta: float, k: int
+) -> AnnealSchedule:
+    """The ``AnnealSchedule`` to a strictly positive target, for cycle-space dimension ``k``."""
+    t = as_params(target)
+    if any(x <= 0 for x in t):
+        raise ValueError("anneal target must be strictly positive")
+    n, q = graph.vertex_count, default_stage_count(graph, t)
+    ratios, stages = _geometric_stages(t, q)
+    pows = tuple(tuple(r**count for count in range(n + 1)) for r in ratios)
+    return AnnealSchedule(
+        stages, pows, _stage_flags(stages), _group_count(delta),
+        _samples_per_group(q, n, t, eps), 10 * k, 2 * k, (k + 1) // 2,
+    )
 
 
 class _Stopped(Exception):
@@ -269,14 +282,13 @@ def anneal_estimate(
     Deterministic for a fixed seed.
 
     Of ``cfg`` it reads ``seed`` (the master generator of the chain seeds)
-    and ``proposal`` (the move set).  The chains burn in 10k steps for
-    cycle-space dimension k, and the stages thin by (k+1)/2 steps.  Each
-    chain runs the whole schedule in one ``Chain.anneal``, on one pinned
-    thread per allowed CPU (``_run_pinned``); on the Python steps the GIL
-    serialises them.  Every chain has its own generator, seeded here in
-    order, and the sums are combined in chain order, so the result is the
-    same for every thread count, and the same as running the stages one at
-    a time across all chains.
+    and ``proposal`` (the move set).  Each chain runs the schedule of
+    ``build_schedule`` in one ``Chain.anneal``, on one pinned thread per
+    allowed CPU (``_run_pinned``); on the Python steps the GIL serialises
+    them.  Every chain has its own generator, seeded in order, and the sums
+    are combined in chain order, so the result is the same for every thread
+    count, and the same as running the stages one at a time across all
+    chains.
 
     Before any chain step it also refuses, with a ``ValueError``, a target
     that ``chain_weights`` refuses, or one where the bracket
@@ -304,81 +316,69 @@ def anneal_estimate(
         )
     anchor = 1 << k
     if len(set(t)) == 1:  # every state weighs a^n: Z = 2^k a^n, no chain needed
-        return Estimate(
-            value=float(anchor * t[0] ** n),
-            relative_error_target=eps,
-            failure_probability=delta,
-            stages=0,
-            groups=0,
-            samples_per_stage=0,
-            diagnostics={"exact_anchor": True, "anchor": anchor},
-        )
+        diagnostics = {"exact_anchor": True, "anchor": anchor}
+        return Estimate(float(anchor * t[0] ** n), eps, delta, diagnostics=diagnostics)
 
-    schedule = build_schedule(graph, t)
-    q = schedule.stage_count
-    groups = _group_count(delta)
-    s_g = _samples_per_group(q, n, t, eps)
-    thinning = max(1, (k + 1) // 2)
-    stage_burn_in = 2 * k
+    schedule = build_schedule(graph, t, eps, delta, k)
+    return _combine(schedule, _run_chains(kernel, schedule, cfg.seed), anchor, eps, delta)
 
-    # per-class ratio powers, indexed [class][count]
-    pow_table = tuple(
-        tuple(schedule.class_ratios[cls] ** cnt for cnt in range(n + 1))
-        for cls in range(4)
-    )
 
+def _run_chains(kernel: CycleKernel, schedule: AnnealSchedule, seed: int) -> list:
+    """Each chain's per-stage (sum, sum of squares), in chain order."""
     # chain seeds come from a master generator: xoring the chain index onto
     # the raw seed would make nearby seeds share chain-seed multisets
-    master = Random(cfg.seed)
-    seeds = [master.getrandbits(64) for _ in range(groups)]
+    master = Random(seed)
+    seeds = [master.getrandbits(64) for _ in range(schedule.groups)]
     # load in this thread: loaded by a helper, it added 0.35 MB to the anneal benchmark's peak RSS
     mcmc._load_kernel()
     stop = threading.Event()
-    stage_sums = [None] * groups  # per chain, per stage: (sum, sum of squares)
+    sums = [None] * schedule.groups
 
     def run_chain(i):
         chain = _PooledChain(kernel, Random(seeds[i]), stop)
-        chain.advance(10 * k)
-        stage_sums[i] = chain.anneal(schedule.params[:q], stage_burn_in, s_g, thinning, pow_table)
+        chain.advance(schedule.burn_in)
+        sums[i] = chain.anneal(schedule.params[:-1], schedule.stage_burn_in, schedule.samples,
+                               schedule.thinning, schedule.pows)
 
-    _run_pinned(groups, run_chain, stop)
+    _run_pinned(schedule.groups, run_chain, stop)
+    return sums
 
+
+def _combine(schedule: AnnealSchedule, sums, anchor: int, eps: float, delta: float) -> Estimate:
+    """The median over the chains of ``anchor`` times the product of their stage means.
+
+    Every float total adds left to right in a loop: from CPython 3.12 on,
+    ``sum()`` of floats is compensated, and its last bits differ.
+    """
+    s_g, groups = schedule.samples, schedule.groups
     log_products = []
-    for sums in stage_sums:
+    for chain in sums:
         log_product = 0.0
-        for acc, _ in sums:
+        for acc, _ in chain:
             log_product += math.log(acc / s_g)
         log_products.append(log_product)
-    stage_relvars = []
-    for stage in zip(*stage_sums):
-        grand = sum(acc / s_g for acc, _ in stage) / groups
-        second = sum(acc_sq / s_g for _, acc_sq in stage) / groups
-        stage_relvars.append(max(0.0, second / (grand * grand) - 1.0))
+    relvar_max = 0.0
+    for stage in zip(*sums):
+        grand = second = 0.0
+        for acc, acc_sq in stage:
+            grand += acc / s_g
+            second += acc_sq / s_g
+        grand, second = grand / groups, second / groups
+        relvar_max = max(relvar_max, second / (grand * grand) - 1.0)
 
-    ordered = sorted(log_products)
-    mid = groups // 2
-    if groups % 2:
-        log_median = ordered[mid]
-    else:
-        log_median = 0.5 * (ordered[mid - 1] + ordered[mid])
-    value = anchor * math.exp(log_median)
-    return Estimate(
-        value=value,
-        relative_error_target=eps,
-        failure_probability=delta,
-        stages=q,
-        groups=groups,
-        samples_per_stage=groups * s_g,
-        diagnostics={
-            "anchor": anchor,
-            "schedule_warning": schedule.warning,
-            "stages_inside_yz": sum(schedule.inside_yz),
-            "stage_ratio_relvar_max": max(stage_relvars) if stage_relvars else 0.0,
-            "thinning": thinning,
-            "stage_burn_in": stage_burn_in,
-            "group_log_estimates": log_products,
-        },
-    )
+    ordered, mid = sorted(log_products), groups // 2
+    log_median = ordered[mid] if groups % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
+    diagnostics = {
+        "anchor": anchor,
+        "schedule_warning": not all(schedule.inside_yz),
+        "stages_inside_yz": sum(schedule.inside_yz),
+        "stage_ratio_relvar_max": relvar_max,
+        "thinning": schedule.thinning,
+        "stage_burn_in": schedule.stage_burn_in,
+        "group_log_estimates": log_products,
+    }
+    value, stages = anchor * math.exp(log_median), len(schedule.params) - 1
+    return Estimate(value, eps, delta, stages, groups, groups * s_g, diagnostics)
 
 
 def _check_graph_class(graph: LabeledGraph, graph_class: str):
@@ -436,18 +436,6 @@ def estimate_z8v(
             raise ValueError(
                 f"the exact fallback's value is nonzero but its float is {approx}"
             )
-        estimate = Estimate(
-            value=approx,
-            relative_error_target=eps,
-            failure_probability=delta,
-            stages=0,
-            groups=0,
-            samples_per_stage=0,
-            diagnostics={
-                "exact_fallback_zero_params": True,
-                "exact_value": str(value),
-            },
-        )
-        return estimate, plan
-    estimate = anneal_estimate(graph, plan.image, eps, delta, cfg)
-    return estimate, plan
+        diagnostics = {"exact_fallback_zero_params": True, "exact_value": str(value)}
+        return Estimate(approx, eps, delta, diagnostics=diagnostics), plan
+    return anneal_estimate(graph, plan.image, eps, delta, cfg), plan

@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 import threading
@@ -11,11 +12,14 @@ from hypothesis import strategies as st
 
 from eightvertex import mcmc
 from eightvertex.estimator import (
+    AnnealSchedule,
     PipelineError,
+    _combine,
     _cpu_order,
     _geometric_stages,
     _group_count,
     _run_pinned,
+    _samples_per_group,
     _stage_flags,
     anneal_estimate,
     build_schedule,
@@ -39,13 +43,25 @@ def test_anchor_values(octahedron, k44, torus24, torus44):
 
 
 def test_schedule_endpoints_and_flags(octahedron):
-    sched = build_schedule(octahedron, (3, 3, 3, 1))
+    sched = build_schedule(octahedron, (3, 3, 3, 1), 0.05, 0.25, 7)
     assert sched.params[0] == (1.0, 1.0, 1.0, 1.0)
     final = sched.params[-1]
     assert all(abs(x - y) < 1e-9 for x, y in zip(final, (3, 3, 3, 1)))
     assert all(sched.inside_yz)
-    assert not sched.warning
     assert all(x > 0 for stage in sched.params for x in stage)
+
+
+def test_schedule_holds_every_run_count(octahedron):
+    # octahedron: n = 6 vertices, cycle-space dimension k = 7
+    target = as_params((3, 3, 3, 1))
+    sched = build_schedule(octahedron, target, 0.05, 0.25, 7)
+    q = len(sched.params) - 1
+    assert len(sched.inside_yz) == q + 1
+    ratios, _ = _geometric_stages(target, q)
+    assert sched.pows == tuple(tuple(r**count for count in range(7)) for r in ratios)
+    assert sched.groups == _group_count(0.25)
+    assert sched.samples == _samples_per_group(q, 6, target, 0.05)
+    assert (sched.burn_in, sched.stage_burn_in, sched.thinning) == (70, 14, 4)
 
 
 POSITIVE = st.fractions(min_value=Fraction(1, 1000), max_value=1000).filter(lambda x: x > 0)
@@ -77,22 +93,35 @@ def test_stage_flags_are_exact_across_the_float_range(stage):
 
 def test_schedule_outside_region_warns_without_refining(octahedron):
     # more stages lie on the same geometric curve, so q stays at its default
-    sched = build_schedule(octahedron, (1, 1, 5, 1))
-    assert sched.warning
+    sched = build_schedule(octahedron, (1, 1, 5, 1), 0.05, 0.25, 7)
     assert not all(sched.inside_yz)
-    assert sched.stage_count == default_stage_count(octahedron, as_params((1, 1, 5, 1)))
+    assert len(sched.params) - 1 == default_stage_count(octahedron, as_params((1, 1, 5, 1)))
 
 
 def test_schedule_rejects_nonpositive_target(octahedron):
     with pytest.raises(ValueError, match="positive"):
-        build_schedule(octahedron, (1, 1, 0, 1))
+        build_schedule(octahedron, (1, 1, 0, 1), 0.05, 0.25, 7)
 
 
 def test_uniform_target_returns_exact_anchor(octahedron):
     est = anneal_estimate(octahedron, (1, 1, 1, 1), 0.05, 0.25, ChainConfig(seed=1))
     assert est.value == 128.0
-    assert est.stages == 0
+    assert (est.stages, est.groups, est.samples_per_stage) == (0, 0, 0)
     assert est.diagnostics["exact_anchor"]
+
+
+def test_combine_adds_left_to_right():
+    # from CPython 3.12 on, sum() of floats is compensated: there
+    # sum([1.0, 1e-16, 1e-16]) is 1.0000000000000002, left to right it is 1.0
+    sched = AnnealSchedule(((1.0,) * 4, (2.0,) * 4), ((1.0,),) * 4, (True, True), 3, 1, 0, 0, 1)
+    sums = [[(1.0, 2.0)], [(1e-16, 0.0)], [(1e-16, 0.0)]]
+    est = _combine(sched, sums, 8, 0.1, 0.25)
+    grand = 1.0 / 3
+    assert est.diagnostics["stage_ratio_relvar_max"] == (2.0 / 3) / (grand * grand) - 1.0
+    assert est.diagnostics["group_log_estimates"] == [0.0, math.log(1e-16), math.log(1e-16)]
+    assert est.value == 8 * math.exp(math.log(1e-16))
+    assert (est.stages, est.groups, est.samples_per_stage) == (1, 3, 3)
+    assert not est.diagnostics["schedule_warning"]
 
 
 def test_anneal_rejects_targets_outside_region(octahedron):
@@ -251,6 +280,35 @@ def chain_index(monkeypatch):
 
 def _octahedron_estimate(octahedron):
     return anneal_estimate(octahedron, (2, 2, 3, 1), 0.05, DELTA, ChainConfig(seed=SEED))
+
+
+def test_the_schedule_alone_drives_the_run(monkeypatch, octahedron, stepper):
+    # every chain burns in, then anneals, with the schedule's values; on the
+    # Python steps each stage's burn-in is an advance inside the anneal
+    calls, advance, anneal = {}, Chain.advance, Chain.anneal
+
+    def recording_advance(self, steps):
+        calls.setdefault(self, []).append(("advance", steps))
+        return advance(self, steps)
+
+    def recording_anneal(self, *args):
+        calls.setdefault(self, []).append(("anneal", args))
+        return anneal(self, *args)
+
+    monkeypatch.setattr(Chain, "advance", recording_advance)
+    monkeypatch.setattr(Chain, "anneal", recording_anneal)
+    est = _octahedron_estimate(octahedron)
+    sched = build_schedule(octahedron, (2, 2, 3, 1), 0.05, DELTA, CycleKernel(octahedron).dimension)
+    run = (sched.params[:-1], sched.stage_burn_in, sched.samples, sched.thinning, sched.pows)
+    assert len(calls) == sched.groups
+    q = len(sched.params) - 1
+    for chain, chain_calls in calls.items():
+        stage_burn_ins = [("advance", sched.stage_burn_in)] * (q if chain._native is None else 0)
+        assert chain_calls == [("advance", sched.burn_in), ("anneal", run), *stage_burn_ins]
+    assert est.stages == q
+    assert (est.groups, est.samples_per_stage) == (sched.groups, sched.groups * sched.samples)
+    assert est.diagnostics["thinning"] == sched.thinning
+    assert est.diagnostics["stage_burn_in"] == sched.stage_burn_in
 
 
 @needs_affinity

@@ -1,5 +1,7 @@
+import ctypes
 import math
 import shutil
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -438,6 +440,28 @@ def test_native_kernel_loads_where_a_compiler_is(octahedron):
     assert mcmc._load_kernel() is not None
     assert Chain(CycleKernel(octahedron), Random(0))._native is not None
     assert Chain(CycleKernel(octahedron), PythonRandom(0))._native is None
+
+
+def test_the_ctypes_state_has_the_layout_of_struct_chain(tmp_path):
+    # _native._State repeats struct chain by hand: a field added on one side
+    # only would make the kernel write to the wrong memory, without an error
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on this host")
+    from eightvertex._native import SOURCE, _State
+
+    names = [name for name, _ in _State._fields_]
+    probe = tmp_path / "probe.c"
+    probe.write_text(
+        f'#include <stddef.h>\n#include <stdio.h>\n#include "{SOURCE}"\nint main(void)\n{{\n'
+        '    printf("%zu\\n", sizeof(struct chain));\n'
+        + "".join(f'    printf("%zu\\n", offsetof(struct chain, {name}));\n' for name in names)
+        + "    return 0;\n}\n"
+    )
+    subprocess.run(["cc", "-std=c99", "-o", str(tmp_path / "probe"), str(probe)], check=True)
+    out = subprocess.run([str(tmp_path / "probe")], check=True, capture_output=True, text=True)
+    size, *offsets = map(int, out.stdout.split())
+    assert size == ctypes.sizeof(_State)
+    assert dict(zip(names, offsets)) == {name: getattr(_State, name).offset for name in names}
 
 
 @pytest.mark.parametrize("rng", [Random, PythonRandom], ids=["native", "python"])
