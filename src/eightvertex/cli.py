@@ -1,8 +1,9 @@
 """Batch command-line surface.
 
 Exit status: 0 on success, 1 on verification failure, 2 on usage errors.
-When the reader of stdout goes away (``sample ... | head -1``), the rest of
-the output goes to the null device and the status is 1, with no traceback.
+``sample`` streams its rows, so when the reader of stdout goes away (``sample
+... | head -1``) the run stops at its next write, the rest of the output goes
+to the null device and the status is 1, with no traceback.
 Exact scalars are printed as integers or ``num/den``; structured results
 are JSON, series are CSV.
 """
@@ -140,11 +141,13 @@ def _cmd_sample(args) -> int:
     graph = _load_graph(args.graph)
     p = _parse_params(args.params)
     cfg = ChainConfig(seed=args.seed, proposal=args.proposal)
-    rows = sample(graph, p, cfg, args.samples, args.burn_in, args.thinning)
-    # about a megabyte of text per write
-    per_write = max(1, (1 << 20) // (graph.edge_count + 1))
-    for start in range(0, len(rows), per_write):
-        sys.stdout.write(orientation_to_bitstring(graph, rows[start:start + per_write]))
+
+    def write(rows):  # about a megabyte of text per write
+        per_write = max(1, (1 << 20) // (graph.edge_count + 1))
+        for start in range(0, len(rows), per_write):
+            sys.stdout.write(orientation_to_bitstring(graph, rows[start:start + per_write]))
+
+    sample(graph, p, cfg, args.samples, args.burn_in, args.thinning, emit=write)
     return 0
 
 

@@ -157,8 +157,9 @@ def _samples_per_group(q: int, n: int, target: ParamVec, eps: float) -> int:
     lo = min(float(t) for t in target)
     width = (hi / lo) ** (n / q)
     relvar = (width - 1.0) ** 2 / 4.0
-    need = math.ceil(4.0 * q * relvar / (eps * eps))
-    return max(MIN_SAMPLES_PER_GROUP, need)
+    # 2^63 where the count overflows a float, or eps^2 underflows: build_schedule refuses it
+    need = 4.0 * q * relvar / (eps * eps) if eps * eps else math.inf
+    return max(MIN_SAMPLES_PER_GROUP, math.ceil(min(need, 2.0**63)))
 
 
 def build_schedule(
@@ -169,11 +170,15 @@ def build_schedule(
     if any(x <= 0 for x in t):
         raise ValueError("anneal target must be strictly positive")
     n, q = graph.vertex_count, default_stage_count(graph, t)
+    samples, stage_burn_in, thinning = _samples_per_group(q, n, t, eps), 2 * k, (k + 1) // 2
+    steps = stage_burn_in + samples * thinning
+    if steps >= 1 << 63:  # the compiled kernel counts a stage's steps in int64
+        raise ValueError(f"eps={eps} needs at least {steps:.3g} steps per stage, past 2^63 - 1")
     ratios, stages = _geometric_stages(t, q)
     pows = tuple(tuple(r**count for count in range(n + 1)) for r in ratios)
     return AnnealSchedule(
         stages, pows, _stage_flags(stages), _group_count(delta),
-        _samples_per_group(q, n, t, eps), 10 * k, 2 * k, (k + 1) // 2,
+        samples, 10 * k, stage_burn_in, thinning,
     )
 
 

@@ -9,8 +9,8 @@ probability ``LAZINESS`` = 1/2, which makes it aperiodic and its spectrum
 nonnegative.  It keeps only per-vertex in-masks and class counts; a
 proposal's weight ratio is a product of table lookups over the vertices
 the flip touches.  ``sample`` records the masks after each block of steps,
-many blocks at a time, and reads a whole record's orientations from it in
-one array pass.
+many blocks at a time, reads a whole record's orientations from it in one
+array pass and hands them on, so it holds one record, not every row.
 The chain draws what a plain loop over ``random()`` and
 ``randrange(nmoves)`` draws and does the same float operations, so a seed
 gives that loop's samples and estimates byte for byte.  The exact chain
@@ -39,7 +39,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,10 +61,6 @@ _FLIP = tuple(tuple((m ^ xm, CLASS16[m], CLASS16[m ^ xm]) for m in range(16)) fo
 class ChainConfig:
     seed: int
     proposal: str = "basis-cycle"  # or "face" (rotation systems only)
-
-    def __post_init__(self):
-        if self.proposal not in ("basis-cycle", "face"):
-            raise ValueError(f"unknown proposal kind {self.proposal!r}")
 
 
 def _positive(params) -> tuple[Fraction, ...]:
@@ -293,35 +289,30 @@ def sample(
     n_samples: int,
     burn_in: int = 0,
     thinning: int = 1,
-) -> np.ndarray:
+    *,
+    emit: Callable[[np.ndarray], object],
+) -> None:
     """Burn in ``burn_in`` steps, then record an orientation every ``thinning`` steps.
 
-    Returns one orientation per row, in slot bits (see ``states``): a
-    ``uint8`` array of shape ``(n_samples, graph.edge_count)``.
+    Calls ``emit`` with each ``Chain.mask_blocks`` call's orientations, one
+    per row, in slot bits (see ``states``): a ``uint8`` array of shape
+    ``(rows, graph.edge_count)``.  Every setting is checked before the first
+    step; the kernel counts steps in int64, so ``thinning`` must be below 2^63.
     """
     if n_samples < 0:
         raise ValueError("sample count must be nonnegative")
     if burn_in < 0:
         raise ValueError("burn-in must be nonnegative")
-    if thinning < 1:
-        raise ValueError("thinning must be at least 1")
-    try:
-        rows = np.empty((n_samples, graph.edge_count), dtype=np.uint8)
-    except MemoryError:
-        raise ValueError(f"{n_samples} samples of {graph.edge_count} bits do not fit in memory") from None
-    if n_samples == 0:
-        return rows
+    if not 1 <= thinning < 1 << 63:
+        raise ValueError(f"thinning must lie in [1, 2^63), got {thinning}")
     p = _positive(params)
     kernel = CycleKernel(graph, cfg.proposal)
     chain = Chain(kernel, Random(cfg.seed))
     chain.set_params(chain_weights(p, kernel))
     chain.advance(burn_in)
-    done = 0
     for block in chain.mask_blocks(n_samples, thinning):
         masks = np.frombuffer(block, dtype=np.uint8).reshape(-1, graph.vertex_count)
-        rows[done:done + len(masks)] = kernel.orientations(masks)
-        done += len(masks)
-    return rows
+        emit(kernel.orientations(masks))
 
 
 # ----------------------------------------------------------------------

@@ -185,12 +185,42 @@ def test_sample_refuses_face_moves_on_torus(tmp_path, capsys):
     assert "rank 15" in err and "k=17" in err
 
 
-def test_sample_refuses_a_count_past_memory(oct_file, capsys):
-    # 10^16 rows of 12 bytes: more than any address space holds
-    code, out, err = run(capsys, "sample", "--graph", oct_file, "--params", "1,1,1,2",
-                         "--seed", "7", "--samples", str(10**16))
+@pytest.mark.parametrize("params, proposal, message", [
+    ("0,0,0,0", "basis-cycle", "strictly positive"),
+    ("1,1,1,1", "face", "rank 15"),
+    ("1e200,1,1,1e-200", "basis-cycle", "float range"),
+])
+def test_zero_samples_still_check_the_settings(tmp_path, capsys, params, proposal, message):
+    path = tmp_path / "t.8vx"
+    path.write_text(serialize_graph(gen_torus(4, 4)))
+    code, out, err = run(capsys, "sample", "--graph", str(path), "--params", params,
+                         "--seed", "1", "--samples", "0", "--proposal", proposal)
     assert code == 2
-    assert out == "" and "do not fit in memory" in err
+    assert out == "" and message in err
+
+
+# the kernel counts steps in int64: unrefused, 2^63 would wrap to a negative
+# thinning and make no step, and 2^64 + 5 would run as 5
+@pytest.mark.parametrize("thinning", [str(1 << 63), str((1 << 64) + 5)])
+def test_sample_refuses_a_thinning_past_int64(oct_file, capsys, thinning):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sample", "--graph", oct_file, "--params", "1,1,1,2",
+                         "--seed", "7", "--samples", "5", "--thinning", thinning)
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert out == "" and "thinning must lie in [1, 2^63)" in err
+
+
+# at eps=5e-10 a stage needs 1.5e19 steps, more than int64 counts; at 1e-200
+# eps^2 underflows to 0
+@pytest.mark.parametrize("eps", ["5e-10", "3e-10", "1e-200"])
+def test_estimate_refuses_stages_past_int64(oct_file, capsys, eps):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "estimate", "--graph", oct_file, "--params", "1,1,5,1",
+                         "--class", "planar", "--seed", "1", "--eps", eps)
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == ""
+    assert f"eps={eps}" in err and "steps per stage" in err and "past 2^63 - 1" in err
 
 
 def test_sample_rejects_negative_burn_in(oct_file, capsys):
@@ -474,17 +504,28 @@ def test_module_entry_point_exit_status(tmp_path):
     assert "error:" in proc.stderr
 
 
-def test_closed_stdout_pipe_ends_without_traceback(tmp_path):
-    # the reader takes one line and goes away while sample still writes
+def _read_one_line_and_close(tmp_path, samples: int):
+    """Run ``sample`` on torus 4x4, read one line, close the pipe; check the exit."""
     path = tmp_path / "t.8vx"
     path.write_text(serialize_graph(gen_torus(4, 4)))
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.Popen(
         [sys.executable, "-m", "eightvertex", "sample", "--graph", str(path),
-         "--params", "1,1,1,1", "--samples", "200000", "--seed", "1"],
+         "--params", "1,1,1,1", "--samples", str(samples), "--seed", "1"],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert len(proc.stdout.readline()) == 33
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert err == b"", err.decode()
+
+
+def test_closed_stdout_pipe_ends_without_traceback(tmp_path):
+    # the reader takes one line and goes away while sample still writes
+    _read_one_line_and_close(tmp_path, 200_000)
+
+
+def test_closed_stdout_pipe_stops_a_run_past_memory(tmp_path):
+    # 10^12 rows of 32 bytes hold more than any memory: the rows stream, one
+    # kernel call's worth at a time, and the closed pipe ends the run
+    _read_one_line_and_close(tmp_path, 10**12)

@@ -67,13 +67,22 @@ def test_gibbs_weight_examples(octahedron, k44):
         gibbs_weight(octahedron, tau, (1, 1, 0, 1))
 
 
+def sample_rows(graph, params, cfg, n_samples, burn_in=0, thinning=1):
+    """``sample``'s emitted blocks, stacked into one ``(n_samples, edges)`` array."""
+    blocks = [np.empty((0, graph.edge_count), dtype=np.uint8)]
+    sample(graph, params, cfg, n_samples, burn_in, thinning, emit=blocks.append)
+    return np.concatenate(blocks)
+
+
 def test_config_validation(octahedron):
-    with pytest.raises(ValueError, match="proposal"):
-        ChainConfig(seed=0, proposal="teleport")
+    with pytest.raises(ValueError, match="unknown proposal kind 'teleport'"):
+        sample_rows(octahedron, (1, 1, 1, 1), ChainConfig(seed=0, proposal="teleport"), 3)
     with pytest.raises(ValueError, match="burn-in"):
-        sample(octahedron, (1, 1, 1, 1), ChainConfig(seed=0), 3, burn_in=-5)
-    with pytest.raises(ValueError, match="thinning"):
-        sample(octahedron, (1, 1, 1, 1), ChainConfig(seed=0), 3, thinning=0)
+        sample_rows(octahedron, (1, 1, 1, 1), ChainConfig(seed=0), 3, burn_in=-5)
+    # the kernel counts steps in int64: 2^63 would wrap to a negative thinning
+    for thinning in (0, 1 << 63, (1 << 64) + 5):
+        with pytest.raises(ValueError, match=r"thinning must lie in \[1, 2\^63\)"):
+            sample_rows(octahedron, (1, 1, 1, 1), ChainConfig(seed=0), 3, thinning=thinning)
 
 
 # powers of two keep every float weight ratio exact, so the chain's float
@@ -163,7 +172,7 @@ def test_lazy_coin_boundary():
 def test_chain_needs_a_move():
     # the empty graph's coset is one state: refused, where a draw below 0 would spin
     with pytest.raises(ValueError, match="at least one move"):
-        sample(LabeledGraph(0, ()), (1, 2, 2, 1), ChainConfig(seed=0), 3)
+        sample_rows(LabeledGraph(0, ()), (1, 2, 2, 1), ChainConfig(seed=0), 3)
 
 
 @pytest.mark.parametrize("proposal", ["basis-cycle", "face"])
@@ -248,12 +257,13 @@ def test_known_acceptance_ratio(torus22):
 
 def test_sampling_deterministic_and_sized(octahedron):
     cfg = ChainConfig(seed=123)
-    a = sample(octahedron, (1, 1, 1, 2), cfg, 200, burn_in=50, thinning=3)
-    b = sample(octahedron, (1, 1, 1, 2), cfg, 200, burn_in=50, thinning=3)
+    a = sample_rows(octahedron, (1, 1, 1, 2), cfg, 200, burn_in=50, thinning=3)
+    b = sample_rows(octahedron, (1, 1, 1, 2), cfg, 200, burn_in=50, thinning=3)
     assert np.array_equal(a, b)
     assert a.shape == (200, 12) and a.dtype == np.uint8
-    assert sample(octahedron, (1, 1, 1, 1), cfg, 0, burn_in=50, thinning=3).shape == (0, 12)
-    different = sample(octahedron, (1, 1, 1, 2), ChainConfig(seed=124), 200, burn_in=50, thinning=3)
+    sample(octahedron, (1, 1, 1, 1), cfg, 0, burn_in=50, thinning=3, emit=pytest.fail)
+    different = sample_rows(octahedron, (1, 1, 1, 2), ChainConfig(seed=124), 200, burn_in=50,
+                            thinning=3)
     assert not np.array_equal(a, different)
 
 
@@ -305,7 +315,7 @@ def _check_rows(graph, rows, expected):
 @example(name="torus4x4", seed=11, params=(1, 2, 2, 1), samples=25, burn_in=10, thinning=3)
 def test_sample_rows_match_the_per_edge_forms(name, seed, params, samples, burn_in, thinning):
     graph = FIXTURE_GRAPHS[name]
-    rows = sample(graph, params, ChainConfig(seed=seed), samples, burn_in, thinning)
+    rows = sample_rows(graph, params, ChainConfig(seed=seed), samples, burn_in, thinning)
     _check_rows(graph, rows, _rows_block_by_block(graph, params, seed, samples, burn_in, thinning))
 
 
@@ -320,7 +330,7 @@ def test_sample_rows_span_several_record_calls(monkeypatch, name, native):
         monkeypatch.setattr(mcmc, "_load_kernel", lambda: None)
     # at most 10 steps a call: with thinning 3, 25 samples take 8 calls of 3 blocks and one of 1
     monkeypatch.setattr(_native, "CALL_STEPS", 10)
-    graph, recorded, mask_blocks = FIXTURE_GRAPHS[name], [], Chain.mask_blocks
+    graph, recorded, emitted, mask_blocks = FIXTURE_GRAPHS[name], [], [], Chain.mask_blocks
 
     def spy(chain, samples, thinning):
         assert (chain._native is not None) == native
@@ -328,9 +338,15 @@ def test_sample_rows_span_several_record_calls(monkeypatch, name, native):
             recorded.append(len(block) // graph.vertex_count)
             yield block
 
+    def emit(rows):
+        # each block reaches emit before the next is recorded
+        assert len(recorded) == len(emitted) + 1 and len(rows) == recorded[-1]
+        emitted.append(rows)
+
     monkeypatch.setattr(Chain, "mask_blocks", spy)
-    rows = sample(graph, (1, 2, 3, 1), ChainConfig(seed=5), 25, burn_in=7, thinning=3)
-    assert recorded == [3] * 8 + [1]
+    sample(graph, (1, 2, 3, 1), ChainConfig(seed=5), 25, burn_in=7, thinning=3, emit=emit)
+    assert recorded == [len(rows) for rows in emitted] == [3] * 8 + [1]
+    rows = np.concatenate(emitted)
     _check_rows(graph, rows, _rows_block_by_block(graph, (1, 2, 3, 1), 5, 25, 7, 3))
 
 
@@ -350,7 +366,7 @@ def test_empirical_class_frequencies_match_census(octahedron):
     var_d = second - mean_d * mean_d
 
     n_samples = 10_000
-    draws = sample(octahedron, p, ChainConfig(seed=2024), n_samples, burn_in=500, thinning=14)
+    draws = sample_rows(octahedron, p, ChainConfig(seed=2024), n_samples, burn_in=500, thinning=14)
     counts = [
         sum(1 for c in orientation_classes(octahedron, tau) if c == VertexClass.D)
         for tau in draws
@@ -412,12 +428,12 @@ def test_face_moves_refused_on_tori(rows, cols, rank, k):
         CycleKernel(gen_torus(rows, cols), "face")
     cfg = ChainConfig(seed=5, proposal="face")
     with pytest.raises(ValueError, match="reducible"):
-        sample(gen_torus(rows, cols), (1, 2, 2, 1), cfg, 1)
+        sample_rows(gen_torus(rows, cols), (1, 2, 2, 1), cfg, 1)
 
 
 def test_face_proposal_runs_on_planar_graphs(octahedron):
     cfg = ChainConfig(seed=5, proposal="face")
-    draws = sample(octahedron, (1, 1, 2, 1), cfg, 50, burn_in=20, thinning=2)
+    draws = sample_rows(octahedron, (1, 1, 2, 1), cfg, 50, burn_in=20, thinning=2)
     assert len(draws) == 50
     for tau in draws:
         assert is_even_orientation(octahedron, tau)
@@ -426,7 +442,7 @@ def test_face_proposal_runs_on_planar_graphs(octahedron):
 def test_face_proposal_needs_rotation_system(k44):
     cfg = ChainConfig(seed=5, proposal="face")
     with pytest.raises(ValueError, match="rotation"):
-        sample(k44, (1, 1, 1, 1), cfg, 1)
+        sample_rows(k44, (1, 1, 1, 1), cfg, 1)
 
 
 class PythonRandom(Random):
@@ -518,7 +534,7 @@ def test_chains_step_in_python_where_the_kernel_cannot_build(monkeypatch, tmp_pa
     from eightvertex import _native
 
     kernel = CycleKernel(octahedron)
-    expected = sample(octahedron, (1, 1, 1, 2), ChainConfig(seed=9), 20, burn_in=5, thinning=3)
+    expected = sample_rows(octahedron, (1, 1, 1, 2), ChainConfig(seed=9), 20, burn_in=5, thinning=3)
     expected_sums = _short_schedule(kernel)
     broken = tmp_path / "_chain.c"
     broken.write_text("this is not C\n")
@@ -529,7 +545,7 @@ def test_chains_step_in_python_where_the_kernel_cannot_build(monkeypatch, tmp_pa
         monkeypatch.setattr(_native, "BUILD", build)
         assert _native.load() is None
         assert Chain(kernel, Random(0))._native is None
-        got = sample(octahedron, (1, 1, 1, 2), ChainConfig(seed=9), 20, burn_in=5, thinning=3)
+        got = sample_rows(octahedron, (1, 1, 1, 2), ChainConfig(seed=9), 20, burn_in=5, thinning=3)
         assert np.array_equal(got, expected)
         assert _short_schedule(kernel) == expected_sums
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["__pycache__", "_chain.c"]
