@@ -9,12 +9,13 @@
    copied in with words left to draw (tempered = 0) is tempered on the
    first call.  The mt array stays the untempered state that getstate()
    returns.  chain_run makes plain or recorded blocks at the weights set
-   from Python; chain_anneal runs a chain's whole annealing schedule, stage
-   after stage, from a cursor kept in the state, so that a caller can cut
-   it into calls of bounded length.  Both fill the factor tables from the
-   four class weights with the same divisions as Chain.set_params.  Build
-   with -ffp-contract=off, so that no multiply and add fuse into one
-   rounding. */
+   from Python; chain_ais runs a chain's particles of annealed importance
+   sampling (Neal, Statistics and Computing 2001), each from an exact
+   uniform start through every stage, from a cursor kept in the state, so
+   that a caller can cut it into calls of bounded length.  Both fill the
+   factor tables from the four class weights with the same divisions as
+   Chain.set_params, at the flip masks the moves use.  Build with
+   -ffp-contract=off, so that no multiply and add fuse into one rounding. */
 #include <stdint.h>
 #include <string.h>
 
@@ -28,14 +29,17 @@ struct chain {
     int32_t nmoves, bits, nvertices;
     int32_t classes[16]; /* in-mask -> class (states.CLASS16), -1 for odd masks */
     int32_t counts[4];   /* vertices per class */
+    int32_t flips;       /* bit xm set where some move flips the labels xm of a vertex */
     double laziness;
     double weights[4];     /* the class weights of Chain.set_params */
     const int32_t *start;  /* move j is entries start[j] .. start[j+1]-1 of touch */
     const int32_t *touch;  /* per entry, vertex << 4 | the label bits it flips */
+    const uint8_t *reference; /* per vertex, the reference orientation's in-mask */
     uint8_t *masks;        /* per vertex, the labels that point in */
     double factors[256];   /* [xm << 4 | mask]: the weight ratio of flipping xm at mask */
     uint32_t words[N];     /* mt tempered: the next draws are words[index..] */
-    int32_t stage;         /* chain_anneal's cursor: the stage it runs next */
+    int64_t particle;      /* chain_ais's cursor: the particle it runs, */
+    int64_t stage;         /* the stage of it that it runs next */
     int64_t done;          /* and the steps of that stage made so far */
 };
 
@@ -84,8 +88,17 @@ static double random53(struct chain *c, int32_t *index)
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
-/* Fills the factor tables from the weights as Chain.set_params does, one
-   division per ratio, skipping odd masks, which no even orientation has. */
+/* Tempers a state copied in with words left to draw, once. */
+static void ready(struct chain *c)
+{
+    if (!c->tempered)
+        temper(c->mt, c->words);
+    c->tempered = 1;
+}
+
+/* Fills the factor tables from the weights as Chain.set_params does: one
+   division per ratio, then an entry per flip mask the moves use and even
+   mask, the only masks an even orientation has. */
 static void fill_factors(struct chain *c)
 {
     double ratio[4][4];
@@ -94,22 +107,17 @@ static void fill_factors(struct chain *c)
         for (b = 0; b < 4; b++)
             ratio[a][b] = c->weights[a] / c->weights[b];
     for (xm = 0; xm < 16; xm++)
-        for (m = 0; m < 16; m++) {
-            int32_t from = c->classes[m], to = c->classes[m ^ xm];
-            if (from >= 0 && to >= 0)
-                c->factors[xm << 4 | m] = ratio[to][from];
-        }
+        if (c->flips >> xm & 1)
+            for (m = 0; m < 16; m++)
+                if (c->classes[m] >= 0)
+                    c->factors[xm << 4 | m] = ratio[c->classes[m ^ xm]][c->classes[m]];
 }
 
 /* Runs `blocks` blocks of `thinning` steps with the factor tables as they
-   stand.  With `pows` (four tables of `stride` entries, indexed by class
-   count), each block ends by adding w = pows_0[n_0] * pows_1[n_1] *
-   pows_2[n_2] * pows_3[n_3] to sums[0] and w * w to sums[1].  With
-   `record`, each block ends by copying the masks into the next nvertices
-   bytes of it.  The generator's index and the class counts live in locals
-   until it returns. */
-static void run_blocks(struct chain *c, int64_t blocks, int64_t thinning,
-                       const double *pows, int32_t stride, double *sums, uint8_t *record)
+   stand.  With `record`, each block ends by copying the masks into the
+   next nvertices bytes of it.  The generator's index and the class counts
+   live in locals until it returns. */
+static void run_blocks(struct chain *c, int64_t blocks, int64_t thinning, uint8_t *record)
 {
     uint8_t *masks = c->masks;
     const int32_t *touch = c->touch, *start = c->start, *cls = c->classes;
@@ -118,10 +126,6 @@ static void run_blocks(struct chain *c, int64_t blocks, int64_t thinning,
     int32_t index = c->index, counts[4];
     int64_t b, t;
     const int32_t *e, *end;
-    if (!c->tempered) {
-        temper(c->mt, c->words);
-        c->tempered = 1;
-    }
     memcpy(counts, c->counts, sizeof counts);
     for (b = 0; b < blocks; b++) {
         for (t = 0; t < thinning; t++) {
@@ -143,12 +147,6 @@ static void run_blocks(struct chain *c, int64_t blocks, int64_t thinning,
                 }
             }
         }
-        if (pows) {
-            double w = pows[counts[0]] * pows[stride + counts[1]]
-                       * pows[2 * stride + counts[2]] * pows[3 * stride + counts[3]];
-            sums[0] += w;
-            sums[1] += w * w;
-        }
         if (record)
             memcpy(record + b * c->nvertices, masks, c->nvertices);
     }
@@ -160,42 +158,55 @@ static void run_blocks(struct chain *c, int64_t blocks, int64_t thinning,
    `weights`, recording the masks after each block into `record` if given. */
 void chain_run(struct chain *c, int64_t blocks, int64_t thinning, uint8_t *record)
 {
+    ready(c);
     fill_factors(c);
-    run_blocks(c, blocks, thinning, NULL, 0, NULL, record);
+    run_blocks(c, blocks, thinning, record);
 }
 
-/* Runs an annealing schedule of `stages` stages from the cursor (stage,
-   done), for at most `budget` steps, or one block where that is longer,
-   and returns the steps it made.  Stage g sets the class weights to
-   params[4g .. 4g+3], makes `burn` steps, then `samples` blocks of
-   `thinning` steps, which add to sums[2g] and sums[2g + 1] as run_blocks
-   does.  A call that stops inside a stage leaves the cursor there, and the
-   next call resumes it. */
-int64_t chain_anneal(struct chain *c, int32_t stages, const double *params, int64_t burn,
-                     int64_t samples, int64_t thinning, const double *pows, int32_t stride,
-                     double *sums, int64_t budget)
+/* Runs `particles` particles from the cursor (particle, stage, done), for
+   at most `budget` steps, and returns the steps it made.  A particle starts
+   uniformly on the coset: the reference orientation xor each move, in move
+   order, where a coin (a word's top bit, as getrandbits(1)) says so; any
+   move set of full rank makes this exact.  Stage g sets the class weights
+   to params[4g .. 4g+3], makes `thinning` steps, then adds
+   ((lp_0[n_0] + lp_1[n_1]) + lp_2[n_2]) + lp_3[n_3] to logw[particle],
+   where lp_i is the table log_pows + i * stride indexed by class count.
+   A call that stops inside a stage leaves the cursor there, and the next
+   call resumes it. */
+int64_t chain_ais(struct chain *c, int64_t particles, int64_t stages, const double *params,
+                  int64_t thinning, const double *log_pows, int32_t stride, double *logw,
+                  int64_t budget)
 {
-    int64_t made = 0, n, fit;
-    for (; c->stage < stages; c->stage++, c->done = 0) {
-        memcpy(c->weights, params + 4 * c->stage, sizeof c->weights);
-        fill_factors(c);
-        n = burn - c->done < budget - made ? burn - c->done : budget - made;
-        if (n > 0) {
-            run_blocks(c, 1, n, NULL, 0, NULL, NULL);
-            c->done += n;
-            made += n;
+    const double *lp = log_pows;
+    int32_t *n = c->counts, j, v;
+    const int32_t *e;
+    int64_t made = 0, steps;
+    ready(c);
+    for (; c->particle < particles; c->particle++, c->stage = 0) {
+        if (c->stage == 0 && c->done == 0) { /* a particle not started yet */
+            if (made >= budget)
+                break;
+            memcpy(c->masks, c->reference, c->nvertices);
+            for (j = 0; j < c->nmoves; j++)
+                if (draw(c, &c->index) >> 31)
+                    for (e = c->touch + c->start[j]; e < c->touch + c->start[j + 1]; e++)
+                        c->masks[*e >> 4] ^= *e & 15;
+            memset(n, 0, sizeof c->counts);
+            for (v = 0; v < c->nvertices; v++)
+                n[c->classes[c->masks[v]]]++;
         }
-        if (c->done < burn)
-            break;
-        n = samples - (c->done - burn) / thinning; /* the stage's blocks left */
-        fit = (budget - made) / thinning;
-        if (n > fit)
-            n = fit > 0 || made > 0 ? fit : 1; /* a call makes one block at least */
-        run_blocks(c, n, thinning, pows, stride, sums + 2 * c->stage, NULL);
-        c->done += n * thinning;
-        made += n * thinning;
-        if (c->done < burn + samples * thinning)
-            break;
+        for (; c->stage < stages; c->stage++, c->done = 0) {
+            memcpy(c->weights, params + 4 * c->stage, sizeof c->weights);
+            fill_factors(c);
+            steps = thinning - c->done < budget - made ? thinning - c->done : budget - made;
+            run_blocks(c, 1, steps, NULL);
+            c->done += steps;
+            made += steps;
+            if (c->done < thinning)
+                return made;
+            logw[c->particle] += ((lp[n[0]] + lp[stride + n[1]]) + lp[2 * stride + n[2]])
+                                 + lp[3 * stride + n[3]];
+        }
     }
     return made;
 }

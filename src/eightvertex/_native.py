@@ -34,10 +34,12 @@ class _State(ctypes.Structure):  # struct chain of _chain.c
     _fields_ = [
         ("mt", ctypes.c_uint32 * 624), ("index", int32), ("tempered", int32),
         ("nmoves", int32), ("bits", int32), ("nvertices", int32),
-        ("classes", int32 * 16), ("counts", int32 * 4), ("laziness", ctypes.c_double),
-        ("weights", ctypes.c_double * 4), ("start", pointer(int32)), ("touch", pointer(int32)),
-        ("masks", pointer(ctypes.c_uint8)), ("factors", ctypes.c_double * 256),
-        ("words", ctypes.c_uint32 * 624), ("stage", int32), ("done", ctypes.c_int64),
+        ("classes", int32 * 16), ("counts", int32 * 4), ("flips", int32),
+        ("laziness", ctypes.c_double), ("weights", ctypes.c_double * 4),
+        ("start", pointer(int32)), ("touch", pointer(int32)),
+        ("reference", pointer(ctypes.c_uint8)), ("masks", pointer(ctypes.c_uint8)),
+        ("factors", ctypes.c_double * 256), ("words", ctypes.c_uint32 * 624),
+        ("particle", ctypes.c_int64), ("stage", ctypes.c_int64), ("done", ctypes.c_int64),
     ]
 
 
@@ -79,15 +81,15 @@ def _build():
                     os.unlink(temp)
                 raise
         lib = ctypes.CDLL(str(library))
-        run, anneal = lib.chain_run, lib.chain_anneal
+        run, ais = lib.chain_run, lib.chain_ais
     except (OSError, AttributeError):  # AttributeError: no posix_spawnp on this platform
         return None
     # the state goes by address: ctypes caches POINTER(_State) for good, and
     # every fresh import of this module makes a new _State
     i64, doubles = ctypes.c_int64, pointer(ctypes.c_double)
-    run.restype, anneal.restype = None, i64
+    run.restype, ais.restype = None, i64
     run.argtypes = (ctypes.c_void_p, i64, i64, pointer(ctypes.c_uint8))
-    anneal.argtypes = (ctypes.c_void_p, int32, doubles, i64, i64, i64, doubles, int32, doubles, i64)
+    ais.argtypes = (ctypes.c_void_p, i64, i64, doubles, i64, doubles, int32, doubles, i64)
     return lib
 
 
@@ -96,9 +98,9 @@ class NativeChain:
 
     ``masks``, ``counts`` and ``weights`` are ctypes arrays, which the
     kernel reads and steps in place and ``mcmc.Chain`` reads and writes as
-    it does its lists.  ``anneal`` hands the kernel a whole schedule, which
-    it runs in calls of at most ``CALL_STEPS`` steps from a cursor in the
-    state.  The generator's MT19937 state is copied from ``rng`` here, once,
+    it does its lists.  ``ais`` hands the kernel all of a chain's particles,
+    which it runs in calls of at most ``CALL_STEPS`` steps from a cursor in
+    the state.  The generator's MT19937 state is copied from ``rng`` here, once,
     and the kernel tempers it into its word buffer on its first call;
     ``write_state`` copies the untempered state back.
     """
@@ -111,12 +113,14 @@ class NativeChain:
         state.mt[:], state.index = mt[:-1], mt[-1]
         state.nmoves, state.bits, state.nvertices = len(touch), len(touch).bit_length(), n
         state.classes[:], state.laziness = CLASS16, laziness
+        state.flips = sum({1 << xm for flips in touch for _, xm in flips})
         start = [0]
         for flips in touch:
             start.append(start[-1] + len(flips))
         entries = [v << 4 | xm for flips in touch for v, xm in flips]
         state.start = (int32 * len(start))(*start)
         state.touch = (int32 * len(entries))(*entries)
+        state.reference = (ctypes.c_uint8 * n)(*kernel.reference_masks)
         state.masks = self.masks = (ctypes.c_uint8 * n)(*kernel.reference_masks)
         self.counts, self.weights = state.counts, state.weights
 
@@ -137,17 +141,18 @@ class NativeChain:
                        (ctypes.c_uint8 * len(masks)).from_buffer(masks))
         return masks
 
-    def anneal(self, stages, burn_in: int, samples: int, thinning: int, pows, recount):
-        """``Chain.anneal``'s per-stage sums, calling ``recount`` with each call's steps."""
+    def ais(self, stages, particles: int, thinning: int, log_pows, recount):
+        """``Chain.ais``'s log weights, calling ``recount`` with each call's steps."""
         n, q = len(self.masks), len(stages)
         params = (ctypes.c_double * (4 * q))(*[w for stage in stages for w in stage])
-        table = (ctypes.c_double * (4 * n + 4))(*[t[count] for t in pows for count in range(n + 1)])
-        sums = (ctypes.c_double * (2 * q))()
-        self._state.stage, self._state.done = 0, 0
-        while self._state.stage < q:
-            recount(_LIB.chain_anneal(self._address, q, params, burn_in, samples, thinning,
-                                      table, n + 1, sums, CALL_STEPS))
-        return list(zip(sums[::2], sums[1::2]))
+        table = (ctypes.c_double * (4 * n + 4))(*[t[c] for t in log_pows for c in range(n + 1)])
+        log_weights = (ctypes.c_double * particles)()
+        state = self._state
+        state.particle, state.stage, state.done = 0, 0, 0
+        while state.particle < particles:
+            recount(_LIB.chain_ais(self._address, particles, q, params, thinning, table, n + 1,
+                                   log_weights, CALL_STEPS))
+        return list(log_weights)
 
 
 def calls(samples: int, thinning: int):

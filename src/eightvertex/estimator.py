@@ -1,15 +1,16 @@
-"""Annealed product-of-ratios estimation of the partition function.
+"""Annealed importance sampling of the partition function.
 
-The anchor is the uniform point (1,1,1,1), where the partition function is
-exactly 2^(m - n + components).  A geometric schedule walks from there to
-the target; each stage's ratio of consecutive Gibbs weights is estimated
-from warm-started chains, and a median over independent chain groups
-controls the failure probability.  Composed with the transform planner
-this evaluates parameters far outside the rapidly-mixing region.
-
-The groups share nothing but the master seed: their chains run on one
-pinned thread per allowed CPU (``_run_pinned``), and their sums are
-combined in chain order, so every thread count gives the same bits.
+A geometric schedule walks from the uniform point, where Z is the coset's
+size 2^k, to the target.  Each particle carries a weight through the stages
+from an exact uniform start (``Chain.ais``; Neal, Statistics and Computing
+2001), whose mean is Z/2^k however well the chain keeps up.  A pilot chain's
+variance V of ln w fixes the particle count: a weight's relative variance is
+then about e^V - 1, as for a lognormal weight, and N = 4 (e^V - 1) / eps^2
+particles make a group's mean miss by more than eps with probability at most
+1/4 (Chebyshev), so the (eps, delta) claim rests on the pilot's measured V.
+The median over independent groups, which share nothing but the master
+seed, controls the failure probability; their weights are combined in chain
+order, so every thread count gives the same bits.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Sequence
 
-from . import mcmc
 from .exact import ParamVec, as_params, z8v_exact
 from .graphs import LabeledGraph
 from .mcmc import Chain, ChainConfig, chain_weights, float_or_inf
@@ -31,8 +31,10 @@ from .states import CycleKernel, face_two_coloring
 from .transforms import TransformPlan, _in_region, in_yz, plan_report, plan_transform
 
 MIN_GROUPS = 12
-MIN_SAMPLES_PER_GROUP = 16
 MAX_GROUPS = 200
+# the pilot chain's particles, which only choose N, and the least N
+PILOT_PARTICLES = 32
+MIN_PARTICLES = 16
 
 
 class PipelineError(RuntimeError):
@@ -45,23 +47,19 @@ class AnnealSchedule:
 
     ``params[t]`` are the class weights of stage t on the geometric curve
     from the uniform point to the target, stage q = len(params) - 1, and
-    ``pows[i][c]`` is class i's ratio of consecutive stages to the power c.
-    Each of ``groups`` chains burns in ``burn_in`` = 10k steps, for
-    cycle-space dimension k, then runs stages 0..q-1 in one ``Chain.anneal``:
-    ``stage_burn_in`` = 2k steps, then ``samples`` blocks of ``thinning`` =
-    (k+1)/2 steps.  ``inside_yz[t]`` flags stage t in the rapidly-mixing
-    region; stages outside it still run, as stationarity does not depend on
-    the region (only the mixing rationale weakens), and more stages on the
-    same curve cannot help.
+    ``log_pows[i][c]`` is c times the log of class i's ratio of consecutive
+    stages.  A pilot chain, whose weights decide the particles per group,
+    then each of ``groups`` chains, runs stages 0..q-1 in ``Chain.ais``,
+    ``thinning`` = (k+1)/2 steps per stage for cycle-space dimension k.
+    ``inside_yz[t]`` flags stage t in the rapidly-mixing region; stages
+    outside it still run, as the weights stay unbiased whether or not the
+    chain mixes.
     """
 
     params: tuple[tuple[float, float, float, float], ...]
-    pows: tuple[tuple[float, ...], ...]
+    log_pows: tuple[tuple[float, ...], ...]
     inside_yz: tuple[bool, ...]
     groups: int
-    samples: int
-    burn_in: int
-    stage_burn_in: int
     thinning: int
 
 
@@ -145,41 +143,34 @@ def _check_accuracy(eps: float, delta: float):
         raise ValueError(f"delta must lie strictly between 0 and 1, got {delta}")
 
 
-def _samples_per_group(q: int, n: int, target: ParamVec, eps: float) -> int:
-    """Chebyshev count from the range bound on one stage's weight ratio.
-
-    Per stage the state ratio lies in an interval of multiplicative width
-    (max/min parameter)^(n/q); a bounded-variable bound then caps the
-    relative variance, and relvar(group product) <= eps^2/4 gives each
-    group success probability 3/4.
-    """
-    hi = max(float(t) for t in target)
-    lo = min(float(t) for t in target)
-    width = (hi / lo) ** (n / q)
-    relvar = (width - 1.0) ** 2 / 4.0
-    # 2^63 where the count overflows a float, or eps^2 underflows: build_schedule refuses it
-    need = 4.0 * q * relvar / (eps * eps) if eps * eps else math.inf
-    return max(MIN_SAMPLES_PER_GROUP, math.ceil(min(need, 2.0**63)))
+def _particle_count(schedule: AnnealSchedule, variance: float, eps: float) -> int:
+    """N = max(16, ceil(4 (e^V - 1) / eps^2)) for a pilot's V, refused where the
+    pilot's or a group's chain makes 2^63 steps or more (the kernel counts in int64)."""
+    try:
+        particles = max(MIN_PARTICLES, math.ceil(4.0 * math.expm1(variance) / (eps * eps)))
+    except (OverflowError, ValueError, ZeroDivisionError):  # also an eps^2 that underflows
+        particles = math.inf
+    steps = max(PILOT_PARTICLES, particles) * (len(schedule.params) - 1) * schedule.thinning
+    if not steps < 1 << 63:
+        raise ValueError(f"eps={eps} needs at least {steps:.3g} steps per chain, past 2^63 - 1")
+    return particles
 
 
 def build_schedule(
     graph: LabeledGraph, target: Sequence, eps: float, delta: float, k: int
 ) -> AnnealSchedule:
-    """The ``AnnealSchedule`` to a strictly positive target, for cycle-space dimension ``k``."""
+    """The ``AnnealSchedule`` to a strictly positive target, for cycle-space dimension ``k``;
+    refuses an ``eps`` where ``_particle_count`` refuses even the fewest particles."""
     t = as_params(target)
     if any(x <= 0 for x in t):
         raise ValueError("anneal target must be strictly positive")
     n, q = graph.vertex_count, default_stage_count(graph, t)
-    samples, stage_burn_in, thinning = _samples_per_group(q, n, t, eps), 2 * k, (k + 1) // 2
-    steps = stage_burn_in + samples * thinning
-    if steps >= 1 << 63:  # the compiled kernel counts a stage's steps in int64
-        raise ValueError(f"eps={eps} needs at least {steps:.3g} steps per stage, past 2^63 - 1")
     ratios, stages = _geometric_stages(t, q)
-    pows = tuple(tuple(r**count for count in range(n + 1)) for r in ratios)
-    return AnnealSchedule(
-        stages, pows, _stage_flags(stages), _group_count(delta),
-        samples, 10 * k, stage_burn_in, thinning,
-    )
+    log_pows = tuple(tuple(count * math.log(r) for count in range(n + 1)) for r in ratios)
+    schedule = AnnealSchedule(stages, log_pows, _stage_flags(stages), _group_count(delta),
+                              (k + 1) // 2)
+    _particle_count(schedule, 0.0, eps)
+    return schedule
 
 
 class _Stopped(Exception):
@@ -187,11 +178,8 @@ class _Stopped(Exception):
 
 
 class _PooledChain(Chain):
-    """A ``Chain`` that raises ``_Stopped`` at its next call boundary once ``stop`` is set.
-
-    Both steppers call ``_recount`` after each call: at most ``CALL_STEPS``
-    steps on the kernel, one burn-in or stage on the Python steps.
-    """
+    """A ``Chain`` that raises ``_Stopped`` at its next call boundary once ``stop`` is set:
+    its ``_recount`` runs after each kernel call, or each stage on the Python steps."""
 
     def __init__(self, kernel: CycleKernel, rng: Random, stop: threading.Event):
         self._stop = stop
@@ -281,24 +269,22 @@ def anneal_estimate(
 ) -> Estimate:
     """Estimate the partition function at a strictly positive target in Y and Z.
 
-    The result is ``anchor * prod_t E[w_{t+1}/w_t]`` with the expectations
-    replaced by chain averages; the median over independent chain groups
-    meets the (eps, delta) contract under the range-based variance model.
+    The result is ``anchor`` times the median over independent chain groups
+    of each group's mean importance weight (see the module docstring).
     Deterministic for a fixed seed.
 
     Of ``cfg`` it reads ``seed`` (the master generator of the chain seeds)
-    and ``proposal`` (the move set).  Each chain runs the schedule of
-    ``build_schedule`` in one ``Chain.anneal``, on one pinned thread per
-    allowed CPU (``_run_pinned``); on the Python steps the GIL serialises
-    them.  Every chain has its own generator, seeded in order, and the sums
-    are combined in chain order, so the result is the same for every thread
-    count, and the same as running the stages one at a time across all
-    chains.
+    and ``proposal`` (the move set).  The pilot, then each group, runs the
+    schedule of ``build_schedule`` in ``Chain.ais``; the groups run on one
+    pinned thread per allowed CPU (``_run_pinned``), and on the Python steps
+    the GIL serialises them.
 
     Before any chain step it also refuses, with a ``ValueError``, a target
     that ``chain_weights`` refuses, or one where the bracket
-    [k ln 2 + n ln min, k ln 2 + n ln max] around ln Z leaves the float range.
-    A target with four equal entries a is exact, 2^k a^n, and runs no chain.
+    [k ln 2 + n ln min, k ln 2 + n ln max] around ln Z leaves the float range;
+    before any group's step, a particle count that ``_particle_count``
+    refuses.  A target with four equal entries a is exact, 2^k a^n, and runs
+    no chain.
     """
     _check_accuracy(eps, delta)
     t = as_params(target)
@@ -325,65 +311,69 @@ def anneal_estimate(
         return Estimate(float(anchor * t[0] ** n), eps, delta, diagnostics=diagnostics)
 
     schedule = build_schedule(graph, t, eps, delta, k)
-    return _combine(schedule, _run_chains(kernel, schedule, cfg.seed), anchor, eps, delta)
-
-
-def _run_chains(kernel: CycleKernel, schedule: AnnealSchedule, seed: int) -> list:
-    """Each chain's per-stage (sum, sum of squares), in chain order."""
     # chain seeds come from a master generator: xoring the chain index onto
     # the raw seed would make nearby seeds share chain-seed multisets
-    master = Random(seed)
+    master = Random(cfg.seed)
+    # the pilot's chain loads the kernel in this thread: loaded by a helper,
+    # it added 0.35 MB to the anneal benchmark's peak RSS
+    pilot = Chain(kernel, Random(master.getrandbits(64))).ais(
+        schedule.params[:-1], PILOT_PARTICLES, schedule.thinning, schedule.log_pows)
     seeds = [master.getrandbits(64) for _ in range(schedule.groups)]
-    # load in this thread: loaded by a helper, it added 0.35 MB to the anneal benchmark's peak RSS
-    mcmc._load_kernel()
-    stop = threading.Event()
-    sums = [None] * schedule.groups
-
-    def run_chain(i):
-        chain = _PooledChain(kernel, Random(seeds[i]), stop)
-        chain.advance(schedule.burn_in)
-        sums[i] = chain.anneal(schedule.params[:-1], schedule.stage_burn_in, schedule.samples,
-                               schedule.thinning, schedule.pows)
-
-    _run_pinned(schedule.groups, run_chain, stop)
-    return sums
-
-
-def _combine(schedule: AnnealSchedule, sums, anchor: int, eps: float, delta: float) -> Estimate:
-    """The median over the chains of ``anchor`` times the product of their stage means.
-
-    Every float total adds left to right in a loop: from CPython 3.12 on,
-    ``sum()`` of floats is compensated, and its last bits differ.
-    """
-    s_g, groups = schedule.samples, schedule.groups
-    log_products = []
-    for chain in sums:
-        log_product = 0.0
-        for acc, _ in chain:
-            log_product += math.log(acc / s_g)
-        log_products.append(log_product)
-    relvar_max = 0.0
-    for stage in zip(*sums):
-        grand = second = 0.0
-        for acc, acc_sq in stage:
-            grand += acc / s_g
-            second += acc_sq / s_g
-        grand, second = grand / groups, second / groups
-        relvar_max = max(relvar_max, second / (grand * grand) - 1.0)
-
-    ordered, mid = sorted(log_products), groups // 2
-    log_median = ordered[mid] if groups % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
+    variance = _variance(pilot)
+    particles = _particle_count(schedule, variance, eps)
+    log_means = _run_chains(kernel, schedule, particles, seeds)
+    # anchor times the median over the groups of each group's mean weight
+    ordered, mid = sorted(log_means), schedule.groups // 2
+    log_median = ordered[mid] if schedule.groups % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
     diagnostics = {
         "anchor": anchor,
         "schedule_warning": not all(schedule.inside_yz),
         "stages_inside_yz": sum(schedule.inside_yz),
-        "stage_ratio_relvar_max": relvar_max,
         "thinning": schedule.thinning,
-        "stage_burn_in": schedule.stage_burn_in,
-        "group_log_estimates": log_products,
+        "particles": particles,
+        "pilot_log_weight_variance": variance,
+        "group_log_estimates": log_means,
     }
-    value, stages = anchor * math.exp(log_median), len(schedule.params) - 1
-    return Estimate(value, eps, delta, stages, groups, groups * s_g, diagnostics)
+    return Estimate(anchor * math.exp(log_median), eps, delta, len(schedule.params) - 1,
+                    schedule.groups, schedule.groups * particles, diagnostics)
+
+
+def _variance(xs) -> float:
+    """The sample variance of ``xs``.  Float totals here add left to right in a loop:
+    from CPython 3.12 on, ``sum()`` of floats is compensated, and its last bits differ."""
+    mean = second = 0.0
+    for x in xs:
+        mean += x
+    mean /= len(xs)
+    for x in xs:
+        second += (x - mean) * (x - mean)
+    return second / (len(xs) - 1)
+
+
+def _run_chains(kernel: CycleKernel, schedule: AnnealSchedule, particles: int, seeds) -> list:
+    """Each group chain's ln of its mean weight, in chain order.
+
+    A chain runs its particles in ``Chain.ais`` calls of at most ``CALL_STEPS``
+    steps (or one particle), so its memory does not grow with N; the mean is
+    kept as the largest log weight ``top`` and the sum of exp(x - top).
+    """
+    from ._native import calls
+
+    stop, log_means = threading.Event(), [None] * len(seeds)
+    per_particle = (len(schedule.params) - 1) * schedule.thinning
+
+    def run_chain(i):
+        chain, top, total = _PooledChain(kernel, Random(seeds[i]), stop), -math.inf, 0.0
+        for batch in calls(particles, per_particle):
+            for x in chain.ais(schedule.params[:-1], batch, schedule.thinning, schedule.log_pows):
+                if x > top:
+                    total, top = total * math.exp(top - x) + 1.0, x
+                else:
+                    total += math.exp(x - top)
+        log_means[i] = top + math.log(total / particles)
+
+    _run_pinned(len(seeds), run_chain, stop)
+    return log_means
 
 
 def _check_graph_class(graph: LabeledGraph, graph_class: str):

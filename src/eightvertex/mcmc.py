@@ -24,8 +24,8 @@ MT19937 state in native memory and draws exactly as CPython 3.10-3.13's
 ``random.Random`` does.  It tempers each twist's 624 words into a buffer,
 so a draw is a load, and fills the factor tables itself from the four
 class weights, so ``set_params`` does no per-entry work in Python.
-``Chain.anneal`` hands it a chain's whole annealing schedule, which it
-runs stage after stage in a few calls.  The first chain built in a
+``Chain.ais`` hands it all of a chain's particles of annealed importance
+sampling, which it runs in a few calls.  The first chain built in a
 process compiles it with ``cc`` into this package's ``__pycache__``, under
 a name keyed by the source and the flags, unless that file is there
 already (see ``_native``).  Without a compiler or a writable cache, or for
@@ -132,10 +132,10 @@ class Chain:
     reading ``rng`` writes the kernel's state back into it.  There
     ``set_params`` only stores the four weights, and the kernel fills the
     same factor tables from them, with the same divisions, at the start of
-    each call and each stage.
+    each call and each stage of a particle.
     Otherwise (another generator, or no kernel) they are lists and the
     same steps run in Python.  Both paths give the same masks, counts,
-    sums, ``steps`` and generator state, bit for bit.  ``steps`` counts
+    log weights, ``steps`` and generator state, bit for bit.  ``steps`` counts
     every step made; each time it passes a multiple of ``_RECOUNT_PERIOD``
     the class counts are recounted from the masks.
     """
@@ -160,8 +160,7 @@ class Chain:
             ]
         else:
             self.masks, self.counts = self._native.masks, self._native.counts
-        for m in self.masks:
-            self.counts[CLASS16[m]] += 1
+        self.counts[:] = self._class_counts()
         self.set_params((1.0, 1.0, 1.0, 1.0))
         self.steps = 0
 
@@ -191,32 +190,44 @@ class Chain:
     def advance(self, steps: int):
         """Make ``steps`` steps at the current parameters."""
         if self._native is None:
-            self._python_run(1, steps, None)
+            self._python_run(steps)
         else:
             self._native.advance(steps)
         self._recount(steps)
 
-    def anneal(self, stages, burn_in: int, samples: int, thinning: int, pows):
-        """Run an annealing schedule; return each stage's two sums.
+    def ais(self, stages, particles: int, thinning: int, log_pows) -> list[float]:
+        """Run ``particles`` particles of annealed importance sampling; return their log weights.
 
-        Stage g targets the class weights ``stages[g]`` (as ``set_params``),
-        makes ``burn_in`` steps, then ``samples`` blocks of ``thinning``
-        steps; each block ends by adding ``prod_i pows[i][counts[i]]`` (per
-        class, a table indexed by the class count) and its square to the
-        stage's two sums.  The compiled kernel runs the whole schedule, in
-        calls of at most ``_native.CALL_STEPS`` steps (or one block).
+        A particle starts uniformly on the coset: the reference orientation
+        xor each move, in move order, where ``getrandbits(1)`` says so.  Stage
+        g targets the class weights ``stages[g]`` (as ``set_params``), makes
+        ``thinning`` steps, then adds ``((lp0[n0] + lp1[n1]) + lp2[n2]) +
+        lp3[n3]``, ``lp_i = log_pows[i]`` at class i's count, to the log
+        weight.  With stage 0 uniform and ``log_pows[i][c] = c ln r_i``, r the
+        ratio of consecutive stages, E[weight] is Z(stages[-1] * r) / 2^k
+        however well the chain mixes.  The kernel's calls make at most
+        ``_native.CALL_STEPS`` steps.
         """
-        if len(pows) != 4:
-            raise ValueError(f"pows needs one table per class, got {len(pows)}")
+        if len(log_pows) != 4:
+            raise ValueError(f"log_pows needs one table per class, got {len(log_pows)}")
         if self._native is not None:
-            return self._native.anneal(stages, burn_in, samples, thinning, pows, self._recount)
-        sums = []
-        for weights in stages:
-            self.set_params(weights)
-            self.advance(burn_in)
-            sums.append(self._python_run(samples, thinning, pows))
-            self._recount(samples * thinning)
-        return sums
+            return self._native.ais(stages, particles, thinning, log_pows, self._recount)
+        masks, counts, lp0, lp1, lp2, lp3 = self.masks, self.counts, *log_pows
+        log_weights = []
+        for _ in range(particles):
+            masks[:] = self.kernel.reference_masks
+            for flips in self.kernel.touch:
+                if self._rng.getrandbits(1):
+                    for v, xm in flips:
+                        masks[v] ^= xm
+            counts[:], log_w = self._class_counts(), 0.0
+            for weights in stages:
+                self.set_params(weights)
+                self._python_run(thinning)
+                self._recount(thinning)
+                log_w += lp0[counts[0]] + lp1[counts[1]] + lp2[counts[2]] + lp3[counts[3]]
+            log_weights.append(log_w)
+        return log_weights
 
     def mask_blocks(self, samples: int, thinning: int) -> Iterator[bytearray]:
         """Run ``samples`` blocks of ``thinning`` steps, recording the masks after each.
@@ -231,7 +242,7 @@ class Chain:
             if self._native is None:
                 masks = bytearray()
                 for _ in range(blocks):
-                    self._python_run(1, thinning, None)
+                    self._python_run(thinning)
                     masks.extend(self.masks)
             else:
                 masks = self._native.record(blocks, thinning)
@@ -243,43 +254,37 @@ class Chain:
         time the total passes a multiple of ``_RECOUNT_PERIOD``."""
         self.steps += steps
         if self.steps // _RECOUNT_PERIOD != (self.steps - steps) // _RECOUNT_PERIOD:
-            recount = [0, 0, 0, 0]
-            for m in self.masks:
-                recount[CLASS16[m]] += 1
-            if recount != list(self.counts):
+            if self._class_counts() != list(self.counts):
                 raise AssertionError("chain class counts drifted from the masks")
 
-    def _python_run(self, samples: int, thinning: int, pows) -> tuple[float, float]:
+    def _class_counts(self) -> list[int]:
+        counts = [0, 0, 0, 0]
+        for m in self.masks:
+            counts[CLASS16[m]] += 1
+        return counts
+
+    def _python_run(self, steps: int):
         masks, counts, moves = self.masks, self.counts, self._moves
         nmoves = len(moves)
         bits = nmoves.bit_length()
-        random, getrandbits = self.rng.random, self.rng.getrandbits
+        random, getrandbits = self._rng.random, self._rng.getrandbits
         laziness = LAZINESS
-        if pows is not None:
-            p0, p1, p2, p3 = pows
-        acc = acc_sq = 0.0
-        for _ in range(samples):
-            for _ in range(thinning):
-                if random() < laziness:
-                    continue
+        for _ in range(steps):
+            if random() < laziness:
+                continue
+            j = getrandbits(bits)
+            while j >= nmoves:
                 j = getrandbits(bits)
-                while j >= nmoves:
-                    j = getrandbits(bits)
-                flips = moves[j]
-                ratio = 1.0
-                for v, _, f in flips:
-                    ratio *= f[masks[v]]
-                if ratio >= 1.0 or random() < ratio:
-                    for v, flip, _ in flips:
-                        m, old, new = flip[masks[v]]
-                        masks[v] = m
-                        counts[old] -= 1
-                        counts[new] += 1
-            if pows is not None:
-                w = p0[counts[0]] * p1[counts[1]] * p2[counts[2]] * p3[counts[3]]
-                acc += w
-                acc_sq += w * w
-        return acc, acc_sq
+            flips = moves[j]
+            ratio = 1.0
+            for v, _, f in flips:
+                ratio *= f[masks[v]]
+            if ratio >= 1.0 or random() < ratio:
+                for v, flip, _ in flips:
+                    m, old, new = flip[masks[v]]
+                    masks[v] = m
+                    counts[old] -= 1
+                    counts[new] += 1
 
 
 def sample(

@@ -211,8 +211,8 @@ def test_sample_refuses_a_thinning_past_int64(oct_file, capsys, thinning):
     assert out == "" and "thinning must lie in [1, 2^63)" in err
 
 
-# at eps=5e-10 a stage needs 1.5e19 steps, more than int64 counts; at 1e-200
-# eps^2 underflows to 0
+# at eps=5e-10 the pilot asks for a chain of 2.2e20 steps, more than int64
+# counts; at 1e-200 eps^2 underflows to 0
 @pytest.mark.parametrize("eps", ["5e-10", "3e-10", "1e-200"])
 def test_estimate_refuses_stages_past_int64(oct_file, capsys, eps):
     start = time.perf_counter()
@@ -220,7 +220,7 @@ def test_estimate_refuses_stages_past_int64(oct_file, capsys, eps):
                          "--class", "planar", "--seed", "1", "--eps", eps)
     assert time.perf_counter() - start < 5.0
     assert code == 2 and out == ""
-    assert f"eps={eps}" in err and "steps per stage" in err and "past 2^63 - 1" in err
+    assert f"eps={eps}" in err and "steps per chain" in err and "past 2^63 - 1" in err
 
 
 def test_sample_rejects_negative_burn_in(oct_file, capsys):
@@ -400,12 +400,15 @@ GOLDEN = [
     # self-loops print their slot bit; captured before the rows were read in one array pass
     (("sample", "loop_graph", "--params", "1,2,3,1", "--seed", "3", "--samples", "200"), 0,
      "7a697fa2ae61df4f798ad2fa4627a6f19ace93059af8fe5d43ba8126d5b001fd"),
+    # re-pinned when annealed importance sampling replaced the product of
+    # stage means: other draws, the particle count and the pilot's variance
+    # in the diagnostics
     (("estimate", "octahedron", "--params", "1,1,5,1", "--class", "planar", "--eps", "0.1",
       "--seed", "3"), 0,
-     "634ae51c655c6f412ec01d3767e7abf6f6bb183803bd2f2e606c255899436f2f"),
+     "9ea2572e465cff5da70d4d3a77f7fa39bea058d17f35393cd1414c024563a38d"),
     (("estimate", "k44", "--params", "2,1,1,3", "--class", "bipartite", "--eps", "0.1",
       "--seed", "7"), 0,
-     "deab0ed13aa0cc6984a2984a6fb6624ef96f3b3c1392e99c36ef8149204c14a8"),
+     "db774f66ea09c67fe55d8875a41a6fa53065c899ecb1b2e5bd5361db4ffa1f62"),
     (("plan", "--class", "planar", "--params", "1,1,5,1"), 0,
      "199700088df4815d4f531569c4e5ab8c94a9178a692af5e328fea9debed7837e"),
     (("plan", "--class", "bipartite", "--params", "1,1,1,5"), 0,

@@ -10,17 +10,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eightvertex import mcmc
+from eightvertex import _native, mcmc
 from eightvertex.estimator import (
-    AnnealSchedule,
+    PILOT_PARTICLES,
     PipelineError,
-    _combine,
     _cpu_order,
     _geometric_stages,
     _group_count,
+    _particle_count,
     _run_pinned,
-    _samples_per_group,
     _stage_flags,
+    _variance,
     anneal_estimate,
     build_schedule,
     default_stage_count,
@@ -58,10 +58,24 @@ def test_schedule_holds_every_run_count(octahedron):
     q = len(sched.params) - 1
     assert len(sched.inside_yz) == q + 1
     ratios, _ = _geometric_stages(target, q)
-    assert sched.pows == tuple(tuple(r**count for count in range(7)) for r in ratios)
+    assert sched.log_pows == tuple(tuple(count * math.log(r) for count in range(7))
+                                   for r in ratios)
     assert sched.groups == _group_count(0.25)
-    assert sched.samples == _samples_per_group(q, 6, target, 0.05)
-    assert (sched.burn_in, sched.stage_burn_in, sched.thinning) == (70, 14, 4)
+    assert sched.thinning == 4
+
+
+def test_particle_count_follows_the_pilot_variance(octahedron):
+    # N = max(16, ceil(4 (e^V - 1) / eps^2)): Chebyshev with relvar = e^V - 1
+    sched = build_schedule(octahedron, (3, 3, 3, 1), 0.1, 0.25, 7)
+    assert _particle_count(sched, 0.0, 0.1) == 16
+    assert _particle_count(sched, 0.05, 0.1) == math.ceil(400 * math.expm1(0.05)) == 21
+    assert _particle_count(sched, 1.0, 0.01) == math.ceil(40000 * math.expm1(1.0))
+    # a chain of 2^63 steps or more is refused, as is the infinite count of an
+    # eps^2 that underflows, an e^V that overflows or a V that is not a number
+    assert (len(sched.params) - 1) * sched.thinning > 3  # so 4e18 particles are too many
+    for variance, eps in ((math.log(2), 1e-9), (0.0, 1e-200), (1e3, 0.1), (math.nan, 0.1)):
+        with pytest.raises(ValueError, match=f"eps={eps} .* steps per chain, past 2"):
+            _particle_count(sched, variance, eps)
 
 
 POSITIVE = st.fractions(min_value=Fraction(1, 1000), max_value=1000).filter(lambda x: x > 0)
@@ -110,18 +124,27 @@ def test_uniform_target_returns_exact_anchor(octahedron):
     assert est.diagnostics["exact_anchor"]
 
 
-def test_combine_adds_left_to_right():
+def test_variance_adds_left_to_right():
     # from CPython 3.12 on, sum() of floats is compensated: there
     # sum([1.0, 1e-16, 1e-16]) is 1.0000000000000002, left to right it is 1.0
-    sched = AnnealSchedule(((1.0,) * 4, (2.0,) * 4), ((1.0,),) * 4, (True, True), 3, 1, 0, 0, 1)
-    sums = [[(1.0, 2.0)], [(1e-16, 0.0)], [(1e-16, 0.0)]]
-    est = _combine(sched, sums, 8, 0.1, 0.25)
-    grand = 1.0 / 3
-    assert est.diagnostics["stage_ratio_relvar_max"] == (2.0 / 3) / (grand * grand) - 1.0
-    assert est.diagnostics["group_log_estimates"] == [0.0, math.log(1e-16), math.log(1e-16)]
-    assert est.value == 8 * math.exp(math.log(1e-16))
-    assert (est.stages, est.groups, est.samples_per_stage) == (1, 3, 3)
-    assert not est.diagnostics["schedule_warning"]
+    xs = [1.0, 1e-16, 1e-16]
+    mean = 1.0 / 3
+    second = 0.0
+    for x in xs:
+        second += (x - mean) * (x - mean)
+    assert _variance(xs) == second / 2
+    assert _variance([2.0, 2.0]) == 0.0
+
+
+def test_batches_draw_what_one_call_draws(monkeypatch, octahedron):
+    # a chain runs its particles in Chain.ais calls of at most CALL_STEPS
+    # steps; cut into a call per particle, every group's mean, and so every
+    # bit, stays
+    whole = anneal_estimate(octahedron, (2, 2, 3, 1), 0.05, 0.25, ChainConfig(seed=8))
+    assert whole.diagnostics["particles"] > 1
+    monkeypatch.setattr(_native, "CALL_STEPS", 1)
+    cut = anneal_estimate(octahedron, (2, 2, 3, 1), 0.05, 0.25, ChainConfig(seed=8))
+    assert cut.to_jsonable() == whole.to_jsonable()
 
 
 def test_anneal_rejects_targets_outside_region(octahedron):
@@ -266,12 +289,13 @@ SEED, DELTA = 5, 0.1
 
 @pytest.fixture
 def chain_index(monkeypatch):
-    """Each chain built in this test, mapped to its index in the master seed order."""
+    """Each chain built in this test, mapped to its index in the master seed
+    order: -1 for the pilot, then 0, 1, ... for the groups."""
     master, index, init = Random(SEED), {}, Chain.__init__
-    states = [Random(master.getrandbits(64)).getstate() for _ in range(_group_count(DELTA))]
+    states = [Random(master.getrandbits(64)).getstate() for _ in range(1 + _group_count(DELTA))]
 
     def recording_init(self, kernel, rng, *args):
-        index[self] = states.index(rng.getstate())
+        index[self] = states.index(rng.getstate()) - 1
         init(self, kernel, rng, *args)
 
     monkeypatch.setattr(Chain, "__init__", recording_init)
@@ -282,33 +306,26 @@ def _octahedron_estimate(octahedron):
     return anneal_estimate(octahedron, (2, 2, 3, 1), 0.05, DELTA, ChainConfig(seed=SEED))
 
 
-def test_the_schedule_alone_drives_the_run(monkeypatch, octahedron, stepper):
-    # every chain burns in, then anneals, with the schedule's values; on the
-    # Python steps each stage's burn-in is an advance inside the anneal
-    calls, advance, anneal = {}, Chain.advance, Chain.anneal
+def test_the_schedule_alone_drives_the_run(monkeypatch, octahedron, stepper, chain_index):
+    # the pilot, then every group chain, runs the schedule in one Chain.ais;
+    # the pilot's weights decide the groups' particles and enter no estimate
+    calls, ais = {}, Chain.ais
 
-    def recording_advance(self, steps):
-        calls.setdefault(self, []).append(("advance", steps))
-        return advance(self, steps)
+    def recording_ais(self, *args):
+        calls.setdefault(chain_index[self], []).append(args)
+        return ais(self, *args)
 
-    def recording_anneal(self, *args):
-        calls.setdefault(self, []).append(("anneal", args))
-        return anneal(self, *args)
-
-    monkeypatch.setattr(Chain, "advance", recording_advance)
-    monkeypatch.setattr(Chain, "anneal", recording_anneal)
+    monkeypatch.setattr(Chain, "ais", recording_ais)
     est = _octahedron_estimate(octahedron)
     sched = build_schedule(octahedron, (2, 2, 3, 1), 0.05, DELTA, CycleKernel(octahedron).dimension)
-    run = (sched.params[:-1], sched.stage_burn_in, sched.samples, sched.thinning, sched.pows)
-    assert len(calls) == sched.groups
-    q = len(sched.params) - 1
-    for chain, chain_calls in calls.items():
-        stage_burn_ins = [("advance", sched.stage_burn_in)] * (q if chain._native is None else 0)
-        assert chain_calls == [("advance", sched.burn_in), ("anneal", run), *stage_burn_ins]
-    assert est.stages == q
-    assert (est.groups, est.samples_per_stage) == (sched.groups, sched.groups * sched.samples)
+    particles = est.diagnostics["particles"]
+    run = (sched.params[:-1], particles, sched.thinning, sched.log_pows)
+    assert calls == {-1: [(sched.params[:-1], PILOT_PARTICLES, sched.thinning, sched.log_pows)],
+                     **{i: [run] for i in range(sched.groups)}}
+    assert particles == _particle_count(sched, est.diagnostics["pilot_log_weight_variance"], 0.05)
+    assert est.stages == len(sched.params) - 1
+    assert (est.groups, est.samples_per_stage) == (sched.groups, sched.groups * particles)
     assert est.diagnostics["thinning"] == sched.thinning
-    assert est.diagnostics["stage_burn_in"] == sched.stage_burn_in
 
 
 @needs_affinity
@@ -319,14 +336,14 @@ def test_every_thread_count_gives_the_same_bits(monkeypatch, octahedron, stepper
     # even where the first chain finishes last
     with one_cpu():
         alone = repr(_octahedron_estimate(octahedron).to_jsonable())
-    anneal = Chain.anneal
+    ais = Chain.ais
 
-    def slow_first_anneal(self, *args):
+    def slow_first_ais(self, *args):
         if chain_index[self] == 0:
             time.sleep(0.2)
-        return anneal(self, *args)
+        return ais(self, *args)
 
-    monkeypatch.setattr(Chain, "anneal", slow_first_anneal)
+    monkeypatch.setattr(Chain, "ais", slow_first_ais)
     threads, cpus = threading.active_count(), os.sched_getaffinity(0)
     assert repr(_octahedron_estimate(octahedron).to_jsonable()) == alone
     assert threading.active_count() == threads
@@ -422,18 +439,20 @@ def test_a_chain_error_reaches_the_caller(monkeypatch, octahedron, stepper, chai
                                          failing):
     if failing == "helper" and len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one allowed CPU: no helper thread")
-    anneal, caller = Chain.anneal, threading.current_thread()
+    ais, caller = Chain.ais, threading.current_thread()
 
-    def failing_anneal(self, *args):
+    def failing_ais(self, *args):
+        if chain_index[self] < 0:  # the pilot runs in the caller before any group
+            return ais(self, *args)
         if failing == "helper":
             fails = threading.current_thread() is not caller
         else:
             fails = chain_index[self] == (0 if failing == "first" else _group_count(DELTA) - 1)
         if fails:
             raise AssertionError("chain class counts drifted from the masks")
-        return anneal(self, *args)
+        return ais(self, *args)
 
-    monkeypatch.setattr(Chain, "anneal", failing_anneal)
+    monkeypatch.setattr(Chain, "ais", failing_ais)
     threads, cpus = threading.active_count(), os.sched_getaffinity(0)
     with pytest.raises(AssertionError, match="drifted"):
         _octahedron_estimate(octahedron)
@@ -442,14 +461,17 @@ def test_a_chain_error_reaches_the_caller(monkeypatch, octahedron, stepper, chai
 
 
 @needs_affinity
-def test_ctrl_c_stops_the_helpers_at_their_next_call(monkeypatch, octahedron, stepper):
+def test_ctrl_c_stops_the_helpers_at_their_next_call(monkeypatch, octahedron, stepper,
+                                                     chain_index):
     # a helper's chain would run for 10 s; Ctrl-C in the caller must stop it
     # at its next call boundary, not wait for it to finish
-    anneal, caller = Chain.anneal, threading.current_thread()
+    ais, caller = Chain.ais, threading.current_thread()
     has_helpers = len(os.sched_getaffinity(0)) > 1
     helping, finished = threading.Event(), []
 
-    def interrupted_anneal(self, *args):
+    def interrupted_ais(self, *args):
+        if chain_index[self] < 0:  # the pilot runs in the caller before any group
+            return ais(self, *args)
         if threading.current_thread() is caller:
             if has_helpers:
                 helping.wait(10)
@@ -457,10 +479,10 @@ def test_ctrl_c_stops_the_helpers_at_their_next_call(monkeypatch, octahedron, st
         helping.set()
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline:
-            anneal(self, *args)
+            ais(self, *args)
         finished.append(self)
 
-    monkeypatch.setattr(Chain, "anneal", interrupted_anneal)
+    monkeypatch.setattr(Chain, "ais", interrupted_ais)
     threads, cpus = threading.active_count(), os.sched_getaffinity(0)
     with pytest.raises(KeyboardInterrupt):
         _octahedron_estimate(octahedron)

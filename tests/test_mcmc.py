@@ -481,20 +481,48 @@ def test_the_ctypes_state_has_the_layout_of_struct_chain(tmp_path):
 
 
 @pytest.mark.parametrize("rng", [Random, PythonRandom], ids=["native", "python"])
-def test_anneal_needs_one_pow_table_per_class(octahedron, rng):
+def test_ais_needs_one_log_pow_table_per_class(octahedron, rng):
     chain = Chain(CycleKernel(octahedron), rng(1))
     with pytest.raises(ValueError, match="one table per class, got 3"):
-        chain.anneal([(1.0, 2.0, 2.0, 1.0)], 1, 1, 1, ((1.0,) * 7,) * 3)
+        chain.ais([(1.0, 2.0, 2.0, 1.0)], 1, 1, ((0.0,) * 7,) * 3)
+
+
+def _log_pows(ratios, n):
+    return tuple(tuple(count * math.log(r) for count in range(n + 1)) for r in ratios)
 
 
 def _short_schedule(kernel):
-    """Three stages' sums from a chain at seed 4, on Python steps or the kernel's."""
-    n = len(kernel.reference_masks)
-    pows = tuple(tuple(r**count for count in range(n + 1)) for r in (1.1, 0.9, 1.0, 1.3))
+    """Five particles' log weights through three stages from a chain at seed 4,
+    on Python steps or the kernel's."""
     chain = Chain(kernel, Random(4))
     chain.advance(30)
     stages = [(1.0, 2.0, 2.0, 1.0), (1.1, 1.8, 2.0, 1.3), (1.2, 1.6, 2.0, 1.7)]
-    return chain.anneal(stages, 14, 25, 4, pows), chain.rng.getstate()
+    log_pows = _log_pows((1.1, 0.9, 1.0, 1.3), len(kernel.reference_masks))
+    return chain.ais(stages, 5, 4, log_pows), chain.rng.getstate()
+
+
+# (graph, target): the octahedron's planned image of (1,1,5,1), and torus 2x2
+# at (1,3,3,1); ten stages of one lazy step each are far too few for the
+# chain to follow the measure from stage to stage
+@pytest.mark.parametrize("graph, target", [(gen_octahedron(), (3, 3, 3, 1)),
+                                           (gen_torus(2, 2), (1, 3, 3, 1))],
+                         ids=["octahedron", "torus2x2"])
+def test_ais_weights_are_unbiased_where_the_chain_cannot_keep_up(graph, target):
+    # E[w] = Z(target) / Z(1,1,1,1) for every number of steps per stage.  At
+    # seed 2 the means lie 0.8 and -0.6 standard errors from it; a start at
+    # the bare reference orientation missed by +66 and -62, and a weight
+    # taken before a stage's steps instead of after them by -13 and -17
+    kernel, q, particles = CycleKernel(graph), 10, 20_000
+    ratios = [t ** (1 / q) for t in target]
+    stages = [tuple(r**g for r in ratios) for g in range(q)]
+    log_pows = _log_pows(ratios, graph.vertex_count)
+    log_weights = Chain(kernel, Random(2)).ais(stages, particles, 1, log_pows)
+    weights = [math.exp(x) for x in log_weights]
+    mean = sum(weights) / particles
+    sd = math.sqrt(sum((w - mean) ** 2 for w in weights) / (particles - 1))
+    census = census_8v(graph)
+    exact = float(census.evaluate(target) / census.evaluate((1, 1, 1, 1)))
+    assert abs(mean - exact) < 4 * sd / math.sqrt(particles)
 
 
 def test_two_threads_build_their_first_chains_at_once(monkeypatch, tmp_path):
@@ -561,11 +589,11 @@ NATIVE_KERNELS = {
     **{f"one-vertex-{n}": _one_vertex_moves(n) for n in (1, 2, 3, 5, 9, 17, 37, 65, 145)},
 }
 WEIGHT = st.floats(0.05, 20.0)
-# (blocks, thinning, burn-in, then: advance blocks * thinning steps, record
-# the masks after each block, or anneal through the stages `weights`;
+# (blocks, thinning, then: advance blocks * thinning steps, record the masks
+# after each block, or run `blocks` particles through the stages `weights`;
 # and whether to rebuild both chains from the generators read back from them)
-RUN = st.tuples(st.integers(0, 40), st.integers(1, 30), st.integers(0, 25),
-                st.sampled_from(["advance", "record", "anneal"]), st.booleans())
+RUN = st.tuples(st.integers(0, 40), st.integers(1, 30),
+                st.sampled_from(["advance", "record", "ais"]), st.booleans())
 # words drawn before the chains are built: the kernel's tempered buffer must
 # be filled from a state copied in at any index, before and after a twist
 SKIPS = (0, 1, 311, 623, 625)
@@ -583,27 +611,29 @@ SKIPS = (0, 1, 311, 623, 625)
 )
 @example(name="torus4x4", seed=1, skip=0, call_steps=1 << 20, weights=[(1.0, 2.0, 2.0, 1.0)],
          ratios=(1.1, 0.9, 1.0, 1.3),
-         runs=[(1, _RECOUNT_PERIOD + 7, 0, "advance", False), (3, 7, 0, "record", False),
-               (3, 7, 5, "anneal", False)])
-# one-block and two-block stages show a sum that rounds once more or less
+         runs=[(1, _RECOUNT_PERIOD + 7, "advance", False), (3, 7, "record", False),
+               (3, 7, "ais", False)])
+# log weights over many stages add up to a total that rounds at every stage
 @example(name="torus4x4", seed=3, skip=0, call_steps=1 << 20, weights=[(1.0, 1.2, 0.9, 1.1)] * 3,
          ratios=(1.1, 0.7, 1.3, 0.37),
-         runs=[(1, 2, 0, "anneal", False)] * 20 + [(2, 2, 0, "anneal", False)] * 20)
+         runs=[(1, 2, "ais", False)] * 20 + [(2, 2, "ais", False)] * 20)
 @example(name="one-vertex-145", seed=2, skip=0, call_steps=1 << 20, weights=[(1.0,) * 4],
-         ratios=(1.0,) * 4, runs=[(_RECOUNT_PERIOD // 3 + 1, 3, 0, "anneal", False)])
+         ratios=(1.0,) * 4, runs=[(_RECOUNT_PERIOD // 3 + 1, 3, "ais", False)])
 @example(name="k44", seed=5, skip=623, call_steps=1 << 20, weights=[(1.0, 3.0, 0.5, 2.0)],
          ratios=(1.1, 0.9, 1.0, 1.3),
-         runs=[(5, 3, 0, "anneal", True), (40, 30, 0, "record", True)])
+         runs=[(5, 3, "ais", True), (40, 30, "record", True)])
 @example(name="torus2x2", seed=7, skip=625, call_steps=1 << 20, weights=[(2.0, 1.0, 1.0, 0.5)],
          ratios=(0.8, 1.2, 1.0, 1.1),
-         runs=[(0, 1, 0, "advance", True), (1, 1, 3, "anneal", True)])
-# stages of 61 steps at 10 steps a call: burn-in split across calls, blocks
-# cut at call ends, and a block longer than a call made whole
+         runs=[(0, 1, "advance", True), (1, 1, "ais", True)])
+# particles of 3 stages of 4 or 13 steps at 10 or 7 steps a call: calls that
+# end inside a stage, at a stage's end, and at a particle's end
 @example(name="torus4x4", seed=11, skip=311, call_steps=10,
          weights=[(1.0, 2.0, 2.0, 1.0), (1.2, 1.7, 2.1, 0.9), (0.8, 1.5, 2.4, 1.1)],
          ratios=(1.1, 0.9, 1.0, 1.3),
-         runs=[(12, 3, 25, "anneal", False), (4, 13, 2, "anneal", True),
-               (9, 4, 0, "record", False)])
+         runs=[(12, 4, "ais", False), (4, 13, "ais", True), (9, 4, "record", False)])
+@example(name="octahedron-face", seed=13, skip=1, call_steps=7,
+         weights=[(1.0, 2.0, 2.0, 1.0), (1.2, 1.7, 2.1, 0.9)], ratios=(1.1, 0.9, 1.0, 1.3),
+         runs=[(5, 7, "ais", False), (3, 1, "ais", False)])
 def test_native_chain_matches_python_chain(name, seed, skip, call_steps, weights, ratios, runs):
     from eightvertex import _native
 
@@ -617,23 +647,24 @@ def test_native_chain_matches_python_chain(name, seed, skip, call_steps, weights
     native, python = (Chain(kernel, rng) for rng in rngs)
     assert native._native is not None and python._native is None
     n = len(kernel.reference_masks)
-    pows = tuple(tuple(r**count for count in range(n + 1)) for r in ratios)
+    log_pows = _log_pows(ratios, n)
     with patch.object(_native, "CALL_STEPS", call_steps):
-        for index, (blocks, thinning, burn_in, kind, rebuild) in enumerate(runs):
+        for index, (blocks, thinning, kind, rebuild) in enumerate(runs):
             # no call makes more steps than CALL_STEPS, unless one block does
             most = max(call_steps, thinning)
-            if kind == "anneal":
+            if kind == "ais":
                 calls = []
                 native._recount = lambda steps, chain=native: (
                     calls.append(steps), Chain._recount(chain, steps))
-                sums = native.anneal(weights, burn_in, blocks, thinning, pows)
+                log_weights = native.ais(weights, blocks, thinning, log_pows)
                 del native._recount
-                # bit-equal sums: the same float operations in the same order
-                assert sums == python.anneal(weights, burn_in, blocks, thinning, pows)
-                assert len(sums) == len(weights)
-                total = len(weights) * (burn_in + blocks * thinning)
-                assert sum(calls) == total and all(c <= most for c in calls)
-                if total > most:
+                # bit-equal weights: the same float operations in the same order
+                assert log_weights == python.ais(weights, blocks, thinning, log_pows)
+                assert len(log_weights) == blocks
+                # a call may end inside a stage: none makes more than CALL_STEPS
+                total = blocks * len(weights) * thinning
+                assert sum(calls) == total and all(c <= call_steps for c in calls)
+                if total > call_steps:
                     assert len(calls) > 1
             else:
                 for chain in (native, python):
