@@ -9,13 +9,13 @@
    copied in with words left to draw (tempered = 0) is tempered on the
    first call.  The mt array stays the untempered state that getstate()
    returns.  chain_run makes plain or recorded blocks at the weights set
-   from Python; chain_ais runs a chain's particles of annealed importance
-   sampling (Neal, Statistics and Computing 2001), each from an exact
-   uniform start through every stage, from a cursor kept in the state, so
-   that a caller can cut it into calls of bounded length.  Both fill the
-   factor tables from the four class weights with the same divisions as
-   Chain.set_params, at the flip masks the moves use.  Build with
-   -ffp-contract=off, so that no multiply and add fuse into one rounding. */
+   from Python; chain_ais runs particles of annealed importance sampling
+   (Neal, Statistics and Computing 2001), each from an exact uniform start
+   through every stage.  Every call runs to its end: Chain bounds a call by
+   the blocks or particles it hands over.  Both fill the factor tables from
+   the four class weights with the same divisions as Chain.set_params, at
+   the flip masks the moves use.  Build with -ffp-contract=off, so that no
+   multiply and add fuse into one rounding. */
 #include <stdint.h>
 #include <string.h>
 
@@ -38,9 +38,6 @@ struct chain {
     uint8_t *masks;        /* per vertex, the labels that point in */
     double factors[256];   /* [xm << 4 | mask]: the weight ratio of flipping xm at mask */
     uint32_t words[N];     /* mt tempered: the next draws are words[index..] */
-    int64_t particle;      /* chain_ais's cursor: the particle it runs, */
-    int64_t stage;         /* the stage of it that it runs next */
-    int64_t done;          /* and the steps of that stage made so far */
 };
 
 static void twist(uint32_t *mt)
@@ -163,50 +160,36 @@ void chain_run(struct chain *c, int64_t blocks, int64_t thinning, uint8_t *recor
     run_blocks(c, blocks, thinning, record);
 }
 
-/* Runs `particles` particles from the cursor (particle, stage, done), for
-   at most `budget` steps, and returns the steps it made.  A particle starts
-   uniformly on the coset: the reference orientation xor each move, in move
-   order, where a coin (a word's top bit, as getrandbits(1)) says so; any
-   move set of full rank makes this exact.  Stage g sets the class weights
-   to params[4g .. 4g+3], makes `thinning` steps, then adds
+/* Runs `particles` particles.  A particle starts uniformly on the coset:
+   the reference orientation xor each move, in move order, where a coin (a
+   word's top bit, as getrandbits(1)) says so; any move set of full rank
+   makes this exact.  Stage g sets the class weights to params[4g .. 4g+3],
+   makes `thinning` steps, then adds
    ((lp_0[n_0] + lp_1[n_1]) + lp_2[n_2]) + lp_3[n_3] to logw[particle],
-   where lp_i is the table log_pows + i * stride indexed by class count.
-   A call that stops inside a stage leaves the cursor there, and the next
-   call resumes it. */
-int64_t chain_ais(struct chain *c, int64_t particles, int64_t stages, const double *params,
-                  int64_t thinning, const double *log_pows, int32_t stride, double *logw,
-                  int64_t budget)
+   where lp_i is the table log_pows + i * stride indexed by class count. */
+void chain_ais(struct chain *c, int64_t particles, int64_t stages, const double *params,
+               int64_t thinning, const double *log_pows, int32_t stride, double *logw)
 {
     const double *lp = log_pows;
     int32_t *n = c->counts, j, v;
     const int32_t *e;
-    int64_t made = 0, steps;
+    int64_t p, g;
     ready(c);
-    for (; c->particle < particles; c->particle++, c->stage = 0) {
-        if (c->stage == 0 && c->done == 0) { /* a particle not started yet */
-            if (made >= budget)
-                break;
-            memcpy(c->masks, c->reference, c->nvertices);
-            for (j = 0; j < c->nmoves; j++)
-                if (draw(c, &c->index) >> 31)
-                    for (e = c->touch + c->start[j]; e < c->touch + c->start[j + 1]; e++)
-                        c->masks[*e >> 4] ^= *e & 15;
-            memset(n, 0, sizeof c->counts);
-            for (v = 0; v < c->nvertices; v++)
-                n[c->classes[c->masks[v]]]++;
-        }
-        for (; c->stage < stages; c->stage++, c->done = 0) {
-            memcpy(c->weights, params + 4 * c->stage, sizeof c->weights);
+    for (p = 0; p < particles; p++) {
+        memcpy(c->masks, c->reference, c->nvertices);
+        for (j = 0; j < c->nmoves; j++)
+            if (draw(c, &c->index) >> 31)
+                for (e = c->touch + c->start[j]; e < c->touch + c->start[j + 1]; e++)
+                    c->masks[*e >> 4] ^= *e & 15;
+        memset(n, 0, sizeof c->counts);
+        for (v = 0; v < c->nvertices; v++)
+            n[c->classes[c->masks[v]]]++;
+        for (g = 0; g < stages; g++) {
+            memcpy(c->weights, params + 4 * g, sizeof c->weights);
             fill_factors(c);
-            steps = thinning - c->done < budget - made ? thinning - c->done : budget - made;
-            run_blocks(c, 1, steps, NULL);
-            c->done += steps;
-            made += steps;
-            if (c->done < thinning)
-                return made;
-            logw[c->particle] += ((lp[n[0]] + lp[stride + n[1]]) + lp[2 * stride + n[2]])
-                                 + lp[3 * stride + n[3]];
+            run_blocks(c, 1, thinning, NULL);
+            logw[p] += ((lp[n[0]] + lp[stride + n[1]]) + lp[2 * stride + n[2]])
+                       + lp[3 * stride + n[3]];
         }
     }
-    return made;
 }

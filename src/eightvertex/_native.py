@@ -21,9 +21,6 @@ from .states import CLASS16
 
 SOURCE = Path(__file__).with_name("_chain.c")
 BUILD = ("cc", "-O2", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC")
-# the most steps one call makes (or one block, if longer), so that Ctrl-C is
-# seen between calls
-CALL_STEPS = 1 << 20
 _LIB = None  # the loaded library, or False once it failed
 _LOCK = threading.Lock()
 
@@ -39,7 +36,6 @@ class _State(ctypes.Structure):  # struct chain of _chain.c
         ("start", pointer(int32)), ("touch", pointer(int32)),
         ("reference", pointer(ctypes.c_uint8)), ("masks", pointer(ctypes.c_uint8)),
         ("factors", ctypes.c_double * 256), ("words", ctypes.c_uint32 * 624),
-        ("particle", ctypes.c_int64), ("stage", ctypes.c_int64), ("done", ctypes.c_int64),
     ]
 
 
@@ -87,9 +83,9 @@ def _build():
     # the state goes by address: ctypes caches POINTER(_State) for good, and
     # every fresh import of this module makes a new _State
     i64, doubles = ctypes.c_int64, pointer(ctypes.c_double)
-    run.restype, ais.restype = None, i64
+    run.restype = ais.restype = None
     run.argtypes = (ctypes.c_void_p, i64, i64, pointer(ctypes.c_uint8))
-    ais.argtypes = (ctypes.c_void_p, i64, i64, doubles, i64, doubles, int32, doubles, i64)
+    ais.argtypes = (ctypes.c_void_p, i64, i64, doubles, i64, doubles, int32, doubles)
     return lib
 
 
@@ -98,9 +94,9 @@ class NativeChain:
 
     ``masks``, ``counts`` and ``weights`` are ctypes arrays, which the
     kernel reads and steps in place and ``mcmc.Chain`` reads and writes as
-    it does its lists.  ``ais`` hands the kernel all of a chain's particles,
-    which it runs in calls of at most ``CALL_STEPS`` steps from a cursor in
-    the state.  The generator's MT19937 state is copied from ``rng`` here, once,
+    it does its lists.  Each method makes exactly one kernel call, which runs
+    to its end; ``mcmc.Chain`` decides how much one call runs.  The
+    generator's MT19937 state is copied from ``rng`` here, once,
     and the kernel tempers it into its word buffer on its first call;
     ``write_state`` copies the untempered state back.
     """
@@ -129,34 +125,18 @@ class NativeChain:
         version, _, gauss = rng.getstate()
         rng.setstate((version, (*self._state.mt, self._state.index), gauss))
 
-    def advance(self, steps: int):
-        """``Chain.advance``'s steps, in calls of at most ``CALL_STEPS``."""
-        for blocks in calls(steps, 1):
-            _LIB.chain_run(self._address, blocks, 1, None)
-
-    def record(self, blocks: int, thinning: int) -> bytearray:
-        """Run ``blocks`` blocks in one call; return the masks after each of them."""
-        masks = bytearray(blocks * len(self.masks))
-        _LIB.chain_run(self._address, blocks, thinning,
-                       (ctypes.c_uint8 * len(masks)).from_buffer(masks))
+    def run(self, blocks: int, thinning: int, record: bool = False) -> bytearray | None:
+        """``blocks`` blocks of ``thinning`` steps; with ``record``, the masks after each."""
+        masks = bytearray(blocks * len(self.masks)) if record else None
+        buffer = masks if masks is None else (ctypes.c_uint8 * len(masks)).from_buffer(masks)
+        _LIB.chain_run(self._address, blocks, thinning, buffer)
         return masks
 
-    def ais(self, stages, particles: int, thinning: int, log_pows, recount):
-        """``Chain.ais``'s log weights, calling ``recount`` with each call's steps."""
+    def ais(self, stages, particles: int, thinning: int, log_pows) -> list[float]:
+        """``particles`` particles of ``Chain.ais``; return their log weights."""
         n, q = len(self.masks), len(stages)
         params = (ctypes.c_double * (4 * q))(*[w for stage in stages for w in stage])
         table = (ctypes.c_double * (4 * n + 4))(*[t[c] for t in log_pows for c in range(n + 1)])
         log_weights = (ctypes.c_double * particles)()
-        state = self._state
-        state.particle, state.stage, state.done = 0, 0, 0
-        while state.particle < particles:
-            recount(_LIB.chain_ais(self._address, particles, q, params, thinning, table, n + 1,
-                                   log_weights, CALL_STEPS))
+        _LIB.chain_ais(self._address, particles, q, params, thinning, table, n + 1, log_weights)
         return list(log_weights)
-
-
-def calls(samples: int, thinning: int):
-    """Split ``samples`` blocks into calls of at most ``CALL_STEPS`` steps, or one block."""
-    per_call = max(1, CALL_STEPS // max(1, thinning))
-    for done in range(0, samples, per_call):
-        yield min(per_call, samples - done)

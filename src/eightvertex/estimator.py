@@ -173,24 +173,6 @@ def build_schedule(
     return schedule
 
 
-class _Stopped(Exception):
-    """A pooled chain reached a call boundary after its pool began to stop."""
-
-
-class _PooledChain(Chain):
-    """A ``Chain`` that raises ``_Stopped`` at its next call boundary once ``stop`` is set:
-    its ``_recount`` runs after each kernel call, or each stage on the Python steps."""
-
-    def __init__(self, kernel: CycleKernel, rng: Random, stop: threading.Event):
-        self._stop = stop
-        super().__init__(kernel, rng)
-
-    def _recount(self, steps: int):
-        if self._stop.is_set():
-            raise _Stopped
-        super()._recount(steps)
-
-
 def _pin(cpus) -> None:
     with contextlib.suppress(OSError):  # the allowed set changed since it was read
         os.sched_setaffinity(0, cpus)
@@ -217,21 +199,21 @@ def _run_pinned(count: int, task, stop: threading.Event):
     ``_cpu_order``, so that concurrent processes start apart.  The
     threads pull indices from one counter, so a loaded CPU takes fewer.  A
     helper's exception reaches the caller.  On any exit the caller sets
-    ``stop``, joins the helpers and restores its affinity.  Without
-    ``os.sched_getaffinity`` the caller runs every task alone.
+    ``stop``, joins the helpers and restores its affinity; a task is to
+    return early once ``stop`` is set, and no thread takes a new index then.
+    Without ``os.sched_getaffinity`` the caller runs every task alone.
     """
     before = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
     cpus = _cpu_order(before, os.getpid(), count)
     indices, lock, errors, helpers = iter(range(count)), threading.Lock(), [], []
 
     def work():
-        with contextlib.suppress(_Stopped):  # a stop: the caller raises what caused it
-            while not stop.is_set():
-                with lock:
-                    i = next(indices, None)
-                if i is None:
-                    return
-                task(i)
+        while not stop.is_set():
+            with lock:
+                i = next(indices, None)
+            if i is None:
+                return
+            task(i)
 
     def helper(cpu):
         _pin({cpu})
@@ -316,8 +298,9 @@ def anneal_estimate(
     master = Random(cfg.seed)
     # the pilot's chain loads the kernel in this thread: loaded by a helper,
     # it added 0.35 MB to the anneal benchmark's peak RSS
-    pilot = Chain(kernel, Random(master.getrandbits(64))).ais(
+    pilot = [x for batch in Chain(kernel, Random(master.getrandbits(64))).ais(
         schedule.params[:-1], PILOT_PARTICLES, schedule.thinning, schedule.log_pows)
+        for x in batch]
     seeds = [master.getrandbits(64) for _ in range(schedule.groups)]
     variance = _variance(pilot)
     particles = _particle_count(schedule, variance, eps)
@@ -353,19 +336,22 @@ def _variance(xs) -> float:
 def _run_chains(kernel: CycleKernel, schedule: AnnealSchedule, particles: int, seeds) -> list:
     """Each group chain's ln of its mean weight, in chain order.
 
-    A chain runs its particles in ``Chain.ais`` calls of at most ``CALL_STEPS``
-    steps (or one particle), so its memory does not grow with N; the mean is
-    kept as the largest log weight ``top`` and the sum of exp(x - top).
+    ``Chain.ais`` yields a chain's log weights one call at a time, so its
+    memory does not grow with N; the mean is kept as the largest log weight
+    ``top`` and the sum of exp(x - top).  A chain returns early once the pool
+    stops: it sees the stop after each call, on either step path, so after
+    at most ``CALL_STEPS`` steps, or one particle where that is longer (at
+    spread ln 2, when its q T steps pass 2^20, near n = 600).
     """
-    from ._native import calls
-
     stop, log_means = threading.Event(), [None] * len(seeds)
-    per_particle = (len(schedule.params) - 1) * schedule.thinning
 
     def run_chain(i):
-        chain, top, total = _PooledChain(kernel, Random(seeds[i]), stop), -math.inf, 0.0
-        for batch in calls(particles, per_particle):
-            for x in chain.ais(schedule.params[:-1], batch, schedule.thinning, schedule.log_pows):
+        chain, top, total = Chain(kernel, Random(seeds[i])), -math.inf, 0.0
+        for batch in chain.ais(schedule.params[:-1], particles, schedule.thinning,
+                               schedule.log_pows):
+            if stop.is_set():  # the caller raises what stopped the pool
+                return
+            for x in batch:
                 if x > top:
                     total, top = total * math.exp(top - x) + 1.0, x
                 else:

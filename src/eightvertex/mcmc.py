@@ -24,13 +24,14 @@ MT19937 state in native memory and draws exactly as CPython 3.10-3.13's
 ``random.Random`` does.  It tempers each twist's 624 words into a buffer,
 so a draw is a load, and fills the factor tables itself from the four
 class weights, so ``set_params`` does no per-entry work in Python.
-``Chain.ais`` hands it all of a chain's particles of annealed importance
-sampling, which it runs in a few calls.  The first chain built in a
-process compiles it with ``cc`` into this package's ``__pycache__``, under
-a name keyed by the source and the flags, unless that file is there
-already (see ``_native``).  Without a compiler or a writable cache, or for
-a generator that is not exactly ``random.Random``, the same steps run in
-Python, which is also the kernel's oracle in the tests.
+``Chain`` alone cuts its work into calls (``calls``) of at most
+``CALL_STEPS`` steps, or one block or particle of annealed importance
+sampling where that is longer, so that Ctrl-C is seen between calls.  The
+first chain built in a process compiles it with ``cc`` into this package's
+``__pycache__``, under a name keyed by the source and the flags, unless
+that file is there already (see ``_native``).  Without a compiler or a
+writable cache, or for a generator that is not exactly ``random.Random``,
+the same steps run in Python, the kernel's oracle in the tests.
 """
 from __future__ import annotations
 
@@ -50,6 +51,8 @@ DIAGNOSTIC_DIM_CAP = 12
 DIAGNOSTIC_MAX_STEPS = 200_000
 # the probability that a step holds the state without drawing a move
 LAZINESS = 0.5
+# the most steps one call makes (or one block, if longer)
+CALL_STEPS = 1 << 20
 _RECOUNT_PERIOD = 1 << 16
 # the masks of even in-degree (the only ones an even orientation has), and
 # per flip mask xm and in-mask m the step (m ^ xm, class before, class after)
@@ -110,6 +113,13 @@ def _load_kernel():
     return _native.load()
 
 
+def calls(samples: int, thinning: int):
+    """Split ``samples`` blocks into calls of at most ``CALL_STEPS`` steps, or one block."""
+    per_call = max(1, CALL_STEPS // max(1, thinning))
+    for done in range(0, samples, per_call):
+        yield min(per_call, samples - done)
+
+
 class Chain:
     """Lazy Metropolis chain on a kernel's coset, started at the reference orientation.
 
@@ -135,9 +145,11 @@ class Chain:
     each call and each stage of a particle.
     Otherwise (another generator, or no kernel) they are lists and the
     same steps run in Python.  Both paths give the same masks, counts,
-    log weights, ``steps`` and generator state, bit for bit.  ``steps`` counts
-    every step made; each time it passes a multiple of ``_RECOUNT_PERIOD``
-    the class counts are recounted from the masks.
+    log weights, ``steps`` and generator state, bit for bit.  ``advance``,
+    ``ais`` and ``mask_blocks`` make one kernel call (or one Python run) per
+    item of ``calls``, then count its steps in ``steps``; each time that
+    passes a multiple of ``_RECOUNT_PERIOD`` the class counts are recounted
+    from the masks.
     """
 
     def __init__(self, kernel: CycleKernel, rng: Random):
@@ -189,14 +201,15 @@ class Chain:
 
     def advance(self, steps: int):
         """Make ``steps`` steps at the current parameters."""
-        if self._native is None:
-            self._python_run(steps)
-        else:
-            self._native.advance(steps)
-        self._recount(steps)
+        for blocks in calls(steps, 1):
+            if self._native is None:
+                self._python_run(blocks)
+            else:
+                self._native.run(blocks, 1)
+            self._recount(blocks)
 
-    def ais(self, stages, particles: int, thinning: int, log_pows) -> list[float]:
-        """Run ``particles`` particles of annealed importance sampling; return their log weights.
+    def ais(self, stages, particles: int, thinning: int, log_pows) -> Iterator[list[float]]:
+        """Run ``particles`` particles of annealed importance sampling; yield each call's weights.
 
         A particle starts uniformly on the coset: the reference orientation
         xor each move, in move order, where ``getrandbits(1)`` says so.  Stage
@@ -205,39 +218,26 @@ class Chain:
         lp3[n3]``, ``lp_i = log_pows[i]`` at class i's count, to the log
         weight.  With stage 0 uniform and ``log_pows[i][c] = c ln r_i``, r the
         ratio of consecutive stages, E[weight] is Z(stages[-1] * r) / 2^k
-        however well the chain mixes.  The kernel's calls make at most
-        ``_native.CALL_STEPS`` steps.
+        however well the chain mixes.  A call runs whole particles (``calls``).
         """
         if len(log_pows) != 4:
             raise ValueError(f"log_pows needs one table per class, got {len(log_pows)}")
-        if self._native is not None:
-            return self._native.ais(stages, particles, thinning, log_pows, self._recount)
-        masks, counts, lp0, lp1, lp2, lp3 = self.masks, self.counts, *log_pows
-        log_weights = []
-        for _ in range(particles):
-            masks[:] = self.kernel.reference_masks
-            for flips in self.kernel.touch:
-                if self._rng.getrandbits(1):
-                    for v, xm in flips:
-                        masks[v] ^= xm
-            counts[:], log_w = self._class_counts(), 0.0
-            for weights in stages:
-                self.set_params(weights)
-                self._python_run(thinning)
-                self._recount(thinning)
-                log_w += lp0[counts[0]] + lp1[counts[1]] + lp2[counts[2]] + lp3[counts[3]]
-            log_weights.append(log_w)
-        return log_weights
+        per_particle = len(stages) * thinning
+        for batch in calls(particles, per_particle):
+            if self._native is None:
+                log_weights = self._python_ais(stages, batch, thinning, log_pows)
+            else:
+                log_weights = self._native.ais(stages, batch, thinning, log_pows)
+            self._recount(batch * per_particle)
+            yield log_weights
 
     def mask_blocks(self, samples: int, thinning: int) -> Iterator[bytearray]:
         """Run ``samples`` blocks of ``thinning`` steps, recording the masks after each.
 
-        Yields, per call of at most ``_native.CALL_STEPS`` steps (or one
-        block), the in-masks after each of its blocks: one byte per vertex,
-        one block after another.
+        Yields, per call of at most ``CALL_STEPS`` steps (or one block), the
+        in-masks after each of its blocks: one byte per vertex, one block
+        after another.
         """
-        from ._native import calls
-
         for blocks in calls(samples, thinning):
             if self._native is None:
                 masks = bytearray()
@@ -245,7 +245,7 @@ class Chain:
                     self._python_run(thinning)
                     masks.extend(self.masks)
             else:
-                masks = self._native.record(blocks, thinning)
+                masks = self._native.run(blocks, thinning, record=True)
             self._recount(blocks * thinning)
             yield masks
 
@@ -262,6 +262,23 @@ class Chain:
         for m in self.masks:
             counts[CLASS16[m]] += 1
         return counts
+
+    def _python_ais(self, stages, particles: int, thinning: int, log_pows) -> list[float]:
+        masks, counts, lp0, lp1, lp2, lp3 = self.masks, self.counts, *log_pows
+        log_weights = []
+        for _ in range(particles):
+            masks[:] = self.kernel.reference_masks
+            for flips in self.kernel.touch:
+                if self._rng.getrandbits(1):
+                    for v, xm in flips:
+                        masks[v] ^= xm
+            counts[:], log_w = self._class_counts(), 0.0
+            for weights in stages:
+                self.set_params(weights)
+                self._python_run(thinning)
+                log_w += lp0[counts[0]] + lp1[counts[1]] + lp2[counts[2]] + lp3[counts[3]]
+            log_weights.append(log_w)
+        return log_weights
 
     def _python_run(self, steps: int):
         masks, counts, moves = self.masks, self.counts, self._moves

@@ -137,14 +137,25 @@ def test_variance_adds_left_to_right():
 
 
 def test_batches_draw_what_one_call_draws(monkeypatch, octahedron):
-    # a chain runs its particles in Chain.ais calls of at most CALL_STEPS
-    # steps; cut into a call per particle, every group's mean, and so every
-    # bit, stays
+    # a chain runs its particles in calls of at most CALL_STEPS steps, or one
+    # particle; cut into a call per particle, pilot included, every group's
+    # mean, and so every bit, stays
     whole = anneal_estimate(octahedron, (2, 2, 3, 1), 0.05, 0.25, ChainConfig(seed=8))
     assert whole.diagnostics["particles"] > 1
-    monkeypatch.setattr(_native, "CALL_STEPS", 1)
+    made, native_ais, python_ais = [], _native.NativeChain.ais, Chain._python_ais
+
+    def counted(run):
+        def call(self, stages, particles, *args):
+            made.append(particles)
+            return run(self, stages, particles, *args)
+        return call
+
+    monkeypatch.setattr(_native.NativeChain, "ais", counted(native_ais))
+    monkeypatch.setattr(Chain, "_python_ais", counted(python_ais))
+    monkeypatch.setattr(mcmc, "CALL_STEPS", 1)
     cut = anneal_estimate(octahedron, (2, 2, 3, 1), 0.05, 0.25, ChainConfig(seed=8))
     assert cut.to_jsonable() == whole.to_jsonable()
+    assert made == [1] * (PILOT_PARTICLES + cut.groups * cut.diagnostics["particles"])
 
 
 def test_anneal_rejects_targets_outside_region(octahedron):
@@ -471,7 +482,8 @@ def test_ctrl_c_stops_the_helpers_at_their_next_call(monkeypatch, octahedron, st
 
     def interrupted_ais(self, *args):
         if chain_index[self] < 0:  # the pilot runs in the caller before any group
-            return ais(self, *args)
+            yield from ais(self, *args)
+            return
         if threading.current_thread() is caller:
             if has_helpers:
                 helping.wait(10)
@@ -479,7 +491,7 @@ def test_ctrl_c_stops_the_helpers_at_their_next_call(monkeypatch, octahedron, st
         helping.set()
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline:
-            ais(self, *args)
+            yield from ais(self, *args)
         finished.append(self)
 
     monkeypatch.setattr(Chain, "ais", interrupted_ais)

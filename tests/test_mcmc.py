@@ -322,14 +322,12 @@ def test_sample_rows_match_the_per_edge_forms(name, seed, params, samples, burn_
 @pytest.mark.parametrize("native", [True, False], ids=["native", "python"])
 @pytest.mark.parametrize("name", ["torus4x4", "loop_graph"])
 def test_sample_rows_span_several_record_calls(monkeypatch, name, native):
-    from eightvertex import _native
-
     if native and mcmc._load_kernel() is None:
         pytest.skip("the compiled kernel is not available on this host")
     if not native:
         monkeypatch.setattr(mcmc, "_load_kernel", lambda: None)
     # at most 10 steps a call: with thinning 3, 25 samples take 8 calls of 3 blocks and one of 1
-    monkeypatch.setattr(_native, "CALL_STEPS", 10)
+    monkeypatch.setattr(mcmc, "CALL_STEPS", 10)
     graph, recorded, emitted, mask_blocks = FIXTURE_GRAPHS[name], [], [], Chain.mask_blocks
 
     def spy(chain, samples, thinning):
@@ -348,6 +346,20 @@ def test_sample_rows_span_several_record_calls(monkeypatch, name, native):
     assert recorded == [len(rows) for rows in emitted] == [3] * 8 + [1]
     rows = np.concatenate(emitted)
     _check_rows(graph, rows, _rows_block_by_block(graph, (1, 2, 3, 1), 5, 25, 7, 3))
+
+
+@given(samples=st.integers(0, 3000), thinning=st.integers(1, 200),
+       call_steps=st.integers(1, 1000))
+@example(samples=0, thinning=1, call_steps=1)
+def test_calls_add_up_and_fill_every_call_but_the_last(samples, thinning, call_steps):
+    with patch.object(mcmc, "CALL_STEPS", call_steps):
+        cuts = list(mcmc.calls(samples, thinning))
+    assert sum(cuts) == samples
+    assert all(c >= 1 and c * thinning <= max(call_steps, thinning) for c in cuts)
+    # one more block would pass CALL_STEPS in every call but the last
+    assert all((c + 1) * thinning > call_steps for c in cuts[:-1])
+    if samples == 0:
+        assert cuts == []
 
 
 def test_empirical_class_frequencies_match_census(octahedron):
@@ -484,7 +496,7 @@ def test_the_ctypes_state_has_the_layout_of_struct_chain(tmp_path):
 def test_ais_needs_one_log_pow_table_per_class(octahedron, rng):
     chain = Chain(CycleKernel(octahedron), rng(1))
     with pytest.raises(ValueError, match="one table per class, got 3"):
-        chain.ais([(1.0, 2.0, 2.0, 1.0)], 1, 1, ((0.0,) * 7,) * 3)
+        list(chain.ais([(1.0, 2.0, 2.0, 1.0)], 1, 1, ((0.0,) * 7,) * 3))
 
 
 def _log_pows(ratios, n):
@@ -498,7 +510,7 @@ def _short_schedule(kernel):
     chain.advance(30)
     stages = [(1.0, 2.0, 2.0, 1.0), (1.1, 1.8, 2.0, 1.3), (1.2, 1.6, 2.0, 1.7)]
     log_pows = _log_pows((1.1, 0.9, 1.0, 1.3), len(kernel.reference_masks))
-    return chain.ais(stages, 5, 4, log_pows), chain.rng.getstate()
+    return list(chain.ais(stages, 5, 4, log_pows)), chain.rng.getstate()
 
 
 # (graph, target): the octahedron's planned image of (1,1,5,1), and torus 2x2
@@ -516,7 +528,8 @@ def test_ais_weights_are_unbiased_where_the_chain_cannot_keep_up(graph, target):
     ratios = [t ** (1 / q) for t in target]
     stages = [tuple(r**g for r in ratios) for g in range(q)]
     log_pows = _log_pows(ratios, graph.vertex_count)
-    log_weights = Chain(kernel, Random(2)).ais(stages, particles, 1, log_pows)
+    log_weights = [x for batch in Chain(kernel, Random(2)).ais(stages, particles, 1, log_pows)
+                   for x in batch]
     weights = [math.exp(x) for x in log_weights]
     mean = sum(weights) / particles
     sd = math.sqrt(sum((w - mean) ** 2 for w in weights) / (particles - 1))
@@ -625,8 +638,8 @@ SKIPS = (0, 1, 311, 623, 625)
 @example(name="torus2x2", seed=7, skip=625, call_steps=1 << 20, weights=[(2.0, 1.0, 1.0, 0.5)],
          ratios=(0.8, 1.2, 1.0, 1.1),
          runs=[(0, 1, "advance", True), (1, 1, "ais", True)])
-# particles of 3 stages of 4 or 13 steps at 10 or 7 steps a call: calls that
-# end inside a stage, at a stage's end, and at a particle's end
+# particles of 3 stages of 4 or 13 steps at 10 or 7 steps a call: a particle
+# longer than a call's steps runs alone, shorter ones share calls
 @example(name="torus4x4", seed=11, skip=311, call_steps=10,
          weights=[(1.0, 2.0, 2.0, 1.0), (1.2, 1.7, 2.1, 0.9), (0.8, 1.5, 2.4, 1.1)],
          ratios=(1.1, 0.9, 1.0, 1.3),
@@ -635,8 +648,6 @@ SKIPS = (0, 1, 311, 623, 625)
          weights=[(1.0, 2.0, 2.0, 1.0), (1.2, 1.7, 2.1, 0.9)], ratios=(1.1, 0.9, 1.0, 1.3),
          runs=[(5, 7, "ais", False), (3, 1, "ais", False)])
 def test_native_chain_matches_python_chain(name, seed, skip, call_steps, weights, ratios, runs):
-    from eightvertex import _native
-
     kernel = NATIVE_KERNELS[name]
     if mcmc._load_kernel() is None:
         pytest.skip("the compiled kernel is not available on this host")
@@ -648,24 +659,22 @@ def test_native_chain_matches_python_chain(name, seed, skip, call_steps, weights
     assert native._native is not None and python._native is None
     n = len(kernel.reference_masks)
     log_pows = _log_pows(ratios, n)
-    with patch.object(_native, "CALL_STEPS", call_steps):
+    with patch.object(mcmc, "CALL_STEPS", call_steps):
         for index, (blocks, thinning, kind, rebuild) in enumerate(runs):
             # no call makes more steps than CALL_STEPS, unless one block does
             most = max(call_steps, thinning)
             if kind == "ais":
-                calls = []
-                native._recount = lambda steps, chain=native: (
-                    calls.append(steps), Chain._recount(chain, steps))
-                log_weights = native.ais(weights, blocks, thinning, log_pows)
-                del native._recount
-                # bit-equal weights: the same float operations in the same order
-                assert log_weights == python.ais(weights, blocks, thinning, log_pows)
-                assert len(log_weights) == blocks
-                # a call may end inside a stage: none makes more than CALL_STEPS
-                total = blocks * len(weights) * thinning
-                assert sum(calls) == total and all(c <= call_steps for c in calls)
-                if total > call_steps:
-                    assert len(calls) > 1
+                steps = native.steps
+                batches = list(native.ais(weights, blocks, thinning, log_pows))
+                # bit-equal weights, call by call: the same float operations in the same order
+                assert batches == list(python.ais(weights, blocks, thinning, log_pows))
+                assert sum(map(len, batches)) == blocks
+                # a call runs whole particles: at most CALL_STEPS steps, or one particle
+                particle = len(weights) * thinning
+                assert native.steps - steps == blocks * particle
+                assert all(len(b) * particle <= max(call_steps, particle) for b in batches)
+                if blocks * particle > max(call_steps, particle):
+                    assert len(batches) > 1
             else:
                 for chain in (native, python):
                     chain.set_params(weights[index % len(weights)])
