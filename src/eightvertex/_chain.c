@@ -6,17 +6,24 @@
    ACM TOMACS 1998) words, random() from two words, and getrandbits(k) for
    k <= 32 as one word shifted right by 32 - k.  Each twist of the state
    tempers all 624 new words into a buffer, so a draw is one load; a state
-   copied in with words left to draw (tempered = 0) is tempered on the
-   first call.  The mt array stays the untempered state that getstate()
-   returns.  chain_run makes plain or recorded blocks at the weights set
-   from Python; chain_ais runs particles of annealed importance sampling
-   (Neal, Statistics and Computing 2001), each from an exact uniform start
-   through every stage.  Every call runs to its end: Chain bounds a call by
-   the blocks or particles it hands over.  Both fill the factor tables from
-   the four class weights with the same divisions as Chain.set_params, at
-   the flip masks the moves use.  Build with -ffp-contract=off, so that no
-   multiply and add fuse into one rounding. */
+   copied in with words left to draw is tempered on the first call.  The mt
+   array stays the untempered state that getstate() returns.  The laziness
+   coin, random() < 1/2 with random() = ((a >> 5) * 2^26 + (b >> 6)) / 2^53
+   for words a then b, holds exactly when a < 2^31: it tests the first word
+   and draws the second all the same.  chain_run makes plain or recorded
+   blocks at the weights set from Python; chain_ais runs particles of
+   annealed importance sampling (Neal, Statistics and Computing 2001), each
+   from an exact uniform start through every stage.  Every call runs to its
+   end: Chain bounds a call by the blocks or particles it hands over.  The
+   factor tables hold the class-weight ratio of each slot, a flip mask some
+   move uses at an even in-mask; the first call lists the slots, and a
+   fill copies each slot's ratio from the 16 ratios of the class weights,
+   divided as Chain.set_params divides them.  chain_run divides at each
+   call; chain_ais divides each stage's ratios once per call, so a stage of
+   a particle only copies slots.  Build with -O3 and -ffp-contract=off, and
+   without -ffast-math, so that every float operation rounds as written. */
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define N 624
@@ -25,17 +32,18 @@
 struct chain {
     uint32_t mt[N];      /* the state of random.Random: getstate()[1] */
     int32_t index;
-    int32_t tempered;    /* whether words holds mt tempered */
+    int32_t started;     /* 0 until the first call tempers mt into words and lists the slots */
     int32_t nmoves, bits, nvertices;
     int32_t classes[16]; /* in-mask -> class (states.CLASS16), -1 for odd masks */
     int32_t counts[4];   /* vertices per class */
-    int32_t flips;       /* bit xm set where some move flips the labels xm of a vertex */
-    double laziness;
+    int32_t nslots;      /* the entries of slots and pairs in use */
     double weights[4];     /* the class weights of Chain.set_params */
     const int32_t *start;  /* move j is entries start[j] .. start[j+1]-1 of touch */
     const int32_t *touch;  /* per entry, vertex << 4 | the label bits it flips */
     const uint8_t *reference; /* per vertex, the reference orientation's in-mask */
     uint8_t *masks;        /* per vertex, the labels that point in */
+    uint8_t slots[128];    /* xm << 4 | mask: a flip mask some move uses, an even mask */
+    uint8_t pairs[128];    /* per slot, class(mask ^ xm) << 2 | class(mask) */
     double factors[256];   /* [xm << 4 | mask]: the weight ratio of flipping xm at mask */
     uint32_t words[N];     /* mt tempered: the next draws are words[index..] */
 };
@@ -85,29 +93,53 @@ static double random53(struct chain *c, int32_t *index)
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
-/* Tempers a state copied in with words left to draw, once. */
-static void ready(struct chain *c)
+/* Lists the slots: each flip mask that some touch entry applies with each
+   of the 8 even masks, the only masks an even orientation has; at most
+   16 * 8. */
+static void list_slots(struct chain *c)
 {
-    if (!c->tempered)
-        temper(c->mt, c->words);
-    c->tempered = 1;
+    uint32_t flips = 0;
+    int32_t e;
+    int xm, m;
+    for (e = 0; e < c->start[c->nmoves]; e++)
+        flips |= 1U << (c->touch[e] & 15);
+    c->nslots = 0;
+    for (xm = 0; xm < 16; xm++)
+        if (flips >> xm & 1)
+            for (m = 0; m < 16; m++)
+                if (c->classes[m] >= 0) {
+                    c->slots[c->nslots] = (uint8_t)(xm << 4 | m);
+                    c->pairs[c->nslots++] = (uint8_t)(c->classes[m ^ xm] << 2 | c->classes[m]);
+                }
 }
 
-/* Fills the factor tables from the weights as Chain.set_params does: one
-   division per ratio, then an entry per flip mask the moves use and even
-   mask, the only masks an even orientation has. */
-static void fill_factors(struct chain *c)
+/* Readies a chain on its first call: tempers the state copied in, with
+   words left to draw, and lists the slots. */
+static void ready(struct chain *c)
 {
-    double ratio[4][4];
-    int a, b, xm, m;
+    if (c->started)
+        return;
+    temper(c->mt, c->words);
+    list_slots(c);
+    c->started = 1;
+}
+
+/* ratio[a << 2 | b] = weights[a] / weights[b], one division each, as
+   Chain.set_params divides. */
+static void divide(const double *weights, double *ratio)
+{
+    int a, b;
     for (a = 0; a < 4; a++)
         for (b = 0; b < 4; b++)
-            ratio[a][b] = c->weights[a] / c->weights[b];
-    for (xm = 0; xm < 16; xm++)
-        if (c->flips >> xm & 1)
-            for (m = 0; m < 16; m++)
-                if (c->classes[m] >= 0)
-                    c->factors[xm << 4 | m] = ratio[c->classes[m ^ xm]][c->classes[m]];
+            ratio[a << 2 | b] = weights[a] / weights[b];
+}
+
+/* Fills each slot of the factor tables with its ratio. */
+static void fill_factors(struct chain *c, const double *ratio)
+{
+    int32_t s;
+    for (s = 0; s < c->nslots; s++)
+        c->factors[c->slots[s]] = ratio[c->pairs[s]];
 }
 
 /* Runs `blocks` blocks of `thinning` steps with the factor tables as they
@@ -118,7 +150,7 @@ static void run_blocks(struct chain *c, int64_t blocks, int64_t thinning, uint8_
 {
     uint8_t *masks = c->masks;
     const int32_t *touch = c->touch, *start = c->start, *cls = c->classes;
-    const double *factors = c->factors, laziness = c->laziness;
+    const double *factors = c->factors;
     uint32_t shift = 32 - c->bits, nmoves = c->nmoves, j;
     int32_t index = c->index, counts[4];
     int64_t b, t;
@@ -127,7 +159,9 @@ static void run_blocks(struct chain *c, int64_t blocks, int64_t thinning, uint8_
     for (b = 0; b < blocks; b++) {
         for (t = 0; t < thinning; t++) {
             double ratio = 1.0;
-            if (random53(c, &index) < laziness)
+            int lazy = draw(c, &index) < 0x80000000U;
+            draw(c, &index);
+            if (lazy)
                 continue;
             do
                 j = draw(c, &index) >> shift;
@@ -155,26 +189,36 @@ static void run_blocks(struct chain *c, int64_t blocks, int64_t thinning, uint8_
    `weights`, recording the masks after each block into `record` if given. */
 void chain_run(struct chain *c, int64_t blocks, int64_t thinning, uint8_t *record)
 {
+    double ratio[16];
     ready(c);
-    fill_factors(c);
+    divide(c->weights, ratio);
+    fill_factors(c, ratio);
     run_blocks(c, blocks, thinning, record);
 }
 
 /* Runs `particles` particles.  A particle starts uniformly on the coset:
    the reference orientation xor each move, in move order, where a coin (a
    word's top bit, as getrandbits(1)) says so; any move set of full rank
-   makes this exact.  Stage g sets the class weights to params[4g .. 4g+3],
-   makes `thinning` steps, then adds
+   makes this exact.  Stage g fills the factor tables at the class weights
+   params[4g .. 4g+3], makes `thinning` steps, then adds
    ((lp_0[n_0] + lp_1[n_1]) + lp_2[n_2]) + lp_3[n_3] to logw[particle],
-   where lp_i is the table log_pows + i * stride indexed by class count. */
-void chain_ais(struct chain *c, int64_t particles, int64_t stages, const double *params,
-               int64_t thinning, const double *log_pows, int32_t stride, double *logw)
+   where lp_i is the table log_pows + i * stride indexed by class count.
+   As on Python's steps, the class weights end at the last stage run.
+   Returns 0, or -1 without a step where the stages' ratios do not fit in
+   memory. */
+int chain_ais(struct chain *c, int64_t particles, int64_t stages, const double *params,
+              int64_t thinning, const double *log_pows, int32_t stride, double *logw)
 {
     const double *lp = log_pows;
+    double *ratios = malloc((size_t)stages * 16 * sizeof *ratios);
     int32_t *n = c->counts, j, v;
     const int32_t *e;
     int64_t p, g;
+    if (ratios == NULL && stages > 0)
+        return -1;
     ready(c);
+    for (g = 0; g < stages; g++)
+        divide(params + 4 * g, ratios + 16 * g);
     for (p = 0; p < particles; p++) {
         memcpy(c->masks, c->reference, c->nvertices);
         for (j = 0; j < c->nmoves; j++)
@@ -185,11 +229,14 @@ void chain_ais(struct chain *c, int64_t particles, int64_t stages, const double 
         for (v = 0; v < c->nvertices; v++)
             n[c->classes[c->masks[v]]]++;
         for (g = 0; g < stages; g++) {
-            memcpy(c->weights, params + 4 * g, sizeof c->weights);
-            fill_factors(c);
+            fill_factors(c, ratios + 16 * g);
             run_blocks(c, 1, thinning, NULL);
             logw[p] += ((lp[n[0]] + lp[stride + n[1]]) + lp[2 * stride + n[2]])
                        + lp[3 * stride + n[3]];
         }
     }
+    if (particles > 0 && stages > 0)
+        memcpy(c->weights, params + 4 * (stages - 1), sizeof c->weights);
+    free(ratios);
+    return 0;
 }

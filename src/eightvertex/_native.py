@@ -9,6 +9,9 @@ loads a half-written library.  A missing compiler, a failed build or an
 unwritable cache make ``load`` return None, and chains step in Python.
 ``load`` runs in the thread that builds the first chain; a lock makes
 threads that build their first chains at once wait for one build.
+
+``BUILD`` is ``-O3`` without ``-ffast-math`` and with ``-ffp-contract=off``,
+so every float operation rounds as in the Python steps.
 """
 from __future__ import annotations
 
@@ -17,10 +20,12 @@ import os
 import threading
 from pathlib import Path
 
-from .states import CLASS16
+import numpy as np
+
+from .states import CLASS16, CycleKernel
 
 SOURCE = Path(__file__).with_name("_chain.c")
-BUILD = ("cc", "-O2", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC")
+BUILD = ("cc", "-O3", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC")
 _LIB = None  # the loaded library, or False once it failed
 _LOCK = threading.Lock()
 
@@ -29,12 +34,13 @@ int32, pointer = ctypes.c_int32, ctypes.POINTER
 
 class _State(ctypes.Structure):  # struct chain of _chain.c
     _fields_ = [
-        ("mt", ctypes.c_uint32 * 624), ("index", int32), ("tempered", int32),
+        ("mt", ctypes.c_uint32 * 624), ("index", int32), ("started", int32),
         ("nmoves", int32), ("bits", int32), ("nvertices", int32),
-        ("classes", int32 * 16), ("counts", int32 * 4), ("flips", int32),
-        ("laziness", ctypes.c_double), ("weights", ctypes.c_double * 4),
+        ("classes", int32 * 16), ("counts", int32 * 4), ("nslots", int32),
+        ("weights", ctypes.c_double * 4),
         ("start", pointer(int32)), ("touch", pointer(int32)),
         ("reference", pointer(ctypes.c_uint8)), ("masks", pointer(ctypes.c_uint8)),
+        ("slots", ctypes.c_uint8 * 128), ("pairs", ctypes.c_uint8 * 128),
         ("factors", ctypes.c_double * 256), ("words", ctypes.c_uint32 * 624),
     ]
 
@@ -82,10 +88,11 @@ def _build():
         return None
     # the state goes by address: ctypes caches POINTER(_State) for good, and
     # every fresh import of this module makes a new _State
-    i64, doubles = ctypes.c_int64, pointer(ctypes.c_double)
-    run.restype = ais.restype = None
-    run.argtypes = (ctypes.c_void_p, i64, i64, pointer(ctypes.c_uint8))
-    ais.argtypes = (ctypes.c_void_p, i64, i64, doubles, i64, doubles, int32, doubles)
+    # and the arrays of chain_ais by the addresses of their buffers
+    i64, address = ctypes.c_int64, ctypes.c_void_p
+    run.restype, ais.restype = None, ctypes.c_int
+    run.argtypes = (address, i64, i64, pointer(ctypes.c_uint8))
+    ais.argtypes = (address, i64, i64, address, i64, address, int32, address)
     return lib
 
 
@@ -94,30 +101,31 @@ class NativeChain:
 
     ``masks``, ``counts`` and ``weights`` are ctypes arrays, which the
     kernel reads and steps in place and ``mcmc.Chain`` reads and writes as
-    it does its lists.  Each method makes exactly one kernel call, which runs
-    to its end; ``mcmc.Chain`` decides how much one call runs.  The
-    generator's MT19937 state is copied from ``rng`` here, once,
-    and the kernel tempers it into its word buffer on its first call;
+    it does its lists.  The move tables are views of the kernel's
+    ``move_table``, which no chain writes.  Each method makes exactly one
+    kernel call, which runs to its end; ``mcmc.Chain`` decides how much one
+    call runs.  The generator's MT19937 state is copied from ``rng`` here,
+    once, and the kernel tempers it into its word buffer on its first call;
     ``write_state`` copies the untempered state back.
     """
 
-    def __init__(self, kernel, rng, laziness: float):
-        n, touch = len(kernel.reference_masks), kernel.touch
+    def __init__(self, kernel, rng):
+        # shared by every chain on a CycleKernel; made afresh for a stand-in
+        # with only its touch and reference masks
+        start, entries, reference = (kernel.move_table if isinstance(kernel, CycleKernel)
+                                     else CycleKernel.move_table.func(kernel))
+        n, nmoves = len(reference), len(start) - 1
         state = self._state = _State()
         self._address = ctypes.addressof(state)
         _, mt, _ = rng.getstate()
         state.mt[:], state.index = mt[:-1], mt[-1]
-        state.nmoves, state.bits, state.nvertices = len(touch), len(touch).bit_length(), n
-        state.classes[:], state.laziness = CLASS16, laziness
-        state.flips = sum({1 << xm for flips in touch for _, xm in flips})
-        start = [0]
-        for flips in touch:
-            start.append(start[-1] + len(flips))
-        entries = [v << 4 | xm for flips in touch for v, xm in flips]
-        state.start = (int32 * len(start))(*start)
-        state.touch = (int32 * len(entries))(*entries)
-        state.reference = (ctypes.c_uint8 * n)(*kernel.reference_masks)
-        state.masks = self.masks = (ctypes.c_uint8 * n)(*kernel.reference_masks)
+        state.nmoves, state.bits, state.nvertices = nmoves, nmoves.bit_length(), n
+        state.classes[:] = CLASS16
+        # views, not copies: the struct keeps them, and they keep the kernel's arrays
+        state.start = (int32 * len(start)).from_buffer(start)
+        state.touch = (int32 * len(entries)).from_buffer(entries)
+        state.reference = (ctypes.c_uint8 * n).from_buffer(reference)
+        state.masks = self.masks = (ctypes.c_uint8 * n).from_buffer_copy(reference)
         self.counts, self.weights = state.counts, state.weights
 
     def write_state(self, rng):
@@ -133,10 +141,16 @@ class NativeChain:
         return masks
 
     def ais(self, stages, particles: int, thinning: int, log_pows) -> list[float]:
-        """``particles`` particles of ``Chain.ais``; return their log weights."""
-        n, q = len(self.masks), len(stages)
-        params = (ctypes.c_double * (4 * q))(*[w for stage in stages for w in stage])
-        table = (ctypes.c_double * (4 * n + 4))(*[t[c] for t in log_pows for c in range(n + 1)])
-        log_weights = (ctypes.c_double * particles)()
-        _LIB.chain_ais(self._address, particles, q, params, thinning, table, n + 1, log_weights)
-        return list(log_weights)
+        """``particles`` particles of ``Chain.ais``; return their log weights.
+
+        ``stages`` and ``log_pows`` are ``mcmc.FloatRows``: rows of 4 class
+        weights, and 4 rows of at least n + 1 log powers.
+        """
+        if (stages and stages.width != 4) or log_pows.width <= len(self.masks):
+            raise ValueError("the kernel needs 4 weights per stage and a log power per count")
+        log_weights = np.zeros(particles)
+        if _LIB.chain_ais(self._address, particles, len(stages), stages.doubles.ctypes.data,
+                          thinning, log_pows.doubles.ctypes.data, log_pows.width,
+                          log_weights.ctypes.data):
+            raise MemoryError(f"no memory for the ratios of {len(stages)} stages")
+        return log_weights.tolist()

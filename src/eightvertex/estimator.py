@@ -24,9 +24,11 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Sequence
 
+import numpy as np
+
 from .exact import ParamVec, as_params, z8v_exact
 from .graphs import LabeledGraph
-from .mcmc import Chain, ChainConfig, chain_weights, float_or_inf
+from .mcmc import Chain, ChainConfig, FloatRows, chain_weights, float_or_inf
 from .states import CycleKernel, face_two_coloring
 from .transforms import TransformPlan, _in_region, in_yz, plan_report, plan_transform
 
@@ -50,7 +52,9 @@ class AnnealSchedule:
     ``log_pows[i][c]`` is c times the log of class i's ratio of consecutive
     stages.  A pilot chain, whose weights decide the particles per group,
     then each of ``groups`` chains, runs stages 0..q-1 in ``Chain.ais``,
-    ``thinning`` = (k+1)/2 steps per stage for cycle-space dimension k.
+    ``thinning`` = (k+1)/2 steps per stage for cycle-space dimension k;
+    ``anneal_estimate`` packs those stages and ``log_pows`` for the compiled
+    kernel once (``mcmc.FloatRows``), and every chain reads the one packing.
     ``inside_yz[t]`` flags stage t in the rapidly-mixing region; stages
     outside it still run, as the weights stay unbiased whether or not the
     chain mixes.
@@ -73,19 +77,21 @@ def _geometric_stages(target: ParamVec, q: int):
 
 
 def _stage_flags(stages) -> tuple[bool, ...]:
-    """``in_yz`` of each positive float stage, decided on integers.
+    """``in_yz`` of each positive float stage, decided on integers in one pass.
 
-    A stage times the largest of its entries' power-of-two denominators is
-    an exact integer vector, and Y and Z are homogeneous, so the scaled
-    stage lies in them exactly when the stage does.
+    A float x is M 2^e with M = frexp's mantissa times 2^53, an integer, so
+    each stage shifted by its least e is an exact integer vector; Y and Z
+    are homogeneous, so it lies in them exactly when the stage does.  The
+    stages go through ``_in_region`` together, one column per entry.
     """
-    flags = []
-    for stage in stages:
-        ratios = [x.as_integer_ratio() for x in stage]
-        denominator = max(d for _, d in ratios)
-        scaled = tuple(n * (denominator // d) for n, d in ratios)
-        flags.append(_in_region(scaled, "Y") and _in_region(scaled, "Z"))
-    return tuple(flags)
+    floats = np.array(stages, dtype=float)
+    if not np.isfinite(floats).all():
+        raise ValueError("stage weights must be finite")
+    mantissas, exponents = np.frexp(floats)
+    shifts = exponents - exponents.min(axis=1, keepdims=True)
+    scaled = (mantissas * 2.0**53).astype(np.int64).astype(object) << shifts.astype(object)
+    columns = tuple(scaled.T)
+    return tuple((_in_region(columns, "Y") & _in_region(columns, "Z")).tolist())
 
 
 def default_stage_count(graph: LabeledGraph, target: ParamVec) -> int:
@@ -296,15 +302,16 @@ def anneal_estimate(
     # chain seeds come from a master generator: xoring the chain index onto
     # the raw seed would make nearby seeds share chain-seed multisets
     master = Random(cfg.seed)
+    # packed once for the kernel, which every chain below reads
+    stages, log_pows = FloatRows(schedule.params[:-1]), FloatRows(schedule.log_pows)
     # the pilot's chain loads the kernel in this thread: loaded by a helper,
     # it added 0.35 MB to the anneal benchmark's peak RSS
     pilot = [x for batch in Chain(kernel, Random(master.getrandbits(64))).ais(
-        schedule.params[:-1], PILOT_PARTICLES, schedule.thinning, schedule.log_pows)
-        for x in batch]
+        stages, PILOT_PARTICLES, schedule.thinning, log_pows) for x in batch]
     seeds = [master.getrandbits(64) for _ in range(schedule.groups)]
     variance = _variance(pilot)
     particles = _particle_count(schedule, variance, eps)
-    log_means = _run_chains(kernel, schedule, particles, seeds)
+    log_means = _run_chains(kernel, seeds, stages, particles, schedule.thinning, log_pows)
     # anchor times the median over the groups of each group's mean weight
     ordered, mid = sorted(log_means), schedule.groups // 2
     log_median = ordered[mid] if schedule.groups % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
@@ -333,8 +340,10 @@ def _variance(xs) -> float:
     return second / (len(xs) - 1)
 
 
-def _run_chains(kernel: CycleKernel, schedule: AnnealSchedule, particles: int, seeds) -> list:
-    """Each group chain's ln of its mean weight, in chain order.
+def _run_chains(kernel: CycleKernel, seeds, stages, particles: int, thinning: int,
+                log_pows) -> list:
+    """Each group chain's ln of its mean weight, in chain order, from one
+    ``Chain.ais`` per chain on these arguments.
 
     ``Chain.ais`` yields a chain's log weights one call at a time, so its
     memory does not grow with N; the mean is kept as the largest log weight
@@ -347,8 +356,7 @@ def _run_chains(kernel: CycleKernel, schedule: AnnealSchedule, particles: int, s
 
     def run_chain(i):
         chain, top, total = Chain(kernel, Random(seeds[i])), -math.inf, 0.0
-        for batch in chain.ais(schedule.params[:-1], particles, schedule.thinning,
-                               schedule.log_pows):
+        for batch in chain.ais(stages, particles, thinning, log_pows):
             if stop.is_set():  # the caller raises what stopped the pool
                 return
             for x in batch:

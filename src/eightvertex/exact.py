@@ -117,8 +117,10 @@ def census_ec(graph: LabeledGraph, dim_cap: int = DEFAULT_DIM_CAP) -> Census:
     return _census(CycleKernel(graph), [0b1111] * graph.vertex_count, dim_cap)
 
 
-def _greedy_order(ends: Sequence[Sequence[int]], start: int, recent: bool = False):
-    """One greedy vertex order from ``start``; returns (order, width, cost).
+def _greedy_order(ends: Sequence[Sequence[int]], start: int, recent: bool = False,
+                  bound: float = math.inf):
+    """One greedy vertex order from ``start``; returns (order, width, cost),
+    or None once its width passes ``bound``.
 
     Next comes the unvisited vertex with the most edges into the visited
     set, ties broken by id, or with ``recent`` by the latest edge to reach
@@ -152,6 +154,8 @@ def _greedy_order(ends: Sequence[Sequence[int]], start: int, recent: bool = Fals
         cost += 1 << open_count + opened
         open_count += opened - closed
         width = max(width, open_count)
+        if width > bound:
+            return None
     return order, width, cost
 
 
@@ -162,11 +166,12 @@ def _frontier_plan(graph: LabeledGraph):
     The greedy runs with ties by id from vertex 0 and from starts spread
     over the ids (``i * n // 8`` for i < 8, and n - 1), and with ties to
     the latest reached from vertex 0.  The narrowest order wins, then the
-    cheapest, then the earliest try.  On a long torus the start at 0 sweeps
-    along the rows (width 130 on 4x64) where a start further in goes the
-    short way round (width 10); on a torus with shuffled ids the ties by id
-    scatter the frontier (20-24 on 8x8) where ties to the latest reached
-    keep it a band (18).  A step is (vertex, closed, opened, loops): the
+    cheapest, then the earliest try; so a try stops once it is wider than
+    the narrowest so far, and one as wide runs on.  On a long torus the
+    start at 0 sweeps along the rows (width 130 on 4x64) where a start
+    further in goes the short way round (width 10); on a torus with
+    shuffled ids the ties by id scatter the frontier (20-24 on 8x8) where
+    ties to the latest reached keep it a band (18).  A step is (vertex, closed, opened, loops): the
     (edge id, label - 1) of each edge it closes and opens, and each
     self-loop's label bits.
     """
@@ -176,8 +181,12 @@ def _frontier_plan(graph: LabeledGraph):
         for v, hs in enumerate(graph.half_edges)
     ]
     starts = dict.fromkeys([i * n // 8 for i in range(8)] + [n - 1])
-    tries = [_greedy_order(ends, s) for s in starts] + [_greedy_order(ends, 0, recent=True)]
-    order, width, _ = min(tries, key=lambda t: t[1:])
+    best = None
+    for start, recent in [(s, False) for s in starts] + [(0, True)]:
+        tried = _greedy_order(ends, start, recent, best[1] if best else math.inf)
+        if tried is not None and (best is None or tried[1:] < best[1:]):
+            best = tried
+    order, width, _ = best
     visited = [False] * n
     steps = []
     for v in order:

@@ -22,8 +22,11 @@ The steps run in a compiled kernel, ``_chain.c``, wherever one can be
 built: it keeps the masks, counts, factor tables and the generator's
 MT19937 state in native memory and draws exactly as CPython 3.10-3.13's
 ``random.Random`` does.  It tempers each twist's 624 words into a buffer,
-so a draw is a load, and fills the factor tables itself from the four
-class weights, so ``set_params`` does no per-entry work in Python.
+so a draw is a load, tests the laziness coin on the first of its two words
+(so ``LAZINESS`` is 1/2 there), and fills the factor tables itself from the
+four class weights, so ``set_params`` does no per-entry work in Python.
+The chains on one kernel share its move tables (``CycleKernel.move_table``),
+and an estimate packs its stages once (``FloatRows``) for all its chains.
 ``Chain`` alone cuts its work into calls (``calls``) of at most
 ``CALL_STEPS`` steps, or one block or particle of annealed importance
 sampling where that is longer, so that Ctrl-C is seen between calls.  The
@@ -49,7 +52,8 @@ from .states import CLASS16, CycleKernel
 
 DIAGNOSTIC_DIM_CAP = 12
 DIAGNOSTIC_MAX_STEPS = 200_000
-# the probability that a step holds the state without drawing a move
+# the probability that a step holds the state without drawing a move; the
+# compiled kernel's coin is exactly random() < 1/2
 LAZINESS = 0.5
 # the most steps one call makes (or one block, if longer)
 CALL_STEPS = 1 << 20
@@ -113,6 +117,25 @@ def _load_kernel():
     return _native.load()
 
 
+class FloatRows(tuple):
+    """A tuple of equal-length rows of floats, also packed once into one array.
+
+    ``doubles`` holds the rows as a C-contiguous float64 array and ``width``
+    is the length of a row.  ``Chain.ais`` packs its stages and log_pows so
+    for the compiled kernel at each call; given as ``FloatRows``, they are
+    packed once for every chain that runs them.  As for ``tuple``, the
+    ``FloatRows`` of a ``FloatRows`` is the same object.
+    """
+
+    def __new__(cls, rows):
+        if type(rows) is cls:
+            return rows
+        self = super().__new__(cls, map(tuple, rows))
+        self.doubles = np.array(self, dtype=np.float64)  # refuses rows of unequal length
+        self.width = self.doubles.shape[-1]
+        return self
+
+
 def calls(samples: int, thinning: int):
     """Split ``samples`` blocks into calls of at most ``CALL_STEPS`` steps, or one block."""
     per_call = max(1, CALL_STEPS // max(1, thinning))
@@ -141,8 +164,9 @@ class Chain:
     kernel makes the steps, from a copy of ``rng``'s state taken here;
     reading ``rng`` writes the kernel's state back into it.  There
     ``set_params`` only stores the four weights, and the kernel fills the
-    same factor tables from them, with the same divisions, at the start of
-    each call and each stage of a particle.
+    same factor tables from the same divisions: at the start of each call,
+    and, from each stage's ratios divided once per call, at each stage of a
+    particle.
     Otherwise (another generator, or no kernel) they are lists and the
     same steps run in Python.  Both paths give the same masks, counts,
     log weights, ``steps`` and generator state, bit for bit.  ``advance``,
@@ -160,7 +184,7 @@ class Chain:
         # the kernel packs vertex << 4 | flip mask into an int32
         n = len(kernel.reference_masks)
         native = _load_kernel() if type(rng) is Random and n < 1 << 27 else None
-        self._native = None if native is None else native(kernel, rng, LAZINESS)
+        self._native = None if native is None else native(kernel, rng)
         if self._native is None:
             self.masks = list(kernel.reference_masks)
             self.counts = [0, 0, 0, 0]
@@ -219,9 +243,13 @@ class Chain:
         weight.  With stage 0 uniform and ``log_pows[i][c] = c ln r_i``, r the
         ratio of consecutive stages, E[weight] is Z(stages[-1] * r) / 2^k
         however well the chain mixes.  A call runs whole particles (``calls``).
+        The kernel reads ``stages`` and ``log_pows`` as ``FloatRows``, packed
+        here unless they are already.
         """
         if len(log_pows) != 4:
             raise ValueError(f"log_pows needs one table per class, got {len(log_pows)}")
+        if self._native is not None:
+            stages, log_pows = FloatRows(stages), FloatRows(log_pows)
         per_particle = len(stages) * thinning
         for batch in calls(particles, per_particle):
             if self._native is None:

@@ -276,6 +276,19 @@ class CycleKernel:
         self.reference_masks = tuple(in_masks(graph, self.reference))
         self._heads = tuple((e.v, e.label_v - 1) for e in graph.edges)
 
+    @functools.cached_property
+    def move_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``touch`` and the reference masks as flat arrays, made once per kernel.
+
+        ``(start, entries, reference)``: move j is ``entries[start[j]:start[j + 1]]``,
+        each ``v << 4 | xm`` of ``touch[j]`` in int32, and ``reference`` holds
+        ``reference_masks`` in uint8.  Every compiled chain on the kernel reads
+        them and none writes them.
+        """
+        start = np.cumsum([0] + [len(flips) for flips in self.touch], dtype=np.int32)
+        entries = np.array([v << 4 | xm for flips in self.touch for v, xm in flips], np.int32)
+        return start, entries, np.array(self.reference_masks, np.uint8)
+
     def orientations(self, masks: np.ndarray) -> np.ndarray:
         """The orientations with the in-masks of each row of a ``(rows, n)`` uint8 array.
 

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm
+from operator import and_, or_
 from random import Random
 from typing import Iterable, Sequence
 
@@ -275,14 +276,16 @@ _REGION_SETS = {
 
 
 def _in_region(p: ParamVec, name: str) -> bool:
+    """``region`` on nonnegative entries.  The entries may also be arrays of
+    equal shape, one point per element; the answer is then such an array."""
     base = name.removesuffix("bar")
     if base == "Z":
         p = tuple(x * x for x in p)
     total = sum(p)
     sums = (2 * sum(p[i] for i in s) for s in _REGION_SETS[base])
     if base == name:
-        return all(x <= total for x in sums)
-    return any(x >= total for x in sums)
+        return reduce(and_, (x <= total for x in sums))
+    return reduce(or_, (x >= total for x in sums))
 
 
 def in_yz(params: Sequence) -> bool:

@@ -169,6 +169,54 @@ def test_lazy_coin_boundary():
     assert chain.rng.coins == [] and chain.rng.moves == []
 
 
+def _untemper(word):
+    """The MT19937 state word that tempers to ``word``."""
+    y = word ^ word >> 18
+    y ^= y << 15 & 0xEFC60000
+    x = y
+    for _ in range(4):  # y ^= y << 7 & mask, undone 7 bits at a time
+        x = y ^ (x << 7 & 0x9D2C5680)
+    y = x & 0xFFFFFFFF
+    x = y
+    for _ in range(2):  # y ^= y >> 11, undone 11 bits at a time
+        x = y ^ x >> 11
+    return x
+
+
+@pytest.mark.parametrize("words, coin, holds", [
+    ((0x7FFFFFFF, 0xFFFFFFFF), 0.5 - 2**-53, True),  # the largest random() below 1/2
+    ((0x80000000, 0), 0.5, False),  # 1/2 itself draws a move
+], ids=["below", "at"])
+def test_native_lazy_coin_at_one_half(words, coin, holds):
+    # the kernel tests only the coin's first word, against 2^31; its second
+    # word is still drawn, so both paths leave the generator at one point
+    if mcmc._load_kernel() is None:
+        pytest.skip("the compiled kernel is not available on this host")
+    version, mt, gauss = Random(8).getstate()
+    state = (version, (*mt[:622], *map(_untemper, words), 622), gauss)
+    probe = Random()
+    probe.setstate(state)
+    assert [probe.getrandbits(32) for _ in words] == list(words)
+    probe.setstate(state)
+    assert probe.random() == coin
+    chains = []
+    for rng in (Random(), PythonRandom()):
+        rng.setstate(state)
+        chains.append(Chain(_one_vertex_moves(3), rng))
+        chains[-1].advance(1)
+    native, python = chains
+    assert native._native is not None and python._native is None
+    assert list(native.masks) == python.masks
+    assert (python.masks == [0, 0, 0]) == holds
+    assert native.rng.getstate() == python.rng.getstate()
+
+
+def test_native_kernel_assumes_laziness_one_half():
+    # _chain.c's coin is the first word below 2^31, which is random() < 1/2
+    # and nothing else: another LAZINESS needs the kernel's coin changed too
+    assert mcmc.LAZINESS == 0.5
+
+
 def test_chain_needs_a_move():
     # the empty graph's coset is one state: refused, where a draw below 0 would spin
     with pytest.raises(ValueError, match="at least one move"):
@@ -501,6 +549,30 @@ def test_ais_needs_one_log_pow_table_per_class(octahedron, rng):
 
 def _log_pows(ratios, n):
     return tuple(tuple(count * math.log(r) for count in range(n + 1)) for r in ratios)
+
+
+def test_native_chains_sharing_a_kernel_do_not_interfere():
+    # two chains read one kernel's move tables and one packing of the stages:
+    # interleaved, each runs bit for bit as it does alone
+    kernel = CycleKernel(gen_torus(4, 4))
+    if mcmc._load_kernel() is None:
+        pytest.skip("the compiled kernel is not available on this host")
+    stages = mcmc.FloatRows([(1.0, 2.0, 2.0, 1.0), (1.1, 1.8, 2.0, 1.3), (1.2, 1.6, 2.0, 1.7)])
+    log_pows = mcmc.FloatRows(_log_pows((1.1, 0.9, 1.0, 1.3), 16))
+
+    def run(chain, particles):
+        return list(chain.ais(stages, particles, 5, log_pows)), list(chain.masks)
+
+    alone_a, alone_b = Chain(kernel, Random(1)), Chain(kernel, Random(2))
+    expected_a = [run(alone_a, 7), run(alone_a, 4)]
+    expected_b = run(alone_b, 6)
+    a, b = Chain(kernel, Random(1)), Chain(kernel, Random(2))
+    assert a._native is not None and b._native is not None
+    first_a, got_b, second_a = run(a, 7), run(b, 6), run(a, 4)
+    assert [first_a, second_a] == expected_a and got_b == expected_b
+    assert a.rng.getstate() == alone_a.rng.getstate()
+    assert b.rng.getstate() == alone_b.rng.getstate()
+    assert kernel.move_table[2].tolist() == list(kernel.reference_masks)
 
 
 def _short_schedule(kernel):
