@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import struct
 import threading
 from pathlib import Path
 
@@ -30,6 +31,8 @@ _LIB = None  # the loaded library, or False once it failed
 _LOCK = threading.Lock()
 
 int32, pointer = ctypes.c_int32, ctypes.POINTER
+# the MT19937 words and index that open struct chain, as getstate()[1] lists them
+_MT = struct.Struct("624Ii")
 
 
 class _State(ctypes.Structure):  # struct chain of _chain.c
@@ -117,8 +120,7 @@ class NativeChain:
         n, nmoves = len(reference), len(start) - 1
         state = self._state = _State()
         self._address = ctypes.addressof(state)
-        _, mt, _ = rng.getstate()
-        state.mt[:], state.index = mt[:-1], mt[-1]
+        _MT.pack_into(state, 0, *rng.getstate()[1])
         state.nmoves, state.bits, state.nvertices = nmoves, nmoves.bit_length(), n
         state.classes[:] = CLASS16
         # views, not copies: the struct keeps them, and they keep the kernel's arrays
@@ -131,7 +133,7 @@ class NativeChain:
     def write_state(self, rng):
         """Set ``rng`` to the kernel's point of its stream."""
         version, _, gauss = rng.getstate()
-        rng.setstate((version, (*self._state.mt, self._state.index), gauss))
+        rng.setstate((version, _MT.unpack_from(self._state), gauss))
 
     def run(self, blocks: int, thinning: int, record: bool = False) -> bytearray | None:
         """``blocks`` blocks of ``thinning`` steps; with ``record``, the masks after each."""

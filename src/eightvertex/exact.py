@@ -8,12 +8,15 @@ over the frontier's nonzero exact entries, at most 2^width of them, so at
 most about 2^width * n products.  The order is the narrowest of several
 greedy tries from different starts (``_frontier_plan``), which finds the
 short way round a long torus: width 10 on 4xM for every M.  The censuses
-enumerate all 2^k even states over the cycle space, independently of the
-contraction, which they cross-check when evaluated at a point.  They read
-the blocks of states that the cycle-space kernel lists
-(``states.CycleKernel.blocks``) and code each block's class profiles as a
-sum of per-vertex rows, one row per (vertex, block start) pair that
-occurs, then count a batch of blocks per ``bincount``.
+count the 2^k even states over the cycle space, independently of the
+contraction, which they cross-check when evaluated at a point.  Reversing
+every arrow of a component keeps each vertex's class, so they enumerate
+one state of each such class, 2^(k - c) states for c components, and
+scale every count by 2^c.  They read the blocks of states that the
+cycle-space kernel lists (``states.CycleKernel.blocks``) and code each
+block's class profiles as a sum of per-vertex rows, one row per (vertex,
+block start) pair that occurs, then count a batch of blocks per
+``bincount``.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .graphs import LabeledGraph
-from .states import CLASS16, DEFAULT_DIM_CAP, CycleKernel
+from .states import CLASS16, DEFAULT_DIM_CAP, CycleKernel, _gf2_rank
 
 ParamVec = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -68,8 +71,43 @@ class Census:
         return acc
 
 
+def _reversal_classes(kernel: CycleKernel) -> tuple[list[int], list[frozenset[int]]]:
+    """The moves to keep, all but the last of each component's, and each
+    component's edge set.
+
+    Reversing every edge of a component flips each of its vertices' masks
+    by 1111, which keeps every class.  That edge set is the sum of the
+    component's basis cycles, as each non-tree edge lies in its own cycle
+    alone, so the kept moves span one state of each class.
+    """
+    graph = kernel.graph
+    root = list(range(graph.vertex_count))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for e in graph.edges:
+        root[find(e.u)] = find(e.v)
+    components: dict[int, set[int]] = {}
+    for eid, e in enumerate(graph.edges):
+        components.setdefault(find(e.u), set()).add(eid)
+    last = {find(graph.edges[min(move)].u): j for j, move in enumerate(kernel.moves)}
+    keep = sorted(set(range(len(kernel.moves))) - set(last.values()))
+    return keep, [frozenset(edges) for edges in components.values()]
+
+
 def _census(kernel: CycleKernel, start: Sequence[int], dim_cap: int) -> Census:
-    """Count the class profiles of all 2^k states, one block of the kernel's at a time.
+    """Count the class profiles of all 2^k states from those of one state per
+    arrow-reversal class, one block of the kernel's at a time.
+
+    Reversing the edges of any set of the c components keeps every class,
+    so the 2^k states fall into classes of 2^c with one profile each.  The
+    census counts the 2^(k - c) states that the moves of
+    ``_reversal_classes`` span and shifts each count left by c; it refuses
+    unless those moves and the components' edge sets form a basis of the
+    cycle space, so that each class has exactly one state in the span.
 
     Each state's profile is coded n_A + D*n_B + D^2*n_C with D = n + 1
     (n_D is the rest) and counted by ``bincount``; a bin holds at most 2^k
@@ -82,7 +120,11 @@ def _census(kernel: CycleKernel, start: Sequence[int], dim_cap: int) -> Census:
     smallest unsigned type that holds D^3, above every code.
     """
     n = kernel.graph.vertex_count
-    low, starts = kernel.blocks(start, dim_cap)  # refuses k > dim_cap before any table
+    keep, components = _reversal_classes(kernel)
+    low, starts = kernel.blocks(start, dim_cap, keep)  # refuses k > dim_cap before any table
+    basis = [kernel.moves[j] for j in keep] + components
+    if not len(basis) == _gf2_rank(basis) == kernel.dimension:
+        raise ValueError("the kept moves and the components do not span one state per class")
     D = n + 1
     place = np.array([(1, D, D * D, 0)[c] for c in CLASS16], np.min_scalar_type(D**3))
     rows: dict[tuple[int, int], np.ndarray] = {}
@@ -102,7 +144,7 @@ def _census(kernel: CycleKernel, start: Sequence[int], dim_cap: int) -> Census:
     counts = {}
     for code in np.flatnonzero(hist).tolist():
         na, nb, nc = code % D, code // D % D, code // (D * D)
-        counts[(na, nb, nc, n - na - nb - nc)] = int(hist[code])
+        counts[(na, nb, nc, n - na - nb - nc)] = int(hist[code]) << len(components)
     return Census(n, kernel.dimension, counts)
 
 
@@ -214,7 +256,9 @@ def _contract(graph: LabeledGraph, tables: Sequence[Sequence]):
     index in an array with one axis per open edge, in the order opened.  A
     vertex's table, summed over its self-loops, maps its closed edges to its
     opened ones: one matmul on a row per value of the staying axes, then zero
-    sums are dropped, so the work follows the nonzero support.  A plan
+    sums are dropped, so the work follows the nonzero support.  A table is
+    filled at its nonzero weights only, and a step that closes no edge keeps
+    the keys, which stay sorted and distinct, without a ``np.unique``.  A plan
     wider than ``FRONTIER_CAP`` is refused before any work.
     """
     steps, width = _frontier_plan(graph)
@@ -224,14 +268,17 @@ def _contract(graph: LabeledGraph, tables: Sequence[Sequence]):
     for v, closed, opened, loops in steps:
         table = np.zeros((2,) * (len(closed) + len(opened)), dtype=object)
         for mask, w in enumerate(tables[v]):
-            if all(mask & pair in (0, pair) for pair in loops):
+            if w != 0 and all(mask & pair in (0, pair) for pair in loops):
                 table[tuple(mask >> label & 1 for _, label in closed + opened)] += w
         gone = [eid for eid, _ in closed]
         shut = [len(live) - 1 - live.index(eid) for eid in gone]  # their bits in a key
-        col = sum((keys >> p & 1) << i for i, p in enumerate(reversed(shut)))
-        for p in sorted(shut, reverse=True):  # squeeze the closed axes out
-            keys = keys >> (p + 1) << p | keys & (1 << p) - 1
-        rest, row = np.unique(keys, return_inverse=True)
+        if shut:
+            col = sum((keys >> p & 1) << i for i, p in enumerate(reversed(shut)))
+            for p in sorted(shut, reverse=True):  # squeeze the closed axes out
+                keys = keys >> (p + 1) << p | keys & (1 << p) - 1
+            rest, row = np.unique(keys, return_inverse=True)
+        else:  # the keys stay sorted and distinct
+            rest, row, col = keys, np.arange(len(keys)), 0
         rows = np.zeros((len(rest), 1 << len(shut)), dtype=object)
         rows[row, col] = vals
         vals = (rows @ table.reshape(1 << len(shut), -1)).ravel()

@@ -9,8 +9,10 @@ holds the moves through that coset and the one enumeration of it,
 ``blocks``: the in-masks of all 2^k states, 2^``BLOCK_MOVES`` at a time, in
 cycle-space coordinate order, as one table of the low moves' xors and a
 start per block to xor onto it.  The Metropolis chain flips single moves;
-the enumeration, the exact chain diagnostics and the census (``exact``)
-read the blocks.  ``DEFAULT_DIM_CAP`` bounds every 2^k enumeration.
+the enumeration and the exact chain diagnostics read the blocks of all 2^k
+states, the census (``exact``) those of a subset of the moves that spans
+one state of each arrow-reversal class, 2^(k - c) states for c components.
+``DEFAULT_DIM_CAP`` bounds every 2^k enumeration.
 """
 from __future__ import annotations
 
@@ -298,20 +300,22 @@ class CycleKernel:
         return (masks[:, heads] >> shifts.astype(np.uint8)) & 1
 
     def blocks(
-        self, start: Sequence[int], dim_cap: int
+        self, start: Sequence[int], dim_cap: int, keep: Sequence[int] | None = None
     ) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-        """All 2^k states from the masks ``start``, as ``(low, starts)``: block s
-        is ``low ^ starts_s[:, None]``, an ``(n, 2^L)`` uint8 array of masks.
+        """The states spanned from the masks ``start`` by the moves ``keep`` (by
+        default all k, so all 2^k states), as ``(low, starts)``: block s is
+        ``low ^ starts_s[:, None]``, an ``(n, 2^L)`` uint8 array of masks.
 
-        Column t of block s is ``start`` xor the moves at the set bits of
-        ``s * 2^L + t``, with L = min(k, ``BLOCK_MOVES``), so the blocks list
-        the coset in cycle-space coordinate order.  The moves are cut into
-        chunks of L, each with a table of the xors its subsets apply:
+        Column t of block s is ``start`` xor the kept moves at the set bits of
+        ``s * 2^L + t``, with L = min(kept moves, ``BLOCK_MOVES``), so the
+        blocks list the span in its coordinate order.  The kept moves are cut
+        into chunks of L, each with a table of the xors its subsets apply:
         ``low`` is the first chunk's table, and ``starts`` yields, per block,
         ``start`` xor one column of each higher chunk's, so memory stays
         O(n * 2^L) whatever k is.  Needs independent moves, so that the
-        subsets are the states; refuses k above ``dim_cap`` when called,
-        before any table is built.
+        subsets are distinct states; refuses k, the whole coset's dimension,
+        above ``dim_cap`` when called, before any table is built.  The census
+        keeps one state of each arrow-reversal class, 2^(k - c) of them.
         """
         k = len(self.moves)
         if k != self.dimension:
@@ -319,9 +323,11 @@ class CycleKernel:
         if k > dim_cap:
             raise ValueError(f"cycle-space dimension {k} exceeds enumeration cap {dim_cap}")
         n = len(self.reference_masks)
-        # k = 0 keeps one chunk: the table of the empty subset alone
+        touch = self.touch if keep is None else [self.touch[j] for j in keep]
+        # no kept moves still make one chunk: the table of the empty subset alone
         low, *high = (
-            _subset_xors(n, self.touch[j:j + BLOCK_MOVES]) for j in range(0, max(k, 1), BLOCK_MOVES)
+            _subset_xors(n, touch[j:j + BLOCK_MOVES])
+            for j in range(0, max(len(touch), 1), BLOCK_MOVES)
         )
         start = np.array(start, np.uint8)
         # one column of each higher chunk's table picks a block's start, the last

@@ -75,14 +75,18 @@ def loop_graph():
     return build_loop_graph()
 
 
+def disjoint_union(*graphs: LabeledGraph) -> LabeledGraph:
+    """The graphs side by side in one vertex numbering, each shifted past the ones before."""
+    edges, shift = [], 0
+    for graph in graphs:
+        edges += [Edge(e.u + shift, e.label_u, e.v + shift, e.label_v) for e in graph.edges]
+        shift += graph.vertex_count
+    return validate(LabeledGraph(shift, tuple(edges)))
+
+
 def build_two_components() -> LabeledGraph:
     """Disjoint union of two 2x2 tori inside one vertex numbering."""
-    base = gen_torus(2, 2)
-    shift = base.vertex_count
-    edges = list(base.edges)
-    for e in base.edges:
-        edges.append(Edge(e.u + shift, e.label_u, e.v + shift, e.label_v))
-    return validate(LabeledGraph(2 * shift, tuple(edges)))
+    return disjoint_union(gen_torus(2, 2), gen_torus(2, 2))
 
 
 @pytest.fixture(scope="session")

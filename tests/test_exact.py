@@ -18,7 +18,7 @@ from eightvertex.exact import (
     z8v_exact,
     zec_exact,
 )
-from eightvertex.graphs import Edge, LabeledGraph, gen_torus, validate
+from eightvertex.graphs import Edge, LabeledGraph, gen_octahedron, gen_torus, validate
 from eightvertex.states import BLOCK_MOVES, cycle_basis
 from eightvertex.transforms import MZ, MHZ, PLANAR_SWAP, bipartite_group, planar_group
 
@@ -31,7 +31,7 @@ from ._brute import (
     z8v_naive,
     zec_naive,
 )
-from .conftest import build_k5
+from .conftest import build_k5, disjoint_union
 
 # signed rationals with small denominators, zero included
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
@@ -163,9 +163,7 @@ def test_dim_cap_raises(torus44):
 
 def two_k5() -> LabeledGraph:
     """Two disjoint copies of K5: k = 20 - 10 + 2 = 12, the moves in one block."""
-    k5 = build_k5()
-    edges = [*k5.edges, *(Edge(e.u + 5, e.label_u, e.v + 5, e.label_v) for e in k5.edges)]
-    return validate(LabeledGraph(10, tuple(edges)))
+    return disjoint_union(build_k5(), build_k5())
 
 
 def assert_census_is_per_state(graph):
@@ -192,6 +190,53 @@ def test_census_at_the_block_size_and_on_the_empty_graph():
     empty = validate(LabeledGraph(0, ()))
     assert_census_is_per_state(empty)
     assert census_8v(empty).counts == census_ec(empty).counts == {(0, 0, 0, 0): 1}
+
+
+def assert_census_by_reversal_classes(graph, rng):
+    # the census counts one state per arrow-reversal class and scales by 2^c
+    basis = cycle_basis(graph)
+    for census, oracle in ((census_8v(graph), z8v_exact), (census_ec(graph), zec_exact)):
+        assert census.dimension == basis.dimension
+        assert census.total() == 1 << basis.dimension
+        assert all(count % (1 << basis.components) == 0 for count in census.counts.values())
+        for _ in range(2):
+            p = random_rationals(rng, signed=True)
+            assert census.evaluate(p) == oracle(graph, p)
+
+
+def test_census_by_reversal_classes_on_several_components(two_components, loop_graph):
+    rng = Random(47)
+    for graph in (two_components, loop_graph, two_k5()):
+        assert_census_by_reversal_classes(graph, rng)
+
+
+@pytest.mark.slow
+def test_census_by_reversal_classes_on_three_components():
+    # k = 29 near the default cap: 2^26 states counted, in about a second per census
+    graph = disjoint_union(gen_torus(2, 5), gen_torus(2, 5), gen_octahedron())
+    basis = cycle_basis(graph)
+    assert (basis.dimension, basis.components) == (29, 3)
+    assert_census_by_reversal_classes(graph, Random(53))
+
+
+def test_census_refuses_moves_that_miss_reversal_classes(monkeypatch, two_components):
+    # dropping a second move of one component misses half the classes, and
+    # keeping every move counts each class 2^c times: both are refused
+    real = exact._reversal_classes
+
+    def drop_one_more(kernel):
+        keep, components = real(kernel)
+        first = next(j for j in keep if kernel.moves[j] <= components[0])
+        return [j for j in keep if j != first], components
+
+    def keep_all(kernel):
+        return list(range(len(kernel.moves))), real(kernel)[1]
+
+    for mutant in (drop_one_more, keep_all):
+        monkeypatch.setattr(exact, "_reversal_classes", mutant)
+        for census in (census_8v, census_ec):
+            with pytest.raises(ValueError, match="one state per class"):
+                census(two_components)
 
 
 @pytest.mark.parametrize("block", [1, 2, 5, 9])
@@ -325,6 +370,24 @@ def test_contraction_on_random_multigraphs(g, table, p):
     assert holant_exact(g, table) == holant_naive(g, table)
     assert z8v_exact(g, p) == census_8v(g).evaluate(p)
     assert zec_exact(g, p) == census_ec(g).evaluate(p)
+
+
+# zero entries half the time: the contraction fills its tables at nonzero ones only
+TABLE_ENTRIES = {
+    "int": st.one_of(st.just(0), st.integers(-3, 3)),
+    "Fraction": st.one_of(st.just(Fraction(0)), rationals),
+    "complex": st.one_of(st.just(0j), st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_ENTRIES))
+@settings(max_examples=40, deadline=None)
+@given(g=multigraphs(), data=st.data())
+def test_contraction_with_zero_entries_matches_naive_holant(kind, g, data):
+    table = data.draw(st.lists(TABLE_ENTRIES[kind], min_size=16, max_size=16))
+    value = holant_exact(g, table)
+    assert value == holant_naive(g, table)
+    assert type(value) is type(table[0])
 
 
 @settings(max_examples=60, deadline=None)

@@ -523,7 +523,7 @@ def test_the_ctypes_state_has_the_layout_of_struct_chain(tmp_path):
     # only would make the kernel write to the wrong memory, without an error
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on this host")
-    from eightvertex._native import SOURCE, _State
+    from eightvertex._native import _MT, SOURCE, _State
 
     names = [name for name, _ in _State._fields_]
     probe = tmp_path / "probe.c"
@@ -538,6 +538,8 @@ def test_the_ctypes_state_has_the_layout_of_struct_chain(tmp_path):
     size, *offsets = map(int, out.stdout.split())
     assert size == ctypes.sizeof(_State)
     assert dict(zip(names, offsets)) == {name: getattr(_State, name).offset for name in names}
+    # NativeChain copies the generator in and out as one _MT record at offset 0
+    assert (_State.mt.offset, _State.index.offset + 4) == (0, _MT.size)
 
 
 @pytest.mark.parametrize("rng", [Random, PythonRandom], ids=["native", "python"])
