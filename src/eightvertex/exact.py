@@ -77,37 +77,25 @@ def _reversal_classes(kernel: CycleKernel) -> tuple[list[int], list[frozenset[in
 
     Reversing every edge of a component flips each of its vertices' masks
     by 1111, which keeps every class.  That edge set is the sum of the
-    component's basis cycles, as each non-tree edge lies in its own cycle
-    alone, so the kept moves span one state of each class.
+    component's basis cycles, so the kept moves span one state of each class.
     """
-    graph = kernel.graph
-    root = list(range(graph.vertex_count))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        return v
-
-    for e in graph.edges:
-        root[find(e.u)] = find(e.v)
+    roots, edges = kernel.roots, kernel.graph.edges
     components: dict[int, set[int]] = {}
-    for eid, e in enumerate(graph.edges):
-        components.setdefault(find(e.u), set()).add(eid)
-    last = {find(graph.edges[min(move)].u): j for j, move in enumerate(kernel.moves)}
+    for eid, e in enumerate(edges):
+        components.setdefault(roots[e.u], set()).add(eid)
+    last = {roots[edges[min(move)].u]: j for j, move in enumerate(kernel.moves)}
     keep = sorted(set(range(len(kernel.moves))) - set(last.values()))
-    return keep, [frozenset(edges) for edges in components.values()]
+    return keep, [frozenset(ids) for ids in components.values()]
 
 
 def _census(kernel: CycleKernel, start: Sequence[int], dim_cap: int) -> Census:
-    """Count the class profiles of all 2^k states from those of one state per
-    arrow-reversal class, one block of the kernel's at a time.
+    """Count the class profiles of all 2^k states, one block of the kernel's at a time.
 
-    Reversing the edges of any set of the c components keeps every class,
-    so the 2^k states fall into classes of 2^c with one profile each.  The
-    census counts the 2^(k - c) states that the moves of
-    ``_reversal_classes`` span and shifts each count left by c; it refuses
-    unless those moves and the components' edge sets form a basis of the
-    cycle space, so that each class has exactly one state in the span.
+    Reversing any set of the c components keeps every class, so the 2^k
+    states fall into classes of 2^c with one profile: the 2^(k - c) states
+    the moves of ``_reversal_classes`` span are counted, each count shifted
+    left by c.  Refused unless those moves and the components' edge sets
+    form a basis, so that each class has one state in the span.
 
     Each state's profile is coded n_A + D*n_B + D^2*n_C with D = n + 1
     (n_D is the rest) and counted by ``bincount``; a bin holds at most 2^k
@@ -256,10 +244,8 @@ def _contract(graph: LabeledGraph, tables: Sequence[Sequence]):
     index in an array with one axis per open edge, in the order opened.  A
     vertex's table, summed over its self-loops, maps its closed edges to its
     opened ones: one matmul on a row per value of the staying axes, then zero
-    sums are dropped, so the work follows the nonzero support.  A table is
-    filled at its nonzero weights only, and a step that closes no edge keeps
-    the keys, which stay sorted and distinct, without a ``np.unique``.  A plan
-    wider than ``FRONTIER_CAP`` is refused before any work.
+    sums are dropped, so the work follows the nonzero support: a table is
+    filled at its nonzero weights only.  A plan wider than ``FRONTIER_CAP`` is refused before any work.
     """
     steps, width = _frontier_plan(graph)
     if width > FRONTIER_CAP:
@@ -272,13 +258,10 @@ def _contract(graph: LabeledGraph, tables: Sequence[Sequence]):
                 table[tuple(mask >> label & 1 for _, label in closed + opened)] += w
         gone = [eid for eid, _ in closed]
         shut = [len(live) - 1 - live.index(eid) for eid in gone]  # their bits in a key
-        if shut:
-            col = sum((keys >> p & 1) << i for i, p in enumerate(reversed(shut)))
-            for p in sorted(shut, reverse=True):  # squeeze the closed axes out
-                keys = keys >> (p + 1) << p | keys & (1 << p) - 1
-            rest, row = np.unique(keys, return_inverse=True)
-        else:  # the keys stay sorted and distinct
-            rest, row, col = keys, np.arange(len(keys)), 0
+        col = sum((keys >> p & 1) << i for i, p in enumerate(reversed(shut)))
+        for p in sorted(shut, reverse=True):  # squeeze the closed axes out
+            keys = keys >> (p + 1) << p | keys & (1 << p) - 1
+        rest, row = np.unique(keys, return_inverse=True)
         rows = np.zeros((len(rest), 1 << len(shut)), dtype=object)
         rows[row, col] = vals
         vals = (rows @ table.reshape(1 << len(shut), -1)).ravel()

@@ -9,10 +9,9 @@ holds the moves through that coset and the one enumeration of it,
 ``blocks``: the in-masks of all 2^k states, 2^``BLOCK_MOVES`` at a time, in
 cycle-space coordinate order, as one table of the low moves' xors and a
 start per block to xor onto it.  The Metropolis chain flips single moves;
-the enumeration and the exact chain diagnostics read the blocks of all 2^k
-states, the census (``exact``) those of a subset of the moves that spans
-one state of each arrow-reversal class, 2^(k - c) states for c components.
-``DEFAULT_DIM_CAP`` bounds every 2^k enumeration.
+the enumeration, the exact chain diagnostics and the census (``exact``,
+over a subset of the moves) read the blocks.  ``DEFAULT_DIM_CAP`` bounds
+every 2^k enumeration.
 """
 from __future__ import annotations
 
@@ -126,10 +125,12 @@ def reference_even_orientation(graph: LabeledGraph) -> Bits:
 
 @dataclass(frozen=True)
 class CycleBasis:
-    """Fundamental cycles of a BFS spanning forest; a GF(2) cycle-space basis."""
+    """Fundamental cycles of a BFS spanning forest, a GF(2) cycle-space basis;
+    ``roots[v]`` is the BFS root of v's component."""
 
     elements: tuple[frozenset[int], ...]
     components: int
+    roots: tuple[int, ...]
 
     @property
     def dimension(self) -> int:
@@ -142,6 +143,7 @@ def cycle_basis(graph: LabeledGraph) -> CycleBasis:
     parent_vertex = [-1] * n
     depth = [0] * n
     visited = [False] * n
+    roots = list(range(n))
     in_tree = [False] * m
     components = 0
 
@@ -164,6 +166,7 @@ def cycle_basis(graph: LabeledGraph) -> CycleBasis:
             for eid, w in adj[v]:
                 if not visited[w]:
                     visited[w] = True
+                    roots[w] = root
                     in_tree[eid] = True
                     parent_edge[w] = eid
                     parent_vertex[w] = v
@@ -192,7 +195,7 @@ def cycle_basis(graph: LabeledGraph) -> CycleBasis:
         cycle.add(eid)
         elements.append(frozenset(cycle))
     assert len(elements) == m - n + components
-    return CycleBasis(tuple(elements), components)
+    return CycleBasis(tuple(elements), components, tuple(roots))
 
 
 # ----------------------------------------------------------------------
@@ -265,6 +268,7 @@ class CycleKernel:
             )
         self.graph = graph
         self.dimension = basis.dimension
+        self.roots = basis.roots
         self.moves = tuple(moves)
         self.touch: list[list[tuple[int, int]]] = []
         for element in self.moves:
@@ -313,9 +317,9 @@ class CycleKernel:
         ``low`` is the first chunk's table, and ``starts`` yields, per block,
         ``start`` xor one column of each higher chunk's, so memory stays
         O(n * 2^L) whatever k is.  Needs independent moves, so that the
-        subsets are distinct states; refuses k, the whole coset's dimension,
-        above ``dim_cap`` when called, before any table is built.  The census
-        keeps one state of each arrow-reversal class, 2^(k - c) of them.
+        subsets are distinct states; refuses the full k above ``dim_cap`` when
+        called, before any table is built.  The census keeps one state per
+        arrow-reversal class, 2^(k - c) states.
         """
         k = len(self.moves)
         if k != self.dimension:

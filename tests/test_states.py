@@ -56,6 +56,7 @@ def test_cycle_basis_dimensions(octahedron, k44, torus44, two_components):
     assert cycle_basis(torus44).dimension == 17
     basis = cycle_basis(two_components)
     assert basis.components == 2
+    assert basis.roots == (0,) * 4 + (4,) * 4
     g = two_components
     assert basis.dimension == g.edge_count - g.vertex_count + 2
 
