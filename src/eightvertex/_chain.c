@@ -18,7 +18,7 @@
    factor tables hold the class-weight ratio of each slot, a flip mask some
    move uses at an even in-mask; the first call lists the slots, and a
    fill copies each slot's ratio from the 16 ratios of the class weights,
-   divided as Chain.set_params divides them.  chain_run divides at each
+   divided as Chain._fill divides them.  chain_run divides at each
    call; chain_ais divides each stage's ratios once per call, so a stage of
    a particle only copies slots.  Build with -O3 and -ffp-contract=off, and
    without -ffast-math, so that every float operation rounds as written. */
@@ -125,7 +125,7 @@ static void ready(struct chain *c)
 }
 
 /* ratio[a << 2 | b] = weights[a] / weights[b], one division each, as
-   Chain.set_params divides. */
+   Chain._fill divides. */
 static void divide(const double *weights, double *ratio)
 {
     int a, b;

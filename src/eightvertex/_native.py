@@ -136,7 +136,8 @@ class NativeChain:
         rng.setstate((version, _MT.unpack_from(self._state), gauss))
 
     def run(self, blocks: int, thinning: int, record: bool = False) -> bytearray | None:
-        """``blocks`` blocks of ``thinning`` steps; with ``record``, the masks after each."""
+        """``blocks`` blocks of ``thinning`` steps; with ``record``, the masks after
+        each, n bytes a block, in one ``bytearray``."""
         masks = bytearray(blocks * len(self.masks)) if record else None
         buffer = masks if masks is None else (ctypes.c_uint8 * len(masks)).from_buffer(masks)
         _LIB.chain_run(self._address, blocks, thinning, buffer)
@@ -145,14 +146,12 @@ class NativeChain:
     def ais(self, stages, particles: int, thinning: int, log_pows) -> list[float]:
         """``particles`` particles of ``Chain.ais``; return their log weights.
 
-        ``stages`` and ``log_pows`` are ``mcmc.FloatRows``: rows of 4 class
-        weights, and 4 rows of at least n + 1 log powers.
+        ``stages`` and ``log_pows`` are the C-contiguous float64 arrays that
+        ``Chain.ais`` checks: rows of 4 class weights, and 4 rows of at least
+        n + 1 log powers.
         """
-        if (stages and stages.width != 4) or log_pows.width <= len(self.masks):
-            raise ValueError("the kernel needs 4 weights per stage and a log power per count")
         log_weights = np.zeros(particles)
-        if _LIB.chain_ais(self._address, particles, len(stages), stages.doubles.ctypes.data,
-                          thinning, log_pows.doubles.ctypes.data, log_pows.width,
-                          log_weights.ctypes.data):
+        if _LIB.chain_ais(self._address, particles, len(stages), stages.ctypes.data, thinning,
+                          log_pows.ctypes.data, log_pows.shape[1], log_weights.ctypes.data):
             raise MemoryError(f"no memory for the ratios of {len(stages)} stages")
         return log_weights.tolist()

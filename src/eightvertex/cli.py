@@ -73,16 +73,16 @@ def _parse_params(text: str):
         raise UsageError(f"bad parameter vector {text!r}: {exc}") from exc
 
 
+# the graphs of ``gen --type``, which lists these keys as its choices
+_GENERATORS = {
+    "torus": lambda args: gen_torus(args.rows, args.cols),
+    "octahedron": lambda args: gen_octahedron(),
+    "k44": lambda args: gen_k44(),
+}
+
+
 def _cmd_gen(args) -> int:
-    if args.type == "torus":
-        graph = gen_torus(args.rows, args.cols)
-    elif args.type == "octahedron":
-        graph = gen_octahedron()
-    elif args.type == "k44":
-        graph = gen_k44()
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown graph type {args.type}")
-    text = serialize_graph(graph)
+    text = serialize_graph(_GENERATORS[args.type](args))
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -225,7 +225,7 @@ def _verify_holant(seed: int) -> bool:
     return ok
 
 
-def _verify_groups() -> bool:
+def _verify_groups(seed: int) -> bool:
     from .transforms import D_FLIP, MHZ, MZ, NEG_IDENTITY, PLANAR_SWAP
 
     ok = True
@@ -259,7 +259,7 @@ def _verify_groups() -> bool:
     return ok
 
 
-def _verify_bijection() -> bool:
+def _verify_bijection(seed: int) -> bool:
     from .states import (
         canonical_bipartite_orientation,
         canonical_planar_orientation,
@@ -336,13 +336,14 @@ def _verify_regions(seed: int) -> bool:
     )
 
 
+# each section takes the seed, whether or not it draws
 _VERIFY_SECTIONS = {
-    "holant": lambda seed: _verify_holant(seed),
-    "groups": lambda seed: _verify_groups(),
-    "bijection": lambda seed: _verify_bijection(),
-    "signs": lambda seed: _verify_signs(seed),
-    "invariance": lambda seed: _verify_invariance(seed),
-    "regions": lambda seed: _verify_regions(seed),
+    "holant": _verify_holant,
+    "groups": _verify_groups,
+    "bijection": _verify_bijection,
+    "signs": _verify_signs,
+    "invariance": _verify_invariance,
+    "regions": _verify_regions,
 }
 
 
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="write a generated graph file")
-    p.add_argument("--type", required=True, choices=("torus", "octahedron", "k44"))
+    p.add_argument("--type", required=True, choices=tuple(_GENERATORS))
     p.add_argument("--rows", type=int, default=4)
     p.add_argument("--cols", type=int, default=4)
     p.add_argument("--out", help="output path (default: stdout)")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .exact import ParamVec, as_params, z8v_exact
 from .graphs import LabeledGraph
-from .mcmc import Chain, ChainConfig, FloatRows, chain_weights, float_or_inf
+from .mcmc import Chain, ChainConfig, chain_weights, float_or_inf
 from .states import CycleKernel, face_two_coloring
 from .transforms import TransformPlan, _in_region, in_yz, plan_report, plan_transform
 
@@ -50,30 +50,30 @@ class AnnealSchedule:
     ``params[t]`` are the class weights of stage t on the geometric curve
     from the uniform point to the target, stage q = len(params) - 1, and
     ``log_pows[i][c]`` is c times the log of class i's ratio of consecutive
-    stages.  A pilot chain, whose weights decide the particles per group,
-    then each of ``groups`` chains, runs stages 0..q-1 in ``Chain.ais``,
-    ``thinning`` = (k+1)/2 steps per stage for cycle-space dimension k;
-    ``anneal_estimate`` packs those stages and ``log_pows`` for the compiled
-    kernel once (``mcmc.FloatRows``), and every chain reads the one packing.
-    ``inside_yz[t]`` flags stage t in the rapidly-mixing region; stages
-    outside it still run, as the weights stay unbiased whether or not the
-    chain mixes.
+    stages.  Both are read-only C-contiguous float64 arrays, of shapes
+    (q + 1, 4) and (4, n + 1), the form that both step paths of
+    ``Chain.ais`` read, so every chain reads them as they are.  A pilot
+    chain, whose weights decide the particles per group, then each of
+    ``groups`` chains, runs stages 0..q-1 in ``Chain.ais``, ``thinning`` =
+    (k+1)/2 steps per stage for cycle-space dimension k.  ``inside_yz[t]``
+    flags stage t in the rapidly-mixing region; stages outside it still
+    run, as the weights stay unbiased whether or not the chain mixes.
     """
 
-    params: tuple[tuple[float, float, float, float], ...]
-    log_pows: tuple[tuple[float, ...], ...]
+    params: np.ndarray
+    log_pows: np.ndarray
     inside_yz: tuple[bool, ...]
     groups: int
     thinning: int
 
 
-def _geometric_stages(target: ParamVec, q: int):
-    ratios = tuple(float(t) ** (1.0 / q) for t in target)
-    stages = [(1.0, 1.0, 1.0, 1.0)]
-    for _ in range(q):
-        prev = stages[-1]
-        stages.append(tuple(p * r for p, r in zip(prev, ratios)))
-    return ratios, tuple(stages)
+def _geometric_stages(target: ParamVec, q: int) -> tuple[list[float], np.ndarray]:
+    """The ratios ``t ** (1/q)`` and the (q + 1, 4) stages, each the one before
+    times the ratios, from the uniform point: one ``np.cumprod``."""
+    ratios = [float(t) ** (1.0 / q) for t in target]
+    factors = np.ones((q + 1, 4))
+    factors[1:] = ratios
+    return ratios, np.cumprod(factors, axis=0)
 
 
 def _stage_flags(stages) -> tuple[bool, ...]:
@@ -172,7 +172,9 @@ def build_schedule(
         raise ValueError("anneal target must be strictly positive")
     n, q = graph.vertex_count, default_stage_count(graph, t)
     ratios, stages = _geometric_stages(t, q)
-    log_pows = tuple(tuple(count * math.log(r) for count in range(n + 1)) for r in ratios)
+    # math.log, whose last bit np.log need not match
+    log_pows = np.arange(n + 1) * np.array([[math.log(r)] for r in ratios])
+    stages.flags.writeable = log_pows.flags.writeable = False
     schedule = AnnealSchedule(stages, log_pows, _stage_flags(stages), _group_count(delta),
                               (k + 1) // 2)
     _particle_count(schedule, 0.0, eps)
@@ -302,8 +304,7 @@ def anneal_estimate(
     # chain seeds come from a master generator: xoring the chain index onto
     # the raw seed would make nearby seeds share chain-seed multisets
     master = Random(cfg.seed)
-    # packed once for the kernel, which every chain below reads
-    stages, log_pows = FloatRows(schedule.params[:-1]), FloatRows(schedule.log_pows)
+    stages, log_pows = schedule.params[:-1], schedule.log_pows
     # the pilot's chain loads the kernel in this thread: loaded by a helper,
     # it added 0.35 MB to the anneal benchmark's peak RSS
     pilot = [x for batch in Chain(kernel, Random(master.getrandbits(64))).ais(

@@ -22,11 +22,13 @@ The steps run in a compiled kernel, ``_chain.c``, wherever one can be
 built: it keeps the masks, counts, factor tables and the generator's
 MT19937 state in native memory and draws exactly as CPython 3.10-3.13's
 ``random.Random`` does.  It tempers each twist's 624 words into a buffer,
-so a draw is a load, tests the laziness coin on the first of its two words
-(so ``LAZINESS`` is 1/2 there), and fills the factor tables itself from the
-four class weights, so ``set_params`` does no per-entry work in Python.
-The chains on one kernel share its move tables (``CycleKernel.move_table``),
-and an estimate packs its stages once (``FloatRows``) for all its chains.
+so a draw is a load, and tests the laziness coin on the first of its two
+words (so ``LAZINESS`` is 1/2 there).  Both step paths fill the factor
+tables from the four class weights where a call starts or a stage does, so
+``set_params`` only stores the weights.  The chains on one kernel share
+its move tables (``CycleKernel.move_table``), and an estimate's schedule
+is built as the float64 arrays that the kernel reads
+(``estimator.build_schedule``), so all its chains read one copy.
 ``Chain`` alone cuts its work into calls (``calls``) of at most
 ``CALL_STEPS`` steps, or one block or particle of annealed importance
 sampling where that is longer, so that Ctrl-C is seen between calls.  The
@@ -38,6 +40,7 @@ the same steps run in Python, the kernel's oracle in the tests.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 import sys
 from dataclasses import dataclass
@@ -117,25 +120,6 @@ def _load_kernel():
     return _native.load()
 
 
-class FloatRows(tuple):
-    """A tuple of equal-length rows of floats, also packed once into one array.
-
-    ``doubles`` holds the rows as a C-contiguous float64 array and ``width``
-    is the length of a row.  ``Chain.ais`` packs its stages and log_pows so
-    for the compiled kernel at each call; given as ``FloatRows``, they are
-    packed once for every chain that runs them.  As for ``tuple``, the
-    ``FloatRows`` of a ``FloatRows`` is the same object.
-    """
-
-    def __new__(cls, rows):
-        if type(rows) is cls:
-            return rows
-        self = super().__new__(cls, map(tuple, rows))
-        self.doubles = np.array(self, dtype=np.float64)  # refuses rows of unequal length
-        self.width = self.doubles.shape[-1]
-        return self
-
-
 def calls(samples: int, thinning: int):
     """Split ``samples`` blocks into calls of at most ``CALL_STEPS`` steps, or one block."""
     per_call = max(1, CALL_STEPS // max(1, thinning))
@@ -159,21 +143,20 @@ class Chain:
     touch order.  Masks stay exact integers and the class counts are
     recounted from them periodically as a cheap self-check.
 
-    Where ``type(rng) is random.Random`` and the compiled kernel loads,
-    ``masks`` and ``counts`` are ctypes arrays in native memory and the
-    kernel makes the steps, from a copy of ``rng``'s state taken here;
-    reading ``rng`` writes the kernel's state back into it.  There
-    ``set_params`` only stores the four weights, and the kernel fills the
-    same factor tables from the same divisions: at the start of each call,
-    and, from each stage's ratios divided once per call, at each stage of a
-    particle.
-    Otherwise (another generator, or no kernel) they are lists and the
-    same steps run in Python.  Both paths give the same masks, counts,
-    log weights, ``steps`` and generator state, bit for bit.  ``advance``,
-    ``ais`` and ``mask_blocks`` make one kernel call (or one Python run) per
-    item of ``calls``, then count its steps in ``steps``; each time that
-    passes a multiple of ``_RECOUNT_PERIOD`` the class counts are recounted
-    from the masks.
+    The step path is bound here, once.  Where ``type(rng) is random.Random``
+    and the compiled kernel loads, ``masks``, ``counts`` and ``weights`` are
+    ctypes arrays in native memory and ``NativeChain`` makes the steps, from
+    a copy of ``rng``'s state taken here; reading ``rng`` writes the
+    kernel's state back into it.  Otherwise (another generator, or no
+    kernel) they are lists and the same steps run in Python, with
+    ``NativeChain``'s arguments and results.  Either way ``set_params`` only
+    stores the four weights, and the steps fill the factor tables from the
+    same divisions at the start of each call and at each stage of a
+    particle.  Both paths give the same masks, counts, log weights,
+    ``steps`` and generator state, bit for bit.  ``advance``, ``ais`` and
+    ``mask_blocks`` make one step call per item of ``calls``, then count
+    its steps in ``steps``; each time that passes a multiple of
+    ``_RECOUNT_PERIOD`` the class counts are recounted from the masks.
     """
 
     def __init__(self, kernel: CycleKernel, rng: Random):
@@ -187,15 +170,21 @@ class Chain:
         self._native = None if native is None else native(kernel, rng)
         if self._native is None:
             self.masks = list(kernel.reference_masks)
-            self.counts = [0, 0, 0, 0]
-            self.factors = {xm: [None] * 16 for flips in kernel.touch for _, xm in flips}
+            # weights as the kernel's array, so set_params refuses any length but 4 alike
+            self.counts, self.weights = [0, 0, 0, 0], (ctypes.c_double * 4)()
+            factors = {xm: [None] * 16 for flips in kernel.touch for _, xm in flips}
             # per move and touched vertex: (vertex, its _FLIP row, its factor table)
             self._moves = [
-                tuple((v, _FLIP[xm], self.factors[xm]) for v, xm in flips)
-                for flips in kernel.touch
+                tuple((v, _FLIP[xm], factors[xm]) for v, xm in flips) for flips in kernel.touch
             ]
+            # per slot, as in _chain.c: a factor table, an even mask, its classes' ratio
+            self._slots = [(table, m, CLASS16[m ^ xm] << 2 | CLASS16[m])
+                           for xm, table in factors.items() for m in _EVEN_MASKS]
+            self._run, self._ais = self._python_run, self._python_ais
         else:
             self.masks, self.counts = self._native.masks, self._native.counts
+            self.weights = self._native.weights
+            self._run, self._ais = self._native.run, self._native.ais
         self.counts[:] = self._class_counts()
         self.set_params((1.0, 1.0, 1.0, 1.0))
         self.steps = 0
@@ -207,29 +196,14 @@ class Chain:
             self._native.write_state(self._rng)
         return self._rng
 
-    @rng.setter
-    def rng(self, rng):
-        if self._native is not None:
-            raise AttributeError("the compiled kernel holds this chain's generator state")
-        self._rng = rng
-
     def set_params(self, weights: Sequence[float]):
         """Target the Gibbs measure with these class weights (uniform until set)."""
-        if self._native is not None:
-            self._native.weights[:] = weights
-            return
-        ratio = [[weights[a] / weights[b] for b in range(4)] for a in range(4)]
-        for xm, table in self.factors.items():
-            for m in _EVEN_MASKS:
-                table[m] = ratio[CLASS16[m ^ xm]][CLASS16[m]]
+        self.weights[:] = weights
 
     def advance(self, steps: int):
         """Make ``steps`` steps at the current parameters."""
         for blocks in calls(steps, 1):
-            if self._native is None:
-                self._python_run(blocks)
-            else:
-                self._native.run(blocks, 1)
+            self._run(blocks, 1)
             self._recount(blocks)
 
     def ais(self, stages, particles: int, thinning: int, log_pows) -> Iterator[list[float]]:
@@ -243,19 +217,21 @@ class Chain:
         weight.  With stage 0 uniform and ``log_pows[i][c] = c ln r_i``, r the
         ratio of consecutive stages, E[weight] is Z(stages[-1] * r) / 2^k
         however well the chain mixes.  A call runs whole particles (``calls``).
-        The kernel reads ``stages`` and ``log_pows`` as ``FloatRows``, packed
-        here unless they are already.
+        Both step paths read ``stages`` and ``log_pows`` as C-contiguous
+        float64 arrays of shapes (stages, 4) and (4, at least n + 1), converted
+        here unless they are already, as ``estimator.build_schedule`` makes
+        them; any other shape raises ``ValueError`` before the first draw.
         """
+        stages, log_pows = (np.ascontiguousarray(rows, np.float64) for rows in (stages, log_pows))
         if len(log_pows) != 4:
             raise ValueError(f"log_pows needs one table per class, got {len(log_pows)}")
-        if self._native is not None:
-            stages, log_pows = FloatRows(stages), FloatRows(log_pows)
+        n = len(self.masks)
+        if log_pows.ndim != 2 or log_pows.shape[1] <= n or len(stages) and stages.shape[1:] != (4,):
+            raise ValueError(f"ais needs stages of 4 weights and log_pows rows of at least n + 1 = "
+                             f"{n + 1} entries, got shapes {stages.shape} and {log_pows.shape}")
         per_particle = len(stages) * thinning
         for batch in calls(particles, per_particle):
-            if self._native is None:
-                log_weights = self._python_ais(stages, batch, thinning, log_pows)
-            else:
-                log_weights = self._native.ais(stages, batch, thinning, log_pows)
+            log_weights = self._ais(stages, batch, thinning, log_pows)
             self._recount(batch * per_particle)
             yield log_weights
 
@@ -263,17 +239,12 @@ class Chain:
         """Run ``samples`` blocks of ``thinning`` steps, recording the masks after each.
 
         Yields, per call of at most ``CALL_STEPS`` steps (or one block), the
-        in-masks after each of its blocks: one byte per vertex, one block
-        after another.
+        in-masks after each of its blocks in one ``bytearray``, as both step
+        paths' ``run`` returns it: one byte per vertex, one block after
+        another.
         """
         for blocks in calls(samples, thinning):
-            if self._native is None:
-                masks = bytearray()
-                for _ in range(blocks):
-                    self._python_run(thinning)
-                    masks.extend(self.masks)
-            else:
-                masks = self._native.run(blocks, thinning, record=True)
+            masks = self._run(blocks, thinning, True)
             self._recount(blocks * thinning)
             yield masks
 
@@ -291,8 +262,28 @@ class Chain:
             counts[CLASS16[m]] += 1
         return counts
 
+    def _fill(self, weights):
+        """Fill each slot of the factor tables from the ratios of ``weights``,
+        ``ratio[a << 2 | b] = weights[a] / weights[b]``, divided as in ``_chain.c``."""
+        ratio = [weights[a] / weights[b] for a in range(4) for b in range(4)]
+        for table, m, pair in self._slots:
+            table[m] = ratio[pair]
+
+    def _python_run(self, blocks: int, thinning: int, record: bool = False) -> bytearray | None:
+        """``NativeChain.run`` in Python."""
+        self._fill(self.weights)
+        if not record:
+            return self._python_steps(blocks * thinning)
+        masks = bytearray()
+        for _ in range(blocks):
+            self._python_steps(thinning)
+            masks.extend(self.masks)
+        return masks
+
     def _python_ais(self, stages, particles: int, thinning: int, log_pows) -> list[float]:
-        masks, counts, lp0, lp1, lp2, lp3 = self.masks, self.counts, *log_pows
+        """``NativeChain.ais`` in Python."""
+        masks, counts, rows = self.masks, self.counts, stages.tolist()
+        lp0, lp1, lp2, lp3 = log_pows.tolist()
         log_weights = []
         for _ in range(particles):
             masks[:] = self.kernel.reference_masks
@@ -301,14 +292,16 @@ class Chain:
                     for v, xm in flips:
                         masks[v] ^= xm
             counts[:], log_w = self._class_counts(), 0.0
-            for weights in stages:
-                self.set_params(weights)
-                self._python_run(thinning)
+            for weights in rows:
+                self._fill(weights)
+                self._python_steps(thinning)
                 log_w += lp0[counts[0]] + lp1[counts[1]] + lp2[counts[2]] + lp3[counts[3]]
             log_weights.append(log_w)
+        if particles and rows:  # as in _chain.c, the weights of the last stage run
+            self.weights[:] = rows[-1]
         return log_weights
 
-    def _python_run(self, steps: int):
+    def _python_steps(self, steps: int):
         masks, counts, moves = self.masks, self.counts, self._moves
         nmoves = len(moves)
         bits = nmoves.bit_length()
@@ -346,8 +339,10 @@ def sample(
 
     Calls ``emit`` with each ``Chain.mask_blocks`` call's orientations, one
     per row, in slot bits (see ``states``): a ``uint8`` array of shape
-    ``(rows, graph.edge_count)``.  Every setting is checked before the first
-    step; the kernel counts steps in int64, so ``thinning`` must be below 2^63.
+    ``(rows, graph.edge_count)``, read in one array pass from that call's
+    record of masks viewed, uncopied, as a ``(rows, n)`` array.  Every
+    setting is checked before the first step; the kernel counts steps in
+    int64, so ``thinning`` must be below 2^63.
     """
     if n_samples < 0:
         raise ValueError("sample count must be nonnegative")

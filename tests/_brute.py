@@ -7,13 +7,15 @@ scans every vertex per step for the one greedy order from vertex 0, where
 the package pops a heap and keeps the narrowest of several orders; the
 reference chain recomputes whole weights instead of local ratios, and the
 reference walk of the coset flips one move at a time in Gray-code order,
-where the package lists the states in blocks of masks.  The predicates at
-the end (evenness, Gibbs weights, region intersections, arrow-reversal
-symmetry), the group closure in ``Fraction`` products of the rows, the
-matrix inverse, the constraint-matrix layout, the per-edge orientation and
-bit-string forms and the bit-string reader have no caller in the package.
-Keep them dumb.
+where the package lists the states in blocks of masks; the reference
+schedule multiplies stage by stage in tuple loops, where the package
+builds its arrays in numpy.  The predicates at the end (evenness, Gibbs
+weights, region intersections, arrow-reversal symmetry), the group
+closure in ``Fraction`` products of the rows, the matrix inverse, the
+constraint-matrix layout, the per-edge orientation and bit-string forms
+and the bit-string reader have no caller in the package.  Keep them dumb.
 """
+import math
 from collections import Counter
 from fractions import Fraction
 from random import Random
@@ -212,6 +214,21 @@ def metropolis_reference(graph: LabeledGraph, params, moves, seed: int, laziness
             if ratio >= 1 or rng.random() < ratio:
                 bits = proposed
         yield bits
+
+
+def schedule_by_loops(target, q: int, n: int) -> tuple[tuple, tuple]:
+    """The stages and log powers of an annealing schedule, in tuple loops.
+
+    Stage 0 is (1, 1, 1, 1) and each stage is the one before times the
+    ratios ``float(t) ** (1 / q)``; ``log_pows[i][c]`` is c times
+    ``math.log`` of ratio i, for c = 0..n.
+    """
+    ratios = tuple(float(t) ** (1.0 / q) for t in target)
+    stages = [(1.0, 1.0, 1.0, 1.0)]
+    for _ in range(q):
+        stages.append(tuple(p * r for p, r in zip(stages[-1], ratios)))
+    log_pows = tuple(tuple(count * math.log(r) for count in range(n + 1)) for r in ratios)
+    return tuple(stages), log_pows
 
 
 # ----------------------------------------------------------------------

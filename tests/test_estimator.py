@@ -5,12 +5,14 @@ import threading
 import time
 from fractions import Fraction
 from random import Random
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eightvertex import _native, mcmc
+from eightvertex import _native, estimator, mcmc
 from eightvertex.estimator import (
     PILOT_PARTICLES,
     PipelineError,
@@ -27,11 +29,12 @@ from eightvertex.estimator import (
     estimate_z8v,
 )
 from eightvertex.exact import as_params, z8v_exact
-from eightvertex.graphs import gen_torus
+from eightvertex.graphs import gen_octahedron, gen_torus
 from eightvertex.mcmc import Chain, ChainConfig
 from eightvertex.states import CycleKernel
 from eightvertex.transforms import in_yz
 
+from ._brute import schedule_by_loops
 from .conftest import needs_affinity, one_cpu
 
 
@@ -44,24 +47,41 @@ def test_anchor_values(octahedron, k44, torus24, torus44):
 
 def test_schedule_endpoints_and_flags(octahedron):
     sched = build_schedule(octahedron, (3, 3, 3, 1), 0.05, 0.25, 7)
-    assert sched.params[0] == (1.0, 1.0, 1.0, 1.0)
+    assert sched.params[0].tolist() == [1.0, 1.0, 1.0, 1.0]
     final = sched.params[-1]
     assert all(abs(x - y) < 1e-9 for x, y in zip(final, (3, 3, 3, 1)))
     assert all(sched.inside_yz)
     assert all(x > 0 for stage in sched.params for x in stage)
 
 
-def test_schedule_holds_every_run_count(octahedron):
-    # octahedron: n = 6 vertices, cycle-space dimension k = 7
-    target = as_params((3, 3, 3, 1))
-    sched = build_schedule(octahedron, target, 0.05, 0.25, 7)
-    q = len(sched.params) - 1
+POSITIVE = st.fractions(min_value=Fraction(1, 1000), max_value=1000).filter(lambda x: x > 0)
+FLOAT = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+SCHEDULE_GRAPHS = {"octahedron": gen_octahedron(), "torus2x2": gen_torus(2, 2),
+                   "torus4x4": gen_torus(4, 4)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(sorted(SCHEDULE_GRAPHS)),
+       target=st.tuples(POSITIVE, POSITIVE, POSITIVE, POSITIVE), q=st.integers(1, 3000))
+# the octahedron's default q at (3, 3, 3, 1): ceil(8 n ln 3) = 53
+@example(name="octahedron", target=(3, 3, 3, 1), q=53)
+@example(name="torus4x4", target=(Fraction(1, 1000), 1000, 7, 1), q=3000)
+def test_schedule_holds_every_run_count(name, target, q):
+    # the kernel's arrays, read-only, and byte for byte the tuple loops'
+    # products and logs: numpy multiplies stage by stage in the same order
+    graph = SCHEDULE_GRAPHS[name]
+    k = CycleKernel(graph).dimension
+    with patch.object(estimator, "default_stage_count", lambda graph, target: q):
+        sched = build_schedule(graph, target, 0.05, 0.25, k)
+    stages, log_pows = schedule_by_loops(as_params(target), q, graph.vertex_count)
+    for got, want in ((sched.params, stages), (sched.log_pows, log_pows)):
+        assert got.dtype == np.float64 and got.flags.c_contiguous and not got.flags.writeable
+        assert got.shape == np.shape(want) and got.tobytes() == np.array(want).tobytes()
     assert len(sched.inside_yz) == q + 1
-    ratios, _ = _geometric_stages(target, q)
-    assert sched.log_pows == tuple(tuple(count * math.log(r) for count in range(7))
-                                   for r in ratios)
     assert sched.groups == _group_count(0.25)
-    assert sched.thinning == 4
+    assert sched.thinning == (k + 1) // 2
 
 
 def test_particle_count_follows_the_pilot_variance(octahedron):
@@ -76,10 +96,6 @@ def test_particle_count_follows_the_pilot_variance(octahedron):
     for variance, eps in ((math.log(2), 1e-9), (0.0, 1e-200), (1e3, 0.1), (math.nan, 0.1)):
         with pytest.raises(ValueError, match=f"eps={eps} .* steps per chain, past 2"):
             _particle_count(sched, variance, eps)
-
-
-POSITIVE = st.fractions(min_value=Fraction(1, 1000), max_value=1000).filter(lambda x: x > 0)
-FLOAT = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
 
 
 def _fraction_flags(stages):
@@ -330,9 +346,15 @@ def test_the_schedule_alone_drives_the_run(monkeypatch, octahedron, stepper, cha
     est = _octahedron_estimate(octahedron)
     sched = build_schedule(octahedron, (2, 2, 3, 1), 0.05, DELTA, CycleKernel(octahedron).dimension)
     particles = est.diagnostics["particles"]
-    run = (sched.params[:-1], particles, sched.thinning, sched.log_pows)
-    assert calls == {-1: [(sched.params[:-1], PILOT_PARTICLES, sched.thinning, sched.log_pows)],
-                     **{i: [run] for i in range(sched.groups)}}
+    # every chain reads the one pair of schedule arrays, as they are
+    made = [args for runs in calls.values() for args in runs]
+    assert all(args[0] is made[0][0] and args[3] is made[0][3] for args in made)
+    listed = {i: [(stages.tolist(), *rest, log_pows.tolist()) for stages, *rest, log_pows in runs]
+              for i, runs in calls.items()}
+    stages, log_pows = sched.params[:-1].tolist(), sched.log_pows.tolist()
+    run = (stages, particles, sched.thinning, log_pows)
+    assert listed == {-1: [(stages, PILOT_PARTICLES, sched.thinning, log_pows)],
+                      **{i: [run] for i in range(sched.groups)}}
     assert particles == _particle_count(sched, est.diagnostics["pilot_log_weight_variance"], 0.05)
     assert est.stages == len(sched.params) - 1
     assert (est.groups, est.samples_per_stage) == (sched.groups, sched.groups * particles)

@@ -267,7 +267,8 @@ def test_uniform_point_accepts_every_proposal(torus22):
             chain = _chain_at(kernel, coords)
             chain.set_params([1.0] * 4)
             before = orientation_from_masks(torus22, chain.masks)
-            chain.rng = ScriptedRng([0.9], [move])
+            chain.rng.coins.append(0.9)
+            chain.rng.moves.append(move)
             chain.advance(1)
             after = orientation_from_masks(torus22, chain.masks)
             assert after == _flipped(before, kernel.moves[move])
@@ -293,7 +294,8 @@ def test_known_acceptance_ratio(torus22):
             start = orientation_from_masks(torus22, chain.masks)
             flipped = _flipped(start, kernel.moves[move])
             # forward (ratio 4), back on coin 0.2499, forward, no way back on 0.2501
-            chain.rng = ScriptedRng([0.9, 0.9, 0.2499, 0.9, 0.9, 0.2501], [move] * 4)
+            chain.rng.coins.extend([0.9, 0.9, 0.2499, 0.9, 0.9, 0.2501])
+            chain.rng.moves.extend([move] * 4)
             seen = []
             for _ in range(4):
                 chain.advance(1)
@@ -544,9 +546,27 @@ def test_the_ctypes_state_has_the_layout_of_struct_chain(tmp_path):
 
 @pytest.mark.parametrize("rng", [Random, PythonRandom], ids=["native", "python"])
 def test_ais_needs_one_log_pow_table_per_class(octahedron, rng):
+    # both step paths refuse a malformed schedule alike, before any draw
     chain = Chain(CycleKernel(octahedron), rng(1))
     with pytest.raises(ValueError, match="one table per class, got 3"):
         list(chain.ais([(1.0, 2.0, 2.0, 1.0)], 1, 1, ((0.0,) * 7,) * 3))
+    # stages of 3 weights, and log_pows rows of n entries, one short
+    for stages, log_pows in (([(1.0, 2.0, 2.0)], ((0.0,) * 7,) * 4),
+                             ([(1.0, 2.0, 2.0, 1.0)], ((0.0,) * 6,) * 4)):
+        with pytest.raises(ValueError, match=r"4 weights and log_pows rows of at least n \+ 1 = 7"):
+            list(chain.ais(stages, 1, 1, log_pows))
+    assert chain.rng.getstate() == Random(1).getstate()
+
+
+@pytest.mark.parametrize("rng", [Random, PythonRandom], ids=["native", "python"])
+@pytest.mark.parametrize("weights", [(1.0, 2.0, 2.0), (1.0, 2.0, 2.0, 1.0, 1.0)], ids=[3, 5])
+def test_set_params_needs_four_weights(octahedron, rng, weights):
+    # both step paths refuse another count when it is set, not at a later step
+    chain = Chain(CycleKernel(octahedron), rng(1))
+    with pytest.raises(ValueError, match="same size"):
+        chain.set_params(weights)
+    chain.advance(5)
+    assert list(chain.weights) == [1.0] * 4
 
 
 def _log_pows(ratios, n):
@@ -554,13 +574,13 @@ def _log_pows(ratios, n):
 
 
 def test_native_chains_sharing_a_kernel_do_not_interfere():
-    # two chains read one kernel's move tables and one packing of the stages:
+    # two chains read one kernel's move tables and one pair of schedule arrays:
     # interleaved, each runs bit for bit as it does alone
     kernel = CycleKernel(gen_torus(4, 4))
     if mcmc._load_kernel() is None:
         pytest.skip("the compiled kernel is not available on this host")
-    stages = mcmc.FloatRows([(1.0, 2.0, 2.0, 1.0), (1.1, 1.8, 2.0, 1.3), (1.2, 1.6, 2.0, 1.7)])
-    log_pows = mcmc.FloatRows(_log_pows((1.1, 0.9, 1.0, 1.3), 16))
+    stages = np.array([(1.0, 2.0, 2.0, 1.0), (1.1, 1.8, 2.0, 1.3), (1.2, 1.6, 2.0, 1.7)])
+    log_pows = np.array(_log_pows((1.1, 0.9, 1.0, 1.3), 16))
 
     def run(chain, particles):
         return list(chain.ais(stages, particles, 5, log_pows)), list(chain.masks)
