@@ -18,7 +18,6 @@ from .graphs import (
     gen_torus,
     parse_graph,
     serialize_graph,
-    validate,
 )
 from .holant import (
     QuarticFunction,

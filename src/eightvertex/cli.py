@@ -360,6 +360,11 @@ def _cmd_verify(args) -> int:
 # ----------------------------------------------------------------------
 
 
+# argparse reads "--params -1,2,2,1" as a flag with no value
+_PARAMS_HELP = ("four comma-separated rationals a,b,c,d; "
+                "write --params=-1,2,2,1 when a is negative")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eightvertex",
@@ -378,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exact", help="exact partition function")
     p.add_argument("--graph", required=True)
-    p.add_argument("--params", required=True)
+    p.add_argument("--params", required=True, help=_PARAMS_HELP)
     p.add_argument("--model", choices=("8v", "ec"), default="8v")
     p.set_defaults(func=_cmd_exact)
 
@@ -396,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="find a transform into the rapidly-mixing region")
     p.add_argument("--class", dest="graph_class", required=True,
                    choices=("planar", "bipartite"))
-    p.add_argument("--params", required=True)
+    p.add_argument("--params", required=True, help=_PARAMS_HELP)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("verify", help="run identity checks; exit 1 on failure")
@@ -411,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'edge i v a v b' keeps its slot bit: 1 iff it points into label b.",
     )
     p.add_argument("--graph", required=True)
-    p.add_argument("--params", required=True)
+    p.add_argument("--params", required=True, help=_PARAMS_HELP)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=1000)
@@ -422,13 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagnose-chain", help="exact chain diagnostics, TV curve CSV")
     p.add_argument("--graph", required=True)
-    p.add_argument("--params", required=True)
+    p.add_argument("--params", required=True, help=_PARAMS_HELP)
     p.add_argument("--tv-threshold", type=float, default=0.01)
     p.set_defaults(func=_cmd_diagnose_chain)
 
     p = sub.add_parser("estimate", help="transform-then-anneal estimate as JSON")
     p.add_argument("--graph", required=True)
-    p.add_argument("--params", required=True)
+    p.add_argument("--params", required=True, help=_PARAMS_HELP)
     p.add_argument("--class", dest="graph_class", required=True,
                    choices=("planar", "bipartite"))
     p.add_argument("--eps", type=float, default=0.05)

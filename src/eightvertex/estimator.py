@@ -382,10 +382,6 @@ def _check_graph_class(graph: LabeledGraph, graph_class: str):
     elif graph_class == "bipartite":
         if graph.bipartition is None:
             raise PipelineError("bipartite pipeline needs a bipartition")
-        left, _ = graph.bipartition
-        for eid, e in enumerate(graph.edges):
-            if (e.u in left) == (e.v in left):
-                raise PipelineError(f"edge {eid} does not join the two sides")
     else:
         raise ValueError(f"unknown graph class {graph_class!r}")
 

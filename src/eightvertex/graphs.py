@@ -4,12 +4,13 @@ Every vertex carries exactly four half-edges labeled 1..4.  When a
 rotation system is present the labels double as the counterclockwise
 cyclic order around the vertex, with the geometric reading
 1=west/left, 2=south/down, 3=east/right, 4=north/up.  Self-loops and
-parallel edges are allowed; incidences are tracked per half-edge.
+parallel edges are allowed; incidences are tracked per half-edge.  A
+``LabeledGraph`` is valid once built; ``parse_graph`` checks the file's
+syntax and maps a rule broken by one edge to that edge's line.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 LABELS = (1, 2, 3, 4)
@@ -32,6 +33,14 @@ class GraphFormatError(ValueError):
         self.line = line
 
 
+class EdgeError(ValueError):
+    """A graph rule broken by one edge; carries the edge's id."""
+
+    def __init__(self, message: str, edge: int):
+        super().__init__(message)
+        self.edge = edge
+
+
 class Edge(NamedTuple):
     u: int
     label_u: int
@@ -50,57 +59,55 @@ class HalfEdge(NamedTuple):
 
 @dataclass(frozen=True)
 class LabeledGraph:
+    """Valid once built: the constructor checks every graph rule, and a rule
+    broken by one edge raises ``EdgeError`` with that edge's id."""
+
     vertex_count: int
     edges: tuple[Edge, ...]
     embedding_kind: str = "none"
     bipartition: tuple[frozenset[int], frozenset[int]] | None = None
+    # per vertex, the incident half-edges indexed by label-1
+    half_edges: tuple[tuple[HalfEdge, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.vertex_count
+        if n < 0:
+            raise ValueError("negative vertex count")
+        if self.embedding_kind not in EMBEDDING_KINDS:
+            raise ValueError(f"unknown embedding kind {self.embedding_kind!r}")
+        table: list[list[HalfEdge | None]] = [[None] * 4 for _ in range(n)]
+        for eid, e in enumerate(self.edges):
+            for w in (e.u, e.v):
+                if not 0 <= w < n:
+                    raise EdgeError(f"dangling vertex id {w}", eid)
+            for lab in (e.label_u, e.label_v):
+                if lab not in LABELS:
+                    raise EdgeError(f"label {lab} not in 1..4", eid)
+            for slot in (0, 1):
+                v, lab = e.endpoint(slot)
+                if table[v][lab - 1] is not None:
+                    raise EdgeError(f"vertex {v}: duplicate label {lab}", eid)
+                table[v][lab - 1] = HalfEdge(eid, slot)
+        for v, row in enumerate(table):
+            if None in row:
+                missing = [l for l, h in zip(LABELS, row) if h is None]
+                raise ValueError(f"vertex {v}: not 4-regular (missing labels {missing})")
+        object.__setattr__(self, "half_edges", tuple(tuple(row) for row in table))
+        if self.bipartition is not None:
+            left, right = self.bipartition
+            if left & right:
+                raise ValueError("bipartition sides overlap")
+            if left | right != frozenset(range(n)):
+                raise ValueError("bipartition does not cover all vertices")
+            for eid, e in enumerate(self.edges):
+                if (e.u in left) == (e.v in left):
+                    raise EdgeError(f"edge {eid} does not join the two sides", eid)
+        if self.embedding_kind == "bipartition" and self.bipartition is None:
+            raise ValueError("embedding kind 'bipartition' without a bipartition")
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    @cached_property
-    def half_edges(self) -> tuple[tuple[HalfEdge, HalfEdge, HalfEdge, HalfEdge], ...]:
-        """Per vertex, the incident half-edges indexed by label-1."""
-        table: list[list[HalfEdge | None]] = [
-            [None] * 4 for _ in range(self.vertex_count)
-        ]
-        for eid, e in enumerate(self.edges):
-            for slot in (0, 1):
-                v, lab = e.endpoint(slot)
-                if not 0 <= v < self.vertex_count:
-                    raise ValueError(f"edge {eid}: vertex id {v} out of range")
-                if lab not in LABELS:
-                    raise ValueError(f"edge {eid}: label {lab} not in 1..4")
-                if table[v][lab - 1] is not None:
-                    raise ValueError(f"vertex {v}: duplicate label {lab}")
-                table[v][lab - 1] = HalfEdge(eid, slot)
-        for v, row in enumerate(table):
-            if any(h is None for h in row):
-                missing = [l for l, h in zip(LABELS, row) if h is None]
-                raise ValueError(f"vertex {v}: not 4-regular (missing labels {missing})")
-        return tuple(tuple(row) for row in table)  # type: ignore[arg-type]
-
-
-def validate(graph: LabeledGraph) -> LabeledGraph:
-    """Check 4-regularity, label completeness and embedding consistency."""
-    if graph.vertex_count < 0:
-        raise ValueError("negative vertex count")
-    if graph.embedding_kind not in EMBEDDING_KINDS:
-        raise ValueError(f"unknown embedding kind {graph.embedding_kind!r}")
-    graph.half_edges  # forces the per-half-edge checks
-    if graph.bipartition is not None:
-        left, right = graph.bipartition
-        if left & right:
-            raise ValueError("bipartition sides overlap")
-        if left | right != frozenset(range(graph.vertex_count)):
-            raise ValueError("bipartition does not cover all vertices")
-        for eid, e in enumerate(graph.edges):
-            if (e.u in left) == (e.v in left):
-                raise ValueError(f"edge {eid} does not join the two sides")
-    if graph.embedding_kind == "bipartition" and graph.bipartition is None:
-        raise ValueError("embedding kind 'bipartition' without a bipartition")
-    return graph
 
 
 # ----------------------------------------------------------------------
@@ -132,9 +139,7 @@ def gen_torus(rows: int, cols: int) -> LabeledGraph:
         )
         right = frozenset(range(rows * cols)) - left
         bipartition = (left, right)
-    return validate(
-        LabeledGraph(rows * cols, tuple(edges), "rotation_system", bipartition)
-    )
+    return LabeledGraph(rows * cols, tuple(edges), "rotation_system", bipartition)
 
 
 # Octahedron rotation system: neighbor lists in counterclockwise order as
@@ -160,7 +165,7 @@ def gen_octahedron() -> LabeledGraph:
             label_u = pos + 1
             label_w = rot[w].index(u) + 1
             edges.append(Edge(u, label_u, w, label_w))
-    return validate(LabeledGraph(6, tuple(edges), "rotation_system"))
+    return LabeledGraph(6, tuple(edges), "rotation_system")
 
 
 def gen_k44() -> LabeledGraph:
@@ -169,7 +174,7 @@ def gen_k44() -> LabeledGraph:
         Edge(i, j + 1, 4 + j, i + 1) for i in range(4) for j in range(4)
     )
     bipartition = (frozenset(range(4)), frozenset(range(4, 8)))
-    return validate(LabeledGraph(8, edges, "bipartition", bipartition))
+    return LabeledGraph(8, edges, "bipartition", bipartition)
 
 
 # ----------------------------------------------------------------------
@@ -196,6 +201,7 @@ def serialize_graph(graph: LabeledGraph) -> str:
 
 
 def parse_graph(text: str) -> LabeledGraph:
+    """The graph of a file in the format above; ``GraphFormatError`` names the bad line."""
     lines = text.splitlines()
 
     def fail(message: str, lineno: int):
@@ -230,7 +236,6 @@ def parse_graph(text: str) -> LabeledGraph:
 
     edges: list[Edge | None] = [None] * m
     edge_lines = [0] * m
-    ends_seen: set[tuple[int, int]] = set()  # (vertex, label) pairs of earlier edges
     bipartition = None
     for lineno, raw in enumerate(lines[2:], start=3):
         line = raw.strip()
@@ -248,16 +253,6 @@ def parse_graph(text: str) -> LabeledGraph:
                 fail(f"edge id {eid} out of range 0..{m - 1}", lineno)
             if edges[eid] is not None:
                 fail(f"duplicate edge id {eid}", lineno)
-            for w in (u, v):
-                if not 0 <= w < n:
-                    fail(f"dangling vertex id {w}", lineno)
-            for lab in (lu, lv):
-                if lab not in LABELS:
-                    fail(f"label {lab} not in 1..4", lineno)
-            for end in ((u, lu), (v, lv)):
-                if end in ends_seen:
-                    fail(f"vertex {end[0]}: duplicate label {end[1]}", lineno)
-                ends_seen.add(end)
             edges[eid] = Edge(u, lu, v, lv)
             edge_lines[eid] = lineno
         elif fields[0] == "bipartition":
@@ -280,13 +275,7 @@ def parse_graph(text: str) -> LabeledGraph:
         fail(f"missing edge ids {missing[:4]}", len(lines))
     if embedding_kind == "bipartition" and bipartition is None:
         fail("embedding 'bipartite' requires a bipartition line", len(lines))
-    if bipartition is not None:
-        for eid, e in enumerate(edges):
-            if (e.u in bipartition[0]) == (e.v in bipartition[0]):
-                fail(f"edge {eid} does not join the two sides", edge_lines[eid])
-
-    graph = LabeledGraph(n, tuple(edges), embedding_kind, bipartition)  # type: ignore[arg-type]
     try:
-        return validate(graph)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc), len(lines)) from exc
+        return LabeledGraph(n, tuple(edges), embedding_kind, bipartition)  # type: ignore[arg-type]
+    except EdgeError as exc:
+        raise GraphFormatError(str(exc), edge_lines[exc.edge]) from exc

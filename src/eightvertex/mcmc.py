@@ -80,6 +80,11 @@ def _positive(params) -> tuple[Fraction, ...]:
     return p
 
 
+def _require_moves(kernel: CycleKernel):
+    if not kernel.touch:
+        raise ValueError("the chain needs at least one move; this coset has a single state")
+
+
 def float_or_inf(x) -> float:
     """``float(x)``, or infinity with x's sign where that overflows."""
     try:
@@ -160,8 +165,7 @@ class Chain:
     """
 
     def __init__(self, kernel: CycleKernel, rng: Random):
-        if not kernel.touch:
-            raise ValueError("the chain needs at least one move; this coset has a single state")
+        _require_moves(kernel)
         self.kernel = kernel
         self._rng = rng
         # the kernel packs vertex << 4 | flip mask into an int32
@@ -402,11 +406,13 @@ def exact_chain_diagnostics(
     curve (from the reference-orientation start) is tracked in floating
     point until it falls below ``tv_threshold``, which must lie in (0, 1),
     or for ``DIAGNOSTIC_MAX_STEPS`` steps.  Graphs of cycle-space dimension
-    above ``DIAGNOSTIC_DIM_CAP`` are refused.
+    0 (a coset of one state, with no move) or above ``DIAGNOSTIC_DIM_CAP``
+    are refused.
     """
     if not 0 < tv_threshold < 1:
         raise ValueError(f"tv_threshold must lie in (0, 1), got {tv_threshold}")
     kernel = CycleKernel(graph)
+    _require_moves(kernel)
     weights = _state_weights(kernel, _positive(params))
     k, size = kernel.dimension, len(weights)
     lazy = Fraction(LAZINESS)

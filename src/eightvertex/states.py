@@ -492,13 +492,7 @@ def canonical_bipartite_orientation(graph: LabeledGraph) -> Bits:
     """
     if graph.bipartition is None:
         raise ValueError("bipartite canonical orientation requires a bipartition")
-    left, _right = graph.bipartition
-    bits = []
-    for eid, e in enumerate(graph.edges):
-        if (e.u in left) == (e.v in left):
-            raise ValueError(f"edge {eid} does not join the two sides")
-        bits.append(1 if e.v in left else 0)
-    return tuple(bits)
+    return tuple(int(e.v in graph.bipartition[0]) for e in graph.edges)
 
 
 def orientation_to_coloring(

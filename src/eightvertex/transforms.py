@@ -246,7 +246,8 @@ def group_fingerprint(elements: Sequence[GroupElement]) -> dict:
 
 def _require_nonneg(p: ParamVec):
     if any(x < 0 for x in p):
-        raise ValueError(f"region predicates need nonnegative parameters, got {p}")
+        shown = ", ".join(map(format_rational, p))
+        raise ValueError(f"region predicates need nonnegative parameters, got ({shown})")
 
 
 def region(params: Sequence, name: str) -> bool:

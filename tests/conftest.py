@@ -9,7 +9,6 @@ from eightvertex.graphs import (
     gen_k44,
     gen_octahedron,
     gen_torus,
-    validate,
 )
 
 
@@ -51,7 +50,7 @@ def build_k5() -> LabeledGraph:
             label_u = sorted(set(range(5)) - {u}).index(v) + 1
             label_v = sorted(set(range(5)) - {v}).index(u) + 1
             edges.append(Edge(u, label_u, v, label_v))
-    return validate(LabeledGraph(5, tuple(edges)))
+    return LabeledGraph(5, tuple(edges))
 
 
 @pytest.fixture(scope="session")
@@ -67,7 +66,7 @@ def build_loop_graph() -> LabeledGraph:
         Edge(0, 3, 1, 3),
         Edge(0, 4, 1, 4),
     )
-    return validate(LabeledGraph(2, edges))
+    return LabeledGraph(2, edges)
 
 
 @pytest.fixture(scope="session")
@@ -81,7 +80,7 @@ def disjoint_union(*graphs: LabeledGraph) -> LabeledGraph:
     for graph in graphs:
         edges += [Edge(e.u + shift, e.label_u, e.v + shift, e.label_v) for e in graph.edges]
         shift += graph.vertex_count
-    return validate(LabeledGraph(shift, tuple(edges)))
+    return LabeledGraph(shift, tuple(edges))
 
 
 def build_two_components() -> LabeledGraph:

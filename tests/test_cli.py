@@ -11,7 +11,7 @@ import pytest
 
 from eightvertex import mcmc
 from eightvertex.cli import main
-from eightvertex.exact import census_8v, z8v_exact
+from eightvertex.exact import census_8v, format_rational, z8v_exact
 from eightvertex.graphs import gen_k44, gen_octahedron, gen_torus, parse_graph, serialize_graph
 
 from .conftest import build_loop_graph, needs_affinity, one_cpu
@@ -53,8 +53,6 @@ def test_exact_prints_integer(oct_file, capsys):
 
 
 def test_exact_prints_rational(oct_file, capsys):
-    from eightvertex.exact import format_rational
-
     code, out, _ = run(capsys, "exact", "--graph", oct_file, "--params",
                        "1/3,1,1,1")
     assert code == 0
@@ -67,6 +65,10 @@ def test_exact_signed_params(oct_file, capsys):
     code, out, _ = run(capsys, "exact", "--graph", oct_file, "--params", "1,1,1,-1")
     assert code == 0
     assert out.strip() == "128"
+    # a leading minus needs the --params= form, or argparse reads it as a flag
+    code, out, _ = run(capsys, "exact", "--graph", oct_file, "--params=-1,1,1,1")
+    assert code == 0
+    assert out.strip() == format_rational(z8v_exact(gen_octahedron(), (-1, 1, 1, 1)))
 
 
 def test_exact_torus66_past_the_census(tmp_path, capsys):
@@ -157,6 +159,16 @@ def test_plan_failure_reports_diagnostics(capsys):
     payload = json.loads(out)
     assert payload["plan"] is None
     assert len(payload["diagnostics"]) == 6
+
+
+def test_sign_refusal_prints_rationals(tmp_path, capsys):
+    path = tmp_path / "k44.8vx"
+    path.write_text(serialize_graph(gen_k44()))
+    want = "error: region predicates need nonnegative parameters, got (-1/2, 0, 3, 0)\n"
+    for argv in (("plan", "--class", "planar"),
+                 ("estimate", "--graph", str(path), "--class", "bipartite", "--seed", "1")):
+        code, out, err = run(capsys, *argv, "--params=-1/2,0,3,0")
+        assert (code, out, err) == (2, "", want)
 
 
 def test_sample_emits_bitstrings(oct_file, capsys):
@@ -275,6 +287,14 @@ def test_diagnose_chain_rejects_bad_threshold(oct_file, capsys, value):
                          "--params", "1,1,1,1", f"--tv-threshold={value}")
     assert code == 2
     assert out == "" and "tv_threshold" in err
+
+
+def test_diagnose_chain_refuses_a_single_state_coset(tmp_path, capsys):
+    path = tmp_path / "empty.8vx"
+    path.write_text("8vx-graph 1\nvertices 0 edges 0 embedding none\n")
+    code, out, err = run(capsys, "diagnose-chain", "--graph", str(path), "--params", "1,1,1,1")
+    assert code == 2 and out == ""
+    assert err == "error: the chain needs at least one move; this coset has a single state\n"
 
 
 def test_census_default_cap(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eightvertex.graphs import (
     EMBEDDING_KINDS,
     LABELS,
     Edge,
+    EdgeError,
     GraphFormatError,
     LabeledGraph,
     gen_k44,
@@ -13,7 +14,6 @@ from eightvertex.graphs import (
     gen_torus,
     parse_graph,
     serialize_graph,
-    validate,
 )
 
 
@@ -70,14 +70,24 @@ def test_validate_rejects_duplicate_label():
         Edge(0, 4, 1, 3),
         Edge(1, 4, 1, 4),
     )
-    with pytest.raises(ValueError, match="duplicate label"):
-        validate(LabeledGraph(2, edges))
+    with pytest.raises(EdgeError, match="vertex 0: duplicate label 1") as exc:
+        LabeledGraph(2, edges)
+    assert exc.value.edge == 0
+    with pytest.raises(EdgeError, match="dangling vertex id 2") as exc:
+        LabeledGraph(2, (*edges[1:4], Edge(0, 1, 2, 1), edges[4]))
+    assert exc.value.edge == 3
 
 
 def test_validate_rejects_wrong_degree():
     edges = (Edge(0, 1, 1, 1), Edge(0, 2, 1, 2), Edge(0, 3, 1, 3))
     with pytest.raises(ValueError, match="not 4-regular"):
-        validate(LabeledGraph(2, edges))
+        LabeledGraph(2, edges)
+    # 4-regular, but edge 1 is a self-loop inside side L
+    edges = (Edge(0, 1, 1, 1), Edge(0, 2, 0, 3), Edge(0, 4, 1, 3), Edge(1, 2, 1, 4))
+    LabeledGraph(2, edges)
+    with pytest.raises(EdgeError, match="edge 1 does not join the two sides") as exc:
+        LabeledGraph(2, edges, "bipartition", (frozenset({0}), frozenset({1})))
+    assert exc.value.edge == 1
 
 
 @pytest.mark.parametrize("make", [gen_octahedron, gen_k44, lambda: gen_torus(3, 4)])
@@ -172,7 +182,7 @@ def paired_graphs(draw):
     halves = draw(st.permutations([(v, lab) for v in range(n) for lab in LABELS]))
     edges = tuple(Edge(*halves[i], *halves[i + 1]) for i in range(0, len(halves), 2))
     kind = draw(st.sampled_from(["none", "rotation_system"]))
-    return validate(LabeledGraph(n, edges, kind))
+    return LabeledGraph(n, edges, kind)
 
 
 @st.composite
@@ -189,7 +199,7 @@ def bipartite_graphs(draw):
         Edge(*b, *a) if flip else Edge(*a, *b) for a, b, flip in zip(lhalves, rhalves, flips)
     )
     kind = draw(st.sampled_from(EMBEDDING_KINDS))
-    return validate(LabeledGraph(2 * side, edges, kind, (left, right)))
+    return LabeledGraph(2 * side, edges, kind, (left, right))
 
 
 GENERATED = st.one_of(
@@ -204,3 +214,37 @@ def test_parse_inverts_serialize(graph):
     text = serialize_graph(graph)
     assert parse_graph(text) == graph
     assert serialize_graph(parse_graph(text)) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=st.one_of(paired_graphs(), bipartite_graphs()), data=st.data())
+def test_parse_reports_a_broken_edge_at_its_line(graph, data):
+    """One edge line of a serialized graph broken: the error names that line, or the line
+    of the edge whose (vertex, label) it now claims too."""
+    assume(graph.edge_count > 0)
+    eid = data.draw(st.integers(0, graph.edge_count - 1))
+    u, lu, v, lv = graph.edges[eid]
+    kinds = ["dangling", "label", "reused"] + ["side"] * (graph.bipartition is not None)
+    kind = data.draw(st.sampled_from(kinds))
+    other = eid
+    if kind == "dangling":
+        u = data.draw(st.integers(graph.vertex_count, graph.vertex_count + 3))
+        message = f"dangling vertex id {u}"
+    elif kind == "label":
+        lu = data.draw(st.sampled_from([0, 5]))
+        message = f"label {lu} not in 1..4"
+    elif kind == "reused":  # another label of u, held by another edge or this one's far end
+        lu = data.draw(st.sampled_from([lab for lab in LABELS if lab != lu]))
+        other = graph.half_edges[u][lu - 1].edge
+        message = f"vertex {u}: duplicate label {lu}"
+    else:  # the far end moved to u's side, onto a (vertex, label) already held
+        side = sorted(next(s for s in graph.bipartition if u in s))
+        v, lv = data.draw(st.sampled_from(side)), data.draw(st.sampled_from(LABELS))
+        other = graph.half_edges[v][lv - 1].edge
+        message = f"vertex {v}: duplicate label {lv}"
+    lines = serialize_graph(graph).splitlines()
+    lines[2 + eid] = f"edge {eid} {u} {lu} {v} {lv}"
+    with pytest.raises(GraphFormatError) as exc:
+        parse_graph("\n".join(lines))
+    assert exc.value.line in (3 + eid, 3 + other)
+    assert str(exc.value) == f"line {exc.value.line}: {message}"
