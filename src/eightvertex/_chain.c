@@ -201,15 +201,14 @@ void chain_run(struct chain *c, int64_t blocks, int64_t thinning, uint8_t *recor
    word's top bit, as getrandbits(1)) says so; any move set of full rank
    makes this exact.  Stage g fills the factor tables at the class weights
    params[4g .. 4g+3], makes `thinning` steps, then adds
-   ((lp_0[n_0] + lp_1[n_1]) + lp_2[n_2]) + lp_3[n_3] to logw[particle],
-   where lp_i is the table log_pows + i * stride indexed by class count.
+   ((n_0 l_0 + n_1 l_1) + n_2 l_2) + n_3 l_3 to logw[particle], n_i the
+   class counts and l = log_ratios + 4g the stage's row of log ratios.
    As on Python's steps, the class weights end at the last stage run.
    Returns 0, or -1 without a step where the stages' ratios do not fit in
    memory. */
 int chain_ais(struct chain *c, int64_t particles, int64_t stages, const double *params,
-              int64_t thinning, const double *log_pows, int32_t stride, double *logw)
+              int64_t thinning, const double *log_ratios, double *logw)
 {
-    const double *lp = log_pows;
     double *ratios = malloc((size_t)stages * 16 * sizeof *ratios);
     int32_t *n = c->counts, j, v;
     const int32_t *e;
@@ -229,10 +228,10 @@ int chain_ais(struct chain *c, int64_t particles, int64_t stages, const double *
         for (v = 0; v < c->nvertices; v++)
             n[c->classes[c->masks[v]]]++;
         for (g = 0; g < stages; g++) {
+            const double *l = log_ratios + 4 * g;
             fill_factors(c, ratios + 16 * g);
             run_blocks(c, 1, thinning, NULL);
-            logw[p] += ((lp[n[0]] + lp[stride + n[1]]) + lp[2 * stride + n[2]])
-                       + lp[3 * stride + n[3]];
+            logw[p] += ((n[0] * l[0] + n[1] * l[1]) + n[2] * l[2]) + n[3] * l[3];
         }
     }
     if (particles > 0 && stages > 0)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .states import CLASS16, CycleKernel
+from .states import CLASS16
 
 SOURCE = Path(__file__).with_name("_chain.c")
 BUILD = ("cc", "-O3", "-std=c99", "-ffp-contract=off", "-shared", "-fPIC")
@@ -95,7 +95,7 @@ def _build():
     i64, address = ctypes.c_int64, ctypes.c_void_p
     run.restype, ais.restype = None, ctypes.c_int
     run.argtypes = (address, i64, i64, pointer(ctypes.c_uint8))
-    ais.argtypes = (address, i64, i64, address, i64, address, int32, address)
+    ais.argtypes = (address, i64, i64, address, i64, address, address)
     return lib
 
 
@@ -113,10 +113,7 @@ class NativeChain:
     """
 
     def __init__(self, kernel, rng):
-        # shared by every chain on a CycleKernel; made afresh for a stand-in
-        # with only its touch and reference masks
-        start, entries, reference = (kernel.move_table if isinstance(kernel, CycleKernel)
-                                     else CycleKernel.move_table.func(kernel))
+        start, entries, reference = kernel.move_table
         n, nmoves = len(reference), len(start) - 1
         state = self._state = _State()
         self._address = ctypes.addressof(state)
@@ -143,15 +140,14 @@ class NativeChain:
         _LIB.chain_run(self._address, blocks, thinning, buffer)
         return masks
 
-    def ais(self, stages, particles: int, thinning: int, log_pows) -> list[float]:
+    def ais(self, stages, particles: int, thinning: int, log_ratios) -> list[float]:
         """``particles`` particles of ``Chain.ais``; return their log weights.
 
-        ``stages`` and ``log_pows`` are the C-contiguous float64 arrays that
-        ``Chain.ais`` checks: rows of 4 class weights, and 4 rows of at least
-        n + 1 log powers.
+        ``stages`` and ``log_ratios`` are the C-contiguous float64 arrays of
+        shape (q, 4) that ``Chain.ais`` checks.
         """
         log_weights = np.zeros(particles)
         if _LIB.chain_ais(self._address, particles, len(stages), stages.ctypes.data, thinning,
-                          log_pows.ctypes.data, log_pows.shape[1], log_weights.ctypes.data):
+                          log_ratios.ctypes.data, log_weights.ctypes.data):
             raise MemoryError(f"no memory for the ratios of {len(stages)} stages")
         return log_weights.tolist()

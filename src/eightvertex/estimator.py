@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact import ParamVec, as_params, z8v_exact
+from .exact import ParamVec, as_params, format_rational, z8v_exact
 from .graphs import LabeledGraph
 from .mcmc import Chain, ChainConfig, chain_weights, float_or_inf
 from .states import CycleKernel, face_two_coloring
@@ -49,19 +49,19 @@ class AnnealSchedule:
 
     ``params[t]`` are the class weights of stage t on the geometric curve
     from the uniform point to the target, stage q = len(params) - 1, and
-    ``log_pows[i][c]`` is c times the log of class i's ratio of consecutive
-    stages.  Both are read-only C-contiguous float64 arrays, of shapes
-    (q + 1, 4) and (4, n + 1), the form that both step paths of
-    ``Chain.ais`` read, so every chain reads them as they are.  A pilot
-    chain, whose weights decide the particles per group, then each of
-    ``groups`` chains, runs stages 0..q-1 in ``Chain.ais``, ``thinning`` =
-    (k+1)/2 steps per stage for cycle-space dimension k.  ``inside_yz[t]``
+    ``log_ratios[g]`` is the log of each class's ratio of stage g + 1 to
+    stage g.  Both are read-only C-contiguous float64 arrays, of shapes
+    (q + 1, 4) and (q, 4), the form that both step paths of ``Chain.ais``
+    read, so every chain reads them as they are.  A pilot chain, whose
+    weights decide the particles per group, then each of ``groups``
+    chains, runs stages 0..q-1 in ``Chain.ais``, ``thinning`` = (k+1)/2
+    steps per stage for cycle-space dimension k.  ``inside_yz[t]``
     flags stage t in the rapidly-mixing region; stages outside it still
     run, as the weights stay unbiased whether or not the chain mixes.
     """
 
     params: np.ndarray
-    log_pows: np.ndarray
+    log_ratios: np.ndarray
     inside_yz: tuple[bool, ...]
     groups: int
     thinning: int
@@ -170,12 +170,12 @@ def build_schedule(
     t = as_params(target)
     if any(x <= 0 for x in t):
         raise ValueError("anneal target must be strictly positive")
-    n, q = graph.vertex_count, default_stage_count(graph, t)
+    q = default_stage_count(graph, t)
     ratios, stages = _geometric_stages(t, q)
     # math.log, whose last bit np.log need not match
-    log_pows = np.arange(n + 1) * np.array([[math.log(r)] for r in ratios])
-    stages.flags.writeable = log_pows.flags.writeable = False
-    schedule = AnnealSchedule(stages, log_pows, _stage_flags(stages), _group_count(delta),
+    log_ratios = np.full((q, 4), [math.log(r) for r in ratios])
+    stages.flags.writeable = log_ratios.flags.writeable = False
+    schedule = AnnealSchedule(stages, log_ratios, _stage_flags(stages), _group_count(delta),
                               (k + 1) // 2)
     _particle_count(schedule, 0.0, eps)
     return schedule
@@ -304,15 +304,15 @@ def anneal_estimate(
     # chain seeds come from a master generator: xoring the chain index onto
     # the raw seed would make nearby seeds share chain-seed multisets
     master = Random(cfg.seed)
-    stages, log_pows = schedule.params[:-1], schedule.log_pows
+    stages, log_ratios = schedule.params[:-1], schedule.log_ratios
     # the pilot's chain loads the kernel in this thread: loaded by a helper,
     # it added 0.35 MB to the anneal benchmark's peak RSS
     pilot = [x for batch in Chain(kernel, Random(master.getrandbits(64))).ais(
-        stages, PILOT_PARTICLES, schedule.thinning, log_pows) for x in batch]
+        stages, PILOT_PARTICLES, schedule.thinning, log_ratios) for x in batch]
     seeds = [master.getrandbits(64) for _ in range(schedule.groups)]
     variance = _variance(pilot)
     particles = _particle_count(schedule, variance, eps)
-    log_means = _run_chains(kernel, seeds, stages, particles, schedule.thinning, log_pows)
+    log_means = _run_chains(kernel, seeds, stages, particles, schedule.thinning, log_ratios)
     # anchor times the median over the groups of each group's mean weight
     ordered, mid = sorted(log_means), schedule.groups // 2
     log_median = ordered[mid] if schedule.groups % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
@@ -342,7 +342,7 @@ def _variance(xs) -> float:
 
 
 def _run_chains(kernel: CycleKernel, seeds, stages, particles: int, thinning: int,
-                log_pows) -> list:
+                log_ratios) -> list:
     """Each group chain's ln of its mean weight, in chain order, from one
     ``Chain.ais`` per chain on these arguments.
 
@@ -357,7 +357,7 @@ def _run_chains(kernel: CycleKernel, seeds, stages, particles: int, thinning: in
 
     def run_chain(i):
         chain, top, total = Chain(kernel, Random(seeds[i])), -math.inf, 0.0
-        for batch in chain.ais(stages, particles, thinning, log_pows):
+        for batch in chain.ais(stages, particles, thinning, log_ratios):
             if stop.is_set():  # the caller raises what stopped the pool
                 return
             for x in batch:
@@ -409,8 +409,8 @@ def estimate_z8v(
     if plan is None:
         report = plan_report(p, graph_class)
         raise PipelineError(
-            f"no group element maps {tuple(map(str, p))} into the rapidly-mixing "
-            f"region; per-element diagnostics: {json.dumps(report)}"
+            f"no group element maps ({', '.join(map(format_rational, p))}) into the "
+            f"rapidly-mixing region; per-element diagnostics: {json.dumps(report)}"
         )
     if any(x == 0 for x in plan.image):
         try:

@@ -210,32 +210,29 @@ class Chain:
             self._run(blocks, 1)
             self._recount(blocks)
 
-    def ais(self, stages, particles: int, thinning: int, log_pows) -> Iterator[list[float]]:
+    def ais(self, stages, particles: int, thinning: int, log_ratios) -> Iterator[list[float]]:
         """Run ``particles`` particles of annealed importance sampling; yield each call's weights.
 
         A particle starts uniformly on the coset: the reference orientation
-        xor each move, in move order, where ``getrandbits(1)`` says so.  Stage
-        g targets the class weights ``stages[g]`` (as ``set_params``), makes
-        ``thinning`` steps, then adds ``((lp0[n0] + lp1[n1]) + lp2[n2]) +
-        lp3[n3]``, ``lp_i = log_pows[i]`` at class i's count, to the log
-        weight.  With stage 0 uniform and ``log_pows[i][c] = c ln r_i``, r the
-        ratio of consecutive stages, E[weight] is Z(stages[-1] * r) / 2^k
+        xor each move, in move order, where ``getrandbits(1)`` says so, so
+        ``stages[0]`` must be four equal weights.  Stage g targets the class
+        weights ``stages[g]`` (as ``set_params``), makes ``thinning`` steps,
+        then adds ``((n0 l0 + n1 l1) + n2 l2) + n3 l3`` to the log weight, n
+        the class counts and l = ``log_ratios[g]``.  With row g ln(stage g+1
+        / stage g), for a stage q past the last, E[weight] is Z(stage q) / 2^k
         however well the chain mixes.  A call runs whole particles (``calls``).
-        Both step paths read ``stages`` and ``log_pows`` as C-contiguous
-        float64 arrays of shapes (stages, 4) and (4, at least n + 1), converted
-        here unless they are already, as ``estimator.build_schedule`` makes
-        them; any other shape raises ``ValueError`` before the first draw.
+        Both step paths read ``stages`` and ``log_ratios`` as C-contiguous
+        float64 arrays of one shape (q, 4), converted here unless they are
+        already, as ``estimator.build_schedule`` makes them; any other shape
+        raises ``ValueError`` before the first draw.
         """
-        stages, log_pows = (np.ascontiguousarray(rows, np.float64) for rows in (stages, log_pows))
-        if len(log_pows) != 4:
-            raise ValueError(f"log_pows needs one table per class, got {len(log_pows)}")
-        n = len(self.masks)
-        if log_pows.ndim != 2 or log_pows.shape[1] <= n or len(stages) and stages.shape[1:] != (4,):
-            raise ValueError(f"ais needs stages of 4 weights and log_pows rows of at least n + 1 = "
-                             f"{n + 1} entries, got shapes {stages.shape} and {log_pows.shape}")
+        stages, log_ratios = (np.ascontiguousarray(a, np.float64) for a in (stages, log_ratios))
+        if stages.shape[1:] != (4,) or log_ratios.shape != stages.shape:
+            raise ValueError(f"ais needs one row of 4 log ratios per stage of 4 weights, got "
+                             f"shapes {stages.shape} and {log_ratios.shape}")
         per_particle = len(stages) * thinning
         for batch in calls(particles, per_particle):
-            log_weights = self._ais(stages, batch, thinning, log_pows)
+            log_weights = self._ais(stages, batch, thinning, log_ratios)
             self._recount(batch * per_particle)
             yield log_weights
 
@@ -284,10 +281,9 @@ class Chain:
             masks.extend(self.masks)
         return masks
 
-    def _python_ais(self, stages, particles: int, thinning: int, log_pows) -> list[float]:
+    def _python_ais(self, stages, particles: int, thinning: int, log_ratios) -> list[float]:
         """``NativeChain.ais`` in Python."""
-        masks, counts, rows = self.masks, self.counts, stages.tolist()
-        lp0, lp1, lp2, lp3 = log_pows.tolist()
+        masks, counts, rows, logs = self.masks, self.counts, stages.tolist(), log_ratios.tolist()
         log_weights = []
         for _ in range(particles):
             masks[:] = self.kernel.reference_masks
@@ -296,10 +292,10 @@ class Chain:
                     for v, xm in flips:
                         masks[v] ^= xm
             counts[:], log_w = self._class_counts(), 0.0
-            for weights in rows:
+            for weights, (l0, l1, l2, l3) in zip(rows, logs):
                 self._fill(weights)
                 self._python_steps(thinning)
-                log_w += lp0[counts[0]] + lp1[counts[1]] + lp2[counts[2]] + lp3[counts[3]]
+                log_w += counts[0] * l0 + counts[1] * l1 + counts[2] * l2 + counts[3] * l3
             log_weights.append(log_w)
         if particles and rows:  # as in _chain.c, the weights of the last stage run
             self.weights[:] = rows[-1]

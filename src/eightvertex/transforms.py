@@ -329,7 +329,7 @@ def sign_normalize(
         if all(x >= 0 for x in q):
             return q, list(flips)
     raise SignNormalizeError(
-        f"no admissible sign flip makes {tuple(map(str, p))} nonnegative"
+        f"no admissible sign flip makes ({', '.join(map(format_rational, p))}) nonnegative"
     )
 
 

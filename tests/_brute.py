@@ -216,19 +216,19 @@ def metropolis_reference(graph: LabeledGraph, params, moves, seed: int, laziness
         yield bits
 
 
-def schedule_by_loops(target, q: int, n: int) -> tuple[tuple, tuple]:
-    """The stages and log powers of an annealing schedule, in tuple loops.
+def schedule_by_loops(target, q: int) -> tuple[tuple, tuple]:
+    """The stages and log ratios of an annealing schedule, in tuple loops.
 
     Stage 0 is (1, 1, 1, 1) and each stage is the one before times the
-    ratios ``float(t) ** (1 / q)``; ``log_pows[i][c]`` is c times
-    ``math.log`` of ratio i, for c = 0..n.
+    ratios ``float(t) ** (1 / q)``; each of the q rows of log ratios holds
+    ``math.log`` of the four ratios.
     """
     ratios = tuple(float(t) ** (1.0 / q) for t in target)
     stages = [(1.0, 1.0, 1.0, 1.0)]
     for _ in range(q):
         stages.append(tuple(p * r for p, r in zip(stages[-1], ratios)))
-    log_pows = tuple(tuple(count * math.log(r) for count in range(n + 1)) for r in ratios)
-    return tuple(stages), log_pows
+    log_ratios = tuple(tuple(math.log(r) for r in ratios) for _ in range(q))
+    return tuple(stages), log_ratios
 
 
 # ----------------------------------------------------------------------

@@ -171,6 +171,15 @@ def test_sign_refusal_prints_rationals(tmp_path, capsys):
         assert (code, out, err) == (2, "", want)
 
 
+def test_no_plan_refusal_prints_rationals(tmp_path, capsys):
+    path = tmp_path / "k44.8vx"
+    path.write_text(serialize_graph(gen_k44()))
+    code, out, err = run(capsys, "estimate", "--graph", str(path), "--params", "1,0,2,1/2",
+                         "--class", "bipartite", "--seed", "1")
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"].startswith("no group element maps (1, 0, 2, 1/2) into the ")
+
+
 def test_sample_emits_bitstrings(oct_file, capsys):
     code, out, _ = run(
         capsys, "sample", "--graph", oct_file, "--params", "1,1,1,2",

@@ -75,8 +75,8 @@ def test_schedule_holds_every_run_count(name, target, q):
     k = CycleKernel(graph).dimension
     with patch.object(estimator, "default_stage_count", lambda graph, target: q):
         sched = build_schedule(graph, target, 0.05, 0.25, k)
-    stages, log_pows = schedule_by_loops(as_params(target), q, graph.vertex_count)
-    for got, want in ((sched.params, stages), (sched.log_pows, log_pows)):
+    stages, log_ratios = schedule_by_loops(as_params(target), q)
+    for got, want in ((sched.params, stages), (sched.log_ratios, log_ratios)):
         assert got.dtype == np.float64 and got.flags.c_contiguous and not got.flags.writeable
         assert got.shape == np.shape(want) and got.tobytes() == np.array(want).tobytes()
     assert len(sched.inside_yz) == q + 1
@@ -349,11 +349,11 @@ def test_the_schedule_alone_drives_the_run(monkeypatch, octahedron, stepper, cha
     # every chain reads the one pair of schedule arrays, as they are
     made = [args for runs in calls.values() for args in runs]
     assert all(args[0] is made[0][0] and args[3] is made[0][3] for args in made)
-    listed = {i: [(stages.tolist(), *rest, log_pows.tolist()) for stages, *rest, log_pows in runs]
+    listed = {i: [(stages.tolist(), *rest, logs.tolist()) for stages, *rest, logs in runs]
               for i, runs in calls.items()}
-    stages, log_pows = sched.params[:-1].tolist(), sched.log_pows.tolist()
-    run = (stages, particles, sched.thinning, log_pows)
-    assert listed == {-1: [(stages, PILOT_PARTICLES, sched.thinning, log_pows)],
+    stages, log_ratios = sched.params[:-1].tolist(), sched.log_ratios.tolist()
+    run = (stages, particles, sched.thinning, log_ratios)
+    assert listed == {-1: [(stages, PILOT_PARTICLES, sched.thinning, log_ratios)],
                       **{i: [run] for i in range(sched.groups)}}
     assert particles == _particle_count(sched, est.diagnostics["pilot_log_weight_variance"], 0.05)
     assert est.stages == len(sched.params) - 1

@@ -136,7 +136,9 @@ def _one_vertex_moves(n):
     At uniform weights every proposal is taken without an acceptance coin,
     so the changed vertex shows the drawn move.
     """
-    return SimpleNamespace(touch=[[(j, 0b11)] for j in range(n)], reference_masks=[0] * n)
+    moves = SimpleNamespace(touch=[[(j, 0b11)] for j in range(n)], reference_masks=[0] * n)
+    moves.move_table = CycleKernel.move_table.func(moves)
+    return moves
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 17, 37, 65, 145])
@@ -545,16 +547,15 @@ def test_the_ctypes_state_has_the_layout_of_struct_chain(tmp_path):
 
 
 @pytest.mark.parametrize("rng", [Random, PythonRandom], ids=["native", "python"])
-def test_ais_needs_one_log_pow_table_per_class(octahedron, rng):
-    # both step paths refuse a malformed schedule alike, before any draw
+def test_ais_needs_one_row_of_log_ratios_per_stage(octahedron, rng):
+    # both step paths refuse a malformed schedule alike, before any draw:
+    # stages of 3 weights, fewer rows of log ratios than stages, rows of 3
     chain = Chain(CycleKernel(octahedron), rng(1))
-    with pytest.raises(ValueError, match="one table per class, got 3"):
-        list(chain.ais([(1.0, 2.0, 2.0, 1.0)], 1, 1, ((0.0,) * 7,) * 3))
-    # stages of 3 weights, and log_pows rows of n entries, one short
-    for stages, log_pows in (([(1.0, 2.0, 2.0)], ((0.0,) * 7,) * 4),
-                             ([(1.0, 2.0, 2.0, 1.0)], ((0.0,) * 6,) * 4)):
-        with pytest.raises(ValueError, match=r"4 weights and log_pows rows of at least n \+ 1 = 7"):
-            list(chain.ais(stages, 1, 1, log_pows))
+    for stages, log_ratios in (([(1.0, 2.0, 2.0)], [(0.0,) * 4]),
+                               ([(1.0,) * 4, (1.0, 2.0, 2.0, 1.0)], [(0.0,) * 4]),
+                               ([(1.0,) * 4], [(0.0,) * 3])):
+        with pytest.raises(ValueError, match="one row of 4 log ratios per stage of 4 weights"):
+            list(chain.ais(stages, 1, 1, log_ratios))
     assert chain.rng.getstate() == Random(1).getstate()
 
 
@@ -569,8 +570,9 @@ def test_set_params_needs_four_weights(octahedron, rng, weights):
     assert list(chain.weights) == [1.0] * 4
 
 
-def _log_pows(ratios, n):
-    return tuple(tuple(count * math.log(r) for count in range(n + 1)) for r in ratios)
+def _log_ratios(path):
+    """Row g: the log of each class's ratio of stage g + 1 to stage g of ``path``."""
+    return [[math.log(b / a) for a, b in zip(*pair)] for pair in zip(path, path[1:])]
 
 
 def test_native_chains_sharing_a_kernel_do_not_interfere():
@@ -579,11 +581,11 @@ def test_native_chains_sharing_a_kernel_do_not_interfere():
     kernel = CycleKernel(gen_torus(4, 4))
     if mcmc._load_kernel() is None:
         pytest.skip("the compiled kernel is not available on this host")
-    stages = np.array([(1.0, 2.0, 2.0, 1.0), (1.1, 1.8, 2.0, 1.3), (1.2, 1.6, 2.0, 1.7)])
-    log_pows = np.array(_log_pows((1.1, 0.9, 1.0, 1.3), 16))
+    path = [(1.0, 2.0, 2.0, 1.0), (1.1, 1.8, 2.0, 1.3), (1.2, 1.6, 2.0, 1.7), (1.3, 1.5, 2.0, 2.1)]
+    stages, log_ratios = np.array(path[:-1]), np.array(_log_ratios(path))
 
     def run(chain, particles):
-        return list(chain.ais(stages, particles, 5, log_pows)), list(chain.masks)
+        return list(chain.ais(stages, particles, 5, log_ratios)), list(chain.masks)
 
     alone_a, alone_b = Chain(kernel, Random(1)), Chain(kernel, Random(2))
     expected_a = [run(alone_a, 7), run(alone_a, 4)]
@@ -602,28 +604,36 @@ def _short_schedule(kernel):
     on Python steps or the kernel's."""
     chain = Chain(kernel, Random(4))
     chain.advance(30)
-    stages = [(1.0, 2.0, 2.0, 1.0), (1.1, 1.8, 2.0, 1.3), (1.2, 1.6, 2.0, 1.7)]
-    log_pows = _log_pows((1.1, 0.9, 1.0, 1.3), len(kernel.reference_masks))
-    return list(chain.ais(stages, 5, 4, log_pows)), chain.rng.getstate()
+    path = [(1.0, 2.0, 2.0, 1.0), (1.1, 1.8, 2.0, 1.3), (1.2, 1.6, 2.0, 1.7), (1.3, 1.5, 2.0, 2.1)]
+    return list(chain.ais(path[:-1], 5, 4, _log_ratios(path))), chain.rng.getstate()
 
 
-# (graph, target): the octahedron's planned image of (1,1,5,1), and torus 2x2
-# at (1,3,3,1); ten stages of one lazy step each are far too few for the
-# chain to follow the measure from stage to stage
-@pytest.mark.parametrize("graph, target", [(gen_octahedron(), (3, 3, 3, 1)),
-                                           (gen_torus(2, 2), (1, 3, 3, 1))],
-                         ids=["octahedron", "torus2x2"])
-def test_ais_weights_are_unbiased_where_the_chain_cannot_keep_up(graph, target):
+def _geometric(t, g, q):
+    return (t ** (1 / q)) ** g
+
+
+def _arithmetic(t, g, q):
+    return 1 + (t - 1) * g / q
+
+
+# (graph, target, the weight of entry t at stage g of q): the octahedron's
+# planned image of (1,1,5,1), and torus 2x2 at (1,3,3,1), on the geometric
+# path; torus 4x4 at (3,3,3,1) on the arithmetic one, whose stages' ratios
+# differ.  Ten stages of one lazy step each are far too few for the chain to
+# follow the measure from stage to stage
+@pytest.mark.parametrize("graph, target, path", [
+    (gen_octahedron(), (3, 3, 3, 1), _geometric), (gen_torus(2, 2), (1, 3, 3, 1), _geometric),
+    (gen_torus(4, 4), (3, 3, 3, 1), _arithmetic)], ids=["octahedron", "torus2x2", "arithmetic"])
+def test_ais_weights_are_unbiased_where_the_chain_cannot_keep_up(graph, target, path):
     # E[w] = Z(target) / Z(1,1,1,1) for every number of steps per stage.  At
-    # seed 2 the means lie 0.8 and -0.6 standard errors from it; a start at
-    # the bare reference orientation missed by +66 and -62, and a weight
-    # taken before a stage's steps instead of after them by -13 and -17
+    # seed 2 the means lie 0.8, -0.6 and 0.4 standard errors from it; a start at
+    # the bare reference orientation missed by +66 and -62, a weight taken
+    # before a stage's steps instead of after them by -13 and -17, and row 0
+    # of the log ratios read at every stage of the arithmetic path by +33
     kernel, q, particles = CycleKernel(graph), 10, 20_000
-    ratios = [t ** (1 / q) for t in target]
-    stages = [tuple(r**g for r in ratios) for g in range(q)]
-    log_pows = _log_pows(ratios, graph.vertex_count)
-    log_weights = [x for batch in Chain(kernel, Random(2)).ais(stages, particles, 1, log_pows)
-                   for x in batch]
+    stages = [tuple(path(t, g, q) for t in target) for g in range(q + 1)]
+    log_weights = [x for batch in Chain(kernel, Random(2)).ais(
+        stages[:-1], particles, 1, _log_ratios(stages)) for x in batch]
     weights = [math.exp(x) for x in log_weights]
     mean = sum(weights) / particles
     sd = math.sqrt(sum((w - mean) ** 2 for w in weights) / (particles - 1))
@@ -713,33 +723,35 @@ SKIPS = (0, 1, 311, 623, 625)
     skip=st.sampled_from(SKIPS),
     call_steps=st.sampled_from([1 << 20, 1, 10, 64]),
     weights=st.lists(st.tuples(WEIGHT, WEIGHT, WEIGHT, WEIGHT), min_size=1, max_size=3),
-    ratios=st.tuples(WEIGHT, WEIGHT, WEIGHT, WEIGHT),
+    # stage g's ratios, whose logs are row g of the log ratios
+    ratios=st.lists(st.tuples(WEIGHT, WEIGHT, WEIGHT, WEIGHT), min_size=3, max_size=3),
     runs=st.lists(RUN, min_size=1, max_size=4),
 )
 @example(name="torus4x4", seed=1, skip=0, call_steps=1 << 20, weights=[(1.0, 2.0, 2.0, 1.0)],
-         ratios=(1.1, 0.9, 1.0, 1.3),
+         ratios=[(1.1, 0.9, 1.0, 1.3)] * 3,
          runs=[(1, _RECOUNT_PERIOD + 7, "advance", False), (3, 7, "record", False),
                (3, 7, "ais", False)])
 # log weights over many stages add up to a total that rounds at every stage
 @example(name="torus4x4", seed=3, skip=0, call_steps=1 << 20, weights=[(1.0, 1.2, 0.9, 1.1)] * 3,
-         ratios=(1.1, 0.7, 1.3, 0.37),
+         ratios=[(1.1, 0.7, 1.3, 0.37), (0.6, 1.9, 1.05, 1.4), (1.7, 0.45, 0.9, 1.15)],
          runs=[(1, 2, "ais", False)] * 20 + [(2, 2, "ais", False)] * 20)
 @example(name="one-vertex-145", seed=2, skip=0, call_steps=1 << 20, weights=[(1.0,) * 4],
-         ratios=(1.0,) * 4, runs=[(_RECOUNT_PERIOD // 3 + 1, 3, "ais", False)])
+         ratios=[(1.0,) * 4] * 3, runs=[(_RECOUNT_PERIOD // 3 + 1, 3, "ais", False)])
 @example(name="k44", seed=5, skip=623, call_steps=1 << 20, weights=[(1.0, 3.0, 0.5, 2.0)],
-         ratios=(1.1, 0.9, 1.0, 1.3),
+         ratios=[(1.1, 0.9, 1.0, 1.3)] * 3,
          runs=[(5, 3, "ais", True), (40, 30, "record", True)])
 @example(name="torus2x2", seed=7, skip=625, call_steps=1 << 20, weights=[(2.0, 1.0, 1.0, 0.5)],
-         ratios=(0.8, 1.2, 1.0, 1.1),
+         ratios=[(0.8, 1.2, 1.0, 1.1)] * 3,
          runs=[(0, 1, "advance", True), (1, 1, "ais", True)])
 # particles of 3 stages of 4 or 13 steps at 10 or 7 steps a call: a particle
 # longer than a call's steps runs alone, shorter ones share calls
 @example(name="torus4x4", seed=11, skip=311, call_steps=10,
          weights=[(1.0, 2.0, 2.0, 1.0), (1.2, 1.7, 2.1, 0.9), (0.8, 1.5, 2.4, 1.1)],
-         ratios=(1.1, 0.9, 1.0, 1.3),
+         ratios=[(1.1, 0.9, 1.0, 1.3), (1.2, 0.9, 1.1, 0.8), (0.8, 1.3, 1.0, 1.2)],
          runs=[(12, 4, "ais", False), (4, 13, "ais", True), (9, 4, "record", False)])
 @example(name="octahedron-face", seed=13, skip=1, call_steps=7,
-         weights=[(1.0, 2.0, 2.0, 1.0), (1.2, 1.7, 2.1, 0.9)], ratios=(1.1, 0.9, 1.0, 1.3),
+         weights=[(1.0, 2.0, 2.0, 1.0), (1.2, 1.7, 2.1, 0.9)],
+         ratios=[(1.1, 0.9, 1.0, 1.3), (0.9, 1.2, 1.0, 0.7), (1.0,) * 4],
          runs=[(5, 7, "ais", False), (3, 1, "ais", False)])
 def test_native_chain_matches_python_chain(name, seed, skip, call_steps, weights, ratios, runs):
     kernel = NATIVE_KERNELS[name]
@@ -752,16 +764,16 @@ def test_native_chain_matches_python_chain(name, seed, skip, call_steps, weights
     native, python = (Chain(kernel, rng) for rng in rngs)
     assert native._native is not None and python._native is None
     n = len(kernel.reference_masks)
-    log_pows = _log_pows(ratios, n)
+    log_ratios = [[math.log(r) for r in row] for row in ratios[:len(weights)]]
     with patch.object(mcmc, "CALL_STEPS", call_steps):
         for index, (blocks, thinning, kind, rebuild) in enumerate(runs):
             # no call makes more steps than CALL_STEPS, unless one block does
             most = max(call_steps, thinning)
             if kind == "ais":
                 steps = native.steps
-                batches = list(native.ais(weights, blocks, thinning, log_pows))
+                batches = list(native.ais(weights, blocks, thinning, log_ratios))
                 # bit-equal weights, call by call: the same float operations in the same order
-                assert batches == list(python.ais(weights, blocks, thinning, log_pows))
+                assert batches == list(python.ais(weights, blocks, thinning, log_ratios))
                 assert sum(map(len, batches)) == blocks
                 # a call runs whole particles: at most CALL_STEPS steps, or one particle
                 particle = len(weights) * thinning

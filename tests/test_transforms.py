@@ -336,8 +336,8 @@ def test_sign_normalize_examples():
     assert vec == (1, 1, 1, 2) and flips == ["d"]
     vec, flips = sign_normalize((-1, -1, -1, 2), "even")
     assert vec == (1, 1, 1, 2) and flips == ["all", "d"]
-    with pytest.raises(SignNormalizeError):
-        sign_normalize((-1, 1, 1, 1), "odd")
+    with pytest.raises(SignNormalizeError, match=r"makes \(-1, 1, 1, 1/2\) nonnegative"):
+        sign_normalize(("-1", "1", "1", "1/2"), "odd")
     vec, flips = sign_normalize((1, 1, 1, 1), "even")
     assert flips == []
 
