@@ -1,9 +1,12 @@
 """Batch command-line surface.
 
-Exit status: 0 on success, 1 on verification failure, 2 on usage errors.
-``sample`` streams its rows, so when the reader of stdout goes away (``sample
-... | head -1``) the run stops at its next write, the rest of the output goes
-to the null device and the status is 1, with no traceback.
+Exit status: 0 on success, 2 on usage errors, and 1 when
+- ``verify`` or ``diagnose-chain`` finds a failed check;
+- ``estimate`` is refused: the reason goes to stderr as ``{"error": ...}``;
+- ``plan`` finds no plan: stdout has ``"plan": null`` and the diagnostics;
+- the reader of stdout goes away.  ``sample`` streams its rows, so with
+  ``sample ... | head -1`` the run stops at its next write, the rest of the
+  output goes to the null device, and there is no traceback.
 Exact scalars are printed as integers or ``num/den``; structured results
 are JSON, series are CSV.
 """
@@ -363,90 +366,76 @@ def _cmd_verify(args) -> int:
 # argparse reads "--params -1,2,2,1" as a flag with no value
 _PARAMS_HELP = ("four comma-separated rationals a,b,c,d; "
                 "write --params=-1,2,2,1 when a is negative")
+_GRAPH = ("--graph", {"required": True})
+_PARAMS = ("--params", {"required": True, "help": _PARAMS_HELP})
+_CLASS = ("--class", {"dest": "graph_class", "required": True,
+                      "choices": ("planar", "bipartite")})
+_MODEL = ("--model", {"choices": ("8v", "ec"), "default": "8v"})
+_SEED = ("--seed", {"type": int, "required": True})
+
+# name: (handler, add_parser keywords, its arguments in help order)
+_COMMANDS = {
+    "gen": (_cmd_gen, {"help": "write a generated graph file"}, (
+        ("--type", {"required": True, "choices": tuple(_GENERATORS)}),
+        ("--rows", {"type": int, "default": 4}),
+        ("--cols", {"type": int, "default": 4}),
+        ("--out", {"help": "output path (default: stdout)"}))),
+    "exact": (_cmd_exact, {"help": "exact partition function"}, (_GRAPH, _PARAMS, _MODEL)),
+    "census": (_cmd_census, {"help": "class-profile census as CSV"}, (
+        _GRAPH, _MODEL, ("--max-dim", {"type": int, "default": DEFAULT_DIM_CAP}))),
+    "group-table": (_cmd_group_table, {"help": "print a transform group in table order"},
+                    (_CLASS,)),
+    "plan": (_cmd_plan, {"help": "find a transform into the rapidly-mixing region"},
+             (_CLASS, _PARAMS)),
+    "verify": (_cmd_verify, {"help": "run identity checks; exit 1 on failure"}, (
+        ("target", {"choices": ("all",) + tuple(_VERIFY_SECTIONS)}), _SEED)),
+    "sample": (_cmd_sample, {
+        "help": "emit sampled orientations as bit-strings",
+        "description": "Print one line per sample.  Bit i of a line is edge i in file order: "
+        "1 iff the edge points toward its higher-numbered endpoint.  A self-loop "
+        "'edge i v a v b' keeps its slot bit: 1 iff it points into label b."}, (
+        _GRAPH, _PARAMS, _SEED,
+        ("--samples", {"type": int, "required": True}),
+        ("--burn-in", {"type": int, "default": 1000}),
+        ("--thinning", {"type": int, "default": 10}),
+        ("--proposal", {"choices": ("basis-cycle", "face"), "default": "basis-cycle"}))),
+    "diagnose-chain": (_cmd_diagnose_chain, {"help": "exact chain diagnostics, TV curve CSV"}, (
+        _GRAPH, _PARAMS, ("--tv-threshold", {"type": float, "default": 0.01}))),
+    "estimate": (_cmd_estimate, {"help": "transform-then-anneal estimate as JSON"}, (
+        _GRAPH, _PARAMS, _CLASS,
+        ("--eps", {"type": float, "default": 0.05}),
+        ("--delta", {"type": float, "default": 0.25}), _SEED)),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with ``command`` given, of that one only.
+
+    argparse spends about a millisecond on the eight subparsers a call never
+    reads.  The lean parser's metavar names every command in its usage line;
+    the full parser has none, so that its errors call a missing or unknown
+    command "command".
+    """
     parser = argparse.ArgumentParser(
         prog="eightvertex",
         description="Eight-vertex model toolkit: exact oracles, transform groups, "
         "sampling and estimation on labeled 4-regular graphs.",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="write a generated graph file")
-    p.add_argument("--type", required=True, choices=tuple(_GENERATORS))
-    p.add_argument("--rows", type=int, default=4)
-    p.add_argument("--cols", type=int, default=4)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("exact", help="exact partition function")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--params", required=True, help=_PARAMS_HELP)
-    p.add_argument("--model", choices=("8v", "ec"), default="8v")
-    p.set_defaults(func=_cmd_exact)
-
-    p = sub.add_parser("census", help="class-profile census as CSV")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--model", choices=("8v", "ec"), default="8v")
-    p.add_argument("--max-dim", type=int, default=DEFAULT_DIM_CAP)
-    p.set_defaults(func=_cmd_census)
-
-    p = sub.add_parser("group-table", help="print a transform group in table order")
-    p.add_argument("--class", dest="graph_class", required=True,
-                   choices=("planar", "bipartite"))
-    p.set_defaults(func=_cmd_group_table)
-
-    p = sub.add_parser("plan", help="find a transform into the rapidly-mixing region")
-    p.add_argument("--class", dest="graph_class", required=True,
-                   choices=("planar", "bipartite"))
-    p.add_argument("--params", required=True, help=_PARAMS_HELP)
-    p.set_defaults(func=_cmd_plan)
-
-    p = sub.add_parser("verify", help="run identity checks; exit 1 on failure")
-    p.add_argument("target", choices=("all",) + tuple(_VERIFY_SECTIONS))
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser(
-        "sample", help="emit sampled orientations as bit-strings",
-        description="Print one line per sample.  Bit i of a line is edge i in file order: "
-        "1 iff the edge points toward its higher-numbered endpoint.  A self-loop "
-        "'edge i v a v b' keeps its slot bit: 1 iff it points into label b.",
-    )
-    p.add_argument("--graph", required=True)
-    p.add_argument("--params", required=True, help=_PARAMS_HELP)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--burn-in", type=int, default=1000)
-    p.add_argument("--thinning", type=int, default=10)
-    p.add_argument("--proposal", choices=("basis-cycle", "face"),
-                   default="basis-cycle")
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("diagnose-chain", help="exact chain diagnostics, TV curve CSV")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--params", required=True, help=_PARAMS_HELP)
-    p.add_argument("--tv-threshold", type=float, default=0.01)
-    p.set_defaults(func=_cmd_diagnose_chain)
-
-    p = sub.add_parser("estimate", help="transform-then-anneal estimate as JSON")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--params", required=True, help=_PARAMS_HELP)
-    p.add_argument("--class", dest="graph_class", required=True,
-                   choices=("planar", "bipartite"))
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--delta", type=float, default=0.25)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_estimate)
-
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (func, about, arguments) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, **about)
+            for flag, spec in arguments:
+                p.add_argument(flag, **spec)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from eightvertex import mcmc
+from eightvertex import cli, mcmc
 from eightvertex.cli import main
 from eightvertex.exact import census_8v, format_rational, z8v_exact
 from eightvertex.graphs import gen_k44, gen_octahedron, gen_torus, parse_graph, serialize_graph
@@ -408,6 +408,83 @@ def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["exact", "--graph", "x", "--params", "1,1,1,1", "--frobnicate"])
     assert exc.value.code == 2
+
+
+COMMANDS = ("gen", "exact", "census", "group-table", "plan", "verify", "sample",
+            "diagnose-chain", "estimate")
+# every argv here exits inside argparse, before any command runs
+EXITING_ARGVS = [
+    [], ["-h"], ["bogus"], ["bogus", "-h"], ["--version"],
+    *([command, "-h"] for command in COMMANDS),
+    ["exact", "--graph", "g.8vx"],  # a missing required option
+    ["verify", "all"],
+    ["plan", "--class", "torus", "--params", "1,1,1,1"],  # a bad choice
+    ["verify", "nothing", "--seed", "1"],
+    ["group-table", "--class", "planar", "--frobnicate"],  # an unknown option after a command
+    ["exact", "--graph", "g.8vx", "--params", "1,1,1,1", "extra"],
+]
+VALID_ARGVS = [
+    ["gen", "--type", "torus", "--rows", "2"],
+    ["exact", "--graph", "g.8vx", "--params=-1,2,2,1", "--model", "ec"],
+    ["census", "--graph", "g.8vx", "--max-dim", "12"],
+    ["group-table", "--class", "bipartite"],
+    ["plan", "--class", "planar", "--params", "1,1,5,1"],
+    ["verify", "signs", "--seed", "3"],
+    ["sample", "--graph", "g.8vx", "--params", "1,1,1,1", "--seed", "1", "--samples", "5",
+     "--proposal", "face"],
+    ["diagnose-chain", "--graph", "g.8vx", "--params", "1,1,1,1", "--tv-threshold", "0.1"],
+    ["estimate", "--graph", "g.8vx", "--params", "1,2,2,1", "--class", "planar", "--seed", "2"],
+]
+
+
+def _exit_of(capsys, parse, argv):
+    """Exit status, stdout and stderr of ``parse(argv)``, which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.fixture()
+def built(monkeypatch):
+    """The ``command`` argument of each ``cli.build_parser`` call."""
+    calls = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: calls.append(command) or
+                        real(command))
+    return calls
+
+
+@pytest.mark.parametrize("argv", EXITING_ARGVS, ids=" ".join)
+def test_main_prints_what_the_full_parser_prints(monkeypatch, capsys, built, argv):
+    # help wording varies between Python versions, so the full parser of the
+    # same interpreter is the reference, not pinned text
+    full = cli.build_parser().parse_args
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert _exit_of(capsys, main, argv) == _exit_of(capsys, full, argv), columns
+    lean = argv[0] if argv and argv[0] in COMMANDS else None
+    assert built == [None] + [lean] * 3  # the reference's call, then main's
+
+
+def test_full_parser_calls_the_missing_command_by_its_name(capsys):
+    # a metavar would replace "command" in these two messages
+    assert _exit_of(capsys, main, [])[2].endswith(" required: command\n")
+    _, _, err = _exit_of(capsys, main, ["bogus"])
+    assert "error: argument command: invalid choice: 'bogus'" in err
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=lambda argv: argv[0])
+def test_lean_parser_reads_what_the_full_parser_reads(argv):
+    assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys, built):
+    # the console script calls main() with no argv
+    monkeypatch.setattr(sys, "argv", ["eightvertex", "group-table", "--class", "planar"])
+    assert main() == 0
+    assert built == ["group-table"]
+    assert capsys.readouterr().out.startswith("# class=planar order=6 ")
 
 
 # stdout sha256 and exit status of fixed-seed runs.  The sample and estimate
