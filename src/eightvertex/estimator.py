@@ -30,7 +30,7 @@ from .exact import ParamVec, as_params, format_rational, z8v_exact
 from .graphs import LabeledGraph
 from .mcmc import Chain, ChainConfig, chain_weights, float_or_inf
 from .states import CycleKernel, face_two_coloring
-from .transforms import TransformPlan, _in_region, in_yz, plan_report, plan_transform
+from .transforms import TransformPlan, in_yz, plan_report, plan_transform
 
 MIN_GROUPS = 12
 MAX_GROUPS = 200
@@ -55,14 +55,11 @@ class AnnealSchedule:
     read, so every chain reads them as they are.  A pilot chain, whose
     weights decide the particles per group, then each of ``groups``
     chains, runs stages 0..q-1 in ``Chain.ais``, ``thinning`` = (k+1)/2
-    steps per stage for cycle-space dimension k.  ``inside_yz[t]``
-    flags stage t in the rapidly-mixing region; stages outside it still
-    run, as the weights stay unbiased whether or not the chain mixes.
+    steps per stage for cycle-space dimension k.
     """
 
     params: np.ndarray
     log_ratios: np.ndarray
-    inside_yz: tuple[bool, ...]
     groups: int
     thinning: int
 
@@ -74,24 +71,6 @@ def _geometric_stages(target: ParamVec, q: int) -> tuple[list[float], np.ndarray
     factors = np.ones((q + 1, 4))
     factors[1:] = ratios
     return ratios, np.cumprod(factors, axis=0)
-
-
-def _stage_flags(stages) -> tuple[bool, ...]:
-    """``in_yz`` of each positive float stage, decided on integers in one pass.
-
-    A float x is M 2^e with M = frexp's mantissa times 2^53, an integer, so
-    each stage shifted by its least e is an exact integer vector; Y and Z
-    are homogeneous, so it lies in them exactly when the stage does.  The
-    stages go through ``_in_region`` together, one column per entry.
-    """
-    floats = np.array(stages, dtype=float)
-    if not np.isfinite(floats).all():
-        raise ValueError("stage weights must be finite")
-    mantissas, exponents = np.frexp(floats)
-    shifts = exponents - exponents.min(axis=1, keepdims=True)
-    scaled = (mantissas * 2.0**53).astype(np.int64).astype(object) << shifts.astype(object)
-    columns = tuple(scaled.T)
-    return tuple((_in_region(columns, "Y") & _in_region(columns, "Z")).tolist())
 
 
 def default_stage_count(graph: LabeledGraph, target: ParamVec) -> int:
@@ -175,8 +154,7 @@ def build_schedule(
     # math.log, whose last bit np.log need not match
     log_ratios = np.full((q, 4), [math.log(r) for r in ratios])
     stages.flags.writeable = log_ratios.flags.writeable = False
-    schedule = AnnealSchedule(stages, log_ratios, _stage_flags(stages), _group_count(delta),
-                              (k + 1) // 2)
+    schedule = AnnealSchedule(stages, log_ratios, _group_count(delta), (k + 1) // 2)
     _particle_count(schedule, 0.0, eps)
     return schedule
 
@@ -280,6 +258,8 @@ def anneal_estimate(
     t = as_params(target)
     if any(x <= 0 for x in t):
         raise ValueError("anneal target must be strictly positive")
+    # a target in Y and Z keeps every stage from (1,1,1,1) to it there: Karamata's
+    # inequality for the concave x^s keeps Y, and x^s being subadditive keeps Z
     if not in_yz(t):
         raise ValueError(
             "target outside the rapidly-mixing region; plan a transform first"
@@ -318,8 +298,6 @@ def anneal_estimate(
     log_median = ordered[mid] if schedule.groups % 2 else 0.5 * (ordered[mid - 1] + ordered[mid])
     diagnostics = {
         "anchor": anchor,
-        "schedule_warning": not all(schedule.inside_yz),
-        "stages_inside_yz": sum(schedule.inside_yz),
         "thinning": schedule.thinning,
         "particles": particles,
         "pilot_log_weight_variance": variance,

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import lcm
-from operator import and_, or_
 from random import Random
 from typing import Iterable, Sequence
 
@@ -277,16 +276,15 @@ _REGION_SETS = {
 
 
 def _in_region(p: ParamVec, name: str) -> bool:
-    """``region`` on nonnegative entries.  The entries may also be arrays of
-    equal shape, one point per element; the answer is then such an array."""
+    """``region`` on nonnegative entries."""
     base = name.removesuffix("bar")
     if base == "Z":
         p = tuple(x * x for x in p)
     total = sum(p)
     sums = (2 * sum(p[i] for i in s) for s in _REGION_SETS[base])
     if base == name:
-        return reduce(and_, (x <= total for x in sums))
-    return reduce(or_, (x >= total for x in sums))
+        return all(x <= total for x in sums)
+    return any(x >= total for x in sums)
 
 
 def in_yz(params: Sequence) -> bool:

@@ -328,6 +328,15 @@ def test_estimate_json(oct_file, capsys):
     assert payload["stages"] > 0
 
 
+def test_estimate_diagnostics_keys(oct_file, capsys):
+    # every stage that runs lies in Y and Z, so no per-stage flag is printed
+    code, out, _ = run(capsys, "estimate", "--graph", oct_file, "--params", "3,4,5,2",
+                       "--class", "planar", "--eps", "0.1", "--seed", "1")
+    assert code == 0
+    assert list(json.loads(out)["diagnostics"]) == [
+        "anchor", "thinning", "particles", "pilot_log_weight_variance", "group_log_estimates"]
+
+
 @pytest.mark.parametrize("params, value", [
     ("2,2,2,2", "8192.0"),  # 2^7 * 2^6; 34 stages gave 8192.000000000033
     # 2^7 * 1e180; 3,316 stages gave 1.2799999999846295e+182
@@ -508,13 +517,19 @@ GOLDEN = [
      "7a697fa2ae61df4f798ad2fa4627a6f19ace93059af8fe5d43ba8126d5b001fd"),
     # re-pinned when annealed importance sampling replaced the product of
     # stage means: other draws, the particle count and the pilot's variance
-    # in the diagnostics
+    # in the diagnostics; and again when the diagnostics lost the two keys of
+    # the per-stage region flags, each digest then that of the earlier JSON
+    # without those keys
     (("estimate", "octahedron", "--params", "1,1,5,1", "--class", "planar", "--eps", "0.1",
       "--seed", "3"), 0,
-     "9ea2572e465cff5da70d4d3a77f7fa39bea058d17f35393cd1414c024563a38d"),
+     "e18bd895652bd29e513052dfb2383653978581b1364e32ced65ff3506216b4ad"),
     (("estimate", "k44", "--params", "2,1,1,3", "--class", "bipartite", "--eps", "0.1",
       "--seed", "7"), 0,
-     "db774f66ea09c67fe55d8875a41a6fa53065c899ecb1b2e5bd5361db4ffa1f62"),
+     "79513d0491e127dc92ec2bb1a07e81d5a65b790d3ef558825c1cccade64fd909"),
+    # on Y's boundary (c + d = a + b), where stage q, which no chain runs, rounds out of Y
+    (("estimate", "octahedron", "--params", "3,4,5,2", "--class", "planar", "--eps", "0.1",
+      "--seed", "1"), 0,
+     "984bbbc0ce42f4b041948b0c48e75fa408ab69f3173bf990e859c51f8b4d36ed"),
     (("plan", "--class", "planar", "--params", "1,1,5,1"), 0,
      "199700088df4815d4f531569c4e5ab8c94a9178a692af5e328fea9debed7837e"),
     (("plan", "--class", "bipartite", "--params", "1,1,1,5"), 0,
@@ -548,7 +563,9 @@ GOLDEN_GRAPHS = {"torus4x4": lambda: gen_torus(4, 4), "octahedron": gen_octahedr
 
 def _golden_id(argv):
     if argv[1] in GOLDEN_GRAPHS:
-        return f"{argv[0]}-{argv[1]}"
+        # a later pin of the same command on the same graph adds its params
+        first = next(a for a, _, _ in GOLDEN if a[:2] == argv[:2])
+        return f"{argv[0]}-{argv[1]}" + ("" if first == argv else f"-{argv[3]}")
     return "-".join(a for a in argv if not a.startswith("--"))
 
 
