@@ -10,9 +10,12 @@ greedy tries from different starts (``_frontier_plan``), which finds the
 short way round a long torus: width 10 on 4xM for every M.  The censuses
 count the 2^k even states over the cycle space, independently of the
 contraction, which they cross-check when evaluated at a point.  Reversing
-every arrow of a component keeps each vertex's class, so they enumerate
-one state of each such class, 2^(k - c) states for c components, and
-scale every count by 2^c.  They read the blocks of states that the
+every arrow of a component keeps each vertex's class, and flipping a class
+swap's edge set (one per consistent pairing of the labels, such as a
+torus's horizontal edges) permutes every vertex's class alike, so they
+enumerate one state of each orbit, 2^(k - c - s) states for c components
+and s independent swaps, and count each state's profile 2^c times under
+each of the 2^s class permutations.  They read the blocks of states that the
 cycle-space kernel lists (``states.CycleKernel.blocks``) and code each
 block's class profiles as a sum of per-vertex rows, one row per (vertex,
 block start) pair that occurs, then count a batch of blocks per
@@ -30,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .graphs import LabeledGraph
-from .states import CLASS16, DEFAULT_DIM_CAP, CycleKernel, _gf2_rank
+from .states import CLASS16, DEFAULT_DIM_CAP, CycleKernel, _gf2_raises, _gf2_rank
 
 ParamVec = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -71,31 +74,79 @@ class Census:
         return acc
 
 
-def _reversal_classes(kernel: CycleKernel) -> tuple[list[int], list[frozenset[int]]]:
-    """The moves to keep, all but the last of each component's, and each
-    component's edge set.
+# an even edge set and the class permutation its flip applies at every vertex
+Swap = tuple[frozenset[int], tuple[int, ...]]
+
+
+def _class_swaps(graph: LabeledGraph) -> list[Swap]:
+    """The even edge sets whose flip permutes every vertex's class alike, with
+    that permutation (class -> class), one per consistent pairing of the labels.
+
+    A pairing (1,3|2,4, 1,2|3,4 or 2,3|1,4) splits the labels by a mask xm.
+    Pick one pair at every vertex: x_v = 1 picks the labels in xm, 0 the
+    rest.  If each edge is picked at both ends or at neither, the picked
+    edges form a set S whose flip xors xm or its complement onto every
+    mask, which maps each class c to ``CLASS16[m ^ xm]`` for any mask m of
+    c.  A BFS per component sets x = 1 at the root and
+    x_v = x_u ^ side(label_u) ^ side(label_v) along each edge it first
+    crosses; a pairing that some edge, self-loops included, then picks at
+    one end only gives no set.
+    """
+    n, edges = graph.vertex_count, graph.edges
+    swaps = []
+    for xm in (0b0101, 0b0011, 0b0110):
+        x = [-1] * n
+        for root in range(n):
+            if x[root] < 0:
+                x[root], queue = 1, [root]
+                for u in queue:
+                    for label, (eid, slot) in enumerate(graph.half_edges[u]):
+                        v, label_v = edges[eid].endpoint(1 - slot)
+                        if x[v] < 0:
+                            x[v] = x[u] ^ (xm >> label & 1) ^ (xm >> (label_v - 1) & 1)
+                            queue.append(v)
+        picked = [x[e.u] == xm >> (e.label_u - 1) & 1 for e in edges]
+        if all(p == (x[e.v] == xm >> (e.label_v - 1) & 1) for p, e in zip(picked, edges)):
+            edge_set = frozenset(eid for eid, p in enumerate(picked) if p)
+            swaps.append((edge_set, tuple(CLASS16[CLASS16.index(c) ^ xm] for c in range(4))))
+    return swaps
+
+
+def _orbit_moves(kernel: CycleKernel) -> tuple[list[int], list[frozenset[int]], list[Swap]]:
+    """The moves to keep, each component's edge set, and the class swaps kept
+    with their permutations: ``(keep, components, swaps)``.
 
     Reversing every edge of a component flips each of its vertices' masks
-    by 1111, which keeps every class.  That edge set is the sum of the
-    component's basis cycles, so the kept moves span one state of each class.
+    by 1111, which keeps every class; flipping a swap set (``_class_swaps``)
+    permutes every vertex's class alike.  One GF(2) elimination adds the
+    component edge sets, then the swap sets that still raise the rank (at
+    most two: the third is their sum up to components), then keeps the
+    basis cycles that still raise it, so the kept moves span one state of
+    each orbit of the group the others generate.
     """
     roots, edges = kernel.roots, kernel.graph.edges
-    components: dict[int, set[int]] = {}
+    by_root: dict[int, set[int]] = {}
     for eid, e in enumerate(edges):
-        components.setdefault(roots[e.u], set()).add(eid)
-    last = {roots[edges[min(move)].u]: j for j, move in enumerate(kernel.moves)}
-    keep = sorted(set(range(len(kernel.moves))) - set(last.values()))
-    return keep, [frozenset(ids) for ids in components.values()]
+        by_root.setdefault(roots[e.u], set()).add(eid)
+    components = [frozenset(ids) for ids in by_root.values()]
+    found = _class_swaps(kernel.graph)
+    raised = _gf2_raises([*components, *(s for s, _ in found), *kernel.moves])[len(components):]
+    swaps = [swap for swap, up in zip(found, raised) if up]
+    keep = [j for j, up in enumerate(raised[len(found):]) if up]
+    return keep, components, swaps
 
 
 def _census(kernel: CycleKernel, start: Sequence[int], dim_cap: int) -> Census:
     """Count the class profiles of all 2^k states, one block of the kernel's at a time.
 
-    Reversing any set of the c components keeps every class, so the 2^k
-    states fall into classes of 2^c with one profile: the 2^(k - c) states
-    the moves of ``_reversal_classes`` span are counted, each count shifted
-    left by c.  Refused unless those moves and the components' edge sets
-    form a basis, so that each class has one state in the span.
+    Reversing any set of the c components keeps every class, and each of
+    the s swap sets of ``_orbit_moves`` permutes every class alike, so the
+    2^k states fall into orbits of 2^(c + s): the 2^(k - c - s) states the
+    kept moves span are counted into a histogram h, and a profile p gets
+    2^c times the sum of h over the profiles that the 2^s class
+    permutations the swaps generate carry to p.  Refused unless the kept
+    moves, the components' edge sets and the swap sets form a basis, so
+    that each orbit has one state in the span.
 
     Each state's profile is coded n_A + D*n_B + D^2*n_C with D = n + 1
     (n_D is the rest) and counted by ``bincount``; a bin holds at most 2^k
@@ -108,11 +159,13 @@ def _census(kernel: CycleKernel, start: Sequence[int], dim_cap: int) -> Census:
     smallest unsigned type that holds D^3, above every code.
     """
     n = kernel.graph.vertex_count
-    keep, components = _reversal_classes(kernel)
+    keep, components, swaps = _orbit_moves(kernel)
     low, starts = kernel.blocks(start, dim_cap, keep)  # refuses k > dim_cap before any table
-    basis = [kernel.moves[j] for j in keep] + components
+    basis = [kernel.moves[j] for j in keep] + components + [edge_set for edge_set, _ in swaps]
     if not len(basis) == _gf2_rank(basis) == kernel.dimension:
-        raise ValueError("the kept moves and the components do not span one state per class")
+        raise ValueError(
+            "the kept moves, the components and the swaps do not span one state per class"
+        )
     D = n + 1
     place = np.array([(1, D, D * D, 0)[c] for c in CLASS16], np.min_scalar_type(D**3))
     rows: dict[tuple[int, int], np.ndarray] = {}
@@ -129,10 +182,16 @@ def _census(kernel: CycleKernel, start: Sequence[int], dim_cap: int) -> Census:
                     row = rows[pair] = place[low[v] ^ x]
                 block_codes += row
         hist += np.bincount(codes[: len(chunk)].ravel(), minlength=D**3)
-    counts = {}
+    group = [(0, 1, 2, 3)]  # the class permutations the swaps generate
+    for _, perm in swaps:
+        group += [tuple(perm[c] for c in sigma) for sigma in group]
+    counts: dict[tuple[int, int, int, int], int] = {}
     for code in np.flatnonzero(hist).tolist():
         na, nb, nc = code % D, code // D % D, code // (D * D)
-        counts[(na, nb, nc, n - na - nb - nc)] = int(hist[code]) << len(components)
+        profile, count = (na, nb, nc, n - na - nb - nc), int(hist[code]) << len(components)
+        for sigma in group:  # each is its own inverse: class sigma[c] goes to c
+            image = tuple(profile[c] for c in sigma)
+            counts[image] = counts.get(image, 0) + count
     return Census(n, kernel.dimension, counts)
 
 

@@ -225,18 +225,24 @@ def _face_moves(graph: LabeledGraph) -> list[frozenset[int]]:
     return moves
 
 
-def _gf2_rank(edge_sets: Sequence[frozenset[int]]) -> int:
-    """Rank of edge sets read as GF(2) vectors over the edges."""
+def _gf2_raises(edge_sets: Sequence[frozenset[int]]) -> list[bool]:
+    """Per edge set, read as a GF(2) vector over the edges, whether it raises
+    the rank of the sets before it."""
     pivots: dict[int, int] = {}  # leading bit -> reduced vector
+    raised = []
     for edge_set in edge_sets:
         x = sum(1 << eid for eid in edge_set)
-        while x:
-            top = x.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = x
-                break
+        while x and (top := x.bit_length() - 1) in pivots:
             x ^= pivots[top]
-    return len(pivots)
+        if x:
+            pivots[top] = x
+        raised.append(bool(x))
+    return raised
+
+
+def _gf2_rank(edge_sets: Sequence[frozenset[int]]) -> int:
+    """Rank of edge sets read as GF(2) vectors over the edges."""
+    return sum(_gf2_raises(edge_sets))
 
 
 class CycleKernel:
@@ -319,7 +325,7 @@ class CycleKernel:
         O(n * 2^L) whatever k is.  Needs independent moves, so that the
         subsets are distinct states; refuses the full k above ``dim_cap`` when
         called, before any table is built.  The census keeps one state per
-        arrow-reversal class, 2^(k - c) states.
+        orbit of the arrow reversals and class swaps, 2^(k - c - s) states.
         """
         k = len(self.moves)
         if k != self.dimension:

@@ -161,6 +161,16 @@ def test_dim_cap_raises(torus44):
         census_8v(torus44, dim_cap=10)
 
 
+@st.composite
+def multigraphs(draw, max_vertices=5):
+    """A labeled 4-regular multigraph on 1-``max_vertices`` vertices from a shuffled pairing
+    of its half-edges: self-loops, parallel edges and several components all occur."""
+    n = draw(st.integers(1, max_vertices))
+    half = draw(st.permutations([(v, label) for v in range(n) for label in (1, 2, 3, 4)]))
+    edges = tuple(Edge(*half[i], *half[i + 1]) for i in range(0, 4 * n, 2))
+    return LabeledGraph(n, edges)
+
+
 def two_k5() -> LabeledGraph:
     """Two disjoint copies of K5: k = 20 - 10 + 2 = 12, the moves in one block."""
     return disjoint_union(build_k5(), build_k5())
@@ -196,9 +206,11 @@ def test_census_at_the_block_size_and_on_the_empty_graph():
 def test_census_by_reversal_classes_on_three_components():
     # k = 29 near the default cap: 2^26 states counted, in about a second per census;
     # one state per arrow-reversal class is counted and the counts scaled by 2^c
+    # (the octahedron has no class swap, so the whole graph has none)
     graph = disjoint_union(gen_torus(2, 5), gen_torus(2, 5), gen_octahedron())
     basis = cycle_basis(graph)
     assert (basis.dimension, basis.components) == (29, 3)
+    assert exact._class_swaps(graph) == []
     rng = Random(53)
     for census, oracle in ((census_8v(graph), z8v_exact), (census_ec(graph), zec_exact)):
         assert census.dimension == basis.dimension
@@ -209,24 +221,77 @@ def test_census_by_reversal_classes_on_three_components():
             assert census.evaluate(p) == oracle(graph, p)
 
 
-def test_census_refuses_moves_that_miss_reversal_classes(monkeypatch, two_components):
-    # dropping a second move of one component misses half the classes, and
-    # keeping every move counts each class 2^c times: both are refused
-    real = exact._reversal_classes
+def test_census_refuses_moves_that_miss_reversal_classes(monkeypatch, two_components, torus44):
+    # dropping one more move misses half the orbits; keeping every move, or
+    # the moves of the arrow-reversal census beside the swaps (each swap set
+    # then lies in the span of those moves and the components), counts each
+    # orbit more than once: all are refused
+    real, real_swaps = exact._orbit_moves, exact._class_swaps
+    assert real(states.CycleKernel(two_components))[2]
 
     def drop_one_more(kernel):
-        keep, components = real(kernel)
-        first = next(j for j in keep if kernel.moves[j] <= components[0])
-        return [j for j in keep if j != first], components
+        keep, components, swaps = real(kernel)
+        return keep[1:], components, swaps
 
     def keep_all(kernel):
-        return list(range(len(kernel.moves))), real(kernel)[1]
+        return list(range(len(kernel.moves))), *real(kernel)[1:]
 
-    for mutant in (drop_one_more, keep_all):
-        monkeypatch.setattr(exact, "_reversal_classes", mutant)
+    def moves_before_swaps(kernel):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_class_swaps", lambda graph: [])
+            keep = real(kernel)[0]
+        return keep, *real(kernel)[1:]
+
+    for mutant in (drop_one_more, keep_all, moves_before_swaps):
+        monkeypatch.setattr(exact, "_orbit_moves", mutant)
         for census in (census_8v, census_ec):
             with pytest.raises(ValueError, match="one state per class"):
                 census(two_components)
+    # a swap counted as if it kept every class spans a basis, so only the
+    # per-state reference catches it
+    monkeypatch.setattr(exact, "_orbit_moves", real)
+    monkeypatch.setattr(exact, "_class_swaps",
+                        lambda graph: [(s, (0, 1, 2, 3)) for s, _ in real_swaps(graph)])
+    for census, model in ((census_8v, "8v"), (census_ec, "ec")):
+        assert census(torus44).counts != census_per_state(torus44, model)
+
+
+def assert_swaps_permute_classes(graph):
+    """Each swap set is even and xors one pairing's mask xm, or its complement,
+    onto every vertex's mask, and its permutation is the class map of that xor."""
+    for edge_set, perm in exact._class_swaps(graph):
+        xors = [0] * graph.vertex_count
+        for eid in edge_set:
+            e = graph.edges[eid]
+            xors[e.u] ^= 1 << (e.label_u - 1)
+            xors[e.v] ^= 1 << (e.label_v - 1)
+        xm = min(xors[0], xors[0] ^ 0b1111)
+        assert xm in (0b0101, 0b0011, 0b0110)
+        assert set(xors) <= {xm, xm ^ 0b1111}
+        for mask, c in states.CLASS_BY_MASK.items():
+            assert perm[c] == states.CLASS_BY_MASK[mask ^ xm]
+
+
+def test_class_swaps_of_tori_k44_and_the_octahedron(octahedron, k44, torus44):
+    # torus 4x5 has an odd column count, so only the pairing 1,3|2,4 is
+    # consistent: the horizontal edges, which swap A with B and C with D
+    torus45 = gen_torus(4, 5)
+    (edge_set, perm), = exact._class_swaps(torus45)
+    assert edge_set == {eid for eid, e in enumerate(torus45.edges) if e.label_u == 3}
+    assert perm == (1, 0, 3, 2)
+    for graph, swaps in ((torus45, 1), (torus44, 2), (gen_torus(4, 6), 2), (k44, 2),
+                         (octahedron, 0)):
+        assert len(exact._orbit_moves(states.CycleKernel(graph))[2]) == swaps
+        assert len(exact._class_swaps(graph)) == (0, 1, 3)[swaps]
+        assert_swaps_permute_classes(graph)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=multigraphs(max_vertices=7))
+def test_census_is_per_state_on_random_multigraphs(g):
+    assert_swaps_permute_classes(g)
+    assert census_8v(g).counts == census_per_state(g, "8v")
+    assert census_ec(g).counts == census_per_state(g, "ec")
 
 
 @pytest.mark.parametrize("block", [1, 2, 5, 9])
@@ -341,16 +406,6 @@ def test_contraction_at_zero_entry_points(fixture_censuses):
         for g, c8, cec in fixture_censuses:
             assert z8v_exact(g, p) == c8.evaluate(p)
             assert zec_exact(g, p) == cec.evaluate(p)
-
-
-@st.composite
-def multigraphs(draw, max_vertices=5):
-    """A labeled 4-regular multigraph on 1-``max_vertices`` vertices from a shuffled pairing
-    of its half-edges: self-loops, parallel edges and several components all occur."""
-    n = draw(st.integers(1, max_vertices))
-    half = draw(st.permutations([(v, label) for v in range(n) for label in (1, 2, 3, 4)]))
-    edges = tuple(Edge(*half[i], *half[i + 1]) for i in range(0, 4 * n, 2))
-    return LabeledGraph(n, edges)
 
 
 # zero entries half the time: the contraction fills its tables at nonzero ones only
