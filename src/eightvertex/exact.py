@@ -3,9 +3,10 @@
 This module is the ground-truth oracle for everything else, so it never
 touches floating point; signed and zero parameters are allowed throughout.
 ``z8v_exact``, ``zec_exact`` and ``holant_exact`` share one frontier
-(transfer-matrix) contraction along a vertex order: one matmul per vertex
-over the frontier's nonzero exact entries, at most 2^width of them, so at
-most about 2^width * n products.  The order is the narrowest of several
+(transfer-matrix) contraction along a vertex order: at each vertex, a
+sparse join of the frontier's nonzero exact entries (at most 2^width of
+them) with the vertex table's nonzero entries, so the cost is the nonzero
+pairs, not about 2^width * n products.  The order is the narrowest of several
 greedy tries from different starts (``_frontier_plan``), which finds the
 short way round a long torus: width 10 on 4xM for every M.  The censuses
 count the 2^k even states over the cycle space, independently of the
@@ -19,25 +20,32 @@ each of the 2^s class permutations.  They read the blocks of states that the
 cycle-space kernel lists (``states.CycleKernel.blocks``) and code each
 block's class profiles as a sum of per-vertex rows, one row per (vertex,
 block start) pair that occurs, then count a batch of blocks per
-``bincount``.
+``bincount``.  The moves past the blocks' first chunk are chosen to touch
+few vertices, and the rows of the vertices they leave alone, whose start
+never changes, are summed once.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import states
 from .graphs import LabeledGraph
 from .states import CLASS16, DEFAULT_DIM_CAP, CycleKernel, _gf2_raises, _gf2_rank
 
 ParamVec = tuple[Fraction, Fraction, Fraction, Fraction]
 
 FRONTIER_CAP = 20
+# output keys per reduceat in the contraction: only a chunk's products are held at once
+JOIN_CHUNK = 1 << 11
 
 
 def as_params(values: Sequence) -> ParamVec:
@@ -136,6 +144,21 @@ def _orbit_moves(kernel: CycleKernel) -> tuple[list[int], list[frozenset[int]], 
     return keep, components, swaps
 
 
+def _block_order(kernel: CycleKernel, keep: list[int]) -> list[int]:
+    """``keep`` reordered so that the moves past the first chunk of
+    ``CycleKernel.blocks`` touch few vertices, chosen greedily: each next one
+    touches the fewest vertices that the ones before it do not (ties by order).
+    """
+    vertices = {j: {v for v, _ in kernel.touch[j]} for j in keep}
+    rest, high, touched = list(keep), [], set()
+    for _ in range(len(keep) - min(len(keep), states.BLOCK_MOVES)):
+        j = min(rest, key=lambda j: len(vertices[j] - touched))
+        rest.remove(j)
+        high.append(j)
+        touched |= vertices[j]
+    return rest + high
+
+
 def _census(kernel: CycleKernel, start: Sequence[int], dim_cap: int) -> Census:
     """Count the class profiles of all 2^k states, one block of the kernel's at a time.
 
@@ -154,12 +177,17 @@ def _census(kernel: CycleKernel, start: Sequence[int], dim_cap: int) -> Census:
     D^3 codes, so the D^3-bin histogram it allocates and adds costs no more
     than the codes it counts.  Vertex v's masks in a block are
     ``low[v] ^ x`` for the block's start x at v, so its codes there are a
-    row that depends on (v, x) alone: each row is built the first time its
-    pair occurs, and a block's codes are the sum of its n rows, in the
-    smallest unsigned type that holds D^3, above every code.
+    row that depends on (v, x) alone, and a block's codes are the sum of its
+    n rows, in the smallest unsigned type that holds D^3, above every code.
+    Only the moves past the first chunk change a block's start, and
+    ``_block_order`` puts there the moves that touch the fewest vertices:
+    the rows of the vertices none of them touches are summed once, and each
+    block starts from that sum and adds the rows of the others, each built
+    the first time its (v, x) pair occurs (12 rows of 20 on torus 4x5).
     """
     n = kernel.graph.vertex_count
     keep, components, swaps = _orbit_moves(kernel)
+    keep = _block_order(kernel, keep)
     low, starts = kernel.blocks(start, dim_cap, keep)  # refuses k > dim_cap before any table
     basis = [kernel.moves[j] for j in keep] + components + [edge_set for edge_set, _ in swaps]
     if not len(basis) == _gf2_rank(basis) == kernel.dimension:
@@ -168,29 +196,37 @@ def _census(kernel: CycleKernel, start: Sequence[int], dim_cap: int) -> Census:
         )
     D = n + 1
     place = np.array([(1, D, D * D, 0)[c] for c in CLASS16], np.min_scalar_type(D**3))
-    rows: dict[tuple[int, int], np.ndarray] = {}
+    # the vertices a move past the first chunk touches; every other vertex
+    # keeps its start in every block, so its rows are summed once
+    moved = sorted({v for j in keep[states.BLOCK_MOVES:] for v, _ in kernel.touch[j]})
+    fixed = sorted(set(range(n)).difference(moved))
+    base = place[low[fixed] ^ np.array(start, np.uint8)[fixed, None]].sum(0, place.dtype)
+    moved_at = np.array(moved, np.intp)
+    rows: list[dict[int, np.ndarray]] = [{} for _ in moved]  # per moved vertex, by start
     batch = -(-(D**3) // low.shape[1])
     codes = np.empty((batch, low.shape[1]), place.dtype)
     hist = np.zeros(D**3, np.int64)
     while chunk := list(itertools.islice(starts, batch)):
         for block_codes, block_start in zip(codes, chunk):
-            block_codes[:] = 0
-            for pair in enumerate(block_start.tolist()):
-                row = rows.get(pair)
+            block_codes[:] = base
+            for v, cached, x in zip(moved, rows, block_start[moved_at].tolist()):
+                row = cached.get(x)
                 if row is None:
-                    v, x = pair
-                    row = rows[pair] = place[low[v] ^ x]
+                    row = cached[x] = place[low[v] ^ x]
                 block_codes += row
         hist += np.bincount(codes[: len(chunk)].ravel(), minlength=D**3)
     group = [(0, 1, 2, 3)]  # the class permutations the swaps generate
     for _, perm in swaps:
         group += [tuple(perm[c] for c in sigma) for sigma in group]
+    # each is its own inverse: the image of a profile takes class sigma[c] to c
+    picks = [operator.itemgetter(*sigma) for sigma in group]
     counts: dict[tuple[int, int, int, int], int] = {}
-    for code in np.flatnonzero(hist).tolist():
+    found = np.flatnonzero(hist)
+    for code, count in zip(found.tolist(), hist[found].tolist()):
         na, nb, nc = code % D, code // D % D, code // (D * D)
-        profile, count = (na, nb, nc, n - na - nb - nc), int(hist[code]) << len(components)
-        for sigma in group:  # each is its own inverse: class sigma[c] goes to c
-            image = tuple(profile[c] for c in sigma)
+        profile, count = (na, nb, nc, n - na - nb - nc), count << len(components)
+        for pick in picks:
+            image = pick(profile)
             counts[image] = counts.get(image, 0) + count
     return Census(n, kernel.dimension, counts)
 
@@ -217,8 +253,8 @@ def _greedy_order(ends: Sequence[Sequence[int]], start: int, recent: bool = Fals
     (-edges in, tie, id) entries whose stale ones are skipped, so a try
     costs O(m log n).  ``ends[v]`` lists v's neighbours once per edge,
     self-loops left out.  The width is the most edges open between steps;
-    the cost sums 2^(edges open once a step has opened its own), the
-    products in that step's matmul when the frontier is dense.
+    the cost sums 2^(edges open once a step has opened its own), the pairs
+    in that step's join when the frontier and the table are dense.
     """
     n = len(ends)
     into, visited = [0] * n, [False] * n
@@ -294,40 +330,121 @@ def _frontier_plan(graph: LabeledGraph):
     return steps, width
 
 
+@functools.lru_cache(maxsize=None)
+def _join_keys(closed: tuple[int, ...], opened: tuple[int, ...], loops: tuple[int, ...]):
+    """Each mask that the self-loops allow, with its key ``c << len(opened) | o``
+    for its closed value c and opened value o.
+
+    ``closed`` and ``opened`` list the labels - 1 of the edges, and a value
+    has bit i set where the edge at position i has value 1.
+    """
+    return tuple(
+        (mask, sum((mask >> label & 1) << i for i, label in enumerate(opened + closed)))
+        for mask in range(16) if all(mask & pair in (0, pair) for pair in loops)
+    )
+
+
+@functools.lru_cache(maxsize=1024)
+def _join_layout(keys: tuple[int, ...], closed: int, opened: int):
+    """Where the entries with the sorted keys ``keys`` (each ``c << opened | o``
+    for closed value c and opened value o) sit: ``(slots, dense, layout)``.
+
+    Row c of ``slots`` lists the entries of closed value c, in the order of
+    their opened values, then -1 up to the longest row's length; ``dense``
+    tells whether no row has a -1.  Row j of ``layout`` holds the bits of
+    entry j's opened value, then j.  The arrays are shared by every caller
+    with the same keys, so they are read-only.
+    """
+    rows: list[list[int]] = [[] for _ in range(1 << closed)]
+    for j, key in enumerate(keys):
+        rows[key >> opened].append(j)
+    width = max(map(len, rows))
+    slots = np.array([row + [-1] * (width - len(row)) for row in rows], np.intp)
+    layout = np.array([[key >> i & 1 for i in range(opened)] + [j] for j, key in enumerate(keys)],
+                      np.int64).reshape(len(keys), opened + 1)
+    slots.flags.writeable = layout.flags.writeable = False
+    return slots, bool((slots >= 0).all()), layout
+
+
+def _join_table(table: Sequence, closed: tuple[int, ...], opened: tuple[int, ...],
+                loops: tuple[int, ...]):
+    """A vertex's table, summed over its self-loops, as (closed value -> nonzero
+    opened entries): ``(slots, dense, layout, weights)``, the entries placed
+    by ``_join_layout`` and ``weights`` their values.
+
+    A sum that comes to zero is left out, like a zero weight.
+    """
+    sums: dict[int, object] = {}
+    for mask, key in _join_keys(closed, opened, loops):
+        if (w := table[mask]) != 0:
+            sums[key] = sums[key] + w if key in sums else w
+    keys = tuple(sorted(key for key, w in sums.items() if w != 0))
+    weights = np.fromiter((sums[key] for key in keys), object, len(keys))
+    return *_join_layout(keys, len(closed), len(opened)), weights
+
+
 def _contract(graph: LabeledGraph, tables: Sequence[Sequence]):
     """Sum over all 0/1 edge assignments of the product of ``tables[v][mask_v]``.
 
     ``mask_v`` has bit label-1 set where the edge at that label of v has
-    value 1; entries may be any ring elements, kept exact in ``object``
-    arrays.  The frontier keeps its nonzero entries only, keyed by their flat
-    index in an array with one axis per open edge, in the order opened.  A
-    vertex's table, summed over its self-loops, maps its closed edges to its
-    opened ones: one matmul on a row per value of the staying axes, then zero
-    sums are dropped, so the work follows the nonzero support: a table is
-    filled at its nonzero weights only.  A plan wider than ``FRONTIER_CAP`` is refused before any work.
+    value 1; entries may be any hashable ring elements, kept exact in
+    ``object`` arrays.  The frontier keeps its nonzero entries only, keyed
+    by the values of the open edges: each edge holds one key bit, the
+    lowest free one, from the step that opens it to the step that closes it.
+    A step joins each frontier entry with the nonzero entries of its
+    vertex's table (``_join_table``, built once per distinct table contents
+    and labels) that match its closed edges' values, sorts the pairs by
+    output key, sums their products with ``np.add.reduceat`` and drops the
+    zero sums.  So the work is the nonzero pairs: no product has a zero
+    factor, and the 8v and ec tables, zero at the odd masks, meet each entry
+    at half of theirs.  The products are made ``JOIN_CHUNK`` output keys at
+    a time, so only a chunk's products are held at once.  Exact entries give
+    the same value in any order; floats are summed in the order of the
+    output keys.  A plan wider than ``FRONTIER_CAP`` is refused before any work.
     """
     steps, width = _frontier_plan(graph)
     if width > FRONTIER_CAP:
         raise ValueError(f"frontier width {width} exceeds cap {FRONTIER_CAP}")
-    keys, vals, live = np.zeros(1, np.int64), np.ones(1, dtype=object), []
+    keys, vals = np.zeros(1, np.int64), np.ones(1, dtype=object)
+    bit, free, joins = {}, list(range(width)), {}  # edge -> its key bit; free bits, a heap
+    shift, entry_bits = width + 4, (1 << width) - 1  # a frontier holds at most 2^width entries
     for v, closed, opened, loops in steps:
-        table = np.zeros((2,) * (len(closed) + len(opened)), dtype=object)
-        for mask, w in enumerate(tables[v]):
-            if w != 0 and all(mask & pair in (0, pair) for pair in loops):
-                table[tuple(mask >> label & 1 for _, label in closed + opened)] += w
-        gone = [eid for eid, _ in closed]
-        shut = [len(live) - 1 - live.index(eid) for eid in gone]  # their bits in a key
-        col = sum((keys >> p & 1) << i for i, p in enumerate(reversed(shut)))
-        for p in sorted(shut, reverse=True):  # squeeze the closed axes out
-            keys = keys >> (p + 1) << p | keys & (1 << p) - 1
-        rest, row = np.unique(keys, return_inverse=True)
-        rows = np.zeros((len(rest), 1 << len(shut)), dtype=object)
-        rows[row, col] = vals
-        vals = (rows @ table.reshape(1 << len(shut), -1)).ravel()
-        keys = (rest[:, None] << len(opened) | np.arange(1 << len(opened))).ravel()
+        table, labels = tables[v], [tuple(label for _, label in half) for half in (closed, opened)]
+        # by contents, types included, so that 1 and Fraction(1) keep their own types
+        spec = (tuple(table), tuple(map(type, table)), *labels, tuple(loops))
+        join = joins.get(spec)
+        if join is None:
+            join = joins[spec] = _join_table(table, *spec[2:])
+        slots, dense, layout, weights = join
+        closed_values, cleared = np.zeros(len(keys), np.intp), 0
+        for i, (eid, _) in enumerate(closed):
+            p = bit.pop(eid)
+            closed_values |= (keys >> p & 1) << i
+            cleared |= 1 << p
+            heapq.heappush(free, p)
+        for eid, _ in opened:
+            bit[eid] = heapq.heappop(free)
+        # each product as its output key, frontier entry and table entry (at most
+        # 16) in one int64, so that one sort groups the products by output key
+        tail = layout @ np.array([1 << shift + bit[eid] for eid, _ in opened] + [1], np.int64)
+        grid = slots[closed_values]
+        pairs = (keys & ~cleared) << shift | np.arange(0, len(keys) << 4, 16)
+        pairs = pairs[:, None] | tail[grid]  # where grid is -1 a stray entry, dropped next
+        pairs = pairs.ravel() if dense else pairs[grid >= 0]
+        pairs.sort()
+        out = pairs >> shift
+        starts = np.ones(len(out), bool)  # where a run of one output key starts
+        np.not_equal(out[1:], out[:-1], out=starts[1:])
+        heads = np.flatnonzero(starts)
+        sums = np.empty(len(heads), object)
+        for h in range(0, len(heads), JOIN_CHUNK):
+            a, b = heads[h], heads[h + JOIN_CHUNK] if h + JOIN_CHUNK < len(heads) else len(out)
+            chunk = pairs[a:b]
+            sums[h:h + JOIN_CHUNK] = np.add.reduceat(
+                vals[chunk >> 4 & entry_bits] * weights[chunk & 15], heads[h:h + JOIN_CHUNK] - a)
+        vals = sums
         nonzero = vals != 0
-        keys, vals = keys[nonzero], vals[nonzero]
-        live = [eid for eid in live if eid not in gone] + [eid for eid, _ in opened]
+        keys, vals = out[heads][nonzero], vals[nonzero]
     return vals[0] if len(vals) else 0
 
 
@@ -370,10 +487,14 @@ def holant_exact(graph: LabeledGraph, table: Sequence):
     """Sum over all 2^m edge 0/1-assignments of the per-vertex function values.
 
     ``table`` has 16 entries indexed by (x1, x2, x3, x4) with x1 the most
-    significant bit; entries may be any ring elements (complex, Fraction,
-    int).  The frontier contraction takes about 2^width * n steps for the
-    frontier width of the narrowest greedy order that ``_frontier_plan``
-    finds over its starts (refused above ``FRONTIER_CAP``), not 2^m.
+    significant bit; entries may be any hashable ring elements (complex,
+    Fraction, int).  The frontier contraction (``_contract``) multiplies
+    only nonzero pairs of a frontier entry and a table entry, at most
+    2^width of the one per step, for the frontier width of the narrowest
+    greedy order that ``_frontier_plan`` finds over its starts (refused
+    above ``FRONTIER_CAP``), not 2^m.  Int, Fraction and Gaussian-integer
+    tables give exact values; float entries are summed in the order of the
+    join's output keys, so their rounding can differ from another order's.
     """
     if len(table) != 16:
         raise ValueError("arity-4 truth table needs 16 entries")

@@ -455,6 +455,76 @@ def test_census_under_small_blocks_on_random_multigraphs(g, block, p):
         assert census_ec(g).evaluate(p) == zec_exact(g, p)
 
 
+@settings(max_examples=60, deadline=None)
+@given(g=multigraphs(max_vertices=6), block=st.integers(1, 4),
+       rng=st.randoms(use_true_random=False))
+def test_census_under_any_high_chunk(g, block, rng):
+    # any order of the kept moves gives the same census: the rows summed once
+    # are those of the vertices that no move past the first chunk touches
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(states, "BLOCK_MOVES", block)
+        mp.setattr(exact, "_block_order", lambda kernel, keep: rng.sample(keep, len(keep)))
+        assert census_8v(g).counts == census_per_state(g, "8v")
+        assert census_ec(g).counts == census_per_state(g, "ec")
+
+
+def test_census_high_chunk_touches_few_vertices():
+    # torus 4x5 keeps 19 moves: the 7 past the first chunk touch 12 of the 20
+    # vertices, so a block adds 12 rows to the sum of the other 8
+    kernel = states.CycleKernel(gen_torus(4, 5))
+    keep = exact._orbit_moves(kernel)[0]
+    order = exact._block_order(kernel, keep)
+    assert sorted(order) == sorted(keep) and len(keep) == 19
+    assert len({v for j in order[BLOCK_MOVES:] for v, _ in kernel.touch[j]}) == 12
+
+
+class ZeroProductLog:
+    """An int ring element whose products record each zero factor in ``log``."""
+
+    log: list = []
+
+    def __init__(self, value):
+        self.value = value
+
+    def __mul__(self, other):
+        other = other.value if isinstance(other, ZeroProductLog) else other
+        if self.value == 0 or other == 0:
+            ZeroProductLog.log.append((self.value, other))
+        return ZeroProductLog(self.value * other)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return ZeroProductLog(self.value + (other.value if isinstance(other, ZeroProductLog)
+                                            else other))
+
+    __radd__ = __add__
+
+    def __eq__(self, other):
+        return self.value == (other.value if isinstance(other, ZeroProductLog) else other)
+
+    def __hash__(self):
+        return hash(self.value)
+
+
+def test_contraction_multiplies_no_zero_factor(monkeypatch, torus44):
+    # the 8v-shaped table is 0 at the 8 odd masks, the random one at 12 of 16;
+    # a dense matmul of every closed value by every table entry, zeros
+    # included, fails here
+    rng = Random(40)
+    shaped = [(2, 3, 5, 7)[c] if c >= 0 else 0 for c in states.CLASS16]
+    sparse = [0] * 16
+    for mask in rng.sample(range(16), 4):
+        sparse[mask] = rng.choice([-3, -2, -1, 1, 2, 3])
+    monkeypatch.setattr(ZeroProductLog, "log", [])
+    for table in (shaped, sparse):
+        plain = exact._contract(torus44, [table] * torus44.vertex_count)
+        checked = exact._contract(torus44, [[ZeroProductLog(w) for w in table]]
+                                  * torus44.vertex_count)
+        assert plain != 0 and isinstance(checked, ZeroProductLog) and checked == plain
+    assert ZeroProductLog.log == []
+
+
 def test_census_memory_stays_near_one_block():
     # the cached rows are those of the (vertex, start) pairs that occur: a
     # table of all 16 per vertex would take 2.6 MB on torus 4x5
@@ -519,8 +589,8 @@ def test_plan_survives_shuffled_vertex_ids(seed):
 
 
 def test_plan_is_the_cheapest_of_the_narrowest():
-    # on torus 4x5 two starts reach width 10; the cost is the products of each
-    # step's matmul on a dense frontier, 2^(open before the step + opened)
+    # on torus 4x5 two starts reach width 10; the cost is the pairs of each
+    # step's join on a dense frontier, 2^(open before the step + opened)
     steps, width = _frontier_plan(gen_torus(4, 5))
     assert width == 10 and greedy_plan_from_zero(gen_torus(4, 5))[1] == 12
     open_count, cost = 0, 0
