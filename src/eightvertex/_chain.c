@@ -203,7 +203,6 @@ void chain_run(struct chain *c, int64_t blocks, int64_t thinning, uint8_t *recor
    params[4g .. 4g+3], makes `thinning` steps, then adds
    ((n_0 l_0 + n_1 l_1) + n_2 l_2) + n_3 l_3 to logw[particle], n_i the
    class counts and l = log_ratios + 4g the stage's row of log ratios.
-   As on Python's steps, the class weights end at the last stage run.
    Returns 0, or -1 without a step where the stages' ratios do not fit in
    memory. */
 int chain_ais(struct chain *c, int64_t particles, int64_t stages, const double *params,
@@ -234,8 +233,6 @@ int chain_ais(struct chain *c, int64_t particles, int64_t stages, const double *
             logw[p] += ((n[0] * l[0] + n[1] * l[1]) + n[2] * l[2]) + n[3] * l[3];
         }
     }
-    if (particles > 0 && stages > 0)
-        memcpy(c->weights, params + 4 * (stages - 1), sizeof c->weights);
     free(ratios);
     return 0;
 }

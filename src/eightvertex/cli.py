@@ -1,7 +1,7 @@
 """Batch command-line surface.
 
 Exit status: 0 on success, 2 on usage errors, and 1 when
-- ``verify`` or ``diagnose-chain`` finds a failed check;
+- ``verify`` finds a failed check;
 - ``estimate`` is refused: the reason goes to stderr as ``{"error": ...}``;
 - ``plan`` finds no plan: stdout has ``"plan": null`` and the diagnostics;
 - the reader of stdout goes away.  ``sample`` streams its rows, so with
@@ -158,16 +158,12 @@ def _cmd_diagnose_chain(args) -> int:
     graph = _load_graph(args.graph)
     p = _parse_params(args.params)
     diag = exact_chain_diagnostics(graph, p, tv_threshold=args.tv_threshold)
-    print(
-        f"# states={diag.states} detailed_balance={diag.detailed_balance} "
-        f"stationary_exact={diag.stationary_exact} "
-        f"steps_to_tv<{diag.tv_threshold}={diag.steps_to_threshold}",
-        file=sys.stderr,
-    )
+    print(f"# states={diag.states} steps_to_tv<{diag.tv_threshold}={diag.steps_to_threshold}",
+          file=sys.stderr)
     print("steps,tv")
     for t, tv in diag.tv_curve:
         print(f"{t},{tv:.6g}")
-    return 0 if (diag.detailed_balance and diag.stationary_exact) else 1
+    return 0
 
 
 def _cmd_estimate(args) -> int:

@@ -5,11 +5,13 @@ directly, with no cycle-space shortcut and no frontier contraction, so
 they check the package's exact routes independently; the reference plan
 scans every vertex per step for the one greedy order from vertex 0, where
 the package pops a heap and keeps the narrowest of several orders; the
-reference chain recomputes whole weights instead of local ratios, and the
-reference walk of the coset flips one move at a time in Gray-code order,
-where the package lists the states in blocks of masks; the reference
-schedule multiplies stage by stage in tuple loops, where the package
-builds its arrays in numpy.  The predicates at the end (evenness, Gibbs
+reference chain recomputes whole weights instead of local ratios, and its
+transition matrix flips orientation bits over every even orientation, where
+the package indexes the coset by cycle-space coordinate; the reference
+walk of the coset flips one move at a time in Gray-code order, where the
+package lists the states in blocks of masks; the reference schedule
+multiplies stage by stage in tuple loops, where the package builds its
+arrays in numpy.  The predicates at the end (evenness, Gibbs
 weights, region intersections, arrow-reversal symmetry), the group
 closure in ``Fraction`` products of the rows, the matrix inverse, the
 constraint-matrix layout, the per-edge orientation and bit-string forms
@@ -27,6 +29,7 @@ from eightvertex.holant import TOL_EXACT, _index
 from eightvertex.states import (
     CLASS_BY_MASK,
     CycleKernel,
+    cycle_basis,
     in_masks,
     orientation_classes,
     red_masks,
@@ -214,6 +217,32 @@ def metropolis_reference(graph: LabeledGraph, params, moves, seed: int, laziness
             if ratio >= 1 or rng.random() < ratio:
                 bits = proposed
         yield bits
+
+
+def metropolis_matrix(graph: LabeledGraph, params):
+    """The exact transition matrix of the lazy basis-cycle Metropolis chain.
+
+    Returns (states, pi, rows): every even orientation, from
+    ``even_orientations_naive``; its Gibbs probability; and its row of P as
+    a dict from next state's index to probability.  The chain holds with
+    probability 1/2, else proposes a uniform move of
+    ``cycle_basis(graph)`` and takes it with probability min(1, w_y / w_x).
+    """
+    states = even_orientations_naive(graph)
+    index = {state: i for i, state in enumerate(states)}
+    weights = [gibbs_weight(graph, state, params) for state in states]
+    total = sum(weights)
+    moves = cycle_basis(graph).elements
+    step = Fraction(1, 2) / len(moves)
+    rows = []
+    for x, state in enumerate(states):
+        row = {}
+        for move in moves:
+            y = index[tuple(b ^ (eid in move) for eid, b in enumerate(state))]
+            row[y] = step * min(Fraction(1), weights[y] / weights[x])
+        row[x] = 1 - sum(row.values())
+        rows.append(row)
+    return states, [w / total for w in weights], rows
 
 
 def schedule_by_loops(target, q: int) -> tuple[tuple, tuple]:

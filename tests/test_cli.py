@@ -285,9 +285,9 @@ def test_diagnose_chain_csv(oct_file, capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "steps,tv"
-    assert "detailed_balance=True" in err
+    assert err == "# states=128 steps_to_tv<0.01=31\n"
     last_step, last_tv = lines[-1].split(",")
-    assert float(last_tv) < 0.01
+    assert last_step == "31" and float(last_tv) < 0.01
 
 
 @pytest.mark.parametrize("value", ["0", "-0.5", "1", "2"])
@@ -556,6 +556,11 @@ GOLDEN = [
      "e80ba79e898a20e98c4d83aaf2b15eecfd62d4e2a6079096bd82538de410bae7"),
     (("census", "loop_graph", "--model", "ec"), 0,
      "95f574f9b22836cc780ccb2a74c9d84e944697ea26ddbe0b5d32bc381ed4ec5f"),
+    # captured while the diagnostics still checked balance and stationarity exactly
+    (("diagnose-chain", "octahedron", "--params", "1,2,2,1"), 0,
+     "83043f9bf1c9c45b80a76c97446e17b97b5448c9390ae12bd0ade9e97e8edd42"),
+    (("diagnose-chain", "k44", "--params", "2,2,3,1"), 0,
+     "591c5f4ca72cf05dd2bf45c992551ac7d1e5b8b23ce248b859796167f5d5eb41"),
 ]
 GOLDEN_GRAPHS = {"torus4x4": lambda: gen_torus(4, 4), "octahedron": gen_octahedron,
                  "k44": gen_k44, "loop_graph": build_loop_graph}

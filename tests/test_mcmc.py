@@ -34,18 +34,20 @@ from eightvertex.states import (
     face_two_coloring,
     orientation_classes,
     orientation_to_bitstring,
+    reference_even_orientation,
 )
 
 from ._brute import (
     bitstring_to_orientation,
     gibbs_weight,
     is_even_orientation,
+    metropolis_matrix,
     metropolis_reference,
     orientation_from_masks,
     state_weights_per_coordinate,
 )
 from ._brute import orientation_to_bitstring as per_edge_bitstring
-from .conftest import build_k5, build_loop_graph, build_two_components
+from .conftest import build_k5, build_loop_graph, build_two_components, disjoint_union
 
 YZ_POINTS = [
     (1, 1, 1, 1),
@@ -444,9 +446,6 @@ def test_empirical_class_frequencies_match_census(octahedron):
 def test_exact_diagnostics_octahedron(octahedron, params):
     diag = exact_chain_diagnostics(octahedron, params)
     assert diag.states == 128
-    assert diag.detailed_balance
-    assert diag.stationary_exact
-    assert diag.rows_sum_one
     assert diag.steps_to_threshold is not None
     assert diag.tv_curve[-1][1] < 0.01
 
@@ -463,8 +462,42 @@ def test_state_weights_follow_the_reference_walk(octahedron, k44, torus24, param
 def test_exact_diagnostics_k44(k44):
     diag = exact_chain_diagnostics(k44, (2, 2, 3, 1))
     assert diag.states == 512
-    assert diag.detailed_balance and diag.stationary_exact
     assert diag.steps_to_threshold is not None
+
+
+@pytest.mark.parametrize("name, params", [
+    ("octahedron", (Fraction(1, 3), 5, 2, 7)),
+    ("k44", (2, 2, 3, 1)),
+    ("torus24", (3, 3, 3, 1)),
+], ids=["octahedron", "k44", "torus24"])
+def test_exact_diagnostics_follow_the_metropolis_matrix(request, name, params):
+    # the brute-force matrix over every even orientation is reversible and
+    # keeps pi, exactly; the diagnostics' TV curve is its float iteration
+    graph = request.getfixturevalue(name)
+    states, pi, rows = metropolis_matrix(graph, params)
+    kept = [Fraction(0)] * len(states)
+    for x, row in enumerate(rows):
+        assert sum(row.values()) == 1 and row[x] >= Fraction(1, 2)
+        for y, p_xy in row.items():
+            assert pi[x] * p_xy == pi[y] * rows[y][x]
+            kept[y] += pi[x] * p_xy
+    assert kept == pi
+
+    diag = exact_chain_diagnostics(graph, params)
+    assert diag.states == len(states)
+    matrix = np.zeros((len(states), len(states)))
+    for x, row in enumerate(rows):
+        for y, p_xy in row.items():
+            matrix[x, y] = float(p_xy)
+    pi_f = np.array([float(p) for p in pi])
+    mu = np.zeros(len(states))
+    mu[states.index(reference_even_orientation(graph))] = 1.0
+    tvs = []
+    for _ in diag.tv_curve:
+        mu = mu @ matrix
+        tvs.append(0.5 * float(np.abs(mu - pi_f).sum()))
+    assert max(abs(tv - b) for (_, tv), b in zip(diag.tv_curve, tvs)) < 1e-12
+    assert diag.steps_to_threshold == next(t for t, tv in enumerate(tvs, 1) if tv < 0.01)
 
 
 @pytest.mark.parametrize("threshold", [0.0, -0.1, 1.0, 1.5, float("nan")])
@@ -473,9 +506,13 @@ def test_diagnostics_refuse_threshold_outside_unit_interval(loop_graph, threshol
         exact_chain_diagnostics(loop_graph, (1, 1, 1, 1), tv_threshold=threshold)
 
 
-def test_diagnostics_cap(torus44):
-    with pytest.raises(ValueError, match="cap"):
-        exact_chain_diagnostics(torus44, (1, 1, 1, 1))
+def test_diagnostics_cap(octahedron, torus22, torus34, torus44):
+    # k = 7 + 5 = 12, the cap, is enumerated; torus 3x4 (k = 13) and 4x4 (k = 17) are not
+    diag = exact_chain_diagnostics(disjoint_union(octahedron, torus22), (3, 3, 3, 1))
+    assert diag.states == 4096 and diag.steps_to_threshold is not None
+    for graph in (torus34, torus44):
+        with pytest.raises(ValueError, match="exceeds enumeration cap 12"):
+            exact_chain_diagnostics(graph, (1, 1, 1, 1))
 
 
 def test_reachability(octahedron, k44):
