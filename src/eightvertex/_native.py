@@ -18,6 +18,7 @@ from __future__ import annotations
 import ctypes
 import os
 import struct
+import sys
 import threading
 from pathlib import Path
 
@@ -39,12 +40,10 @@ class _State(ctypes.Structure):  # struct chain of _chain.c
     _fields_ = [
         ("mt", ctypes.c_uint32 * 624), ("index", int32), ("started", int32),
         ("nmoves", int32), ("bits", int32), ("nvertices", int32),
-        ("classes", int32 * 16), ("counts", int32 * 4), ("nslots", int32),
-        ("weights", ctypes.c_double * 4),
+        ("classes", int32 * 16), ("counts", int32 * 4), ("weights", ctypes.c_double * 4),
         ("start", pointer(int32)), ("touch", pointer(int32)),
         ("reference", pointer(ctypes.c_uint8)), ("masks", pointer(ctypes.c_uint8)),
-        ("slots", ctypes.c_uint8 * 128), ("pairs", ctypes.c_uint8 * 128),
-        ("factors", ctypes.c_double * 256), ("words", ctypes.c_uint32 * 624),
+        ("words", ctypes.c_uint32 * 624),
     ]
 
 
@@ -58,9 +57,10 @@ def load():
 
 
 def _build():
-    # CPython's builtin sha256 where it has one, as ``random`` imports its
-    # sha512: hashlib loads OpenSSL, which adds 3.6 MB of RSS
-    for module in ("_sha2", "_sha256", "hashlib"):
+    # CPython's builtin sha256 where it has one (_sha2 from 3.12, _sha256
+    # before), as ``random`` imports its sha512: hashlib loads OpenSSL, which
+    # adds 3.6 MB of RSS
+    for module in ("_sha2" if sys.version_info >= (3, 12) else "_sha256", "hashlib"):
         try:
             sha256 = __import__(module).sha256
             break

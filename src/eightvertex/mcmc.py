@@ -7,10 +7,11 @@ cycle-space kernel refuses move sets whose GF(2) rank is below the
 cycle-space dimension.  The chain is lazy with the fixed holding
 probability ``LAZINESS`` = 1/2, which makes it aperiodic and its spectrum
 nonnegative.  It keeps only per-vertex in-masks and class counts; a
-proposal's weight ratio is a product of table lookups over the vertices
-the flip touches.  ``sample`` records the masks after each block of steps,
-many blocks at a time, reads a whole record's orientations from it in one
-array pass and hands them on, so it holds one record, not every row.
+proposal's weight ratio is a product, over the vertices the flip touches,
+of one of the 16 ratios of the four class weights each.  ``sample``
+records the masks after each block of steps, many blocks at a time, reads
+a whole record's orientations from it in one array pass and hands them
+on, so it holds one record, not every row.
 The chain draws what a plain loop over ``random()`` and
 ``randrange(nmoves)`` draws and does the same float operations, so a seed
 gives that loop's samples and estimates byte for byte.  The exact chain
@@ -19,15 +20,15 @@ masks (``states.CycleKernel.blocks``), which list the states by
 cycle-space coordinate, so basis-cycle move j flips bit j of the index.
 
 The steps run in a compiled kernel, ``_chain.c``, wherever one can be
-built: it keeps the masks, counts, factor tables and the generator's
+built: it keeps the masks, counts, class weights and the generator's
 MT19937 state in native memory and draws exactly as CPython 3.10-3.13's
 ``random.Random`` does.  It tempers each twist's 624 words into a buffer,
 so a draw is a load, and tests the laziness coin on the first of its two
-words (so ``LAZINESS`` is 1/2 there).  Both step paths fill the factor
-tables from the four class weights where a call starts or a stage does, so
-``set_params`` only stores the weights.  The chains on one kernel share
-its move tables (``CycleKernel.move_table``), and an estimate's schedule
-is built as the float64 arrays that the kernel reads
+words (so ``LAZINESS`` is 1/2 there).  Both step paths divide the four
+class weights into their 16 ratios once per call, or once per stage of an
+annealing schedule, so ``set_params`` only stores the weights.  The chains
+on one kernel share its move tables (``CycleKernel.move_table``), and an
+estimate's schedule is built as the float64 arrays that the kernel reads
 (``estimator.build_schedule``), so all its chains read one copy.
 ``Chain`` alone cuts its work into calls (``calls``) of at most
 ``CALL_STEPS`` steps, or one block or particle of annealed importance
@@ -41,6 +42,7 @@ the same steps run in Python, the kernel's oracle in the tests.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -61,10 +63,11 @@ LAZINESS = 0.5
 # the most steps one call makes (or one block, if longer)
 CALL_STEPS = 1 << 20
 _RECOUNT_PERIOD = 1 << 16
-# the masks of even in-degree (the only ones an even orientation has), and
-# per flip mask xm and in-mask m the step (m ^ xm, class before, class after)
-_EVEN_MASKS = tuple(m for m in range(16) if CLASS16[m] >= 0)
+# per flip mask xm and in-mask m the step (m ^ xm, class before, class after),
+# and the index class(m ^ xm) << 2 | class(m) of its weight ratio in _ratios;
+# a move's flip masks and an even orientation's masks are all even
 _FLIP = tuple(tuple((m ^ xm, CLASS16[m], CLASS16[m ^ xm]) for m in range(16)) for xm in range(16))
+_PAIRS = tuple(tuple(CLASS16[m ^ xm] << 2 | CLASS16[m] for m in range(16)) for xm in range(16))
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,11 @@ def chain_weights(params: Sequence, kernel: CycleKernel) -> list[float]:
     return weights
 
 
+def _ratios(weights) -> list[float]:
+    """``ratio[a << 2 | b] = weights[a] / weights[b]``, divided as in ``_chain.c``."""
+    return [weights[a] / weights[b] for a in range(4) for b in range(4)]
+
+
 def _load_kernel():
     """``_native.NativeChain`` where the compiled kernel builds and loads, else None."""
     from . import _native  # with the first chain: commands without one never build it
@@ -141,12 +149,13 @@ class Chain:
     more.  The move is drawn as ``Random.randrange(nmoves)`` draws it
     (CPython 3.10-3.13): ``getrandbits(nmoves.bit_length())``, redrawn while
     it is ``>= nmoves``, so the chain consumes the same stream as a call to
-    ``randrange`` would.  ``factors[xm][mask]`` is the class-weight ratio
-    ``w[class(mask ^ xm)] / w[class(mask)]`` of flipping the bits ``xm`` of
-    an in-mask, one 16-entry table per distinct flip mask of the kernel; a
-    proposal's ratio is the product of its touched vertices' factors, in
-    touch order.  Masks stay exact integers and the class counts are
-    recounted from them periodically as a cheap self-check.
+    ``randrange`` would.  Flipping the bits ``xm`` of an in-mask m
+    multiplies a proposal's ratio by ``w[class(m ^ xm)] / w[class(m)]``,
+    entry ``class(m ^ xm) << 2 | class(m)`` of the 16 ratios of the class
+    weights; both classes are defined, as the kernel's flip masks all have
+    even popcount.  A proposal's ratio is that product over its touched
+    vertices, in touch order.  Masks stay exact integers and the class
+    counts are recounted from them periodically as a cheap self-check.
 
     The step path is bound here, once.  Where ``type(rng) is random.Random``
     and the compiled kernel loads, ``masks``, ``counts`` and ``weights`` are
@@ -155,13 +164,13 @@ class Chain:
     kernel's state back into it.  Otherwise (another generator, or no
     kernel) they are lists and the same steps run in Python, with
     ``NativeChain``'s arguments and results.  Either way ``set_params`` only
-    stores the four weights, and the steps fill the factor tables from the
-    same divisions at the start of each call and at each stage of a
-    particle.  Both paths give the same masks, counts, log weights,
-    ``steps`` and generator state, bit for bit.  ``advance``, ``ais`` and
-    ``mask_blocks`` make one step call per item of ``calls``, then count
-    its steps in ``steps``; each time that passes a multiple of
-    ``_RECOUNT_PERIOD`` the class counts are recounted from the masks.
+    stores the four weights, and the steps divide them into the same 16
+    ratios once per call, or once per stage of an ``ais`` call.  Both paths
+    give the same masks, counts, log weights, ``steps`` and generator state,
+    bit for bit.  ``advance``, ``ais`` and ``mask_blocks`` make one step
+    call per item of ``calls``, then count its steps in ``steps``; each
+    time that passes a multiple of ``_RECOUNT_PERIOD`` the class counts are
+    recounted from the masks.
     """
 
     def __init__(self, kernel: CycleKernel, rng: Random):
@@ -176,14 +185,10 @@ class Chain:
             self.masks = list(kernel.reference_masks)
             # weights as the kernel's array, so set_params refuses any length but 4 alike
             self.counts, self.weights = [0, 0, 0, 0], (ctypes.c_double * 4)()
-            factors = {xm: [None] * 16 for flips in kernel.touch for _, xm in flips}
-            # per move and touched vertex: (vertex, its _FLIP row, its factor table)
+            # per move and touched vertex: (vertex, its _FLIP row, its _PAIRS row)
             self._moves = [
-                tuple((v, _FLIP[xm], factors[xm]) for v, xm in flips) for flips in kernel.touch
+                tuple((v, _FLIP[xm], _PAIRS[xm]) for v, xm in flips) for flips in kernel.touch
             ]
-            # per slot, as in _chain.c: a factor table, an even mask, its classes' ratio
-            self._slots = [(table, m, CLASS16[m ^ xm] << 2 | CLASS16[m])
-                           for xm, table in factors.items() for m in _EVEN_MASKS]
             self._run, self._ais = self._python_run, self._python_ais
         else:
             self.masks, self.counts = self._native.masks, self._native.counts
@@ -263,27 +268,21 @@ class Chain:
             counts[CLASS16[m]] += 1
         return counts
 
-    def _fill(self, weights):
-        """Fill each slot of the factor tables from the ratios of ``weights``,
-        ``ratio[a << 2 | b] = weights[a] / weights[b]``, divided as in ``_chain.c``."""
-        ratio = [weights[a] / weights[b] for a in range(4) for b in range(4)]
-        for table, m, pair in self._slots:
-            table[m] = ratio[pair]
-
     def _python_run(self, blocks: int, thinning: int, record: bool = False) -> bytearray | None:
         """``NativeChain.run`` in Python."""
-        self._fill(self.weights)
+        ratio = _ratios(self.weights)
         if not record:
-            return self._python_steps(blocks * thinning)
+            return self._python_steps(blocks * thinning, ratio)
         masks = bytearray()
         for _ in range(blocks):
-            self._python_steps(thinning)
+            self._python_steps(thinning, ratio)
             masks.extend(self.masks)
         return masks
 
     def _python_ais(self, stages, particles: int, thinning: int, log_ratios) -> list[float]:
         """``NativeChain.ais`` in Python."""
-        masks, counts, rows, logs = self.masks, self.counts, stages.tolist(), log_ratios.tolist()
+        masks, counts, logs = self.masks, self.counts, log_ratios.tolist()
+        ratios = [_ratios(weights) for weights in stages.tolist()]
         log_weights = []
         for _ in range(particles):
             masks[:] = self.kernel.reference_masks
@@ -292,14 +291,13 @@ class Chain:
                     for v, xm in flips:
                         masks[v] ^= xm
             counts[:], log_w = self._class_counts(), 0.0
-            for weights, (l0, l1, l2, l3) in zip(rows, logs):
-                self._fill(weights)
-                self._python_steps(thinning)
+            for ratio, (l0, l1, l2, l3) in zip(ratios, logs):
+                self._python_steps(thinning, ratio)
                 log_w += counts[0] * l0 + counts[1] * l1 + counts[2] * l2 + counts[3] * l3
             log_weights.append(log_w)
         return log_weights
 
-    def _python_steps(self, steps: int):
+    def _python_steps(self, steps: int, ratio: list[float]):
         masks, counts, moves = self.masks, self.counts, self._moves
         nmoves = len(moves)
         bits = nmoves.bit_length()
@@ -312,10 +310,10 @@ class Chain:
             while j >= nmoves:
                 j = getrandbits(bits)
             flips = moves[j]
-            ratio = 1.0
-            for v, _, f in flips:
-                ratio *= f[masks[v]]
-            if ratio >= 1.0 or random() < ratio:
+            r = 1.0
+            for v, _, pair in flips:
+                r *= ratio[pair[masks[v]]]
+            if r >= 1.0 or random() < r:
                 for v, flip, _ in flips:
                     m, old, new = flip[masks[v]]
                     masks[v] = m
@@ -370,20 +368,30 @@ class ChainDiagnostics:
     tv_threshold: float
 
 
-def _state_weights(kernel: CycleKernel, params) -> list[Fraction]:
-    """Exact Gibbs weight per cycle-space coordinate (bit j = basis cycle j)."""
-
-    def weight(profile) -> Fraction:
-        w = Fraction(1)
-        for p_i, n_i in zip(params, profile):
-            w *= p_i**n_i
-        return w
-
+def _state_profiles(kernel: CycleKernel) -> np.ndarray:
+    """Class counts (n_0 .. n_3) per cycle-space coordinate (bit j = basis
+    cycle j), as an int array of shape (2^k, 4)."""
     low, starts = kernel.blocks(kernel.reference_masks, DIAGNOSTIC_DIM_CAP)
     masks = np.hstack([low ^ start[:, None] for start in starts])
     classes = np.array(CLASS16)[masks]
-    profiles = np.stack([(classes == c).sum(axis=0) for c in range(4)], axis=1)
-    return [weight(p) for p in profiles.tolist()]
+    return np.stack([(classes == c).sum(axis=0) for c in range(4)], axis=1)
+
+
+def _per_distinct_row(rows: np.ndarray, f: Callable) -> list:
+    """``[f(row) for row in rows]`` over a 2-D array, calling f once per distinct row."""
+    f = functools.cache(f)
+    return [f(row) for row in map(tuple, rows.tolist())]
+
+
+def _power_product(params, exponents) -> Fraction:
+    """The product of ``p_c ** n_c``: the Gibbs weight of a class profile n,
+    or w_y / w_x for the profile change n(y) - n(x)."""
+    return math.prod(p_c**n_c for p_c, n_c in zip(params, exponents))
+
+
+def _state_weights(profiles: np.ndarray, params) -> list[Fraction]:
+    """Exact Gibbs weight per row of ``_state_profiles``, one product per distinct profile."""
+    return _per_distinct_row(profiles, lambda n: _power_product(params, n))
 
 
 def exact_chain_diagnostics(
@@ -406,21 +414,25 @@ def exact_chain_diagnostics(
         raise ValueError(f"tv_threshold must lie in (0, 1), got {tv_threshold}")
     kernel = CycleKernel(graph)
     _require_moves(kernel)
-    weights = _state_weights(kernel, _positive(params))
-    k, size = kernel.dimension, len(weights)
+    p = _positive(params)
+    profiles = _state_profiles(kernel)
+    k, size = kernel.dimension, len(profiles)
     move_prob = (1 - Fraction(LAZINESS)) / k
-    # P[x][x ^ bit_j] = move_prob * min(1, w_y/w_x); a step stays with the rest
-    acc = np.array([[float(move_prob * min(weights[x ^ 1 << j] / weights[x], 1)) for j in range(k)]
-                    for x in range(size)])
+    flipped = [np.arange(size) ^ (1 << j) for j in range(k)]
+    # P[x][x ^ bit_j] = move_prob * min(1, w_y/w_x), and w_y/w_x depends on
+    # the profile change alone, so one exact value per distinct change is
+    # rounded; a step stays with the rest
+    changes = np.stack([profiles[f] - profiles for f in flipped], axis=1).reshape(-1, 4)
+    acc = np.array(_per_distinct_row(
+        changes, lambda d: float(move_prob * min(_power_product(p, d), 1))
+    )).reshape(size, k)
     stay_f = 1.0 - acc.sum(axis=1)
-    total = sum(weights)
-    pi_f = np.array([float(w / total) for w in weights])
+    total = sum(_state_weights(profiles, p))
+    pi_f = np.array(_per_distinct_row(profiles, lambda n: float(_power_product(p, n) / total)))
     mu = np.zeros(size)
     mu[0] = 1.0
     curve = []
     steps_to_threshold = None
-    idx = np.arange(size)
-    flipped = [idx ^ (1 << j) for j in range(k)]
     for t in range(1, DIAGNOSTIC_MAX_STEPS + 1):
         nxt = mu * stay_f
         for j in range(k):

@@ -2,6 +2,7 @@ import contextlib
 import os
 
 import pytest
+from hypothesis import strategies as st
 
 from eightvertex.graphs import (
     Edge,
@@ -91,6 +92,17 @@ def build_two_components() -> LabeledGraph:
 @pytest.fixture(scope="session")
 def two_components():
     return build_two_components()
+
+
+@st.composite
+def multigraphs(draw, max_vertices=5, embedding="none"):
+    """A labeled 4-regular multigraph on 1-``max_vertices`` vertices from a shuffled pairing
+    of its half-edges: self-loops, parallel edges and several components all occur.
+    With ``embedding="rotation_system"`` the labels read as its rotation system."""
+    n = draw(st.integers(1, max_vertices))
+    half = draw(st.permutations([(v, label) for v in range(n) for label in (1, 2, 3, 4)]))
+    edges = tuple(Edge(*half[i], *half[i + 1]) for i in range(0, 4 * n, 2))
+    return LabeledGraph(n, edges, embedding)
 
 
 @contextlib.contextmanager

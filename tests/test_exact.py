@@ -18,7 +18,7 @@ from eightvertex.exact import (
     z8v_exact,
     zec_exact,
 )
-from eightvertex.graphs import Edge, LabeledGraph, gen_octahedron, gen_torus
+from eightvertex.graphs import LabeledGraph, gen_octahedron, gen_torus
 from eightvertex.states import BLOCK_MOVES, cycle_basis
 from eightvertex.transforms import MZ, MHZ, PLANAR_SWAP, bipartite_group, planar_group
 
@@ -31,7 +31,7 @@ from ._brute import (
     z8v_naive,
     zec_naive,
 )
-from .conftest import build_k5, disjoint_union
+from .conftest import build_k5, disjoint_union, multigraphs
 
 # signed rationals with small denominators, zero included
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=7)
@@ -159,16 +159,6 @@ def test_bipartite_identity(k44, torus22, torus24):
 def test_dim_cap_raises(torus44):
     with pytest.raises(ValueError, match="cap"):
         census_8v(torus44, dim_cap=10)
-
-
-@st.composite
-def multigraphs(draw, max_vertices=5):
-    """A labeled 4-regular multigraph on 1-``max_vertices`` vertices from a shuffled pairing
-    of its half-edges: self-loops, parallel edges and several components all occur."""
-    n = draw(st.integers(1, max_vertices))
-    half = draw(st.permutations([(v, label) for v in range(n) for label in (1, 2, 3, 4)]))
-    edges = tuple(Edge(*half[i], *half[i + 1]) for i in range(0, 4 * n, 2))
-    return LabeledGraph(n, edges)
 
 
 def two_k5() -> LabeledGraph:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from eightvertex import states
 from eightvertex.graphs import gen_torus
@@ -31,6 +32,7 @@ from ._brute import (
     is_even_subgraph,
     orientation_from_masks,
 )
+from .conftest import multigraphs
 
 
 def test_class_table_matches_constraint_positions():
@@ -106,6 +108,32 @@ def test_kernel_reads_orientations_from_masks(octahedron, loop_graph, torus44):
         assert rows.dtype == np.uint8
         assert [tuple(r) for r in rows.tolist()] == orients
         assert [orientation_from_masks(g, m) for m in masks.tolist()] == orients
+
+
+def assert_flip_masks_even(kernel):
+    # the chain weighs a flip of xm at an even mask m by the ratio at
+    # class(m ^ xm) << 2 | class(m): an odd xm makes m ^ xm odd, of class -1
+    flips = [xm for moves in kernel.touch for _, xm in moves]
+    assert flips and all(bin(xm).count("1") in (2, 4) for xm in flips)
+
+
+def test_flip_masks_are_even(octahedron, k44, torus22, torus24, torus34, torus44, k5,
+                             loop_graph, two_components):
+    for g in (octahedron, k44, torus22, torus24, torus34, torus44, k5, loop_graph,
+              two_components):
+        assert_flip_masks_even(CycleKernel(g))
+    assert_flip_masks_even(CycleKernel(octahedron, "face"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=multigraphs(max_vertices=6, embedding="rotation_system"))
+def test_flip_masks_are_even_on_random_multigraphs(g):
+    assert_flip_masks_even(CycleKernel(g))
+    try:
+        face = CycleKernel(g, "face")
+    except ValueError:  # a dual that is not bipartite, or faces of too low a rank
+        return
+    assert_flip_masks_even(face)
 
 
 @pytest.mark.parametrize("block", [1, 2, 4, 12])
