@@ -19,11 +19,10 @@
    divides them: flipping the bits xm of an even in-mask m multiplies the
    proposal's ratio by ratio[class(m ^ xm) << 2 | class(m)], and every flip
    mask has even popcount, so both classes are defined.  chain_run divides
-   once per call; chain_ais divides each stage's ratios once per call.
+   once per call; chain_ais reads each stage's row that mcmc._ratios divides.
    Build with -O3 and -ffp-contract=off, and without -ffast-math, so that
    every float operation rounds as written. */
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 #define N 624
@@ -167,24 +166,17 @@ void chain_run(struct chain *c, int64_t blocks, int64_t thinning, uint8_t *recor
 /* Runs `particles` particles.  A particle starts uniformly on the coset:
    the reference orientation xor each move, in move order, where a coin (a
    word's top bit, as getrandbits(1)) says so; any move set of full rank
-   makes this exact.  Stage g makes `thinning` steps at the class weights
-   params[4g .. 4g+3], then adds
+   makes this exact.  Stage g makes `thinning` steps at the 16 class-weight
+   ratios ratios[16g .. 16g+15], then adds
    ((n_0 l_0 + n_1 l_1) + n_2 l_2) + n_3 l_3 to logw[particle], n_i the
-   class counts and l = log_ratios + 4g the stage's row of log ratios.
-   Returns 0, or -1 without a step where the stages' ratios do not fit in
-   memory. */
-int chain_ais(struct chain *c, int64_t particles, int64_t stages, const double *params,
-              int64_t thinning, const double *log_ratios, double *logw)
+   class counts and l = log_ratios + 4g the stage's row of log ratios. */
+void chain_ais(struct chain *c, int64_t particles, int64_t stages, const double *ratios,
+               int64_t thinning, const double *log_ratios, double *logw)
 {
-    double *ratios = malloc((size_t)stages * 16 * sizeof *ratios);
     int32_t *n = c->counts, j, v;
     const int32_t *e;
     int64_t p, g;
-    if (ratios == NULL && stages > 0)
-        return -1;
     ready(c);
-    for (g = 0; g < stages; g++)
-        divide(params + 4 * g, ratios + 16 * g);
     for (p = 0; p < particles; p++) {
         memcpy(c->masks, c->reference, c->nvertices);
         for (j = 0; j < c->nmoves; j++)
@@ -200,6 +192,4 @@ int chain_ais(struct chain *c, int64_t particles, int64_t stages, const double *
             logw[p] += ((n[0] * l[0] + n[1] * l[1]) + n[2] * l[2]) + n[3] * l[3];
         }
     }
-    free(ratios);
-    return 0;
 }

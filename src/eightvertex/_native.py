@@ -93,7 +93,7 @@ def _build():
     # every fresh import of this module makes a new _State
     # and the arrays of chain_ais by the addresses of their buffers
     i64, address = ctypes.c_int64, ctypes.c_void_p
-    run.restype, ais.restype = None, ctypes.c_int
+    run.restype = ais.restype = None
     run.argtypes = (address, i64, i64, pointer(ctypes.c_uint8))
     ais.argtypes = (address, i64, i64, address, i64, address, address)
     return lib
@@ -140,14 +140,14 @@ class NativeChain:
         _LIB.chain_run(self._address, blocks, thinning, buffer)
         return masks
 
-    def ais(self, stages, particles: int, thinning: int, log_ratios) -> list[float]:
+    def ais(self, ratios, particles: int, thinning: int, log_ratios) -> list[float]:
         """``particles`` particles of ``Chain.ais``; return their log weights.
 
-        ``stages`` and ``log_ratios`` are the C-contiguous float64 arrays of
-        shape (q, 4) that ``Chain.ais`` checks.
+        ``ratios`` holds each stage's 16 class-weight ratios, the C-contiguous
+        float64 array of shape (q, 16) that ``Chain.ais`` divides, and
+        ``log_ratios`` the C-contiguous float64 array of shape (q, 4) it checks.
         """
         log_weights = np.zeros(particles)
-        if _LIB.chain_ais(self._address, particles, len(stages), stages.ctypes.data, thinning,
-                          log_ratios.ctypes.data, log_weights.ctypes.data):
-            raise MemoryError(f"no memory for the ratios of {len(stages)} stages")
+        _LIB.chain_ais(self._address, particles, len(ratios), ratios.ctypes.data, thinning,
+                       log_ratios.ctypes.data, log_weights.ctypes.data)
         return log_weights.tolist()

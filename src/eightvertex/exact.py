@@ -26,7 +26,6 @@ never changes, are summed once.
 """
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -330,77 +329,58 @@ def _frontier_plan(graph: LabeledGraph):
     return steps, width
 
 
-@functools.lru_cache(maxsize=None)
-def _join_keys(closed: tuple[int, ...], opened: tuple[int, ...], loops: tuple[int, ...]):
-    """Each mask that the self-loops allow, with its key ``c << len(opened) | o``
-    for its closed value c and opened value o.
+def _join_table(table: Sequence, twist: int, closed: tuple[int, ...], opened: tuple[int, ...],
+                loops: tuple[int, ...]):
+    """A vertex's entries ``table[mask ^ twist]``, summed over its self-loops, as
+    (closed value -> nonzero opened entries): ``(slots, dense, layout, weights)``.
 
     ``closed`` and ``opened`` list the labels - 1 of the edges, and a value
-    has bit i set where the edge at position i has value 1.
-    """
-    return tuple(
-        (mask, sum((mask >> label & 1) << i for i, label in enumerate(opened + closed)))
-        for mask in range(16) if all(mask & pair in (0, pair) for pair in loops)
-    )
-
-
-@functools.lru_cache(maxsize=1024)
-def _join_layout(keys: tuple[int, ...], closed: int, opened: int):
-    """Where the entries with the sorted keys ``keys`` (each ``c << opened | o``
-    for closed value c and opened value o) sit: ``(slots, dense, layout)``.
-
-    Row c of ``slots`` lists the entries of closed value c, in the order of
-    their opened values, then -1 up to the longest row's length; ``dense``
-    tells whether no row has a -1.  Row j of ``layout`` holds the bits of
-    entry j's opened value, then j.  The arrays are shared by every caller
-    with the same keys, so they are read-only.
-    """
-    rows: list[list[int]] = [[] for _ in range(1 << closed)]
-    for j, key in enumerate(keys):
-        rows[key >> opened].append(j)
-    width = max(map(len, rows))
-    slots = np.array([row + [-1] * (width - len(row)) for row in rows], np.intp)
-    layout = np.array([[key >> i & 1 for i in range(opened)] + [j] for j, key in enumerate(keys)],
-                      np.int64).reshape(len(keys), opened + 1)
-    slots.flags.writeable = layout.flags.writeable = False
-    return slots, bool((slots >= 0).all()), layout
-
-
-def _join_table(table: Sequence, closed: tuple[int, ...], opened: tuple[int, ...],
-                loops: tuple[int, ...]):
-    """A vertex's table, summed over its self-loops, as (closed value -> nonzero
-    opened entries): ``(slots, dense, layout, weights)``, the entries placed
-    by ``_join_layout`` and ``weights`` their values.
-
-    A sum that comes to zero is left out, like a zero weight.
+    has bit i set where the edge at position i has value 1; ``loops`` holds
+    each self-loop's label bits, all set or all clear in a mask it allows.
+    Each allowed mask is keyed ``c << len(opened) | o`` for its closed value
+    c and opened value o, and a sum that comes to zero is left out, like a
+    zero weight; ``weights`` lists the other sums in key order.  Row c of
+    ``slots`` lists the entries of closed value c, in the order of their
+    opened values, then -1 up to the longest row's length; ``dense`` tells
+    whether no row has a -1.  Row j of ``layout`` holds the bits of entry
+    j's opened value, then j.
     """
     sums: dict[int, object] = {}
-    for mask, key in _join_keys(closed, opened, loops):
-        if (w := table[mask]) != 0:
+    for mask in range(16):
+        if all(mask & pair in (0, pair) for pair in loops) and (w := table[mask ^ twist]) != 0:
+            key = sum((mask >> label & 1) << i for i, label in enumerate(opened + closed))
             sums[key] = sums[key] + w if key in sums else w
-    keys = tuple(sorted(key for key, w in sums.items() if w != 0))
+    keys, nopen = sorted(key for key, w in sums.items() if w != 0), len(opened)
+    rows: list[list[int]] = [[] for _ in range(1 << len(closed))]
+    for j, key in enumerate(keys):
+        rows[key >> nopen].append(j)
+    width = max(map(len, rows))
+    slots = np.array([row + [-1] * (width - len(row)) for row in rows], np.intp)
+    layout = np.array([[key >> i & 1 for i in range(nopen)] + [j] for j, key in enumerate(keys)],
+                      np.int64).reshape(len(keys), nopen + 1)
     weights = np.fromiter((sums[key] for key in keys), object, len(keys))
-    return *_join_layout(keys, len(closed), len(opened)), weights
+    return slots, bool((slots >= 0).all()), layout, weights
 
 
-def _contract(graph: LabeledGraph, tables: Sequence[Sequence]):
-    """Sum over all 0/1 edge assignments of the product of ``tables[v][mask_v]``.
+def _contract(graph: LabeledGraph, table: Sequence, twists: Sequence[int]):
+    """Sum over all 0/1 edge assignments of the product of ``table[mask_v ^ twists[v]]``.
 
     ``mask_v`` has bit label-1 set where the edge at that label of v has
-    value 1; entries may be any hashable ring elements, kept exact in
-    ``object`` arrays.  The frontier keeps its nonzero entries only, keyed
-    by the values of the open edges: each edge holds one key bit, the
-    lowest free one, from the step that opens it to the step that closes it.
-    A step joins each frontier entry with the nonzero entries of its
-    vertex's table (``_join_table``, built once per distinct table contents
-    and labels) that match its closed edges' values, sorts the pairs by
-    output key, sums their products with ``np.add.reduceat`` and drops the
-    zero sums.  So the work is the nonzero pairs: no product has a zero
-    factor, and the 8v and ec tables, zero at the odd masks, meet each entry
-    at half of theirs.  The products are made ``JOIN_CHUNK`` output keys at
-    a time, so only a chunk's products are held at once.  Exact entries give
-    the same value in any order; floats are summed in the order of the
-    output keys.  A plan wider than ``FRONTIER_CAP`` is refused before any work.
+    value 1; the 16 entries of ``table`` may be any ring elements, kept
+    exact in ``object`` arrays.  The frontier keeps its nonzero entries
+    only, keyed by the values of the open edges: each edge holds one key
+    bit, the lowest free one, from the step that opens it to the step that
+    closes it.  A step joins each frontier entry with the nonzero entries of
+    its vertex's table (``_join_table``, built once per call for each
+    distinct twist, labels and self-loops) that match its closed edges'
+    values, sorts the pairs by output key, sums their products with
+    ``np.add.reduceat`` and drops the zero sums.  So the work is the nonzero
+    pairs: no product has a zero factor, and the 8v and ec tables, zero at
+    the odd masks, meet each entry at half of theirs.  The products are made
+    ``JOIN_CHUNK`` output keys at a time, so only a chunk's products are
+    held at once.  Exact entries give the same value in any order; floats
+    are summed in the order of the output keys.  A plan wider than
+    ``FRONTIER_CAP`` is refused before any work.
     """
     steps, width = _frontier_plan(graph)
     if width > FRONTIER_CAP:
@@ -409,12 +389,11 @@ def _contract(graph: LabeledGraph, tables: Sequence[Sequence]):
     bit, free, joins = {}, list(range(width)), {}  # edge -> its key bit; free bits, a heap
     shift, entry_bits = width + 4, (1 << width) - 1  # a frontier holds at most 2^width entries
     for v, closed, opened, loops in steps:
-        table, labels = tables[v], [tuple(label for _, label in half) for half in (closed, opened)]
-        # by contents, types included, so that 1 and Fraction(1) keep their own types
-        spec = (tuple(table), tuple(map(type, table)), *labels, tuple(loops))
+        spec = (twists[v], *(tuple(label for _, label in half) for half in (closed, opened)),
+                tuple(loops))
         join = joins.get(spec)
         if join is None:
-            join = joins[spec] = _join_table(table, *spec[2:])
+            join = joins[spec] = _join_table(table, *spec)
         slots, dense, layout, weights = join
         closed_values, cleared = np.zeros(len(keys), np.intp), 0
         for i, (eid, _) in enumerate(closed):
@@ -458,8 +437,7 @@ def _class_sum(graph: LabeledGraph, params: Sequence, twists: Sequence[int]) -> 
     scale = math.lcm(*(x.denominator for x in p))
     a = [x.numerator * (scale // x.denominator) for x in p]
     weights = [a[c] if c >= 0 else 0 for c in CLASS16]
-    tables = [[weights[m ^ t] for m in range(16)] for t in twists]
-    return Fraction(_contract(graph, tables), scale**graph.vertex_count)
+    return Fraction(_contract(graph, weights, twists), scale**graph.vertex_count)
 
 
 def z8v_exact(graph: LabeledGraph, params: Sequence) -> Fraction:
@@ -487,7 +465,7 @@ def holant_exact(graph: LabeledGraph, table: Sequence):
     """Sum over all 2^m edge 0/1-assignments of the per-vertex function values.
 
     ``table`` has 16 entries indexed by (x1, x2, x3, x4) with x1 the most
-    significant bit; entries may be any hashable ring elements (complex,
+    significant bit; entries may be any ring elements (complex,
     Fraction, int).  The frontier contraction (``_contract``) multiplies
     only nonzero pairs of a frontier entry and a table entry, at most
     2^width of the one per step, for the frontier width of the narrowest
@@ -500,4 +478,4 @@ def holant_exact(graph: LabeledGraph, table: Sequence):
         raise ValueError("arity-4 truth table needs 16 entries")
     by_mask = [table[r] for r in _REV4]
     # table[0] * 0 gives the sum the entry type even when every term is 0
-    return table[0] * 0 + _contract(graph, [by_mask] * graph.vertex_count)
+    return table[0] * 0 + _contract(graph, by_mask, [0] * graph.vertex_count)

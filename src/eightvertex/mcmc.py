@@ -25,11 +25,12 @@ MT19937 state in native memory and draws exactly as CPython 3.10-3.13's
 ``random.Random`` does.  It tempers each twist's 624 words into a buffer,
 so a draw is a load, and tests the laziness coin on the first of its two
 words (so ``LAZINESS`` is 1/2 there).  Both step paths divide the four
-class weights into their 16 ratios once per call, or once per stage of an
-annealing schedule, so ``set_params`` only stores the weights.  The chains
-on one kernel share its move tables (``CycleKernel.move_table``), and an
-estimate's schedule is built as the float64 arrays that the kernel reads
-(``estimator.build_schedule``), so all its chains read one copy.
+class weights into their 16 ratios once per call, so ``set_params`` only
+stores the weights; ``Chain.ais`` divides every stage of an annealing
+schedule in one array pass (``_ratios``) and both paths read its rows.
+The chains on one kernel share its move tables (``CycleKernel.move_table``),
+and an estimate's schedule is built as the float64 arrays that the kernel
+reads (``estimator.build_schedule``), so all its chains read one copy.
 ``Chain`` alone cuts its work into calls (``calls``) of at most
 ``CALL_STEPS`` steps, or one block or particle of annealed importance
 sampling where that is longer, so that Ctrl-C is seen between calls.  The
@@ -121,9 +122,10 @@ def chain_weights(params: Sequence, kernel: CycleKernel) -> list[float]:
     return weights
 
 
-def _ratios(weights) -> list[float]:
-    """``ratio[a << 2 | b] = weights[a] / weights[b]``, divided as in ``_chain.c``."""
-    return [weights[a] / weights[b] for a in range(4) for b in range(4)]
+def _ratios(weights: np.ndarray) -> np.ndarray:
+    """The (..., 16) rows ``ratio[a << 2 | b] = w[a] / w[b]`` of a (..., 4) float64
+    array of class weights w, one IEEE division each, as ``_chain.c`` divides."""
+    return (weights[..., :, None] / weights[..., None, :]).reshape(*weights.shape[:-1], 16)
 
 
 def _load_kernel():
@@ -165,7 +167,8 @@ class Chain:
     kernel) they are lists and the same steps run in Python, with
     ``NativeChain``'s arguments and results.  Either way ``set_params`` only
     stores the four weights, and the steps divide them into the same 16
-    ratios once per call, or once per stage of an ``ais`` call.  Both paths
+    ratios once per call; ``ais`` divides each stage's once per call, with
+    ``_ratios``, and hands both paths the rows.  Both paths
     give the same masks, counts, log weights, ``steps`` and generator state,
     bit for bit.  ``advance``, ``ais`` and ``mask_blocks`` make one step
     call per item of ``calls``, then count its steps in ``steps``; each
@@ -235,9 +238,9 @@ class Chain:
         if stages.shape[1:] != (4,) or log_ratios.shape != stages.shape:
             raise ValueError(f"ais needs one row of 4 log ratios per stage of 4 weights, got "
                              f"shapes {stages.shape} and {log_ratios.shape}")
-        per_particle = len(stages) * thinning
+        ratios, per_particle = _ratios(stages), len(stages) * thinning
         for batch in calls(particles, per_particle):
-            log_weights = self._ais(stages, batch, thinning, log_ratios)
+            log_weights = self._ais(ratios, batch, thinning, log_ratios)
             self._recount(batch * per_particle)
             yield log_weights
 
@@ -270,7 +273,7 @@ class Chain:
 
     def _python_run(self, blocks: int, thinning: int, record: bool = False) -> bytearray | None:
         """``NativeChain.run`` in Python."""
-        ratio = _ratios(self.weights)
+        ratio = _ratios(np.array(self.weights)).tolist()
         if not record:
             return self._python_steps(blocks * thinning, ratio)
         masks = bytearray()
@@ -279,11 +282,10 @@ class Chain:
             masks.extend(self.masks)
         return masks
 
-    def _python_ais(self, stages, particles: int, thinning: int, log_ratios) -> list[float]:
+    def _python_ais(self, ratios, particles: int, thinning: int, log_ratios) -> list[float]:
         """``NativeChain.ais`` in Python."""
         masks, counts, logs = self.masks, self.counts, log_ratios.tolist()
-        ratios = [_ratios(weights) for weights in stages.tolist()]
-        log_weights = []
+        ratios, log_weights = ratios.tolist(), []
         for _ in range(particles):
             masks[:] = self.kernel.reference_masks
             for flips in self.kernel.touch:
