@@ -7,19 +7,22 @@
    k <= 32 as one word shifted right by 32 - k.  Each twist of the state
    tempers all 624 new words into a buffer, so a draw is one load; a state
    copied in with words left to draw is tempered on the first call.  The mt
-   array stays the untempered state that getstate() returns.  The laziness
-   coin, random() < 1/2 with random() = ((a >> 5) * 2^26 + (b >> 6)) / 2^53
-   for words a then b, holds exactly when a < 2^31: it tests the first word
-   and draws the second all the same.  chain_run makes plain or recorded
-   blocks at the weights set from Python; chain_ais runs particles of
-   annealed importance sampling (Neal, Statistics and Computing 2001), each
-   from an exact uniform start through every stage.  Every call runs to its
-   end: Chain bounds a call by the blocks or particles it hands over.  A
-   step reads the 16 ratios of the class weights, divided as mcmc._ratios
-   divides them: flipping the bits xm of an even in-mask m multiplies the
-   proposal's ratio by ratio[class(m ^ xm) << 2 | class(m)], and every flip
-   mask has even popcount, so both classes are defined.  chain_run divides
-   once per call; chain_ais reads each stage's row that mcmc._ratios divides.
+   array stays the untempered state that getstate() returns.  chain_run
+   makes plain or recorded blocks of lazy steps at the weights set from
+   Python: a coin, random() < 1/2 with random() = ((a >> 5) * 2^26 +
+   (b >> 6)) / 2^53 for words a then b, holds exactly when a < 2^31, so it
+   tests the first word and draws the second all the same; a step that
+   does not hold draws its move as randrange does.  chain_ais runs
+   particles of annealed importance sampling (Neal, Statistics and
+   Computing 2001), each from an exact uniform start through every stage,
+   and every step proposes move (word * nmoves) >> 32 of one word (Lemire,
+   ACM TOMACS 2019).  Every call runs to its end: Chain bounds a call by
+   the blocks or particles it hands over.  A step reads the 16 ratios of
+   the class weights, divided as mcmc._ratios divides them: flipping the
+   bits xm of an even in-mask m multiplies the proposal's ratio by
+   ratio[class(m ^ xm) << 2 | class(m)], and every flip mask has even
+   popcount, so both classes are defined.  chain_run divides once per
+   call; chain_ais reads each stage's row that mcmc._ratios divides.
    Build with -O3 and -ffp-contract=off, and without -ffast-math, so that
    every float operation rounds as written. */
 #include <stdint.h>
@@ -109,11 +112,12 @@ static void divide(const double *weights, double *ratio)
 }
 
 /* Runs `blocks` blocks of `thinning` steps at the class-weight ratios
-   `ratio`.  With `record`, each block ends by copying the masks into the
-   next nvertices bytes of it.  The generator's index and the class counts
-   live in locals until it returns. */
+   `ratio`, lazy steps or, without `lazy`, steps that all propose.  With
+   `record`, each block ends by copying the masks into the next nvertices
+   bytes of it.  The generator's index and the class counts live in locals
+   until it returns. */
 static void run_blocks(struct chain *c, const double *ratio, int64_t blocks, int64_t thinning,
-                       uint8_t *record)
+                       uint8_t *record, int lazy)
 {
     uint8_t *masks = c->masks;
     const int32_t *touch = c->touch, *start = c->start, *cls = c->classes;
@@ -125,13 +129,16 @@ static void run_blocks(struct chain *c, const double *ratio, int64_t blocks, int
     for (b = 0; b < blocks; b++) {
         for (t = 0; t < thinning; t++) {
             double r = 1.0;
-            int lazy = draw(c, &index) < 0x80000000U;
-            draw(c, &index);
-            if (lazy)
-                continue;
-            do
-                j = draw(c, &index) >> shift;
-            while (j >= nmoves);
+            if (lazy) {
+                int hold = draw(c, &index) < 0x80000000U;
+                draw(c, &index);
+                if (hold)
+                    continue;
+                do
+                    j = draw(c, &index) >> shift;
+                while (j >= nmoves);
+            } else
+                j = (uint32_t)((uint64_t)draw(c, &index) * nmoves >> 32);
             end = touch + start[j + 1];
             for (e = touch + start[j]; e < end; e++) {
                 int m = masks[*e >> 4];
@@ -160,14 +167,14 @@ void chain_run(struct chain *c, int64_t blocks, int64_t thinning, uint8_t *recor
     double ratio[16];
     ready(c);
     divide(c->weights, ratio);
-    run_blocks(c, ratio, blocks, thinning, record);
+    run_blocks(c, ratio, blocks, thinning, record, 1);
 }
 
 /* Runs `particles` particles.  A particle starts uniformly on the coset:
    the reference orientation xor each move, in move order, where a coin (a
    word's top bit, as getrandbits(1)) says so; any move set of full rank
-   makes this exact.  Stage g makes `thinning` steps at the 16 class-weight
-   ratios ratios[16g .. 16g+15], then adds
+   makes this exact.  Stage g makes `thinning` steps, each a proposal, at
+   the 16 class-weight ratios ratios[16g .. 16g+15], then adds
    ((n_0 l_0 + n_1 l_1) + n_2 l_2) + n_3 l_3 to logw[particle], n_i the
    class counts and l = log_ratios + 4g the stage's row of log ratios. */
 void chain_ais(struct chain *c, int64_t particles, int64_t stages, const double *ratios,
@@ -188,7 +195,7 @@ void chain_ais(struct chain *c, int64_t particles, int64_t stages, const double 
             n[c->classes[c->masks[v]]]++;
         for (g = 0; g < stages; g++) {
             const double *l = log_ratios + 4 * g;
-            run_blocks(c, ratios + 16 * g, 1, thinning, NULL);
+            run_blocks(c, ratios + 16 * g, 1, thinning, NULL, 0);
             logw[p] += ((n[0] * l[0] + n[1] * l[1]) + n[2] * l[2]) + n[3] * l[3];
         }
     }

@@ -2,15 +2,16 @@
 
 A geometric schedule walks from the uniform point, where Z is the coset's
 size 2^k, to the target.  Each particle carries a weight through the stages
-from an exact uniform start (``Chain.ais``; Neal, Statistics and Computing
-2001), whose mean is Z/2^k however well the chain keeps up.  A pilot chain's
-variance V of ln w fixes the particle count: a weight's relative variance is
-then about e^V - 1, as for a lognormal weight, and N = 4 (e^V - 1) / eps^2
-particles make a group's mean miss by more than eps with probability at most
-1/4 (Chebyshev), so the (eps, delta) claim rests on the pilot's measured V.
-The median over independent groups, which share nothing but the master
-seed, controls the failure probability; their weights are combined in chain
-order, so every thread count gives the same bits.
+from an exact uniform start (``Chain.ais``, whose steps all propose; Neal,
+Statistics and Computing 2001), whose mean is Z/2^k however well the chain
+keeps up.  A pilot chain's variance V of ln w fixes the particle count: a
+weight's relative variance is then about e^V - 1, as for a lognormal
+weight, and N = 4 (e^V - 1) / eps^2 particles make a group's mean miss by
+more than eps with probability at most 1/4 (Chebyshev), so the (eps,
+delta) claim rests on the pilot's measured V.  The median over independent
+groups, which share nothing but the master seed, controls the failure
+probability; their weights are combined in chain order, so every thread
+count gives the same bits.
 """
 from __future__ import annotations
 
@@ -54,8 +55,8 @@ class AnnealSchedule:
     (q + 1, 4) and (q, 4), the form that both step paths of ``Chain.ais``
     read, so every chain reads them as they are.  A pilot chain, whose
     weights decide the particles per group, then each of ``groups``
-    chains, runs stages 0..q-1 in ``Chain.ais``, ``thinning`` = (k+1)/2
-    steps per stage for cycle-space dimension k.
+    chains, runs stages 0..q-1 in ``Chain.ais``, ``thinning`` = ceil((k+1)/4)
+    steps (proposals) per stage for cycle-space dimension k.
     """
 
     params: np.ndarray
@@ -154,7 +155,7 @@ def build_schedule(
     # math.log, whose last bit np.log need not match
     log_ratios = np.full((q, 4), [math.log(r) for r in ratios])
     stages.flags.writeable = log_ratios.flags.writeable = False
-    schedule = AnnealSchedule(stages, log_ratios, _group_count(delta), (k + 1) // 2)
+    schedule = AnnealSchedule(stages, log_ratios, _group_count(delta), (k + 4) // 4)
     _particle_count(schedule, 0.0, eps)
     return schedule
 
@@ -329,7 +330,7 @@ def _run_chains(kernel: CycleKernel, seeds, stages, particles: int, thinning: in
     ``top`` and the sum of exp(x - top).  A chain returns early once the pool
     stops: it sees the stop after each call, on either step path, so after
     at most ``CALL_STEPS`` steps, or one particle where that is longer (at
-    spread ln 2, when its q T steps pass 2^20, near n = 600).
+    spread ln 2, when its q T steps pass 2^20, near n = 870).
     """
     stop, log_means = threading.Event(), [None] * len(seeds)
 

@@ -4,17 +4,17 @@ A state is the reference even orientation xor a sum of move edge sets
 (basis cycles, or face boundaries on a rotation system), so every state
 is even by construction.  Irreducibility is enforced, not assumed: the
 cycle-space kernel refuses move sets whose GF(2) rank is below the
-cycle-space dimension.  The chain is lazy with the fixed holding
-probability ``LAZINESS`` = 1/2, which makes it aperiodic and its spectrum
-nonnegative.  It keeps only per-vertex in-masks and class counts; a
-proposal's weight ratio is a product, over the vertices the flip touches,
-of one of the 16 ratios of the four class weights each.  ``sample``
-records the masks after each block of steps, many blocks at a time, reads
-a whole record's orientations from it in one array pass and hands them
-on, so it holds one record, not every row.
-The chain draws what a plain loop over ``random()`` and
-``randrange(nmoves)`` draws and does the same float operations, so a seed
-gives that loop's samples and estimates byte for byte.  The exact chain
+cycle-space dimension.  The chain that ``sample`` runs is lazy with the
+fixed holding probability ``LAZINESS`` = 1/2, which makes it aperiodic and
+its spectrum nonnegative, and draws what a plain loop over ``random()``
+and ``randrange(nmoves)`` draws, so a seed gives that loop's samples byte
+for byte.  Annealing only needs each step to keep its stage's measure, so
+its steps all propose.  The chain keeps only per-vertex in-masks and class
+counts; a proposal's weight ratio is a product, over the vertices the flip
+touches, of one of the 16 ratios of the four class weights each.
+``sample`` records the masks after each block of steps, many blocks at a
+time, reads a whole record's orientations from it in one array pass and
+hands them on, so it holds one record, not every row.  The exact chain
 diagnostics read each state's Gibbs weight from the kernel's blocks of
 masks (``states.CycleKernel.blocks``), which list the states by
 cycle-space coordinate, so basis-cycle move j flips bit j of the index.
@@ -23,22 +23,18 @@ The steps run in a compiled kernel, ``_chain.c``, wherever one can be
 built: it keeps the masks, counts, class weights and the generator's
 MT19937 state in native memory and draws exactly as CPython 3.10-3.13's
 ``random.Random`` does.  It tempers each twist's 624 words into a buffer,
-so a draw is a load, and tests the laziness coin on the first of its two
-words (so ``LAZINESS`` is 1/2 there).  Both step paths divide the four
-class weights into their 16 ratios once per call, so ``set_params`` only
-stores the weights; ``Chain.ais`` divides every stage of an annealing
-schedule in one array pass (``_ratios``) and both paths read its rows.
-The chains on one kernel share its move tables (``CycleKernel.move_table``),
-and an estimate's schedule is built as the float64 arrays that the kernel
-reads (``estimator.build_schedule``), so all its chains read one copy.
-``Chain`` alone cuts its work into calls (``calls``) of at most
-``CALL_STEPS`` steps, or one block or particle of annealed importance
-sampling where that is longer, so that Ctrl-C is seen between calls.  The
-first chain built in a process compiles it with ``cc`` into this package's
-``__pycache__``, under a name keyed by the source and the flags, unless
-that file is there already (see ``_native``).  Without a compiler or a
-writable cache, or for a generator that is not exactly ``random.Random``,
-the same steps run in Python, the kernel's oracle in the tests.
+so a draw is a load, and tests a lazy step's coin on the first of its two
+words (so ``LAZINESS`` is 1/2 there).  The chains on one kernel share its
+move tables (``CycleKernel.move_table``), and all of an estimate's chains
+read one copy of its schedule (``estimator.build_schedule``).  ``Chain``
+alone cuts its work into calls (``calls``) of at most ``CALL_STEPS``
+steps, or one block or particle of annealed importance sampling where that
+is longer, so that Ctrl-C is seen between calls.  The first chain built in
+a process compiles it with ``cc`` into this package's ``__pycache__``,
+under a name keyed by the source and the flags, unless that file is there
+already (see ``_native``).  Without a compiler or a writable cache, or for
+a generator that is not exactly ``random.Random``, the same steps run in
+Python, the kernel's oracle in the tests.
 """
 from __future__ import annotations
 
@@ -143,21 +139,23 @@ def calls(samples: int, thinning: int):
 
 
 class Chain:
-    """Lazy Metropolis chain on a kernel's coset, started at the reference orientation.
+    """Metropolis chain on a kernel's coset, started at the reference orientation.
 
-    Each step draws, in this order, the laziness coin, a uniform move and
-    (for a ratio below 1) the acceptance coin, so a seed fixes the run.  A
-    laziness coin below ``LAZINESS`` (1/2) holds the state and draws nothing
-    more.  The move is drawn as ``Random.randrange(nmoves)`` draws it
-    (CPython 3.10-3.13): ``getrandbits(nmoves.bit_length())``, redrawn while
-    it is ``>= nmoves``, so the chain consumes the same stream as a call to
-    ``randrange`` would.  Flipping the bits ``xm`` of an in-mask m
-    multiplies a proposal's ratio by ``w[class(m ^ xm)] / w[class(m)]``,
-    entry ``class(m ^ xm) << 2 | class(m)`` of the 16 ratios of the class
-    weights; both classes are defined, as the kernel's flip masks all have
-    even popcount.  A proposal's ratio is that product over its touched
-    vertices, in touch order.  Masks stay exact integers and the class
-    counts are recounted from them periodically as a cheap self-check.
+    A step of ``advance`` or ``mask_blocks`` draws, in this order, the
+    laziness coin, a uniform move and (for a ratio below 1) the acceptance
+    coin, so a seed fixes the run.  A coin below ``LAZINESS`` (1/2) holds
+    the state and draws nothing more.  The move is drawn as
+    ``Random.randrange(nmoves)`` draws it (CPython 3.10-3.13):
+    ``getrandbits(nmoves.bit_length())``, redrawn while it is ``>= nmoves``.
+    A step of ``ais`` neither holds nor redraws: it tries move
+    ``getrandbits(32) * nmoves >> 32``, within 2^-32 of uniform, and each
+    move undoes itself, so the proposal is symmetric.  Flipping the bits
+    ``xm`` of an in-mask m multiplies a proposal's ratio by ``w[class(m ^
+    xm)] / w[class(m)]``, entry ``class(m ^ xm) << 2 | class(m)`` of the 16
+    ratios of the class weights; both classes are defined, as the kernel's
+    flip masks all have even popcount.  A proposal's ratio is that product
+    over its touched vertices, in touch order.  Masks stay exact integers
+    and the class counts are recounted from them periodically.
 
     The step path is bound here, once.  Where ``type(rng) is random.Random``
     and the compiled kernel loads, ``masks``, ``counts`` and ``weights`` are
@@ -167,13 +165,12 @@ class Chain:
     kernel) they are lists and the same steps run in Python, with
     ``NativeChain``'s arguments and results.  Either way ``set_params`` only
     stores the four weights, and the steps divide them into the same 16
-    ratios once per call; ``ais`` divides each stage's once per call, with
-    ``_ratios``, and hands both paths the rows.  Both paths
-    give the same masks, counts, log weights, ``steps`` and generator state,
-    bit for bit.  ``advance``, ``ais`` and ``mask_blocks`` make one step
-    call per item of ``calls``, then count its steps in ``steps``; each
-    time that passes a multiple of ``_RECOUNT_PERIOD`` the class counts are
-    recounted from the masks.
+    ratios once per call; ``ais`` divides every stage's in one array pass
+    (``_ratios``) and hands both paths the rows.  Both paths give the same
+    masks, counts, log weights, ``steps`` and generator state, bit for bit.
+    ``advance``, ``ais`` and ``mask_blocks`` make one step call per item of
+    ``calls``, then count its steps in ``steps``; each time that passes a
+    multiple of ``_RECOUNT_PERIOD`` the class counts are recounted.
     """
 
     def __init__(self, kernel: CycleKernel, rng: Random):
@@ -224,8 +221,8 @@ class Chain:
         A particle starts uniformly on the coset: the reference orientation
         xor each move, in move order, where ``getrandbits(1)`` says so, so
         ``stages[0]`` must be four equal weights.  Stage g targets the class
-        weights ``stages[g]`` (as ``set_params``), makes ``thinning`` steps,
-        then adds ``((n0 l0 + n1 l1) + n2 l2) + n3 l3`` to the log weight, n
+        weights ``stages[g]`` (as ``set_params``), makes ``thinning`` steps
+        (each a proposal), then adds ``((n0 l0 + n1 l1) + n2 l2) + n3 l3`` to the log weight, n
         the class counts and l = ``log_ratios[g]``.  With row g ln(stage g+1
         / stage g), for a stage q past the last, E[weight] is Z(stage q) / 2^k
         however well the chain mixes.  A call runs whole particles (``calls``).
@@ -294,23 +291,25 @@ class Chain:
                         masks[v] ^= xm
             counts[:], log_w = self._class_counts(), 0.0
             for ratio, (l0, l1, l2, l3) in zip(ratios, logs):
-                self._python_steps(thinning, ratio)
+                self._python_steps(thinning, ratio, lazy=False)
                 log_w += counts[0] * l0 + counts[1] * l1 + counts[2] * l2 + counts[3] * l3
             log_weights.append(log_w)
         return log_weights
 
-    def _python_steps(self, steps: int, ratio: list[float]):
+    def _python_steps(self, steps: int, ratio: list[float], lazy: bool = True):
         masks, counts, moves = self.masks, self.counts, self._moves
-        nmoves = len(moves)
-        bits = nmoves.bit_length()
+        nmoves, bits = len(moves), len(moves).bit_length()
         random, getrandbits = self._rng.random, self._rng.getrandbits
         laziness = LAZINESS
         for _ in range(steps):
-            if random() < laziness:
+            if not lazy:
+                j = getrandbits(32) * nmoves >> 32
+            elif random() < laziness:
                 continue
-            j = getrandbits(bits)
-            while j >= nmoves:
+            else:
                 j = getrandbits(bits)
+                while j >= nmoves:
+                    j = getrandbits(bits)
             flips = moves[j]
             r = 1.0
             for v, _, pair in flips:

@@ -31,6 +31,10 @@ TARGETS = [
     ("torus4x4", lambda: gen_torus(4, 4), (1, 2, 2, 1), "planar", 0.1, 60),
     ("k44", gen_k44, (2, 1, 1, 3), "bipartite", 0.1, 60),
     ("torus6x6", lambda: gen_torus(6, 6), (1, 2, 2, 1), "planar", 0.05, 24),
+    # at scale, with the contraction as truth; and where Y and Z mix slowest
+    # of these targets (a pilot V near 0.9, against 0.1 at (1,2,2,1))
+    ("torus8x8", lambda: gen_torus(8, 8), (1, 2, 2, 1), "planar", 0.1, 24),
+    ("torus4x4-slow", lambda: gen_torus(4, 4), (6, 6, 1, 1), "planar", 0.1, 24),
 ]
 
 

@@ -77,7 +77,7 @@ def test_schedule_holds_every_run_count(name, target, q):
         assert got.dtype == np.float64 and got.flags.c_contiguous and not got.flags.writeable
         assert got.shape == np.shape(want) and got.tobytes() == np.array(want).tobytes()
     assert sched.groups == _group_count(0.25)
-    assert sched.thinning == (k + 1) // 2
+    assert sched.thinning == math.ceil((k + 1) / 4)
 
 
 def test_particle_count_follows_the_pilot_variance(octahedron):

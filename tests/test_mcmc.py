@@ -162,6 +162,29 @@ def test_move_draw_matches_randrange(n):
     assert chain.rng.getstate() == reference.getstate()
 
 
+@pytest.mark.parametrize("path", ["native", "python"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 9, 17, 37, 65, 145])
+def test_ais_move_draw_takes_one_word(n, path):
+    # every AIS step proposes, its move the multiply-shift of one word; at
+    # uniform stages each proposal is taken without an acceptance coin, so
+    # particles of one to six steps show each step's vertex on the start
+    if path == "native" and mcmc._load_kernel() is None:
+        pytest.skip("the compiled kernel is not available on this host")
+    seed = 2000 + n
+    chain = Chain(_one_vertex_moves(n), (Random if path == "native" else PythonRandom)(seed))
+    reference = Random(seed)
+    assert (chain._native is not None) == (path == "native")
+    for i in range(300):
+        stages, thinning = 1 + i % 2, 1 + i % 3
+        log_weights = list(chain.ais([(1.0,) * 4] * stages, 1, thinning, [(0.0,) * 4] * stages))
+        assert log_weights == [[0.0]]
+        expected = [0b11 * reference.getrandbits(1) for _ in range(n)]
+        for _ in range(stages * thinning):
+            expected[reference.getrandbits(32) * n >> 32] ^= 0b11
+        assert list(chain.masks) == expected
+    assert chain.rng.getstate() == reference.getstate()
+
+
 def test_lazy_coin_boundary():
     # a coin below 1/2 holds the state and draws no move; a coin of exactly
     # 1/2 draws one, which the uniform weights then take without a coin
@@ -499,6 +522,37 @@ def test_exact_diagnostics_follow_the_metropolis_matrix(request, name, params):
         tvs.append(0.5 * float(np.abs(mu - pi_f).sum()))
     assert max(abs(tv - b) for (_, tv), b in zip(diag.tv_curve, tvs)) < 1e-12
     assert diag.steps_to_threshold == next(t for t, tv in enumerate(tvs, 1) if tv < 0.01)
+
+
+@pytest.mark.parametrize("params", [(1, 2, 2, 1), (3, 3, 3, 1), (1, 1, 5, 1)])
+@pytest.mark.parametrize("name", ["octahedron", "k44", "torus22", "torus23"])
+def test_ais_step_keeps_the_gibbs_measure_exactly(request, name, params):
+    # an AIS step tries move j with probability q_j, the share of the 2^32
+    # words w with w k >> 32 = j, uneven as k = 5, 7 or 9 is no power of two.
+    # Each move undoes itself, so the proposal is symmetric and pi_x P(x, y) =
+    # q_j min(pi_x, pi_y) = pi_y P(y, x), whence pi P = pi, over all 2^k states
+    graph = gen_torus(2, 3) if name == "torus23" else request.getfixturevalue(name)
+    kernel = CycleKernel(graph)
+    k, p = kernel.dimension, tuple(Fraction(x) for x in params)
+    weights = mcmc._state_weights(mcmc._state_profiles(kernel), p)
+    total = sum(weights)
+    pi = [w / total for w in weights]
+    # the least word w with w k >> 32 = j: ceil(j 2^32 / k)
+    first = [-(-(j << 32) // k) for j in range(k + 1)]
+    assert all(w * k >> 32 == j > (w - 1) * k >> 32 for j, w in enumerate(first[1:k], 1))
+    q = [Fraction(b - a, 1 << 32) for a, b in zip(first, first[1:])]
+    assert sum(q) == 1 and len(set(q)) == 2
+    rows = []
+    for x, w_x in enumerate(weights):
+        row = {x ^ 1 << j: q[j] * min(1, weights[x ^ 1 << j] / w_x) for j in range(k)}
+        row[x] = 1 - sum(row.values())
+        rows.append(row)
+    kept = [Fraction(0)] * len(pi)
+    for x, row in enumerate(rows):
+        for y, p_xy in row.items():
+            assert pi[x] * p_xy == pi[y] * rows[y][x]
+            kept[y] += pi[x] * p_xy
+    assert kept == pi
 
 
 @pytest.mark.parametrize("threshold", [0.0, -0.1, 1.0, 1.5, float("nan")])
